@@ -8,8 +8,8 @@ empty report means the axioms hold.
 
 from __future__ import annotations
 
-from .exactlin import (FR0, FR1, Echelon, SparseMatrix, SpanSolver, fr,
-                       kernel_basis, vec_addmul, vec_eq)
+from .exactlin import (FR0, FR1, Echelon, SparseMatrix, fr, kernel_basis,
+                       vec_addmul, vec_eq)
 
 
 class AlgebraError(Exception):
@@ -84,13 +84,6 @@ class Algebra:
             self._left_mult[i] = m
         return m
 
-    def right_mult_matrix(self, i: int) -> SparseMatrix:
-        ent = {}
-        for j in range(self.dim):
-            for k, c in self.mul_basis(j, i).items():
-                ent[(k, j)] = c
-        return SparseMatrix(self.dim, self.dim, ent)
-
     def label_of(self, i: int) -> str:
         return self.labels[i]
 
@@ -104,19 +97,18 @@ def check_generators_span(A: Algebra) -> bool:
         return False
     if A._gen_span_ok is not None:
         return A._gen_span_ok
-    solver = SpanSolver(A.dim)
-    solver.add(dict(A.unit))
+    ech = Echelon(A.dim)
+    ech.add_row(A.unit)
     frontier = [dict(A.unit)]
     while frontier:
         new = []
         for v in frontier:
             for g in A.generators:
                 w = A.mul_vec(g, v)
-                if w and solver.coordinates(w) is None:
-                    solver.add(w)
+                if ech.add_row(w) is not None:
                     new.append(w)
         frontier = new
-    A._gen_span_ok = (solver.ech.rank == A.dim)
+    A._gen_span_ok = (ech.rank == A.dim)
     return A._gen_span_ok
 
 
@@ -195,12 +187,6 @@ class AlgebraMap:
                     report.append("product not preserved on (%s, %s)"
                                   % (self.source.labels[i], self.source.labels[j]))
         return report
-
-
-def compose_maps(g: AlgebraMap, f: AlgebraMap) -> AlgebraMap:
-    assert f.target is g.source
-    return AlgebraMap(f.source, g.target, [g.apply(col) for col in f.columns],
-                      name="%s o %s" % (g.name, f.name))
 
 
 class ModuleRep:
@@ -379,10 +365,10 @@ def module_map_kernel(f: SparseMatrix, M: ModuleRep, N: ModuleRep):
 
 def submodule_on_basis(M: ModuleRep, basis: list, name="") -> ModuleRep:
     """Module structure on an action-stable subspace given by a basis."""
-    solver = SpanSolver(M.dim)
+    solver = Echelon(M.dim, tracked=True)
     for v in basis:
-        added = solver.add(v)
-        assert added, "submodule basis is dependent"
+        added = solver.add_row(v)
+        assert added is not None, "submodule basis is dependent"
 
     def fn(i):
         ent = {}

@@ -204,7 +204,7 @@ def _dy_complex(args, H):
         if not report.verified:
             raise CliError("R-matrix fails axioms: %s" % report.witnesses[:2],
                            EXIT_INVALID_RMATRIX)
-        return tensor_complex(H, R, report.inverse)
+        return tensor_complex(H, R)
     if args.kind == "res":
         if not args.sub:
             raise CliError("dy res needs --sub", EXIT_INVALID_ALGEBRA)
@@ -315,7 +315,7 @@ def cmd_crosscheck(args) -> int:
         rm = check_rmatrix(H, R)
         if not rm.verified:
             raise CliError("R-matrix fails axioms", EXIT_INVALID_RMATRIX)
-        h2t = tensor_complex(H, R, rm.inverse).cohomology_dim(2)
+        h2t = tensor_complex(H, R).cohomology_dim(2)
         budget.check("tensor complex")
         h2i = identity_complex(H).cohomology_dim(2)
         tdim = tangent_space(H, R, rm).dim

@@ -16,7 +16,7 @@ restriction functors insist on J = 1 ox 1.
 
 from __future__ import annotations
 
-from .algcore import (Algebra, AlgebraMap, ModuleRep, SpanSolver, verify_module)
+from .algcore import Algebra, AlgebraMap, ModuleRep, verify_module
 from .exactlin import (FR0, FR1, Echelon, SparseMatrix, TensorElement,
                        kernel_basis, vec_addmul, vec_eq)
 from .hopfcore import HopfAlgebra, HopfError, bk_dual_generators, dual_hopf, verify_hopf
@@ -428,9 +428,9 @@ def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
                 rows.append(row)
     basis = kernel_basis(SparseMatrix.from_rows_list(rows, n) if rows
                          else SparseMatrix(0, n))
-    solver = SpanSolver(n)
+    solver = Echelon(n, tracked=True)
     for b in basis:
-        solver.add(b)
+        solver.add_row(b)
 
     delta2 = [H.delta_power({m: FR1}, 3) for m in range(n)]
 
@@ -544,17 +544,16 @@ def build_c_pm(D: DoubleAlgebra, sign: int, check: bool = True) -> ModuleRep:
     dual = D.dual
 
     # closure of f0 under left multiplication in (B_k*)^op
-    solver = SpanSolver(n)
+    solver = Echelon(n, tracked=True)
     basis = [dict(f0)]
-    solver.add(f0)
+    solver.add_row(f0)
     frontier = [f0]
     while frontier:
         new = []
         for v in frontier:
             for i in range(n):
                 w = dual.algebra.mul_vec({i: FR1}, v)
-                if w and solver.coordinates(w) is None:
-                    solver.add(w)
+                if solver.add_row(w) is not None:
                     basis.append(w)
                     new.append(w)
         frontier = new

@@ -32,7 +32,8 @@ idempotents.
 from __future__ import annotations
 
 from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, flatten_index,
-                       kernel_basis_marked, rank_of_vectors, unit_tensor)
+                       kernel_basis_marked, rank_of_vectors, unflatten_index,
+                       unit_tensor)
 from .hopfcore import HopfAlgebra, HopfError, iterated_coproduct
 from .algcore import AlgebraMap
 
@@ -58,12 +59,11 @@ class DYComplex:
     """One of the three cochain complexes, with cached bases and maps."""
 
     def __init__(self, kind: str, H: HopfAlgebra, R: TensorElement = None,
-                 imap: AlgebraMap = None, Hsub: HopfAlgebra = None, Rinv=None):
+                 imap: AlgebraMap = None, Hsub: HopfAlgebra = None):
         assert kind in ("identity", "tensor", "restriction")
         self.kind = kind
         self.H = H
         self.R = R
-        self.Rinv = Rinv
         self.imap = imap
         self.Hsub = Hsub
         if kind == "tensor":
@@ -167,7 +167,7 @@ class DYComplex:
         rows: dict = {}
         for ci, (L, Rm) in enumerate(self._condition_elements(n)):
             for flat_t in range(ncols):
-                key = _unflatten(flat_t, nd, s)
+                key = unflatten_index(flat_t, nd, s)
                 diff = _fast_diff(tab, L.coeffs, {key: FR1}, Rm.coeffs, s)
                 for kk, c in diff.items():
                     f = flatten_index(kk, nd)
@@ -180,7 +180,7 @@ class DYComplex:
         M = SparseMatrix.from_rows_list([r for r in rows.values() if r], ncols)
         vecs, markers = kernel_basis_marked(M)
         basis = [TensorElement(H.algebra, s,
-                               {_unflatten(f, nd, s): c for f, c in v.items()})
+                               {unflatten_index(f, nd, s): c for f, c in v.items()})
                  for v in vecs]
         self._basis[n] = basis
         self._markers[n] = markers
@@ -567,14 +567,6 @@ def _build_vector_checker(A, conditions, degree: int):
     return checker
 
 
-def _unflatten(f: int, dim: int, degree: int) -> tuple:
-    out = []
-    for _ in range(degree):
-        out.append(f % dim)
-        f //= dim
-    return tuple(reversed(out))
-
-
 def _unit_expansions(H: HopfAlgebra, count: int) -> dict:
     """All keys of 1^{ox count} with coefficients (the unit may be a sum)."""
     return dict(unit_tensor(H.algebra, count).coeffs)
@@ -585,7 +577,10 @@ def identity_complex(H: HopfAlgebra) -> DYComplex:
 
 
 def tensor_complex(H: HopfAlgebra, R: TensorElement, Rinv=None) -> DYComplex:
-    return DYComplex("tensor", H, R=R, Rinv=Rinv)
+    """The R-twisted tensor complex.  `Rinv` is ignored: the complex never
+    uses the inverse R-matrix, and the parameter stays only so that calls
+    passing it keep working."""
+    return DYComplex("tensor", H, R=R)
 
 
 def restriction_complex(H: HopfAlgebra, imap: AlgebraMap, Hsub: HopfAlgebra) -> DYComplex:

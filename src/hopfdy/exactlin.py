@@ -2,11 +2,17 @@
 
 Everything is computed over QQ with `fractions.Fraction`, so results are
 exact.  Vectors are dicts {index: Fraction} with no stored zeros, matrices
-are dicts {(row, col): Fraction}.  Elimination is done fraction-free on
-integer-scaled rows (cross-multiplication with gcd normalization, Bareiss
-flavour) and converted to the unique reduced row echelon form at the end,
-so every reported rank / kernel / rewrite is deterministic regardless of
-the internal pivot strategy.
+are dicts {(row, col): Fraction}.
+
+All elimination over QQ runs through one loop, `_eliminate`.  It clears
+the pivot columns of an integer row fraction-free (cross-multiplication
+with gcd normalization, Bareiss flavour) and returns the scale it
+accumulated, so a caller that needs the exact rational remainder divides
+by it once at the end.  It can carry a combination of generators through
+the same steps.  `Echelon` builds ranks, residuals, tracked coordinates
+and the reduced row echelon form on it, and kernels, solutions and
+rewrites come from that form.  RREF is unique, so every reported rank,
+kernel and rewrite is deterministic regardless of the pivot order.
 
 A fast rank pass over the prime field GF(2^31 - 1) is available as a
 consistency alarm only: a modular rank can drop below the rational rank
@@ -83,17 +89,6 @@ def vec_addmul(w: dict, u: dict, c) -> dict:
         else:
             w.pop(i, None)
     return w
-
-
-def vec_dot(u: dict, v: dict) -> Fraction:
-    if len(u) > len(v):
-        u, v = v, u
-    s = FR0
-    for i, c in u.items():
-        x = v.get(i)
-        if x is not None:
-            s += c * x
-    return s
 
 
 def vec_eq(u: dict, v: dict) -> bool:
@@ -235,172 +230,185 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# integer-row echelon engine
+# the elimination engine
 
-def _int_rows(row: dict) -> dict:
-    """Scale a Fraction row to coprime integers, sign-normalized later."""
-    if not row:
-        return {}
-    denom_lcm = 1
-    for v in row.values():
-        d = v.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    out = {i: int(v * denom_lcm) for i, v in row.items() if v}
+def _content(row: dict) -> int:
+    """gcd of the entries of an integer row (0 for the empty row)."""
     g = 0
-    for v in out.values():
+    for v in row.values():
         g = gcd(g, v)
         if g == 1:
             break
+    return g
+
+
+def _int_row(row: dict):
+    """(r, s): `row` scaled by s > 0 to coprime integers, so r == s * row."""
+    den = 1
+    for v in row.values():
+        d = v.denominator
+        den = den * d // gcd(den, d)
+    out = {i: v.numerator * (den // v.denominator) for i, v in row.items() if v}
+    g = _content(out)
     if g > 1:
         out = {i: v // g for i, v in out.items()}
-    return out
+    return out, Fraction(den, g or 1)
 
 
-def _normalize(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {i: v // g for i, v in row.items()}
-    return row
+def _eliminate(row: dict, pivots: dict, track: dict = None, comb: dict = None):
+    """Clear every pivot column of the integer row `row`, fraction-free.
+
+    This is the module's one elimination loop over QQ.  Each step takes a
+    pivot column c still nonzero in the row, replaces the row by
+    ma*row - mb*pivots[c] with ma/mb = pivots[c][c]/row[c] in lowest terms,
+    and divides it by the gcd of its entries; fill-in on another pivot
+    column joins the worklist.  `row` is updated in place.  Returns
+    (row, scale) with
+
+        row == scale * (input - sum_c x_c * pivots[c])
+
+    for some rationals x_c, and the returned row vanishes at every pivot
+    column.  When `track` (pivot column -> combination dict) is given, the
+    combination `comb` (Fraction values) goes through the same steps, so
+    comb == scale * (comb_in - sum_c x_c * track[c]) on return.
+    """
+    num = den = 1
+    hits = [c for c in row if c in pivots]
+    pending = set(hits)
+    while hits:
+        hit = hits.pop()
+        pending.discard(hit)
+        b = row.get(hit)
+        if b is None:
+            continue
+        prow = pivots[hit]
+        a = prow[hit]
+        g = gcd(a, b)
+        ma, mb = a // g, b // g
+        if ma != 1:
+            num *= ma
+            for c in row:
+                row[c] *= ma
+        for c, v in prow.items():
+            s = row.get(c, 0) - mb * v
+            if s:
+                row[c] = s
+                if c in pivots and c not in pending:
+                    hits.append(c)
+                    pending.add(c)
+            else:
+                row.pop(c, None)
+        if track is not None:
+            if ma != 1:
+                for k in comb:
+                    comb[k] *= ma
+            for k, v in track[hit].items():
+                s = comb.get(k, 0) - mb * v
+                if s:
+                    comb[k] = s
+                else:
+                    comb.pop(k, None)
+        g = _content(row)
+        if g > 1:
+            den *= g
+            for c in row:
+                row[c] //= g
+            if track is not None:
+                for k in comb:
+                    comb[k] /= g
+    return row, Fraction(num, den)
 
 
 class Echelon:
-    """Incremental fraction-free row echelon with a configurable pivot order.
+    """Incremental row echelon form over QQ on primitive integer rows.
 
-    `key(col)` orders columns for pivot preference (smaller key wins inside
-    each incoming row).  The default is the column index itself, which makes
-    the final reduced echelon independent of insertion order (RREF is
-    unique).  Quotient constructions pass a reversed key so that low-index
-    columns survive as representatives.
+    `pivot_rows` maps each pivot column to an integer row with coprime
+    entries and a positive pivot entry.  `add_row` reduces the new row with
+    `_eliminate` against the rows already present and takes as pivot the
+    column with the smallest `key(col)`.  The default key is the column
+    index; quotient constructions pass a reversed key so that low-index
+    columns survive as representatives.  Each pivot row thus vanishes at
+    the pivot columns of the rows before it, so the remainder of any row
+    that vanishes at every pivot column is unique.  `residual` returns that
+    remainder, the returned row of `_eliminate` divided by its scale.
+    `to_rref` runs the same loop against the pivots already finished; RREF
+    is unique, so it does not depend on the insertion order.
+
+    With `tracked=True` each pivot row also carries its combination of the
+    rows that enlarged the span, numbered 0, 1, ... in insertion order, and
+    `coordinates` expresses a member of the span in those rows.  Untracked
+    echelons, the rank hot path, skip that bookkeeping.
     """
 
-    def __init__(self, ncols: int, key=None):
+    def __init__(self, ncols: int, key=None, tracked: bool = False):
         self.ncols = ncols
         self.key = key if key is not None else (lambda c: c)
-        self.pivot_rows: dict = {}   # pivot col -> integer row dict
+        self.pivot_rows: dict = {}   # pivot col -> primitive integer row
+        self.track = {} if tracked else None  # pivot col -> {row number: Fraction}
         self._rref_done = False
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce_row(self, row: dict) -> dict:
-        """Eliminate all pivot columns from an integer row (fraction-free)."""
-        row = dict(row)
-        pivots = self.pivot_rows
-        hits = [c for c in row if c in pivots]
-        hitset = set(hits)
-        while hits:
-            hit = hits.pop()
-            hitset.discard(hit)
-            if hit not in row:
-                continue
-            prow = pivots[hit]
-            a = prow[hit]
-            b = row[hit]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            # row := ma*row - mb*prow  (kills column `hit`)
-            if ma != 1:
-                for c in row:
-                    row[c] *= ma
-            for c, v in prow.items():
-                s = row.get(c, 0) - mb * v
-                if s:
-                    row[c] = s
-                    if c != hit and c not in hitset and c in pivots:
-                        hits.append(c)
-                        hitset.add(c)
-                else:
-                    row.pop(c, None)
-            row = _normalize(row)
-        return row
-
     def add_row(self, row: dict):
-        """Insert a row (Fraction or int dict); returns new pivot col or None."""
+        """Insert a row (Fraction or int dict); returns the new pivot column,
+        or None when the row already lies in the span."""
+        row, s = _int_row(row)
         if not row:
             return None
-        first = next(iter(row.values()))
-        if isinstance(first, Fraction):
-            row = _int_rows(row)
-        else:
-            row = _normalize(dict(row))
-        row = self.reduce_row(row)
+        comb = None if self.track is None else {self.rank: s}
+        row, _ = _eliminate(row, self.pivot_rows, self.track, comb)
         if not row:
             return None
-        key = self.key
-        piv = min(row, key=key)
-        if row[piv] < 0:
-            row = {c: -v for c, v in row.items()}
-        self.pivot_rows[piv] = row
+        piv = min(row, key=self.key)
+        self._store(piv, row, comb)
         self._rref_done = False
         return piv
 
-    def residual(self, row: dict) -> dict:
-        """Fraction-valued remainder of `row` modulo the current row space."""
-        out = dict(row)
-        pivots = self.pivot_rows
-        hits = [c for c in out if c in pivots]
-        hitset = set(hits)
-        while hits:
-            hit = hits.pop()
-            hitset.discard(hit)
-            if hit not in out:
-                continue
-            prow = pivots[hit]
-            coef = out[hit] / prow[hit]
-            for c, v in prow.items():
-                s = out.get(c, FR0) - coef * v
-                if s:
-                    out[c] = s
-                    if c != hit and c not in hitset and c in pivots:
-                        hits.append(c)
-                        hitset.add(c)
-                else:
-                    out.pop(c, None)
-        return out
+    def _store(self, piv: int, row: dict, comb):
+        """Keep `row` (and its combination) under `piv`, pivot entry > 0."""
+        if row[piv] < 0:
+            row = {c: -v for c, v in row.items()}
+            if comb is not None:
+                comb = {k: -v for k, v in comb.items()}
+        self.pivot_rows[piv] = row
+        if comb is not None:
+            self.track[piv] = comb
 
-    def contains(self, row: dict) -> bool:
-        return not self.residual(row)
+    def residual(self, row: dict) -> dict:
+        """Remainder of `row` modulo the row space that vanishes at every
+        pivot column, with Fraction values; {} iff `row` is in the span."""
+        row, s = _int_row(row)
+        row, scale = _eliminate(row, self.pivot_rows)
+        scale *= s
+        return {c: v / scale for c, v in row.items()}
+
+    def coordinates(self, row: dict):
+        """{j: c_j} with row == sum_j c_j * (j-th row that enlarged the span),
+        or None if `row` is not in the span.  Needs a tracked echelon."""
+        if self.track is None:
+            raise ExactlinError("coordinates need Echelon(..., tracked=True)")
+        row, s = _int_row(row)
+        comb: dict = {}
+        row, scale = _eliminate(row, self.pivot_rows, self.track, comb)
+        if row:
+            return None
+        scale *= -s
+        return {k: v / scale for k, v in comb.items()}
 
     def to_rref(self):
         """Back-substitute so every pivot row is supported on its pivot and
         non-pivot columns only.  Idempotent."""
         if self._rref_done:
             return
-        pivots = self.pivot_rows
-        order = sorted(pivots, key=self.key, reverse=True)
+        pivots, track = self.pivot_rows, self.track
         done: dict = {}
-        for piv in order:
-            row = pivots[piv]
-            changed = True
-            while changed:
-                changed = False
-                for c in list(row):
-                    if c != piv and c in done:
-                        prow = done[c]
-                        a, b = prow[c], row[c]
-                        g = gcd(a, b)
-                        ma, mb = a // g, b // g
-                        if ma != 1:
-                            for cc in row:
-                                row[cc] *= ma
-                        for cc, v in prow.items():
-                            s = row.get(cc, 0) - mb * v
-                            if s:
-                                row[cc] = s
-                            else:
-                                row.pop(cc, None)
-                        row = _normalize(row)
-                        changed = True
-                        break
-            if row[piv] < 0:
-                row = {c: -v for c, v in row.items()}
-            pivots[piv] = row
-            done[piv] = row
+        for piv in sorted(pivots, key=self.key, reverse=True):
+            comb = None if track is None else track[piv]
+            row, _ = _eliminate(pivots[piv], done, track, comb)
+            self._store(piv, row, comb)
+            done[piv] = pivots[piv]
         self._rref_done = True
 
     def rewrite(self, piv: int) -> dict:
@@ -414,22 +422,14 @@ class Echelon:
         return {c: Fraction(-v, lead) for c, v in row.items() if c != piv}
 
 
-def _matrix_int_rows(M: SparseMatrix) -> list:
-    rows = [dict() for _ in range(M.rows)]
-    for (r, c), v in M.entries.items():
-        rows[r][c] = v
-    return [r for r in rows if r]
-
-
 def rank(M: SparseMatrix, modular_alarm: bool = True) -> int:
     """Exact rank over QQ, deterministic.
 
     When `modular_alarm` is set and the matrix is large, a GF(p) rank is
     computed first; `rank_p > rank_QQ` is impossible, so it aborts.
     """
-    rows = _matrix_int_rows(M)
     ech = Echelon(M.cols)
-    for row in rows:
+    for row in M.row_dicts():
         ech.add_row(row)
     r = ech.rank
     if modular_alarm and len(M.entries) > 20000:
@@ -473,7 +473,7 @@ def rank_modular(M: SparseMatrix, p: int = ALARM_PRIME) -> int:
     image in GF(p)); callers treat that as "alarm unavailable".
     """
     pivots: dict = {}
-    for row0 in _matrix_int_rows(M):
+    for row0 in M.row_dicts():
         for v in row0.values():
             if v.denominator % p == 0:
                 raise ExactlinError("entry has no reduction mod %d" % p)
@@ -497,61 +497,30 @@ def rank_modular(M: SparseMatrix, p: int = ALARM_PRIME) -> int:
     return len(pivots)
 
 
-def kernel_basis(M: SparseMatrix) -> list:
-    """Exact basis of ker(M) as column vectors {index: Fraction}.
+def kernel_basis_marked(M: SparseMatrix):
+    """Exact basis of ker(M) as column vectors {index: Fraction}, plus the
+    free-column marker of each basis vector.
 
     Canonical: one vector per free column f (ascending), normalized with
     entry 1 at f and RREF-determined entries at the pivot columns.
-    """
-    ech = Echelon(M.cols)
-    for row in _matrix_int_rows(M):
-        ech.add_row(row)
-    ech.to_rref()
-    pivset = set(ech.pivot_rows)
-    free = [c for c in range(M.cols) if c not in pivset]
-    basis = []
-    rewrites = {p: ech.rewrite(p) for p in ech.pivot_rows}
-    for f in free:
-        v = {f: FR1}
-        for p, rw in rewrites.items():
-            c = rw.get(f)
-            if c:
-                v[p] = c
-        basis.append(v)
-    return basis
-
-
-def kernel_basis_marked(M: SparseMatrix):
-    """kernel_basis plus the free-column marker of each basis vector.
-
     Coordinates of any v in the kernel span are read off at the markers:
     v = sum_j v[free_cols[j]] * basis[j].
     """
     ech = Echelon(M.cols)
-    for row in _matrix_int_rows(M):
+    for row in M.row_dicts():
         ech.add_row(row)
     ech.to_rref()
-    pivset = set(ech.pivot_rows)
-    free = [c for c in range(M.cols) if c not in pivset]
-    rewrites = {p: ech.rewrite(p) for p in ech.pivot_rows}
-    basis = []
-    for f in free:
-        v = {f: FR1}
-        for p, rw in rewrites.items():
-            c = rw.get(f)
-            if c:
-                v[p] = c
-        basis.append(v)
-    return basis, free
+    free = [c for c in range(M.cols) if c not in ech.pivot_rows]
+    vecs = {f: {f: FR1} for f in free}
+    for p in ech.pivot_rows:
+        for f, c in ech.rewrite(p).items():
+            vecs[f][p] = c
+    return [vecs[f] for f in free], free
 
 
-def kernel_basis_of_rows(rows: list, ncols: int) -> list:
-    ent = {}
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if v:
-                ent[(i, j)] = fr(v)
-    return kernel_basis(SparseMatrix(len(rows), ncols, ent))
+def kernel_basis(M: SparseMatrix) -> list:
+    """kernel_basis_marked without the markers."""
+    return kernel_basis_marked(M)[0]
 
 
 def span_equal(A: list, B: list, dim: int) -> bool:
@@ -571,15 +540,12 @@ def solve(M: SparseMatrix, b: dict):
     """One solution x of M x = b, or None.  Deterministic (free vars = 0)."""
     aug_col = M.cols
     ech = Echelon(M.cols + 1)
-    rows = [dict() for _ in range(M.rows)]
-    for (r, c), v in M.entries.items():
-        rows[r][c] = v
+    rows = M.row_dicts()
     for r, v in b.items():
         if v:
             rows[r][aug_col] = -v
     for row in rows:
-        if row:
-            ech.add_row(row)
+        ech.add_row(row)
     if aug_col in ech.pivot_rows:
         return None  # inconsistent
     ech.to_rref()
@@ -593,90 +559,6 @@ def solve(M: SparseMatrix, b: dict):
     if not vec_eq(M.mul_vec(x), b):
         return None
     return x
-
-
-class SpanSolver:
-    """Tracks a list of generating vectors; expresses members in terms of them."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.ech = Echelon(ncols + 0)
-        self.track: dict = {}      # pivot col -> combination {gen index: Fraction}
-        self.ngens = 0
-
-    def add(self, v: dict) -> bool:
-        """Add a generator; True if it enlarged the span."""
-        idx = self.ngens
-        self.ngens += 1
-        row = dict(v)
-        comb = {idx: FR1}
-        pivots = self.ech.pivot_rows
-        hits = [c for c in row if c in pivots]
-        hitset = set(hits)
-        while hits:
-            hit = hits.pop()
-            hitset.discard(hit)
-            if hit not in row:
-                continue
-            prow = pivots[hit]
-            coef = row[hit] / prow[hit]
-            for c, vv in prow.items():
-                s = row.get(c, FR0) - coef * vv
-                if s:
-                    row[c] = s
-                    if c != hit and c not in hitset and c in pivots:
-                        hits.append(c)
-                        hitset.add(c)
-                else:
-                    row.pop(c, None)
-            for g, vv in self.track[hit].items():
-                s = comb.get(g, FR0) - coef * vv
-                if s:
-                    comb[g] = s
-                else:
-                    comb.pop(g, None)
-        if not row:
-            return False
-        piv = min(row)
-        lead = row[piv]
-        introws = _int_rows(row)
-        scale = introws[piv] / lead  # introws = scale * row
-        self.ech.pivot_rows[piv] = introws
-        self.track[piv] = {g: scale * vv for g, vv in comb.items()}
-        return True
-
-    def coordinates(self, v: dict):
-        """Coefficients c with v = sum c_g * gen_g, or None if not in span."""
-        row = dict(v)
-        out: dict = {}
-        pivots = self.ech.pivot_rows
-        hits = [c for c in row if c in pivots]
-        hitset = set(hits)
-        while hits:
-            hit = hits.pop()
-            hitset.discard(hit)
-            if hit not in row:
-                continue
-            prow = pivots[hit]
-            coef = row[hit] / prow[hit]
-            for c, vv in prow.items():
-                s = row.get(c, FR0) - coef * vv
-                if s:
-                    row[c] = s
-                    if c != hit and c not in hitset and c in pivots:
-                        hits.append(c)
-                        hitset.add(c)
-                else:
-                    row.pop(c, None)
-            for g, vv in self.track[hit].items():
-                s = out.get(g, FR0) + coef * vv
-                if s:
-                    out[g] = s
-                else:
-                    out.pop(g, None)
-        if row:
-            return None
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -865,23 +747,9 @@ class TensorElement:
         return "TensorElement(deg=%d, {%s%s})" % (self.degree, body, more)
 
 
-def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
-    return a.mul(b)
-
-
-def permute_slots(u: TensorElement, perm) -> TensorElement:
-    return u.permute_slots(perm)
-
-
 def unit_tensor(ambient, degree: int) -> TensorElement:
     """1^{otimes degree}; the unit may be a combination of basis elements."""
     out = TensorElement(ambient, 0, {(): FR1})
     for _ in range(degree):
         out = out.insert_vector_at(out.degree, ambient.unit)
     return out
-
-
-def from_flat(ambient, degree: int, flatvec: dict) -> TensorElement:
-    n = ambient.dim
-    return TensorElement(ambient, degree,
-                         {unflatten_index(f, n, degree): v for f, v in flatvec.items()})

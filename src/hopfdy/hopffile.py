@@ -83,6 +83,17 @@ def hopf_to_json(H: HopfAlgebra) -> dict:
     }
 
 
+def _entries(data: dict, field: str, dim: int):
+    """The entries of one sparse field, each index checked against 0..dim-1."""
+    for entry in data[field]:
+        *idx, v = entry
+        for i in idx:
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
+                raise HopfFileError("%s entry %r: index %r is not in 0..%d"
+                                    % (field, entry, i, dim - 1))
+        yield (*idx, fr(v))
+
+
 def hopf_from_json(data: dict, name="file") -> HopfAlgebra:
     try:
         if data.get("format_version") != FORMAT_VERSION:
@@ -91,18 +102,18 @@ def hopf_from_json(data: dict, name="file") -> HopfAlgebra:
         dim = int(data["dim"])
         labels = data.get("basis_labels") or ["e%d" % i for i in range(dim)]
         mult: dict = {}
-        for i, j, k, v in data["mult"]:
-            mult.setdefault((i, j), {})[k] = fr(v)
-        unit = {int(i): fr(v) for i, v in data["unit"]}
+        for i, j, k, v in _entries(data, "mult", dim):
+            mult.setdefault((i, j), {})[k] = v
+        unit = {i: v for i, v in _entries(data, "unit", dim)}
         A = Algebra(dim, labels, mult, unit, name=name)
         comult_entries = [dict() for _ in range(dim)]
-        for i, j, k, v in data["comult"]:
-            comult_entries[i][(j, k)] = fr(v)
+        for i, j, k, v in _entries(data, "comult", dim):
+            comult_entries[i][(j, k)] = v
         comult = [TensorElement(A, 2, c) for c in comult_entries]
-        counit_map = {int(i): fr(v) for i, v in data["counit"]}
+        counit_map = {i: v for i, v in _entries(data, "counit", dim)}
         counit = [counit_map.get(i, Fraction(0)) for i in range(dim)]
-        antipode = SparseMatrix(dim, dim, {(r, c): fr(v)
-                                           for r, c, v in data["antipode"]})
+        antipode = SparseMatrix(dim, dim, {(r, c): v for r, c, v
+                                           in _entries(data, "antipode", dim)})
     except HopfFileError:
         raise
     except Exception as exc:

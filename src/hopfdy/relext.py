@@ -25,12 +25,12 @@ d_{n+1}[a ox p] = a ox d_n(p) + (-1)^{n+1} a.p evaluated on a spanning set.
 
 from __future__ import annotations
 
-from .algcore import (Algebra, AlgebraMap, InducedModule, ModuleRep, SpanSolver,
+from .algcore import (Algebra, AlgebraMap, InducedModule, ModuleRep,
                       hom_space, induced_module, restrict_module,
                       module_from_character, submodule_on_basis, tensor_algebra,
                       tensor_module, verify_module)
-from .exactlin import (FR0, FR1, SparseMatrix, kernel_basis_marked, rank,
-                       rank_of_rows, vec_addmul)
+from .exactlin import (FR0, FR1, Echelon, SparseMatrix, kernel_basis_marked,
+                       rank, rank_of_rows, vec_addmul)
 
 
 class RelextError(Exception):
@@ -381,12 +381,11 @@ def _verify_splitness(res: Resolution, level: str) -> list:
                 ambient_of = [{i: FR1} for i in range(res.target.dim)]
             else:
                 prev = res.terms[n - 1]
-                solver = SpanSolver(prev.dim)
+                ech = Echelon(prev.dim)
                 zvecs = []
                 for j in range(term.dim):
                     v = d.col(j)
-                    if v and solver.coordinates(v) is None:
-                        solver.add(v)
+                    if ech.add_row(v) is not None:
                         zvecs.append(v)
                 zmodule = submodule_on_basis(prev, zvecs, name="im(d_%d)" % n)
                 ambient_of = zvecs
@@ -555,7 +554,7 @@ def adjunction_crosscheck_tensor(D, R, Rinv, n: int, kind: str = "cover",
             "degree %d exceeds the budget %d for the tensor-square pair"
             % (n, maxdeg_budget))
     H = D.base
-    cx = tensor_complex(H, R, Rinv)
+    cx = tensor_complex(H, R)
     lhs = cx.cohomology_dim(n)
     p = pair_from_double(D)
     psq = tensor_pair(p, p)

@@ -161,10 +161,6 @@ def tangent_space(H: HopfAlgebra, R: TensorElement, report: RMatrixReport = None
                            % report.witnesses[:3])
     n = H.dim
     ncols = n * n
-    rows = []
-
-    def add_condition(vec3_or_2: dict, rowmap: dict):
-        pass
 
     # linear maps applied to the basis elements e_a ox e_b of H ox H
     r13 = embed13(R, H)

@@ -56,8 +56,8 @@ def R1(B1):
 
 @pytest.fixture(scope="module")
 def tensor_cx_b1(B1, R1):
-    R, Rinv = R1
-    return tensor_complex(B1, R, Rinv)
+    R, _ = R1
+    return tensor_complex(B1, R)
 
 
 @pytest.fixture(scope="module")

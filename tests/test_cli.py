@@ -25,14 +25,28 @@ class TestVerifyCommand:
         code, rep = run_cli(capsys, "verify", "cyclic:4")
         assert code == 0
 
-    def test_corrupted_file_exit_2_named_axiom(self, capsys, tmp_path):
+    @pytest.mark.parametrize("field,extra", [
+        ("antipode", None),
+        ("mult", [-1, 0, 0, "1"]),
+        ("mult", [4, 0, 0, "1"]),
+        ("mult", [0, 1, 4, "1"]),
+        ("comult", [0, 0, 4, "1"]),
+        ("unit", [7, "1"]),
+        ("counit", [-1, "1"]),
+        ("antipode", [0, 4, "1"]),
+    ], ids=["antipode-identity", "mult-i-neg", "mult-i-high", "mult-k-high",
+            "comult-k-high", "unit-high", "counit-neg", "antipode-col-high"])
+    def test_corrupted_file_exit_2_named_axiom(self, capsys, tmp_path, field, extra):
         path = tmp_path / "bad.json"
         data = hopf_to_json(build_bk(1))
-        data["antipode"] = [[i, i, "1"] for i in range(4)]
+        if extra is None:
+            data["antipode"] = [[i, i, "1"] for i in range(4)]
+        else:
+            data[field].append(extra)  # an index outside 0..3
         path.write_text(json.dumps(data))
         code, rep = run_cli(capsys, "verify", str(path))
         assert code == 2
-        assert any("antipode" in v for v in rep["results"]["violations"])
+        assert any(field in v for v in rep["results"]["violations"])
 
     def test_unparseable_exit_2(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfdy.exactlin import (SparseMatrix, TensorElement, kernel_basis,
+from hopfdy.exactlin import (Echelon, SparseMatrix, TensorElement, kernel_basis,
                              kernel_basis_marked, rank, rank_modular,
                              rank_of_vectors, solve, span_equal, unit_tensor)
 from hopfdy.hopfcore import build_bk
 
-from oracles import dense_nullspace, dense_rank, densify_vec
+from oracles import dense_nullspace, dense_rank, dense_rref, densify_vec
 
 
 def sm(rows):
@@ -134,6 +134,66 @@ def test_rank_matches_dense_oracle(M):
     for (r, c), v in M.entries.items():
         rows[r][c] = v
     assert rank(M) == dense_rank(rows)
+
+
+@st.composite
+def rational_rows(draw):
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=1, max_size=7)), draw(st.booleans())
+
+
+def _sparse(dense):
+    return {c: Fraction(v) for c, v in enumerate(dense) if v}
+
+
+def _combine(coords, gens):
+    out = {}
+    for j, c in coords.items():
+        for col, x in gens[j].items():
+            out[col] = out.get(col, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+@given(rational_rows())
+@settings(max_examples=80, deadline=None)
+def test_echelon_matches_dense_oracles(case):
+    """Each row is probed, then added, to a tracked Echelon: coordinates,
+    residual and add_row see the rank grow exactly when the dense oracle
+    does, coordinates rebuild the row, and RREF matches the oracle's."""
+    rows, reverse = case
+    ncols = len(rows[0])
+    ech = Echelon(ncols, key=(lambda c: -c) if reverse else None, tracked=True)
+    added, gens = [], []
+    for dense in rows:
+        v = _sparse(dense)
+        grows = dense_rank(added + [dense]) > dense_rank(added)
+        coords = ech.coordinates(v)
+        res = ech.residual(v)
+        assert (coords is None) == grows
+        assert bool(res) == grows
+        assert not any(c in ech.pivot_rows for c in res)
+        if added:
+            rest = [dense[c] - res.get(c, 0) for c in range(ncols)]
+            assert dense_rank(added + [rest]) == dense_rank(added)
+        if coords is not None:
+            assert _combine(coords, gens) == v
+        assert (ech.add_row(v) is not None) == grows
+        if grows:
+            gens.append(v)
+        added.append(dense)
+    assert ech.rank == dense_rank(rows)
+    ech.to_rref()
+    for dense in rows:
+        assert _combine(ech.coordinates(_sparse(dense)), gens) == _sparse(dense)
+    if not reverse:
+        m, pivots = dense_rref(rows)
+        assert sorted(ech.pivot_rows) == pivots
+        for r, p in enumerate(pivots):
+            row = ech.pivot_rows[p]
+            assert {c: Fraction(x, row[p]) for c, x in row.items()} == _sparse(m[r])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,37 @@
+"""Byte-for-byte regression of deterministic CLI reports.
+
+Each file in tests/golden/ is the exact stdout of one CLI command.  A
+refactor must leave these reports unchanged; a change that alters a report
+on purpose (a new flag or counter, say) regenerates the file with
+
+    PYTHONPATH=src python -m hopfdy.cli <argv> > tests/golden/<name>.json
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hopfdy.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "verify_bk_2": ["verify", "bk:2"],
+    "rmatrix_tangent_bk_2_r0": ["rmatrix", "tangent", "bk:2", "--r0"],
+    "dy_tensor_bk_1_r0_degree_2": ["dy", "tensor", "bk:1", "--r0", "--degree", "2"],
+    "dy_res_bk_2_sub_bk_1_degree_2": ["dy", "res", "bk:2", "--sub", "bk:1",
+                                      "--degree", "2"],
+    "relext_bk_2_sub_bk_1_coeff_restriction_degree_2": [
+        "relext", "bk:2", "--sub", "bk:1", "--coeff", "restriction", "--degree", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(capsys, name):
+    code = main(CASES[name])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / (name + ".json")).read_text()
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
