@@ -27,10 +27,9 @@ from .rmatrix import (RMatrixReport, TangentBasis, bk_standard_tangent_basis, bk
                       bk_r_lambda, check_rmatrix, tangent_space,
                       tangent_span_matches)
 from .relext import (Resolution, ResolventPair, adjunction_crosscheck_restriction,
-                     adjunction_crosscheck_tensor, bar_resolution,
-                     iterated_cover_resolution, kunneth_check, pair_from_double,
-                     relative_ext_dims, tensor_pair, trivial_module_over,
-                     verify_resolution, verify_resolution_tensor)
+                     adjunction_crosscheck_tensor, get_resolution, kunneth_check,
+                     pair_from_double, relative_ext_dims, tensor_pair,
+                     trivial_module_over, verify_resolution, verify_resolution_tensor)
 from .hopffile import hopf_from_json, hopf_to_json, load_hopf, save_hopf
 
 __version__ = "0.1.0"

@@ -36,6 +36,11 @@ class DoubleAlgebra:
         self.dual = dual
         self.inclusion_base = inclusion_base
         self.inclusion_dual = inclusion_dual
+        # caches owned by this double, released with it
+        self._coeffs: dict = {}   # coefficient modules, keyed by their inputs
+        self._pair = None         # relext: (D(H), H) as a resolvent pair
+        self._trivial = None      # relext: the trivial D(H)-module
+        self._trivial_sq = None   # relext: the trivial D(H) ox D(H)-module
 
     @property
     def algebra(self) -> Algebra:
@@ -65,14 +70,10 @@ class DoubleAlgebra:
         return "DoubleAlgebra(D(%s), dim=%d)" % (self.base.name, self.dim)
 
 
-_DOUBLE_CACHE: dict = {}
-
-
 def drinfeld_double(H: HopfAlgebra, check: bool = True) -> DoubleAlgebra:
-    """Build D(H) = (H*)^op ox H with full Hopf structure."""
-    cached = _DOUBLE_CACHE.get(id(H))
-    if cached is not None:
-        return cached
+    """Build D(H) = (H*)^op ox H with full Hopf structure (cached on H)."""
+    if H._double is not None:
+        return H._double
     if check:
         rep = verify_hopf(H)
         if rep:
@@ -199,7 +200,7 @@ def drinfeld_double(H: HopfAlgebra, check: bool = True) -> DoubleAlgebra:
             rep = emb.verify()
             if rep:
                 raise HopfError("embedding %s fails: %s" % (emb.name, rep[:3]))
-    _DOUBLE_CACHE[id(H)] = D
+    H._double = D
     return D
 
 
@@ -329,17 +330,14 @@ class CoefficientModule:
         return "CoefficientModule(%s, dim=%d)" % (self.provenance, self.module.dim)
 
 
-_COEFF_CACHE: dict = {}
-
-
 def coeff_tensor_product(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement,
                          E: Algebra, check: bool = True) -> CoefficientModule:
     """H* as a module over E = D(H) ox D(H):
 
         (alpha a ox beta b) . psi = l-(beta) b |> psi <| S(l+(alpha) a).
     """
-    cache_key = ("tensor", id(D), id(E), tuple(sorted(R.flat().items())))
-    got = _COEFF_CACHE.get(cache_key)
+    cache_key = ("tensor", E, tuple(sorted(R.flat().items())))
+    got = D._coeffs.get(cache_key)
     if got is not None:
         return got
     H = D.base
@@ -375,7 +373,7 @@ def coeff_tensor_product(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement
         if rep:
             raise HopfError("tensor coefficient module fails axioms: %s" % rep[:3])
     out = CoefficientModule(mod, "tensor_product_coeff")
-    _COEFF_CACHE[cache_key] = out
+    D._coeffs[cache_key] = out
     return out
 
 
@@ -392,8 +390,8 @@ def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
         H = D.base
         if twist != _unit_twist(H):
             raise TwistNotSupportedError("only the trivial twist 1 ox 1 is supported")
-    cache_key = ("restriction", id(D), id(imap))
-    got = _COEFF_CACHE.get(cache_key)
+    cache_key = ("restriction", imap)
+    got = D._coeffs.get(cache_key)
     if got is not None:
         return got
     from .hopfcore import is_hopf_map
@@ -476,7 +474,7 @@ def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
         if rep:
             raise HopfError("restriction coefficient module fails axioms: %s" % rep[:3])
     out = CoefficientModule(mod, "restriction_coeff", dual_basis_rows=basis)
-    _COEFF_CACHE[cache_key] = out
+    D._coeffs[cache_key] = out
     return out
 
 

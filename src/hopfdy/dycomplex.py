@@ -32,8 +32,8 @@ idempotents.
 from __future__ import annotations
 
 from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, flatten_index,
-                       kernel_basis_marked, rank_of_vectors, unflatten_index,
-                       unit_tensor)
+                       kernel_basis_marked, rank_of_vectors, slotwise_mul_into,
+                       unflatten_index, unit_tensor)
 from .hopfcore import HopfAlgebra, HopfError, iterated_coproduct
 from .algcore import AlgebraMap
 
@@ -131,7 +131,7 @@ class DYComplex:
                 return res
         tab = self.H.algebra.fast_mult()
         for L, Rm in self._condition_elements(n):
-            if _fast_diff(tab, L.coeffs, u.coeffs, Rm.coeffs, u.degree):
+            if _fast_diff(tab, L.coeffs, u.coeffs, Rm.coeffs):
                 return False
         return True
 
@@ -168,7 +168,7 @@ class DYComplex:
         for ci, (L, Rm) in enumerate(self._condition_elements(n)):
             for flat_t in range(ncols):
                 key = unflatten_index(flat_t, nd, s)
-                diff = _fast_diff(tab, L.coeffs, {key: FR1}, Rm.coeffs, s)
+                diff = _fast_diff(tab, L.coeffs, {key: FR1}, Rm.coeffs)
                 for kk, c in diff.items():
                     f = flatten_index(kk, nd)
                     d = rows.setdefault((ci, f), {})
@@ -401,64 +401,11 @@ class DYComplex:
         return out
 
 
-def _fast_mul_into(tab, a: dict, b: dict, degree: int, out: dict, sign: int):
-    """out += sign * (a . b) slotwise, over the fast_mult table; tuned for
-    monomial-style algebras where basis products have a single term."""
-    rng = range(degree)
-    for ka, va in a.items():
-        rows = [tab[ka[s]] for s in rng]
-        for kb, vb in b.items():
-            coef = va * vb
-            key = []
-            dead = False
-            for s in rng:
-                prod = rows[s][kb[s]]
-                if prod is None:
-                    dead = True
-                    break
-                if type(prod) is tuple:
-                    key.append(prod[0])
-                    cc = prod[1]
-                    if cc is not FR1:
-                        coef = coef * cc
-                else:
-                    # general fallback: expand this key pair the slow way
-                    dead = True
-                    terms = [((), va * vb)]
-                    for s2 in rng:
-                        prod2 = rows[s2][kb[s2]]
-                        if prod2 is None:
-                            terms = []
-                            break
-                        if type(prod2) is tuple:
-                            terms = [(pref + (prod2[0],), c2 * prod2[1])
-                                     for (pref, c2) in terms]
-                        else:
-                            terms = [(pref + (kk2,), c2 * cc2)
-                                     for (pref, c2) in terms
-                                     for kk2, cc2 in prod2.items()]
-                    for tkey, tcoef in terms:
-                        s0 = out.get(tkey, FR0) + sign * tcoef
-                        if s0:
-                            out[tkey] = s0
-                        else:
-                            out.pop(tkey, None)
-                    break
-            if dead:
-                continue
-            tkey = tuple(key)
-            s0 = out.get(tkey, FR0) + sign * coef
-            if s0:
-                out[tkey] = s0
-            else:
-                out.pop(tkey, None)
-
-
-def _fast_diff(tab, L: dict, u: dict, Rm: dict, degree: int) -> dict:
+def _fast_diff(tab, L: dict, u: dict, Rm: dict) -> dict:
     """L.u - u.Rm as a plain dict (empty = zero)."""
     out: dict = {}
-    _fast_mul_into(tab, L, u, degree, out, 1)
-    _fast_mul_into(tab, u, Rm, degree, out, -1)
+    slotwise_mul_into(tab, L, u, out)
+    slotwise_mul_into(tab, u, Rm, out, -1)
     return out
 
 

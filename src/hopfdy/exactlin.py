@@ -579,12 +579,60 @@ def unflatten_index(f: int, dim: int, degree: int) -> tuple:
     return tuple(reversed(out))
 
 
+def slotwise_mul_into(tab, a: dict, b: dict, out: dict, sign: int = 1):
+    """out += sign * (a . b), the slotwise product of two tensors keyed by
+    index tuples, over an `Algebra.fast_mult()` table.
+
+    A pair of keys is dropped at its first zero slot product, before any
+    coefficient is multiplied.  Single-term slot products, the rule in
+    monomial bases, give one output key; general ones are expanded.
+    """
+    for ka, va in a.items():
+        rows = [tab[i] for i in ka]
+        for kb, vb in b.items():
+            prods = []
+            for row, j in zip(rows, kb):
+                p = row[j]
+                if p is None:
+                    break
+                prods.append(p)
+            else:
+                base = va * vb if sign > 0 else -(va * vb)
+                coef = base
+                key = []
+                for p in prods:
+                    if type(p) is not tuple:
+                        terms = _expand_slots(prods, base)
+                        break
+                    key.append(p[0])
+                    if p[1] is not FR1:
+                        coef = coef * p[1]
+                else:
+                    terms = ((tuple(key), coef),)
+                for tkey, tcoef in terms:
+                    s0 = out.get(tkey, FR0) + tcoef
+                    if s0:
+                        out[tkey] = s0
+                    else:
+                        out.pop(tkey, None)
+
+
+def _expand_slots(prods: list, coef) -> list:
+    """(key, coefficient) terms of a product whose slot products are
+    (k, c) pairs or sparse dicts."""
+    terms = [((), coef)]
+    for p in prods:
+        items = (p,) if type(p) is tuple else p.items()
+        terms = [(pref + (k,), c * cc) for pref, c in terms for k, cc in items]
+    return terms
+
+
 class TensorElement:
     """Sparse element of H^{otimes d} over a base algebra of dimension n.
 
     Coefficients are keyed by d-tuples of basis indices.  The ambient object
-    only needs `.dim` and `.mul_basis(i, j) -> {k: Fraction}`; slotwise
-    products use those structure constants.
+    needs `.dim`, `.unit` and `.fast_mult()` (see `Algebra`); slotwise
+    products go through `slotwise_mul_into` on that table.
     """
 
     __slots__ = ("ambient", "degree", "coeffs")
@@ -645,31 +693,9 @@ class TensorElement:
     def mul(self, other: "TensorElement") -> "TensorElement":
         """Slotwise product using the ambient algebra's structure constants."""
         self._assert_compatible(other)
-        amb = self.ambient
-        d = self.degree
         out: dict = {}
-        mul_basis = amb.mul_basis
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                # expand slot products left to right
-                terms = [((), va * vb)]
-                for s in range(d):
-                    prod = mul_basis(ka[s], kb[s])
-                    if not prod:
-                        terms = []
-                        break
-                    new = []
-                    for (pref, coef) in terms:
-                        for idx, c in prod.items():
-                            new.append((pref + (idx,), coef * c))
-                    terms = new
-                for key, coef in terms:
-                    s0 = out.get(key, FR0) + coef
-                    if s0:
-                        out[key] = s0
-                    else:
-                        out.pop(key, None)
-        return TensorElement(self.ambient, d, out)
+        slotwise_mul_into(self.ambient.fast_mult(), self.coeffs, other.coeffs, out)
+        return TensorElement(self.ambient, self.degree, out)
 
     def permute_slots(self, perm) -> "TensorElement":
         """Re-index along `perm`, 0-based: slot j of the input becomes slot

@@ -49,6 +49,7 @@ class HopfAlgebra:
         self.antipode = antipode
         self.antipode_inv = antipode_inv
         self.name = name or algebra.name
+        self._double = None  # D(H), once drinfeld_double has built it
 
     # convenience passthroughs
     @property

@@ -99,8 +99,14 @@ def hopf_from_json(data: dict, name="file") -> HopfAlgebra:
         if data.get("format_version") != FORMAT_VERSION:
             raise HopfFileError("unsupported format_version %r"
                                 % data.get("format_version"))
-        dim = int(data["dim"])
-        labels = data.get("basis_labels") or ["e%d" % i for i in range(dim)]
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise HopfFileError("dim %r is not an integer >= 1" % (dim,))
+        labels = data.get("basis_labels", ["e%d" % i for i in range(dim)])
+        if (not isinstance(labels, list) or len(labels) != dim
+                or not all(isinstance(x, str) for x in labels)):
+            raise HopfFileError("basis_labels %r is not a list of %d strings"
+                                % (labels, dim))
         mult: dict = {}
         for i, j, k, v in _entries(data, "mult", dim):
             mult.setdefault((i, j), {})[k] = v

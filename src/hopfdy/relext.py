@@ -17,10 +17,10 @@ space is computed through the adjunction mate Hom_A(Ind(X), W) =
 Hom_B(X, Res W), which keeps the intertwiner systems at the size of the
 small algebra; the resulting bases are converted back to genuine
 A-intertwiners on the terms, so differentials are plain precompositions
-with d.  The kernel at the top computed degree never needs the next term:
-for the cover resolution it is cut out by vanishing on K_{top+1} inside
-P_top, and for the bar resolution by the relation
-d_{n+1}[a ox p] = a ox d_n(p) + (-1)^{n+1} a.p evaluated on a spanning set.
+with d.  The kernel of delta^n never needs the next term: an A-linear
+cochain on P_n is a cocycle iff it vanishes on A-module generators of
+im d_{n+1}, which are the K_{n+1} basis (cover) or the images
+d_{n+1}[1 ox p] = [1 ox d_n(p)] + (-1)^{n+1} p (bar).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .algcore import (Algebra, AlgebraMap, InducedModule, ModuleRep,
                       module_from_character, submodule_on_basis, tensor_algebra,
                       tensor_module, verify_module)
 from .exactlin import (FR0, FR1, Echelon, SparseMatrix, kernel_basis_marked,
-                       rank, rank_of_rows, vec_addmul)
+                       rank, rank_of_vectors, vec_addmul)
 
 
 class RelextError(Exception):
@@ -52,6 +52,8 @@ class ResolventPair:
         self.inclusion = inclusion
         self.free_basis = free_basis
         self.name = name or "(%s <= %s)" % (big.name, small.name)
+        self._tensor: dict = {}       # tensor_pair(self, p2), keyed by p2
+        self._resolutions: dict = {}  # keyed by (V, kind, use_free)
 
     def verify(self, pairs="auto") -> list:
         from .double import check_algebra_map
@@ -61,36 +63,28 @@ class ResolventPair:
         return "ResolventPair%s" % self.name
 
 
-_PAIR_CACHE: dict = {}
-
-
 def pair_from_double(D) -> ResolventPair:
-    """(D(H), H) along the canonical embedding, with the dual free basis."""
-    got = _PAIR_CACHE.get(("double", id(D)))
-    if got is None:
-        got = ResolventPair(D.algebra, D.base.algebra, D.inclusion_base,
-                            free_basis=D.dual_part_basis(),
-                            name="(D(%s), %s)" % (D.base.name, D.base.name))
-        _PAIR_CACHE[("double", id(D))] = got
-    return got
+    """(D(H), H) along the canonical embedding, with the dual free basis
+    (cached on D)."""
+    if D._pair is None:
+        D._pair = ResolventPair(D.algebra, D.base.algebra, D.inclusion_base,
+                                free_basis=D.dual_part_basis(),
+                                name="(D(%s), %s)" % (D.base.name, D.base.name))
+    return D._pair
 
 
 def trivial_module_over(D) -> ModuleRep:
-    """The trivial D(H)-module through the counit of the double (cached)."""
-    got = _PAIR_CACHE.get(("trivial", id(D)))
-    if got is None:
-        got = module_from_character(
+    """The trivial D(H)-module through the counit of the double (cached on D)."""
+    if D._trivial is None:
+        D._trivial = module_from_character(
             D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c}, name="k")
-        _PAIR_CACHE[("trivial", id(D))] = got
-    return got
+    return D._trivial
 
 
 def tensor_pair(p1: ResolventPair, p2: ResolventPair) -> ResolventPair:
-    got = _PAIR_CACHE.get(("tensor", id(p1), id(p2)))
-    if got is not None:
-        return got
-    got = _tensor_pair_build(p1, p2)
-    _PAIR_CACHE[("tensor", id(p1), id(p2))] = got
+    got = p1._tensor.get(p2)
+    if got is None:
+        got = p1._tensor[p2] = _tensor_pair_build(p1, p2)
     return got
 
 
@@ -147,11 +141,9 @@ class Resolution:
         return len(self.terms) - 1
 
     def res_small(self, M: ModuleRep) -> ModuleRep:
-        key = id(M)
-        got = self._res_small.get(key)
+        got = self._res_small.get(M)
         if got is None:
-            got = restrict_module(self.pair.inclusion, M)
-            self._res_small[key] = got
+            got = self._res_small[M] = restrict_module(self.pair.inclusion, M)
         return got
 
     # counit epi of the comonad: P_n = Ind(X) -> target module over A
@@ -249,35 +241,21 @@ def _extend_cover(res: Resolution, upto: int, use_free: bool):
         res.kernel_modules.append(submodule_on_basis(P, kbasis, name="K%d" % (n + 1)))
 
 
-_RES_CACHE: dict = {}
-
-
 def get_resolution(pair: ResolventPair, V: ModuleRep, kind: str, maxdeg: int,
                    use_free: bool = True) -> Resolution:
+    """The `kind` ("bar" or "cover") resolution of V up to maxdeg, cached
+    on the pair and extended on demand."""
+    if kind not in ("bar", "cover"):
+        raise RelextError("unknown resolution kind %r" % kind)
     if pair.free_basis is None:
         use_free = False
-    key = (id(pair), id(V), kind, use_free)
-    res = _RES_CACHE.get(key)
+    key = (V, kind, use_free)
+    res = pair._resolutions.get(key)
     if res is None:
-        res = Resolution(pair, V, kind)
-        _RES_CACHE[key] = res
-    if kind == "bar":
-        _extend_bar(res, maxdeg, use_free)
-    elif kind == "cover":
-        _extend_cover(res, maxdeg, use_free)
-    else:
-        raise RelextError("unknown resolution kind %r" % kind)
+        res = pair._resolutions[key] = Resolution(pair, V, kind)
+    extend = _extend_bar if kind == "bar" else _extend_cover
+    extend(res, maxdeg, use_free)
     return res
-
-
-def bar_resolution(pair: ResolventPair, V: ModuleRep, maxdeg: int,
-                   use_free: bool = True) -> Resolution:
-    return get_resolution(pair, V, "bar", maxdeg, use_free)
-
-
-def iterated_cover_resolution(pair: ResolventPair, V: ModuleRep, maxdeg: int,
-                              use_free: bool = True) -> Resolution:
-    return get_resolution(pair, V, "cover", maxdeg, use_free)
 
 
 # ---------------------------------------------------------------------------
@@ -447,90 +425,56 @@ class ExtComputation:
         self._cochains[n] = out
         return out
 
-    def rank_delta(self, n: int) -> int:
-        """rank of delta^n : C^n -> C^{n+1}; needs P_{n+1}."""
-        basis = self.cochain_basis(n)
-        if not basis:
-            return 0
-        d = self.res.diffs[n + 1]
-        rows = []
-        for f in basis:
-            img = f.matmul(d)
-            rows.append({r * img.cols + c: v for (r, c), v in img.entries.items()})
-        return rank_of_rows(rows, self.W.dim * self.res.terms[n + 1].dim)
-
     def kernel_dim_top(self, n: int) -> int:
-        """dim ker delta^n computed without materializing P_{n+1}."""
-        res = self.res
+        """dim ker delta^n, at every degree and for both resolution kinds.
+
+        f in Hom_A(P_n, W) is a cocycle iff it vanishes on im d_{n+1}, and
+        being A-linear it does so iff it vanishes on A-module generators of
+        im d_{n+1} inside P_n, so P_{n+1} is never needed:
+          cover: the K_{n+1} basis;
+          bar:   d_{n+1}[1 ox p] = [1 ox d_n(p)] + (-1)^{n+1} p, one per
+                 basis vector p of P_n, since the [1 ox p] generate
+                 P_{n+1} = Ind(Res P_n).
+        """
         basis = self.cochain_basis(n)
         if not basis:
             return 0
+        gens = self._image_generators(n)
+        nw = self.W.dim
+        vecs = []
+        for f in basis:
+            vec = {}
+            for k, g in enumerate(gens):
+                for w, c in f.mul_vec(g).items():
+                    vec[k * nw + w] = c
+            vecs.append(vec)
+        return len(basis) - rank_of_vectors(vecs, len(gens) * nw)
+
+    def _image_generators(self, n: int) -> list:
+        """A-module generators of im d_{n+1} as vectors in P_n."""
+        res = self.res
         if res.kind == "cover":
-            # g in ker iff g vanishes on K_{n+1} inside P_n
-            kb = res.kernel_bases[n + 1]
-            rows = []
-            for kvec in kb:
-                for w in range(self.W.dim):
-                    row = {}
-                    for j, f in enumerate(basis):
-                        s = FR0
-                        fcols = f.columns()
-                        for p, c in kvec.items():
-                            s += c * fcols[p].get(w, FR0)
-                        if s:
-                            row[j] = s
-                    if row:
-                        rows.append(row)
-            return len(basis) - rank_of_rows(rows, len(basis))
-        # bar: d_{n+1}[a ox p] = [a ox d_n(p)] + (-1)^{n+1} a.p over a spanning set
+            return res.kernel_bases[n + 1]
         term = res.terms[n]
-        d_cols = res.diffs[n].columns()
         sign = FR1 if (n + 1) % 2 == 0 else -FR1
-        if term.mode == "free":
-            a_labels = list(enumerate(res.pair.free_basis))
-        else:
-            a_labels = [(i, {i: FR1}) for i in range(res.pair.big.dim)]
-        fcols_all = [f.columns() for f in basis]
-        rows = []
-        for a_id, a_vec in a_labels:
-            for p in range(term.dim):
-                # image vector inside P_n
-                img: dict = {}
-                if term.mode == "free":
-                    nv = term.source.dim
-                    for q, c in d_cols[p].items():
-                        img[a_id * nv + q] = c
-                else:
-                    for q, c in d_cols[p].items():
-                        vec_addmul(img, term.pair_vec(a_id, q), c)
-                vec_addmul(img, term.act(a_vec, {p: FR1}), sign)
-                if not img:
-                    continue
-                for w in range(self.W.dim):
-                    row = {}
-                    for j, fcols in enumerate(fcols_all):
-                        s = FR0
-                        for pos, c in img.items():
-                            s += c * fcols[pos].get(w, FR0)
-                        if s:
-                            row[j] = s
-                    if row:
-                        rows.append(row)
-        return len(basis) - rank_of_rows(rows, len(basis))
+        gens = []
+        for p, dp in enumerate(res.diffs[n].columns()):
+            g = term.unit_section(dp)
+            vec_addmul(g, {p: FR1}, sign)
+            gens.append(g)
+        return gens
+
+    def rank_delta(self, n: int) -> int:
+        """rank of delta^n : C^n -> C^{n+1}."""
+        return len(self.cochain_basis(n)) - self.kernel_dim_top(n)
 
     def ext_dims(self, maxdeg: int) -> list:
         out = []
         prev_rank = 0
         for n in range(maxdeg + 1):
-            dim_cn = len(self.cochain_basis(n))
-            if n < maxdeg:
-                rk = self.rank_delta(n)
-                kdim = dim_cn - rk
-            else:
-                kdim = self.kernel_dim_top(n)
-            out.append(kdim - prev_rank)
-            if n < maxdeg:
-                prev_rank = rk
+            rk = self.rank_delta(n)
+            out.append(len(self.cochain_basis(n)) - rk - prev_rank)
+            prev_rank = rk
         return out
 
 
@@ -559,11 +503,10 @@ def adjunction_crosscheck_tensor(D, R, Rinv, n: int, kind: str = "cover",
     p = pair_from_double(D)
     psq = tensor_pair(p, p)
     W = coeff_tensor_product(D, R, Rinv, psq.big).module
-    V = _PAIR_CACHE.get(("trivial_sq", id(D)))
-    if V is None:
-        V = module_from_character(psq.big, _double_sq_counit(D, psq.big), name="k")
-        _PAIR_CACHE[("trivial_sq", id(D))] = V
-    rhs = relative_ext_dims(psq, V, W, n, kind=kind)[n]
+    if D._trivial_sq is None:
+        D._trivial_sq = module_from_character(psq.big, _double_sq_counit(D, psq.big),
+                                              name="k")
+    rhs = relative_ext_dims(psq, D._trivial_sq, W, n, kind=kind)[n]
     return {"degree": n, "dy_dim": lhs, "ext_dim": rhs, "equal": lhs == rhs}
 
 

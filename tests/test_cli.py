@@ -25,22 +25,32 @@ class TestVerifyCommand:
         code, rep = run_cli(capsys, "verify", "cyclic:4")
         assert code == 0
 
-    @pytest.mark.parametrize("field,extra", [
-        ("antipode", None),
-        ("mult", [-1, 0, 0, "1"]),
-        ("mult", [4, 0, 0, "1"]),
-        ("mult", [0, 1, 4, "1"]),
-        ("comult", [0, 0, 4, "1"]),
-        ("unit", [7, "1"]),
-        ("counit", [-1, "1"]),
-        ("antipode", [0, 4, "1"]),
+    @pytest.mark.parametrize("field,extra,value", [
+        ("antipode", None, [[i, i, "1"] for i in range(4)]),
+        ("mult", [-1, 0, 0, "1"], None),
+        ("mult", [4, 0, 0, "1"], None),
+        ("mult", [0, 1, 4, "1"], None),
+        ("comult", [0, 0, 4, "1"], None),
+        ("unit", [7, "1"], None),
+        ("counit", [-1, "1"], None),
+        ("antipode", [0, 4, "1"], None),
+        ("dim", None, 4.9),
+        ("dim", None, "4"),
+        ("dim", None, True),
+        ("dim", None, 0),
+        ("basis_labels", None, ["a"]),
+        ("basis_labels", None, ["a", "b", "c", 4]),
+        ("basis_labels", None, "abcd"),
     ], ids=["antipode-identity", "mult-i-neg", "mult-i-high", "mult-k-high",
-            "comult-k-high", "unit-high", "counit-neg", "antipode-col-high"])
-    def test_corrupted_file_exit_2_named_axiom(self, capsys, tmp_path, field, extra):
+            "comult-k-high", "unit-high", "counit-neg", "antipode-col-high",
+            "dim-float", "dim-string", "dim-bool", "dim-zero", "labels-short",
+            "labels-non-string", "labels-not-list"])
+    def test_corrupted_file_exit_2_named_axiom(self, capsys, tmp_path, field, extra,
+                                               value):
         path = tmp_path / "bad.json"
         data = hopf_to_json(build_bk(1))
         if extra is None:
-            data["antipode"] = [[i, i, "1"] for i in range(4)]
+            data[field] = value
         else:
             data[field].append(extra)  # an index outside 0..3
         path.write_text(json.dumps(data))

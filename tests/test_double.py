@@ -250,3 +250,28 @@ class TestCPM:
             mh = _act_matrix(c, D2.inclusion_dual.apply(h_vec))
             # f_pm is basis vector 0 and an h-eigenvector of eigenvalue pm 1
             assert mh.col(0) == {0: Fraction(sign)}
+
+
+def test_reloaded_algebra_releases_its_double(tmp_path):
+    """Caches live on their owners: once a loaded algebra and its double are
+    dropped, nothing keeps the double (or what relext built on it) alive."""
+    import gc
+    import weakref
+
+    from hopfdy.hopffile import load_hopf, save_hopf
+    from hopfdy.relext import pair_from_double, relative_ext_dims, trivial_module_over
+
+    path = str(tmp_path / "bk1.json")
+    save_hopf(build_bk(1), path)
+    refs = []
+    for _ in range(3):
+        H = load_hopf(path)
+        D = drinfeld_double(H)
+        assert drinfeld_double(H) is D
+        p, k = pair_from_double(D), trivial_module_over(D)
+        for kind in ("bar", "cover"):
+            assert relative_ext_dims(p, k, k, 1, kind=kind) == [1, 0]
+        refs.append((weakref.ref(D), weakref.ref(p)))
+        del H, D, p, k
+        gc.collect()
+        assert all(rd() is None and rp() is None for rd, rp in refs)

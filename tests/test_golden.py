@@ -23,6 +23,14 @@ CASES = {
                                       "--degree", "2"],
     "relext_bk_2_sub_bk_1_coeff_restriction_degree_2": [
         "relext", "bk:2", "--sub", "bk:1", "--coeff", "restriction", "--degree", "2"],
+    "relext_bk_2_sub_bk_1_coeff_restriction_degree_3_bar": [
+        "relext", "bk:2", "--sub", "bk:1", "--coeff", "restriction", "--degree", "3",
+        "--resolution", "bar"],
+    "crosscheck_adjunction_res_bk_2_sub_bk_1_degree_2": [
+        "crosscheck", "adjunction-res", "bk:2", "--sub", "bk:1", "--degree", "2"],
+    "crosscheck_adjunction_res_bk_2_sub_bk_1_degree_2_bar": [
+        "crosscheck", "adjunction-res", "bk:2", "--sub", "bk:1", "--degree", "2",
+        "--resolution", "bar"],
 }
 
 

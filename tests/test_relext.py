@@ -6,10 +6,12 @@ from hopfdy.exactlin import FR1
 from hopfdy.hopfcore import bk_inclusion, build_bk
 from hopfdy.relext import (BudgetExceededError, ExtComputation,
                            adjunction_crosscheck_restriction,
-                           adjunction_crosscheck_tensor, bar_resolution,
-                           get_resolution, iterated_cover_resolution, kunneth_check,
-                           pair_from_double, relative_ext_dims, verify_resolution)
+                           adjunction_crosscheck_tensor, get_resolution,
+                           kunneth_check, pair_from_double, relative_ext_dims,
+                           trivial_module_over, verify_resolution)
 from hopfdy.rmatrix import bk_r0, check_rmatrix
+
+from oracles import dense_rank
 
 
 def trivial_over(D):
@@ -34,22 +36,22 @@ def k1(D1):
 
 class TestResolutions:
     def test_bar_term_dimensions(self, P1, k1):
-        res = bar_resolution(P1, k1, 2)
+        res = get_resolution(P1, k1, "bar", 2)
         assert [t.dim for t in res.terms] == [4, 16, 64]
 
     def test_cover_term_dimensions(self, P1, k1):
-        res = iterated_cover_resolution(P1, k1, 2)
+        res = get_resolution(P1, k1, "cover", 2)
         assert [t.dim for t in res.terms] == [4, 12, 36]
         assert res.kernel_modules[1].dim == 3  # ker(counit) inside P_0
 
     def test_bar_verifies(self, P1, k1):
-        assert verify_resolution(bar_resolution(P1, k1, 2)) == []
+        assert verify_resolution(get_resolution(P1, k1, "bar", 2)) == []
 
     def test_cover_verifies(self, P1, k1):
-        assert verify_resolution(iterated_cover_resolution(P1, k1, 2)) == []
+        assert verify_resolution(get_resolution(P1, k1, "cover", 2)) == []
 
     def test_augmentation_composes_to_zero(self, P1, k1):
-        res = bar_resolution(P1, k1, 2)
+        res = get_resolution(P1, k1, "bar", 2)
         assert res.diffs[0].matmul(res.diffs[1]).is_zero()
 
     def test_contracting_homotopies(self, P1, k1):
@@ -94,7 +96,7 @@ class TestExtDims:
     def test_hom_complex_dimension_against_direct_hom(self, P1, k1):
         # the mate-computed cochain spaces agree with direct hom_space on
         # the materialized terms
-        res = bar_resolution(P1, k1, 2)
+        res = get_resolution(P1, k1, "bar", 2)
         ext = ExtComputation(res, k1)
         for n in range(3):
             mates = ext.cochain_basis(n)
@@ -103,6 +105,28 @@ class TestExtDims:
             from hopfdy.algcore import is_intertwiner
             for f in mates:
                 assert is_intertwiner(f, res.terms[n], k1)
+
+
+@pytest.mark.parametrize("use_free", [True, False], ids=["free", "quotient"])
+@pytest.mark.parametrize("kind", ["bar", "cover"])
+@pytest.mark.parametrize("k,coeff", [(1, "trivial"), (2, "trivial"), (2, "restriction")],
+                         ids=["B1-trivial", "B2-trivial", "B2-restriction"])
+def test_kernel_dim_top_against_composites_on_next_term(k, coeff, kind, use_free):
+    """dim ker delta^n from image generators in P_n equals dim C^n minus the
+    dense rank of {f o d_{n+1}} on the materialized P_{n+1}."""
+    D = drinfeld_double(build_bk(k))
+    p = pair_from_double(D)
+    V = trivial_module_over(D)
+    W = V if coeff == "trivial" else coeff_restriction(D, bk_inclusion(1, 1),
+                                                       build_bk(1)).module
+    res = get_resolution(p, V, kind, 3, use_free)
+    ext = ExtComputation(res, W)
+    for n in range(3):
+        images = [f.matmul(res.diffs[n + 1]).entries for f in ext.cochain_basis(n)]
+        support = sorted(set().union(*images))
+        rk = dense_rank([[img.get(key, 0) for key in support] for img in images]
+                        if support else [])
+        assert ext.kernel_dim_top(n) == len(ext.cochain_basis(n)) - rk
 
 
 class TestCrosschecks:
