@@ -29,7 +29,7 @@ from .rmatrix import (RMatrixReport, TangentBasis, bk_standard_tangent_basis, bk
 from .relext import (Resolution, ResolventPair, adjunction_crosscheck_restriction,
                      adjunction_crosscheck_tensor, get_resolution, kunneth_check,
                      pair_from_double, relative_ext_dims, tensor_pair,
-                     trivial_module_over, verify_resolution, verify_resolution_tensor)
+                     trivial_module_over, verify_resolution)
 from .hopffile import hopf_from_json, hopf_to_json, load_hopf, save_hopf
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ empty report means the axioms hold.
 from __future__ import annotations
 
 from .exactlin import (FR0, FR1, Echelon, SparseMatrix, fr, kernel_basis,
-                       vec_addmul, vec_eq)
+                       kron_into, vec_addmul, vec_eq)
 
 
 class AlgebraError(Exception):
@@ -287,13 +287,8 @@ def restrict_module(imap: AlgebraMap, M: ModuleRep, name="") -> ModuleRep:
     """Pull an imap.target-module back to imap.source along the algebra map."""
     assert M.algebra is imap.target
 
-    def fn(i):
-        out = SparseMatrix(M.dim, M.dim, {})
-        for j, c in imap.apply_basis(i).items():
-            out = out.add(M.action(j).scale(c))
-        return out
-
-    return ModuleRep(imap.source, M.dim, action_fn=fn,
+    return ModuleRep(imap.source, M.dim,
+                     action_fn=lambda i: _act_matrix(M, imap.apply_basis(i)),
                      name=name or "res(%s)" % M.name)
 
 
@@ -421,19 +416,13 @@ def tensor_algebra(A: Algebra, B: Algebra) -> Algebra:
 def tensor_module(M: ModuleRep, N: ModuleRep, T: Algebra) -> ModuleRep:
     """M ox N as a module over T = tensor_algebra(M.algebra, N.algebra)."""
     db = N.algebra.dim
-    dn = N.dim
+    dim = M.dim * N.dim
 
     def fn(flat):
         ia, ib = divmod(flat, db)
-        ma = M.action(ia)
-        mb = N.action(ib)
-        ent = {}
-        for (r1, c1), v1 in ma.entries.items():
-            for (r2, c2), v2 in mb.entries.items():
-                ent[(r1 * dn + r2, c1 * dn + c2)] = v1 * v2
-        return SparseMatrix(M.dim * dn, M.dim * dn, ent)
+        return SparseMatrix(dim, dim, kron_into({}, M.action(ia), N.action(ib)))
 
-    return ModuleRep(T, M.dim * N.dim, action_fn=fn,
+    return ModuleRep(T, dim, action_fn=fn,
                      name="%s(x)%s" % (M.name, N.name))
 
 

@@ -16,7 +16,7 @@ restriction functors insist on J = 1 ox 1.
 
 from __future__ import annotations
 
-from .algcore import Algebra, AlgebraMap, ModuleRep, verify_module
+from .algcore import Algebra, AlgebraMap, ModuleRep, _act_matrix, verify_module
 from .exactlin import (FR0, FR1, Echelon, SparseMatrix, TensorElement,
                        kernel_basis, vec_addmul, vec_eq)
 from .hopfcore import HopfAlgebra, HopfError, bk_dual_generators, dual_hopf, verify_hopf
@@ -505,20 +505,12 @@ def center_module_from_rmatrix(D: DoubleAlgebra, R: TensorElement, Rinv: TensorE
         raise HopfError("unknown variant %r" % variant)
 
     if variant in ("braiding", "inverse_braiding"):
-        def action(flat):
-            out = SparseMatrix(M.dim, M.dim, {})
-            for j, c in pi.apply_basis(flat).items():
-                out = out.add(M.action(j).scale(c))
-            return out
-        mod = ModuleRep(D.algebra, M.dim, action_fn=action,
+        mod = ModuleRep(D.algebra, M.dim,
+                        action_fn=lambda flat: _act_matrix(M, pi.apply_basis(flat)),
                         name="center(%s,%s)" % (M.name, variant))
     else:
         def action(flat):
-            img = H.antipode_vec(pi.apply_basis(flat))
-            out = SparseMatrix(M.dim, M.dim, {})
-            for j, c in img.items():
-                out = out.add(M.action(j).scale(c))
-            return out.transpose()
+            return _act_matrix(M, H.antipode_vec(pi.apply_basis(flat))).transpose()
         mod = ModuleRep(D.algebra, M.dim, action_fn=action,
                         name="center(%s,dual)" % M.name)
     if check:

@@ -229,6 +229,28 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d, %d entries)" % (self.rows, self.cols, len(self.entries))
 
 
+def kron_into(ent: dict, A: SparseMatrix, B: SparseMatrix, row_off: int = 0,
+              col_off: int = 0, scale=FR1) -> dict:
+    """Add scale * (A ox B) into the entry dict `ent`, shifted by the offsets.
+
+    Row (r1, r2) of A ox B is r1 * B.rows + r2, column (c1, c2) is
+    c1 * B.cols + c2; an identity factor gives A ox id or id ox B.
+    """
+    nr, nc = B.rows, B.cols
+    for (r1, c1), v1 in A.entries.items():
+        v1 = v1 * scale
+        for (r2, c2), v2 in B.entries.items():
+            key = (row_off + r1 * nr + r2, col_off + c1 * nc + c2)
+            p = v1 * v2
+            if key in ent:
+                p += ent[key]
+            if p:
+                ent[key] = p
+            else:
+                ent.pop(key, None)
+    return ent
+
+
 # ---------------------------------------------------------------------------
 # the elimination engine
 

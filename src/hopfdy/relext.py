@@ -8,9 +8,13 @@ resolutions of any A-module V:
   iterated-cover        K_0 = V, P_n = G(K_n) --eps--> K_n,
                         K_{n+1} = ker(eps), d_n = incl o eps
 
-Both come with explicit adjunction-unit contracting homotopies over B, so
-exactness and B-splitness are verified by exhibiting the splittings and
-checking the equations exactly, never by assumption.
+Both come with contracting homotopies h built from the adjunction unit
+x -> [1 ox x] (`Resolution.homotopies`), and so does the tensor product
+of two resolutions over a tensor pair (`TensorResolution`).
+`verify_resolution` certifies either kind exactly: d o d = 0, A-linear
+d, d h + h d = id and B-linear h.  A B-linear contracting homotopy proves
+exactness and B-splitness at once (Hochschild, "Relative homological
+algebra", Trans. AMS 82, 1956), so neither is assumed.
 
 Relative Ext of (V, W) is the cohomology of Hom_A(P_*, W).  Each cochain
 space is computed through the adjunction mate Hom_A(Ind(X), W) =
@@ -25,12 +29,14 @@ d_{n+1}[1 ox p] = [1 ox d_n(p)] + (-1)^{n+1} p (bar).
 
 from __future__ import annotations
 
-from .algcore import (Algebra, AlgebraMap, InducedModule, ModuleRep,
-                      hom_space, induced_module, restrict_module,
+import threading
+
+from .algcore import (Algebra, AlgebraMap, InducedModule, ModuleRep, _act_matrix,
+                      _gens_usable, hom_space, induced_module, restrict_module,
                       module_from_character, submodule_on_basis, tensor_algebra,
                       tensor_module, verify_module)
-from .exactlin import (FR0, FR1, Echelon, SparseMatrix, kernel_basis_marked,
-                       rank, rank_of_vectors, vec_addmul)
+from .exactlin import (FR1, SparseMatrix, kernel_basis_marked, kron_into,
+                       rank_of_vectors, vec_addmul)
 
 
 class RelextError(Exception):
@@ -54,6 +60,7 @@ class ResolventPair:
         self.name = name or "(%s <= %s)" % (big.name, small.name)
         self._tensor: dict = {}       # tensor_pair(self, p2), keyed by p2
         self._resolutions: dict = {}  # keyed by (V, kind, use_free)
+        self._lock = threading.Lock()  # guards _resolutions and their growth
 
     def verify(self, pairs="auto") -> list:
         from .double import check_algebra_map
@@ -164,6 +171,34 @@ class Resolution:
         cols = [term.unit_section({v: FR1}) for v in range(term.source.dim)]
         return SparseMatrix.from_columns(term.dim, cols)
 
+    def homotopies(self) -> list:
+        """B-linear maps [h_{-1}, h_0, ..., h_{maxdeg-1}] with d h + h d = id,
+        from the adjunction unit eta_n : X_n -> P_n = Ind(X_n):
+
+        bar:   h_n = (-1)^{n+1} eta_{n+1}
+        cover: h_n(p) = eta_{n+1}(p - eta_n eps_n p), the unit applied to the
+               K_{n+1}-component of p in kernel-basis coordinates.
+        verify_resolution checks the identities and B-linearity exactly.
+        """
+        out = [self.unit_section_matrix(self.terms[0])]   # V -> P_0
+        for n in range(self.maxdeg):
+            eta_next = self.unit_section_matrix(self.terms[n + 1])
+            if self.kind == "bar":
+                out.append(eta_next.scale(FR1 if n % 2 else -FR1))
+                continue
+            term, eps = self.terms[n], self.eps_matrices[n]
+            eta_here = self.unit_section_matrix(term)     # K_n -> P_n
+            cols = []
+            for p in range(term.dim):
+                proj = vec_addmul({p: FR1}, eta_here.mul_vec(eps.col(p)), -FR1)
+                col: dict = {}
+                for j, f in enumerate(self.kernel_markers[n + 1]):
+                    if f in proj:
+                        vec_addmul(col, eta_next.col(j), proj[f])
+                cols.append(col)
+            out.append(SparseMatrix.from_columns(self.terms[n + 1].dim, cols))
+        return out
+
 
 def _extend_bar(res: Resolution, upto: int, use_free: bool):
     pair = res.pair
@@ -244,142 +279,80 @@ def _extend_cover(res: Resolution, upto: int, use_free: bool):
 def get_resolution(pair: ResolventPair, V: ModuleRep, kind: str, maxdeg: int,
                    use_free: bool = True) -> Resolution:
     """The `kind` ("bar" or "cover") resolution of V up to maxdeg, cached
-    on the pair and extended on demand."""
+    on the pair and extended on demand under the pair's lock, so that two
+    threads never grow one resolution at the same time."""
     if kind not in ("bar", "cover"):
         raise RelextError("unknown resolution kind %r" % kind)
     if pair.free_basis is None:
         use_free = False
     key = (V, kind, use_free)
-    res = pair._resolutions.get(key)
-    if res is None:
-        res = pair._resolutions[key] = Resolution(pair, V, kind)
     extend = _extend_bar if kind == "bar" else _extend_cover
-    extend(res, maxdeg, use_free)
+    with pair._lock:
+        res = pair._resolutions.get(key)
+        if res is None:
+            res = pair._resolutions[key] = Resolution(pair, V, kind)
+        extend(res, maxdeg, use_free)
     return res
 
 
 # ---------------------------------------------------------------------------
 # verification
 
-def verify_resolution(res: Resolution, level: str = "auto", module_axioms=None) -> list:
-    """Complex property, exactness, A-linearity of the differentials, and
-    B-splitness of every spliced epimorphism (splittings exhibited from the
-    adjunction unit and checked exactly)."""
-    report = []
+def verify_resolution(res) -> list:
+    """Certify a Resolution or a TensorResolution up to res.maxdeg.
+
+    Checks d o d = 0, that every d_n is A-linear, the module axioms of the
+    terms (when no term exceeds dimension 600), and that the maps
+    h_n = res.homotopies()[n + 1] : C_n -> P_{n+1} (C_{-1} = V, C_n = P_n)
+    are B-linear and satisfy d_{n+1} h_n + h_{n-1} d_n = id on C_n for
+    n = -1 .. maxdeg-1.  A B-linear contracting homotopy proves both that
+    V <- P_0 <- ... <- P_maxdeg is exact up to P_{maxdeg-1} and that it
+    splits over B, so the resolution is allowable for the pair
+    (Hochschild, "Relative homological algebra", Trans. AMS 82, 1956).
+    Linearity is checked on the generators of A and B once
+    dim A * max dim P_n exceeds 30000 and the generators span: the
+    elements a with rho(a) f = f rho(a) form a subalgebra.
+    """
     pair = res.pair
-    big_small = pair.big.dim * max(t.dim for t in res.terms)
-    if level == "auto":
-        from .algcore import _gens_usable
-        level = "full" if (big_small <= 30000 or not _gens_usable(pair.big)) else "gens"
-    if module_axioms is None:
-        module_axioms = (max(t.dim for t in res.terms) <= 600)
+    top = max(t.dim for t in res.terms)
+    full = pair.big.dim * top <= 30000 or not _gens_usable(pair.big)
 
-    # d o d = 0 (including the augmentation edge)
-    for n in range(1, res.maxdeg + 1):
-        if not res.diffs[n - 1].matmul(res.diffs[n]).is_zero():
+    def elements(alg, gens):
+        if gens:
+            return [(g, "gen%d" % k) for k, g in enumerate(alg.generators)]
+        return [({i: FR1}, alg.labels[i]) for i in range(alg.dim)]
+
+    acts = elements(pair.big, not full)
+    bacts = [(pair.inclusion.apply(b), name) for b, name in
+             elements(pair.small, not full and _gens_usable(pair.small))]
+
+    def commutes(f, dom, cod, a):
+        return _act_matrix(cod, a).matmul(f) == f.matmul(_act_matrix(dom, a))
+
+    report = []
+    chain = [res.target] + list(res.terms)   # chain[n + 1] = C_n
+    for n, d in enumerate(res.diffs):
+        if n and not res.diffs[n - 1].matmul(d).is_zero():
             report.append("d_%d o d_%d != 0" % (n - 1, n))
-
-    # vector-space exactness via rank bookkeeping
-    ranks = [rank(d) for d in res.diffs]
-    if ranks[0] != res.target.dim:
-        report.append("augmentation is not surjective")
-    for n in range(1, res.maxdeg + 1):
-        if ranks[n] != res.terms[n - 1].dim - ranks[n - 1]:
-            report.append("complex is not exact at P_%d" % (n - 1))
-
-    # differentials are A-linear (generator level suffices once the terms
-    # are verified modules: {a : rho(a) d = d rho(a)} is a subalgebra)
-    if level == "full":
-        acts = [({i: FR1}, pair.big.labels[i]) for i in range(pair.big.dim)]
-    else:
-        acts = [(g, "gen%d" % k) for k, g in enumerate(pair.big.generators)]
-    from .algcore import _act_matrix
-    for n in range(res.maxdeg + 1):
-        tgt = res.target if n == 0 else res.terms[n - 1]
-        d = res.diffs[n]
-        for a, aname in acts:
-            lhs = _act_matrix(tgt, a).matmul(d)
-            rhs = d.matmul(_act_matrix(res.terms[n], a))
-            if lhs != rhs:
-                report.append("d_%d is not A-linear at %s" % (n, aname))
+        for a, name in acts:
+            if not commutes(d, chain[n + 1], chain[n], a):
+                report.append("d_%d is not A-linear at %s" % (n, name))
                 break
-
-    if module_axioms:
-        for n, t in enumerate(res.terms):
-            rep = verify_module(t, level=level)
+        if top <= 600:
+            rep = verify_module(res.terms[n], level="full" if full else "gens")
             if rep:
                 report.append("term P_%d fails module axioms: %s" % (n, rep[0]))
-
-    report.extend(_verify_splitness(res, level))
-    return report
-
-
-def _verify_splitness(res: Resolution, level: str) -> list:
-    """Exhibit a B-linear splitting of each spliced epi and verify it."""
-    report = []
-    pair = res.pair
-    bgens = (pair.small.generators
-             if level == "gens" and pair.small.generators is not None
-             else [{i: FR1} for i in range(pair.small.dim)])
-    from .algcore import _act_matrix
-
-    def b_linear_on(section_cols, domain: ModuleRep, codomain: ModuleRep, what):
-        # section given as columns over domain basis; check B-linearity
-        S = SparseMatrix.from_columns(codomain.dim, section_cols)
-        for b in bgens:
-            ib = pair.inclusion.apply(b)
-            lhs = S.matmul(_act_matrix(domain, ib))
-            rhs = _act_matrix(codomain, ib).matmul(S)
-            if lhs != rhs:
-                report.append("splitting of %s is not B-linear" % what)
-                return
-
-    if res.kind == "cover":
-        for n in range(res.maxdeg + 1):
-            term = res.terms[n]
-            K = res.kernel_modules[n]
-            eps = res.eps_matrices[n]
-            cols = [term.unit_section({v: FR1}) for v in range(K.dim)]
-            ok = True
-            for v in range(K.dim):
-                if eps.mul_vec(cols[v]) != {v: FR1}:
-                    report.append("unit section fails eps o s = id at level %d" % n)
-                    ok = False
-                    break
-            if ok:
-                b_linear_on(cols, K, term, "eps_%d" % n)
-    else:
-        # bar: the epi P_n ->> im(d_n) is split by z -> (-1)^n [1 ox z]
-        for n in range(res.maxdeg + 1):
-            term = res.terms[n]
-            d = res.diffs[n]
-            sign = FR1 if n % 2 == 0 else -FR1
-            if n == 0:
-                zmodule = res.target
-                ambient_of = [{i: FR1} for i in range(res.target.dim)]
-            else:
-                prev = res.terms[n - 1]
-                ech = Echelon(prev.dim)
-                zvecs = []
-                for j in range(term.dim):
-                    v = d.col(j)
-                    if ech.add_row(v) is not None:
-                        zvecs.append(v)
-                zmodule = submodule_on_basis(prev, zvecs, name="im(d_%d)" % n)
-                ambient_of = zvecs
-            cols = []
-            ok = True
-            for j, zvec in enumerate(ambient_of):
-                s_col: dict = {}
-                for v_idx, c in zvec.items():
-                    vec_addmul(s_col, term.unit_section({v_idx: FR1}), c * sign)
-                cols.append(s_col)
-                if d.mul_vec(s_col) != zvec:
-                    report.append("bar splitting fails d o s = id at level %d" % n)
-                    ok = False
-                    break
-            if ok:
-                b_linear_on(cols, zmodule, term, "d_%d" % n)
+    h = res.homotopies()
+    for k, hk in enumerate(h):   # hk = h_{k-1} : C_{k-1} -> P_k
+        lhs = res.diffs[k].matmul(hk)
+        if k:
+            lhs = lhs.add(h[k - 1].matmul(res.diffs[k - 1]))
+        if lhs != SparseMatrix.identity(chain[k].dim):
+            report.append("d h + h d != id on C_%d" % (k - 1))
+        for b, name in bacts:
+            if not commutes(hk, chain[k], chain[k + 1], b):
+                report.append("h_%d is not B-linear at %s" % (k - 1, name))
+                break
     return report
 
 
@@ -556,237 +529,88 @@ def kunneth_check(pairA: ResolventPair, pairB: ResolventPair,
     if verify_product:
         resA = get_resolution(pairA, V, kind, n)
         resB = get_resolution(pairB, Vp, kind, n)
-        rep = verify_resolution_tensor(resA, resB, pt, n)
+        rep = verify_resolution(TensorResolution(resA, resB, pt, n))
         out["product_resolution_report"] = rep
         out["product_resolution_ok"] = not rep
     return out
 
 
 # ---------------------------------------------------------------------------
-# contracting homotopies and tensor products of resolutions
-
-def contracting_homotopy(res: Resolution) -> list:
-    """B-linear maps [h_{-1}, h_0, ..., h_{maxdeg-1}] with d h + h d = id.
-
-    bar:   h_n = (-1)^{n+1} eta_{n+1}
-    cover: h_n(p) = eta_{n+1}(p - s_n eps_n p), the unit applied to the
-           K_{n+1}-component of p.
-    The identities are checked exactly by the caller.
-    """
-    out = []
-    if res.kind == "bar":
-        out.append(res.unit_section_matrix(res.terms[0]))  # V -> P_0
-        for nn in range(res.maxdeg):
-            sign = FR1 if (nn + 1) % 2 == 0 else -FR1
-            out.append(res.unit_section_matrix(res.terms[nn + 1]).scale(sign))
-        return out
-    out.append(res.unit_section_matrix(res.terms[0]))
-    for nn in range(res.maxdeg):
-        term = res.terms[nn]
-        eps = res.eps_matrices[nn]
-        eta_here = res.unit_section_matrix(term)           # K_n -> P_n
-        kb = res.kernel_bases[nn + 1]
-        markers = res.kernel_markers[nn + 1]
-        eta_next = res.unit_section_matrix(res.terms[nn + 1])  # K_{n+1} -> P_{n+1}
-        cols = []
-        for p in range(term.dim):
-            v = {p: FR1}
-            proj = vec_addmul(dict(v), eta_here.mul_vec(eps.mul_vec(v)), -FR1)
-            # coordinates of proj in the K_{n+1} kernel basis
-            coords = {j: proj[f] for j, f in enumerate(markers) if f in proj}
-            check: dict = {}
-            for j, c in coords.items():
-                vec_addmul(check, kb[j], c)
-            if check != proj:
-                raise RelextError("kernel coordinates failed; corrupt resolution")
-            col: dict = {}
-            for j, c in coords.items():
-                vec_addmul(col, eta_next.col(j), c)
-            cols.append(col)
-        out.append(SparseMatrix.from_columns(res.terms[nn + 1].dim, cols))
-    return out
-
-
-def verify_homotopy(res: Resolution) -> list:
-    """Check d_{n+1} h_n + h_{n-1} d_n = id exactly, n = -1 .. maxdeg-1."""
-    report = []
-    h = contracting_homotopy(res)
-    if res.diffs[0].matmul(h[0]) != SparseMatrix.identity(res.target.dim):
-        report.append("homotopy fails at the augmentation")
-    for nn in range(res.maxdeg):
-        lhs = res.diffs[nn + 1].matmul(h[nn + 1]).add(h[nn].matmul(res.diffs[nn]))
-        if lhs != SparseMatrix.identity(res.terms[nn].dim):
-            report.append("homotopy identity fails at level %d" % nn)
-    return report
-
+# tensor products of resolutions
 
 class TensorResolution:
-    """Total complex of resA ox resB over the tensor pair, up to maxdeg."""
+    """Total complex of resA ox resB over the tensor pair, up to maxdeg.
 
-    def __init__(self, resA: Resolution, resB: Resolution, pt: ResolventPair,
+    Term n is the sum of the blocks P_i ox P'_j with i + j = n, in order of
+    i; D = d ox id + (-1)^i id ox d', and the augmentation is aug ox aug'.
+    """
+
+    def __init__(self, resA: Resolution, resB: Resolution, pair: ResolventPair,
                  maxdeg: int):
         assert resA.maxdeg >= maxdeg and resB.maxdeg >= maxdeg
-        self.pt = pt
+        self.pair = pair
         self.maxdeg = maxdeg
-        self.target = tensor_module(resA.target, resB.target, pt.big)
-        self.blocks = []   # per level: list of (i, j, offset)
+        self.factors = (resA, resB)
+        self.target = tensor_module(resA.target, resB.target, pair.big)
+        self.offsets = []  # per level: {(i, j): offset of the block P_i ox P'_j}
         self.terms = []
-        dimsA = [t.dim for t in resA.terms]
-        dimsB = [t.dim for t in resB.terms]
         for n in range(maxdeg + 1):
-            blocks = []
-            off = 0
+            offs, off = {}, 0
             for i in range(n + 1):
-                j = n - i
-                blocks.append((i, j, off))
-                off += dimsA[i] * dimsB[j]
-            self.blocks.append(blocks)
-            self.terms.append(self._term(resA, resB, n, blocks, off))
-        self.diffs = [self._diff(resA, resB, n) for n in range(maxdeg + 1)]
-        self.homotopies = self._homotopies(resA, resB)
+                offs[(i, n - i)] = off
+                off += resA.terms[i].dim * resB.terms[n - i].dim
+            self.offsets.append(offs)
+            self.terms.append(self._term(n, off))
+        self.diffs = [self._diff(n) for n in range(maxdeg + 1)]
 
-    def _term(self, resA, resB, n, blocks, total):
-        pt = self.pt
+    def _term(self, n, total):
+        resA, resB = self.factors
         dbB = resB.pair.big.dim
-        dimsB = [t.dim for t in resB.terms]
 
         def action(flat):
             a_idx, b_idx = divmod(flat, dbB)
             ent = {}
-            for (i, j, off) in blocks:
-                ma = resA.terms[i].action(a_idx)
-                mb = resB.terms[j].action(b_idx)
-                nb = dimsB[j]
-                for (r1, c1), v1 in ma.entries.items():
-                    for (r2, c2), v2 in mb.entries.items():
-                        ent[(off + r1 * nb + r2, off + c1 * nb + c2)] = v1 * v2
+            for (i, j), off in self.offsets[n].items():
+                kron_into(ent, resA.terms[i].action(a_idx),
+                          resB.terms[j].action(b_idx), off, off)
             return SparseMatrix(total, total, ent)
 
-        return ModuleRep(pt.big, total, action_fn=action,
+        return ModuleRep(self.pair.big, total, action_fn=action,
                          name="(PxP')_%d" % n)
 
-    def _diff(self, resA, resB, n):
+    def _diff(self, n):
         """D_n; for n = 0 the augmentation into V ox V'."""
-        dimsA = [t.dim for t in resA.terms]
-        dimsB = [t.dim for t in resB.terms]
+        resA, resB = self.factors
         if n == 0:
-            # aug ox aug' on the single block (0, 0)
-            augA, augB = resA.diffs[0], resB.diffs[0]
-            ent = {}
-            nb = dimsB[0]
-            nvB = resB.target.dim
-            for (r1, c1), v1 in augA.entries.items():
-                for (r2, c2), v2 in augB.entries.items():
-                    ent[(r1 * nvB + r2, c1 * nb + c2)] = v1 * v2
-            return SparseMatrix(self.target.dim, self.terms[0].dim, ent)
-        src_blocks = self.blocks[n]
-        tgt_blocks = {(i, j): off for (i, j, off) in self.blocks[n - 1]}
+            return SparseMatrix(self.target.dim, self.terms[0].dim,
+                                kron_into({}, resA.diffs[0], resB.diffs[0]))
+        tgt = self.offsets[n - 1]
         ent = {}
-        for (i, j, off) in src_blocks:
-            nbj = dimsB[j]
+        for (i, j), off in self.offsets[n].items():
             if i >= 1:
-                toff = tgt_blocks[(i - 1, j)]
-                dA = resA.diffs[i]
-                for (r, c), v in dA.entries.items():
-                    for y in range(nbj):
-                        ent[(toff + r * nbj + y, off + c * nbj + y)] = v
+                kron_into(ent, resA.diffs[i], SparseMatrix.identity(resB.terms[j].dim),
+                          tgt[(i - 1, j)], off)
             if j >= 1:
-                toff = tgt_blocks[(i, j - 1)]
-                dB = resB.diffs[j]
-                sign = FR1 if i % 2 == 0 else -FR1
-                nbj1 = dimsB[j - 1]
-                for x in range(dimsA[i]):
-                    for (r, c), v in dB.entries.items():
-                        ent[(toff + x * nbj1 + r, off + x * nbj + c)] = sign * v
+                kron_into(ent, SparseMatrix.identity(resA.terms[i].dim), resB.diffs[j],
+                          tgt[(i, j - 1)], off, FR1 if i % 2 == 0 else -FR1)
         return SparseMatrix(self.terms[n - 1].dim, self.terms[n].dim, ent)
 
-    def _homotopies(self, resA, resB):
+    def homotopies(self) -> list:
         """H_{-1} .. H_{maxdeg-1} built from the factor homotopies:
-        H = h ox id on blocks with i >= 1, plus kappa ox h' on i = 0 blocks,
-        kappa = h_{-1} aug."""
-        hA = contracting_homotopy(resA)
-        hB = contracting_homotopy(resB)
-        kappaA = hA[0].matmul(resA.diffs[0])
-        dimsA = [t.dim for t in resA.terms]
-        dimsB = [t.dim for t in resB.terms]
-        out = []
-        # H_{-1}: V ox V' -> P_0 ox P'_0
-        ent = {}
-        nvB = resB.target.dim
-        nb0 = dimsB[0]
-        for (r1, c1), v1 in hA[0].entries.items():
-            for (r2, c2), v2 in hB[0].entries.items():
-                ent[(r1 * nb0 + r2, c1 * nvB + c2)] = v1 * v2
-        out.append(SparseMatrix(self.terms[0].dim, self.target.dim, ent))
+        H_{-1} = h_{-1} ox h'_{-1}; above it h ox id on every block, plus
+        kappa ox h' on the i = 0 blocks, kappa = h_{-1} aug."""
+        resA, resB = self.factors
+        hA, hB = resA.homotopies(), resB.homotopies()
+        kappa = hA[0].matmul(resA.diffs[0])
+        out = [SparseMatrix(self.terms[0].dim, self.target.dim,
+                            kron_into({}, hA[0], hB[0]))]
         for n in range(self.maxdeg):
-            src_blocks = self.blocks[n]
-            tgt_blocks = {(i, j): off for (i, j, off) in self.blocks[n + 1]}
+            tgt = self.offsets[n + 1]
             ent = {}
-            for (i, j, off) in src_blocks:
-                nbj = dimsB[j]
-                toff = tgt_blocks[(i + 1, j)]
-                for (r, c), v in hA[i + 1].entries.items():
-                    for y in range(nbj):
-                        ent[(toff + r * nbj + y, off + c * nbj + y)] = v
+            for (i, j), off in self.offsets[n].items():
+                kron_into(ent, hA[i + 1], SparseMatrix.identity(resB.terms[j].dim),
+                          tgt[(i + 1, j)], off)
                 if i == 0:
-                    toff2 = tgt_blocks[(0, j + 1)]
-                    nbj1 = dimsB[j + 1]
-                    for (r1, c1), v1 in kappaA.entries.items():
-                        for (r2, c2), v2 in hB[j + 1].entries.items():
-                            key = (toff2 + r1 * nbj1 + r2, off + c1 * nbj + c2)
-                            ent[key] = ent.get(key, FR0) + v1 * v2
-            out.append(SparseMatrix(self.terms[n + 1].dim, self.terms[n].dim,
-                                    {k: v for k, v in ent.items() if v}))
+                    kron_into(ent, kappa, hB[j + 1], tgt[(0, j + 1)], off)
+            out.append(SparseMatrix(self.terms[n + 1].dim, self.terms[n].dim, ent))
         return out
-
-
-def verify_resolution_tensor(resA: Resolution, resB: Resolution,
-                             pt: ResolventPair, maxdeg: int) -> list:
-    """Verify d o d = 0, exactness, A-linearity and B-splitness for the
-    tensor product of two resolutions over the tensor pair."""
-    report = []
-    tr = TensorResolution(resA, resB, pt, maxdeg)
-    for n in range(1, maxdeg + 1):
-        if not tr.diffs[n - 1].matmul(tr.diffs[n]).is_zero():
-            report.append("tensor resolution: d_%d o d_%d != 0" % (n - 1, n))
-    ranks = [rank(d) for d in tr.diffs]
-    if ranks[0] != tr.target.dim:
-        report.append("tensor resolution: augmentation not surjective")
-    for n in range(1, maxdeg + 1):
-        if ranks[n] != tr.terms[n - 1].dim - ranks[n - 1]:
-            report.append("tensor resolution: not exact at level %d" % (n - 1))
-    # A-linearity of the differentials, generator level
-    from .algcore import _act_matrix, _gens_usable
-    if _gens_usable(pt.big):
-        acts = [(g, "gen%d" % k) for k, g in enumerate(pt.big.generators)]
-    else:
-        acts = [({i: FR1}, pt.big.labels[i]) for i in range(pt.big.dim)]
-    for n in range(maxdeg + 1):
-        tgt = tr.target if n == 0 else tr.terms[n - 1]
-        d = tr.diffs[n]
-        for a, aname in acts:
-            if _act_matrix(tgt, a).matmul(d) != d.matmul(_act_matrix(tr.terms[n], a)):
-                report.append("tensor resolution: d_%d not A-linear at %s" % (n, aname))
-                break
-    # homotopy identities prove exactness and exhibit B-linear splittings
-    if tr.diffs[0].matmul(tr.homotopies[0]) != SparseMatrix.identity(tr.target.dim):
-        report.append("tensor homotopy fails at the augmentation")
-    for n in range(maxdeg):
-        lhs = tr.diffs[n + 1].matmul(tr.homotopies[n + 1]).add(
-            tr.homotopies[n].matmul(tr.diffs[n]))
-        if lhs != SparseMatrix.identity(tr.terms[n].dim):
-            report.append("tensor homotopy identity fails at level %d" % n)
-    # B-linearity of the homotopies (they are the exhibited splittings)
-    if _gens_usable(pt.small):
-        bgens = pt.small.generators
-    else:
-        bgens = [{i: FR1} for i in range(pt.small.dim)]
-    for n, H in enumerate(tr.homotopies):
-        dom = tr.target if n == 0 else tr.terms[n - 1]
-        cod = tr.terms[n]
-        for b in bgens:
-            ib = pt.inclusion.apply(b)
-            if H.matmul(_act_matrix(dom, ib)) != _act_matrix(cod, ib).matmul(H):
-                report.append("tensor homotopy H_%d is not B-linear" % (n - 1))
-                break
-    return report

@@ -31,6 +31,9 @@ CASES = {
     "crosscheck_adjunction_res_bk_2_sub_bk_1_degree_2_bar": [
         "crosscheck", "adjunction-res", "bk:2", "--sub", "bk:1", "--degree", "2",
         "--resolution", "bar"],
+    "crosscheck_kunneth_bk_1_degree_2": ["crosscheck", "kunneth", "bk:1", "--degree", "2"],
+    "crosscheck_kunneth_bk_1_degree_2_bar": [
+        "crosscheck", "kunneth", "bk:1", "--degree", "2", "--resolution", "bar"],
 }
 
 

@@ -1,10 +1,14 @@
+import copy
+import sys
+import threading
+
 import pytest
 
 from hopfdy.algcore import hom_space, module_from_character
 from hopfdy.double import coeff_restriction, drinfeld_double
-from hopfdy.exactlin import FR1
+from hopfdy.exactlin import FR1, SparseMatrix
 from hopfdy.hopfcore import bk_inclusion, build_bk
-from hopfdy.relext import (BudgetExceededError, ExtComputation,
+from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
                            adjunction_crosscheck_restriction,
                            adjunction_crosscheck_tensor, get_resolution,
                            kunneth_check, pair_from_double, relative_ext_dims,
@@ -44,28 +48,49 @@ class TestResolutions:
         assert [t.dim for t in res.terms] == [4, 12, 36]
         assert res.kernel_modules[1].dim == 3  # ker(counit) inside P_0
 
-    def test_bar_verifies(self, P1, k1):
-        assert verify_resolution(get_resolution(P1, k1, "bar", 2)) == []
+    @pytest.mark.parametrize("use_free", [True, False], ids=["free", "quotient"])
+    def test_bar_verifies(self, P1, k1, use_free):
+        assert verify_resolution(get_resolution(P1, k1, "bar", 2, use_free)) == []
 
-    def test_cover_verifies(self, P1, k1):
-        assert verify_resolution(get_resolution(P1, k1, "cover", 2)) == []
+    @pytest.mark.parametrize("use_free", [True, False], ids=["free", "quotient"])
+    def test_cover_verifies(self, P1, k1, use_free):
+        assert verify_resolution(get_resolution(P1, k1, "cover", 2, use_free)) == []
+
+    @pytest.mark.parametrize("kind", ["bar", "cover"])
+    def test_verifier_sees_a_corrupted_differential(self, P1, k1, kind):
+        res = get_resolution(P1, k1, kind, 2)
+        bad = copy.copy(res)
+        bad.diffs = list(res.diffs)
+        ent = dict(res.diffs[1].entries)
+        key = next(iter(ent))
+        ent[key] += 1
+        bad.diffs[1] = SparseMatrix(res.diffs[1].rows, res.diffs[1].cols, ent)
+        assert verify_resolution(bad)
+
+    @pytest.mark.parametrize("kind,s_index", [("bar", 3), ("cover", 2)])
+    def test_verifier_sees_a_homotopy_that_is_not_b_linear(self, P1, k1, kind, s_index):
+        """h' = h + d s - s d, for s : V -> P_1 sending 1 to a basis vector
+        that B does not fix, still satisfies d h' + h' d = id but is not a
+        B-linear splitting; only the B-linearity check can reject it."""
+        res = get_resolution(P1, k1, kind, 2)
+        h = res.homotopies()
+        s = SparseMatrix(res.terms[1].dim, 1, {(s_index, 0): FR1})
+        bad_h = [h[0].add(res.diffs[1].matmul(s)),
+                 h[1].add(s.matmul(res.diffs[0]).scale(-FR1))] + h[2:]
+        bad = copy.copy(res)
+        bad.homotopies = lambda: bad_h
+        report = verify_resolution(bad)
+        assert report and all("not B-linear" in line for line in report), report
 
     def test_augmentation_composes_to_zero(self, P1, k1):
         res = get_resolution(P1, k1, "bar", 2)
         assert res.diffs[0].matmul(res.diffs[1]).is_zero()
-
-    def test_contracting_homotopies(self, P1, k1):
-        from hopfdy.relext import verify_homotopy
-        for kind in ("bar", "cover"):
-            res = get_resolution(P1, k1, kind, 2)
-            assert verify_homotopy(res) == []
 
     def test_quotient_mode_matches_free_mode(self, P1, k1):
         dims_free = relative_ext_dims(P1, k1, k1, 2, kind="bar", use_free=True)
         dims_quot = relative_ext_dims(P1, k1, k1, 2, kind="bar", use_free=False)
         assert dims_free == dims_quot
         res_q = get_resolution(P1, k1, "bar", 2, use_free=False)
-        assert verify_resolution(res_q) == []
         assert [t.dim for t in res_q.terms] == [4, 16, 64]
 
     def test_relatively_projective_target_truncates(self, P1, k1):
@@ -75,6 +100,33 @@ class TestResolutions:
         V = induced_module(P1.inclusion, W, free_basis=P1.free_basis)
         dims = relative_ext_dims(P1, V, k1, 2, kind="cover")
         assert dims[1] == 0 and dims[2] == 0
+
+
+def test_get_resolution_is_thread_safe(P1, k1):
+    """Three threads that extend the bar resolution of one fresh pair at
+    the same time all get the right Ext dimensions."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            pair = ResolventPair(P1.big, P1.small, P1.inclusion, P1.free_basis)
+            results, errors = [], []
+
+            def run():
+                try:
+                    results.append(relative_ext_dims(pair, k1, k1, 3, kind="bar"))
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert errors == [] and results == [[1, 0, 1, 0]] * 3
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestExtDims:
