@@ -171,9 +171,6 @@ class AlgebraMap:
             vec_addmul(out, self.columns[i], c)
         return out
 
-    def as_matrix(self) -> SparseMatrix:
-        return SparseMatrix.from_columns(self.target.dim, self.columns)
-
     def verify(self) -> list:
         report = []
         if not vec_eq(self.apply(self.source.unit), self.target.unit):
@@ -266,10 +263,13 @@ def verify_module(M: ModuleRep, level: str = "auto") -> list:
 
 
 def _act_matrix(M: ModuleRep, a: dict) -> SparseMatrix:
-    out = SparseMatrix(M.dim, M.dim, {})
+    """rho(a): the cached action of a basis element, else one summing pass."""
+    if len(a) == 1 and next(iter(a.values())) == 1:
+        return M.action(next(iter(a)))
+    ent: dict = {}
     for i, c in a.items():
-        out = out.add(M.action(i).scale(c))
-    return out
+        vec_addmul(ent, M.action(i).entries, c)
+    return SparseMatrix(M.dim, M.dim, ent)
 
 
 def module_from_character(A: Algebra, chi: dict, name="") -> ModuleRep:
@@ -475,15 +475,6 @@ class InducedModule(ModuleRep):
                     out[flat] = s
                 else:
                     out.pop(flat, None)
-        return out
-
-    def project(self, tensor_vec: dict) -> dict:
-        """Canonical coordinates of a vector given on the a ox v pure basis,
-        keyed by a_idx * dim(V) + v_idx."""
-        nv = self.source.dim
-        out: dict = {}
-        for flat, c in tensor_vec.items():
-            vec_addmul(out, self.pair_vec(flat // nv, flat % nv), c)
         return out
 
     def unit_section(self, v: dict) -> dict:

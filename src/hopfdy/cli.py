@@ -231,6 +231,10 @@ def _inclusion_for(args, H, Hsub):
 
 
 DEGREE_BUDGET = 4
+# `dy` refuses a degree n whose differential lands in an ambient H^{ox s},
+# s = slots(n + 1), of dimension above this (exit 5): 2^18 still admits the
+# tensor complex of B_1 at degree 3 (4^8) and of B_2 at degree 2 (8^6).
+MAX_AMBIENT = 1 << 18
 
 
 def cmd_dy(args) -> int:
@@ -242,6 +246,9 @@ def cmd_dy(args) -> int:
     budget = Budget(args.max_seconds)
     cx = _dy_complex(args, H)
     n = args.degree
+    if cx.ambient_dim(n + 1) > MAX_AMBIENT:
+        raise CliError("degree %d needs an ambient of dimension %d, over the bound %d"
+                       % (n, cx.ambient_dim(n + 1), MAX_AMBIENT), EXIT_BUDGET)
     log("cochain bases...")
     dims = [cx.cochain_dim(m) for m in range(n + 1)]
     budget.check("cochains")

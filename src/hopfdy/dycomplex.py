@@ -27,13 +27,27 @@ every computed degree.  Codegeneracies apply the counit to slot i+1
 identities hold, so the degree <= 3 normalization projectors
 N^n = pi_0 ... pi_{n-1} with pi_i = id - d_i s_i are quasi-isomorphism
 idempotents.
+
+Arithmetic.  The three heavy stages -- the condition rows behind
+`cochain_basis`, the images of `differential_images` (all basis cochains
+of a degree in one batch) and the containment check of `in_cochain_space`
+-- are written once against a small set of batch operations (insert the
+unit, coproduct at a slot, permute slots, slotwise product with a
+multiplier, signed sum).  `slotkernel.SlotKernel` runs them on int64
+arrays; it applies when numpy is importable and every product of two basis
+elements of H has at most one term, and it checks every product,
+rescaling and sum against a bound below 2^63.  Where it does not apply or a bound would be
+exceeded, the stage reruns on `_ExactOps`, the same operations in
+`Fraction` arithmetic (slotwise products through `slotwise_mul_into`), and
+the stage's name is appended to `DYComplex.fallbacks`.  Both paths give
+the same exact results; `coface` and `delta_raw` always take the Fraction
+path and are the reference the tests compare the kernel against.
 """
 
 from __future__ import annotations
 
-from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, flatten_index,
-                       kernel_basis_marked, rank_of_vectors, slotwise_mul_into,
-                       unflatten_index, unit_tensor)
+from .exactlin import (FR1, SparseMatrix, TensorElement, flatten_index,
+                       kernel_basis_marked, rank_of_vectors, unflatten_index)
 from .hopfcore import HopfAlgebra, HopfError, iterated_coproduct
 from .algcore import AlgebraMap
 
@@ -56,7 +70,12 @@ def _interleave_perm(n: int) -> list:
 
 
 class DYComplex:
-    """One of the three cochain complexes, with cached bases and maps."""
+    """One of the three cochain complexes, with cached bases and maps.
+
+    Every cache is a dict declared here and filled through `_once`, so each
+    entry is published write-once and threads sharing a complex see the
+    same objects.
+    """
 
     def __init__(self, kind: str, H: HopfAlgebra, R: TensorElement = None,
                  imap: AlgebraMap = None, Hsub: HopfAlgebra = None):
@@ -70,9 +89,13 @@ class DYComplex:
             assert R is not None and R.degree == 2
         if kind == "restriction":
             assert imap is not None and Hsub is not None
-        self._basis = {}
-        self._markers = {}
-        self._diff_images = {}
+        self._basis = {}    # n -> (basis, free-column markers)
+        self._images = {}   # n -> raw delta^n of the basis
+        self._conds = {}    # n -> condition pairs (L, R)
+        self._mults = {}    # ("front"|"back", n) / ("middle", n, i) -> multiplier
+        self._kernel = {}   # "slot" -> the int64 kernel, or None where it does not apply
+        self._exact = _ExactOps(H)
+        self.fallbacks = []  # stages that ran in Fraction arithmetic
 
     # -- geometry ----------------------------------------------------------
     def slots(self, n: int) -> int:
@@ -80,6 +103,34 @@ class DYComplex:
 
     def ambient_dim(self, n: int) -> int:
         return self.H.dim ** self.slots(n)
+
+    # -- the two arithmetic paths -------------------------------------------
+    def _slot_kernel(self):
+        """The int64 kernel over H, or None where it does not apply; its
+        module, and numpy with it, is imported here at first use."""
+        def build():
+            try:
+                from .slotkernel import Fallback, SlotKernel
+            except ImportError:  # numpy is not installed
+                return None
+            try:
+                return SlotKernel(self.H)
+            except Fallback:  # a basis product has more than one term
+                return None
+        return _once(self._kernel, "slot", build)
+
+    def _run(self, stage: str, work):
+        """work(ops) on the int64 kernel, or on the Fraction path when the
+        kernel does not apply or a bound would be exceeded."""
+        K = self._slot_kernel()
+        if K is not None:
+            from .slotkernel import Fallback
+            try:
+                return work(K)
+            except Fallback:
+                pass
+        self.fallbacks.append(stage)
+        return work(self._exact)
 
     # -- defining conditions -------------------------------------------------
     def _condition_vectors(self):
@@ -99,92 +150,57 @@ class DYComplex:
 
     def _condition_elements(self, n: int):
         """Pairs (L, R) of tensor multipliers: cochains satisfy L u = u R."""
-        H = self.H
-        s = self.slots(n)
-        if s == 0:
-            return []
-        cached = getattr(self, "_cond_cache", None)
-        if cached is None:
-            self._cond_cache = cached = {}
-        if n in cached:
-            return cached[n]
-        out = []
-        if self.kind == "tensor":
-            perm = _interleave_perm(n)
+        def build():
+            s = self.slots(n)
+            if s == 0:
+                return []
+            perm = _interleave_perm(n) if self.kind == "tensor" else None
+            out = []
             for vec in self._condition_vectors():
-                t = H.delta_power(vec, s)
-                out.append((t.permute_slots(perm), t))
-        else:
-            for vec in self._condition_vectors():
-                t = H.delta_power(vec, s)
-                out.append((t, t))
-        cached[n] = out
-        return out
+                t = self.H.delta_power(vec, s)
+                out.append((t.permute_slots(perm) if perm else t, t))
+            return out
+        return _once(self._conds, n, build)
+
+    def _condition_diffs(self, ops, n: int, x):
+        """L x - x R for every condition pair, on every tensor of the batch x."""
+        for j, (L, R) in enumerate(self._condition_elements(n)):
+            yield j, ops.combine([(ops.mul(x, ops.prepare(("L", n, j), L), True), 1),
+                                  (ops.mul(x, ops.prepare(("R", n, j), R), False), -1)])
+
+    def _contained(self, ops, n: int, x) -> bool:
+        return all(ops.is_zero(d) for piece in ops.pieces(x)
+                   for _, d in self._condition_diffs(ops, n, piece))
 
     def in_cochain_space(self, n: int, u: TensorElement) -> bool:
         if u.degree != self.slots(n):
             return False
-        checker = self._vector_checker(n)
-        if checker is not None:
-            res = checker(u)
-            if res is not None:
-                return res
-        tab = self.H.algebra.fast_mult()
-        for L, Rm in self._condition_elements(n):
-            if _fast_diff(tab, L.coeffs, u.coeffs, Rm.coeffs):
-                return False
-        return True
+        return self._run("containment",
+                         lambda ops: self._contained(ops, n, ops.encode([u], u.degree)))
 
-    def _vector_checker(self, n: int):
-        """Integer-vectorized containment check; None when inapplicable."""
-        cache = getattr(self, "_vc_cache", None)
-        if cache is None:
-            self._vc_cache = cache = {}
-        if n not in cache:
-            cache[n] = _build_vector_checker(self.H.algebra,
-                                             self._condition_elements(n),
-                                             self.slots(n))
-        return cache[n]
+    def _condition_rows(self, ops, n: int) -> list:
+        """Rows of the condition matrix on H^{ox s}: row (j, f) holds, at
+        column t, the e_f coefficient of L_j e_t - e_t R_j."""
+        rows: dict = {}
+        for j, d in self._condition_diffs(ops, n, ops.all_basis(self.slots(n))):
+            for t, f, c in ops.entries(d):
+                rows.setdefault((j, f), {})[t] = c
+        return list(rows.values())
 
     def cochain_basis(self, n: int) -> list:
         """Exact basis of C^n, canonical (kernel RREF over lex tuple order)."""
         if n < 0:
             raise UnsupportedDegreeError("negative degree")
-        if n in self._basis:
-            return self._basis[n]
-        H = self.H
-        s = self.slots(n)
-        if n == 0:
-            basis = [TensorElement(H.algebra, 0, {(): FR1})]
-            self._basis[0] = basis
-            self._markers[0] = [0]
-            return basis
-        nd = H.dim
-        ncols = nd ** s
-        # build rows column-by-column: for basis tensor e_t the condition
-        # vector is L e_t - e_t R, scattered over the ambient index
-        tab = H.algebra.fast_mult()
-        rows: dict = {}
-        for ci, (L, Rm) in enumerate(self._condition_elements(n)):
-            for flat_t in range(ncols):
-                key = unflatten_index(flat_t, nd, s)
-                diff = _fast_diff(tab, L.coeffs, {key: FR1}, Rm.coeffs)
-                for kk, c in diff.items():
-                    f = flatten_index(kk, nd)
-                    d = rows.setdefault((ci, f), {})
-                    ss = d.get(flat_t, FR0) + c
-                    if ss:
-                        d[flat_t] = ss
-                    else:
-                        d.pop(flat_t, None)
-        M = SparseMatrix.from_rows_list([r for r in rows.values() if r], ncols)
-        vecs, markers = kernel_basis_marked(M)
-        basis = [TensorElement(H.algebra, s,
-                               {unflatten_index(f, nd, s): c for f, c in v.items()})
-                 for v in vecs]
-        self._basis[n] = basis
-        self._markers[n] = markers
-        return basis
+
+        def build():
+            nd, s = self.H.dim, self.slots(n)
+            rows = self._run("cochain_basis", lambda ops: self._condition_rows(ops, n))
+            vecs, markers = kernel_basis_marked(SparseMatrix.from_rows_list(rows, nd ** s))
+            basis = [TensorElement(self.H.algebra, s,
+                                   {unflatten_index(f, nd, s): c for f, c in v.items()})
+                     for v in vecs]
+            return basis, markers
+        return _once(self._basis, n, build)[0]
 
     def cochain_dim(self, n: int) -> int:
         return len(self.cochain_basis(n))
@@ -192,8 +208,7 @@ class DYComplex:
     def coords(self, n: int, u: TensorElement) -> dict:
         """Coordinates of u in the cochain basis; exact, verified."""
         basis = self.cochain_basis(n)
-        markers = self._markers[n]
-        nd = self.H.dim
+        markers = self._basis[n][1]
         flat = u.flat()
         out = {}
         for j, f in enumerate(markers):
@@ -213,137 +228,69 @@ class DYComplex:
         """d_i^n: C^n -> C^{n+1} on raw tensor elements, 0 <= i <= n+1."""
         if not (0 <= i <= n + 1):
             raise UnsupportedDegreeError("coface index %d out of range" % i)
-        H = self.H
-        if self.kind != "tensor":
-            if n == 0:
-                return unit_tensor(H.algebra, 1).scale(u.coeffs.get((), FR0))
-            if i == 0:
-                return u.insert_vector_at(0, H.unit)
-            if i == n + 1:
-                return u.insert_vector_at(n, H.unit)
-            return iterated_coproduct(H, u, i - 1)
-        return self._coface_tensor(n, i, u)
+        return self._coface(self._exact, n, i, [u])[0]
 
-    def _coface_tensor(self, n: int, i: int, u: TensorElement) -> TensorElement:
-        H = self.H
+    def _coface(self, ops, n: int, i: int, x):
+        """d_i^n on every tensor of the batch x."""
+        if self.kind != "tensor":
+            if i == 0:
+                return ops.insert_unit(x, 0)
+            if i == n + 1:
+                return ops.insert_unit(x, n)
+            return ops.coproduct(x, i - 1)
         if n == 0:
-            return unit_tensor(H.algebra, 2).scale(u.coeffs.get((), FR0))
-        R = self.R
+            return ops.insert_unit(ops.insert_unit(x, 0), 0)
         if i == 0:
             # multiplier: X1 <- 1, Y1 <- R1, X-slots 2..n+1 <- Delta^{(n-1)}(R2)
-            mult = self._front_multiplier(n)
-            operand = u
-            operand = operand.insert_vector_at(0, H.unit)
-            operand = operand.insert_vector_at(0, H.unit)
-            return mult.mul(operand)
+            x = ops.insert_unit(ops.insert_unit(x, 0), 0)
+            return ops.mul(x, self._multiplier(ops, "front", n), True)
         if i == n + 1:
-            mult = self._back_multiplier(n)
-            operand = u.insert_vector_at(2 * n, H.unit)
-            operand = operand.insert_vector_at(2 * n, H.unit)
-            return mult.mul(operand)
+            x = ops.insert_unit(ops.insert_unit(x, 2 * n), 2 * n)
+            return ops.mul(x, self._multiplier(ops, "back", n), True)
         # middle: expand block i via Delta_{HoxH}, then right-multiply by R
-        x = 2 * (i - 1)
-        v = iterated_coproduct(H, u, x)          # x -> (x1, x2) at positions x, x+1
-        v = iterated_coproduct(H, v, x + 2)      # y -> (y1, y2) at x+2, x+3
-        perm = list(range(v.degree))
-        perm[x + 1], perm[x + 2] = perm[x + 2], perm[x + 1]
-        v = v.permute_slots(perm)                # (x1, y1, x2, y2)
-        ins = self._middle_multiplier(n, i)
-        return v.mul(ins)
+        p = 2 * (i - 1)
+        x = ops.coproduct(ops.coproduct(x, p), p + 2)  # (x1, x2, y1, y2)
+        perm = list(range(2 * n + 2))
+        perm[p + 1], perm[p + 2] = perm[p + 2], perm[p + 1]
+        x = ops.permute(x, perm)                          # (x1, y1, x2, y2)
+        return ops.mul(x, self._multiplier(ops, "middle", n, i), False)
 
-    def _front_multiplier(self, n: int) -> TensorElement:
-        H = self.H
-        key = ("front", n)
-        cached = getattr(self, "_mult_cache", None)
-        if cached is None:
-            self._mult_cache = cached = {}
-        if key in cached:
-            return cached[key]
-        # layout: pos0 unit, pos1 R1, pos 2j: Delta-component j of R2, odd pos unit
-        coeffs = {}
-        unit_expansions = _unit_expansions(H, n + 1)
-        for (a, b), c in self.R.coeffs.items():
-            t = H.delta_power({b: FR1}, n)
-            for kk, cc in t.coeffs.items():
-                for ukey, uc in unit_expansions.items():
-                    full = [None] * (2 * (n + 1))
-                    full[0] = ukey[0]
-                    full[1] = a
-                    for j in range(n):
-                        full[2 * (j + 1)] = kk[j]
-                        full[2 * (j + 1) + 1] = ukey[j + 1]
-                    coeffs[tuple(full)] = coeffs.get(tuple(full), FR0) + c * cc * uc
-        acc = TensorElement(H.algebra, 2 * (n + 1),
-                            {k: v for k, v in coeffs.items() if v})
-        cached[key] = acc
-        return acc
+    def _multiplier(self, ops, *key):
+        return ops.prepare(key, _once(self._mults, key, lambda: self._build_multiplier(*key)))
 
-    def _back_multiplier(self, n: int) -> TensorElement:
-        H = self.H
-        key = ("back", n)
-        cached = getattr(self, "_mult_cache", None)
-        if cached is None:
-            self._mult_cache = cached = {}
-        if key in cached:
-            return cached[key]
-        coeffs = {}
-        unit_expansions = _unit_expansions(H, n + 1)
-        for (a, b), c in self.R.coeffs.items():
-            t = H.delta_power({a: FR1}, n)  # goes to Y-slots 1..n
-            for kk, cc in t.coeffs.items():
-                for ukey, uc in unit_expansions.items():
-                    full = [None] * (2 * (n + 1))
-                    for j in range(n):
-                        full[2 * j] = ukey[j]
-                        full[2 * j + 1] = kk[j]
-                    full[2 * n] = b
-                    full[2 * n + 1] = ukey[n]
-                    coeffs[tuple(full)] = coeffs.get(tuple(full), FR0) + c * cc * uc
-        acc = TensorElement(H.algebra, 2 * (n + 1),
-                            {k: v for k, v in coeffs.items() if v})
-        cached[key] = acc
-        return acc
+    def _build_multiplier(self, side: str, n: int, i: int = 0) -> TensorElement:
+        """The R-multipliers of the outer and middle tensor cofaces, in H^{ox 2n+2}:
+        front  1 ox R1 ox Delta^{(n-1)}(R2) in X_2..X_{n+1}, 1 in Y_2..Y_{n+1};
+        back   Delta^{(n-1)}(R1) in Y_1..Y_n, R2 in X_{n+1}, 1 elsewhere;
+        middle R1 in Y_i, R2 in X_{i+1}, 1 elsewhere."""
+        E, x = self._exact, [self.R]
+        if side == "middle":
+            units = list(range(2 * i - 1)) + list(range(2 * i + 1, 2 * n + 2))
+        else:
+            for _ in range(n - 1):
+                x = E.coproduct(x, 1 if side == "front" else 0)
+            units = ([0] + [2 * j + 1 for j in range(1, n + 1)] if side == "front"
+                     else [2 * j for j in range(n)] + [2 * n + 1])
+        for slot in units:
+            x = E.insert_unit(x, slot)
+        return x[0]
 
-    def _middle_multiplier(self, n: int, i: int) -> TensorElement:
-        """Unit everywhere except R1 in slot Y_i, R2 in slot X_{i+1}."""
-        H = self.H
-        coeffs = {}
-        unit_expansions = _unit_expansions(H, 2 * n)
-        for (a, b), c in self.R.coeffs.items():
-            for ukey, uc in unit_expansions.items():
-                full = [None] * (2 * (n + 1))
-                ui = 0
-                for pos in range(2 * (n + 1)):
-                    if pos == 2 * i - 1:
-                        full[pos] = a
-                    elif pos == 2 * i:
-                        full[pos] = b
-                    else:
-                        full[pos] = ukey[ui]
-                        ui += 1
-                coeffs[tuple(full)] = coeffs.get(tuple(full), FR0) + c * uc
-        return TensorElement(H.algebra, 2 * (n + 1),
-                             {k: v for k, v in coeffs.items() if v})
+    def _delta(self, ops, n: int, x):
+        return ops.combine([(self._coface(ops, n, i, x), (-1) ** i) for i in range(n + 2)])
 
     def delta_raw(self, n: int, u: TensorElement) -> TensorElement:
-        out = TensorElement(self.H.algebra, self.slots(n + 1), {})
-        sign = FR1
-        for i in range(n + 2):
-            out = out.add(self.coface(n, i, u).scale(sign))
-            sign = -sign
-        return out
+        return self._delta(self._exact, n, [u])[0]
 
     def differential_images(self, n: int) -> list:
         """delta^n of every basis cochain, raw; containment is asserted."""
-        if n in self._diff_images:
-            return self._diff_images[n]
-        images = [self.delta_raw(n, u) for u in self.cochain_basis(n)]
-        for v in images:
-            if not self.in_cochain_space(n + 1, v):
+        def work(ops):
+            basis = self.cochain_basis(n)
+            x = self._delta(ops, n, ops.encode(basis, self.slots(n)))
+            if not self._contained(ops, n + 1, x):
                 raise DYConsistencyError(
                     "differential image escapes the degree-%d cochain space" % (n + 1))
-        self._diff_images[n] = images
-        return images
+            return ops.decode(x, len(basis))
+        return _once(self._images, n, lambda: self._run("differential_images", work))
 
     def differential(self, n: int) -> SparseMatrix:
         """delta^n in cochain coordinates C^n -> C^{n+1}."""
@@ -401,122 +348,68 @@ class DYComplex:
         return out
 
 
-def _fast_diff(tab, L: dict, u: dict, Rm: dict) -> dict:
-    """L.u - u.Rm as a plain dict (empty = zero)."""
-    out: dict = {}
-    slotwise_mul_into(tab, L, u, out)
-    slotwise_mul_into(tab, u, Rm, out, -1)
-    return out
-
-
-_VEC_BOUND = 1 << 40  # keeps every accumulated int64 far from overflow
-
-
-def _build_vector_checker(A, conditions, degree: int):
-    """Compile the centralizing conditions to per-slot integer digit maps.
-
-    Applicable when every needed basis product is single-term with a
-    one-or-minus-one structure constant and the condition coefficients scale
-    to small integers (true for the monomial catalog algebras).  All the
-    arithmetic is int64 with explicit bound checks, so the result is exact;
-    returns None (caller falls back to the dict path) otherwise.
-    """
+def _once(cache: dict, key, build):
+    """cache[key], built on first use and published write-once: threads that
+    race to build it all return the first value stored."""
     try:
-        import numpy as np
-    except ImportError:
-        return None
-    if degree == 0 or not conditions:
-        return lambda u: True
-    nd = A.dim
-    if nd ** degree > 1 << 22:
-        return None
-    tab = A.fast_mult()
-
-    def digit_maps(k_idx, side):
-        # product tables for a fixed multiplier digit: d -> (target, sign)
-        tgt = np.full(nd, -1, dtype=np.int64)
-        sgn = np.zeros(nd, dtype=np.int64)
-        for d in range(nd):
-            prod = tab[k_idx][d] if side == "left" else tab[d][k_idx]
-            if prod is None:
-                continue
-            if type(prod) is not tuple:
-                return None, None
-            kk, cc = prod
-            # keep every per-slot factor in {0, 1, -1} so the accumulated
-            # int64 bound below stays valid
-            if cc.denominator != 1 or abs(cc.numerator) > 1:
-                return None, None
-            tgt[d] = kk
-            sgn[d] = cc.numerator
-        return tgt, sgn
-
-    compiled = []
-    from math import gcd
-    for L, Rm in conditions:
-        denom = 1
-        for v in list(L.coeffs.values()) + list(Rm.coeffs.values()):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        sides = []
-        for elt, side in ((L, "left"), (Rm, "right")):
-            terms = []
-            for key, coef in elt.coeffs.items():
-                c = int(coef * denom)
-                if abs(c) > 1 << 10:
-                    return None
-                maps = []
-                for s in range(degree):
-                    tgt, sgn = digit_maps(key[s], side)
-                    if tgt is None:
-                        return None
-                    maps.append((tgt, sgn))
-                terms.append((c, maps))
-            sides.append(terms)
-        compiled.append(tuple(sides))
-
-    import numpy as np
-    powers = np.array([nd ** (degree - 1 - s) for s in range(degree)],
-                      dtype=np.int64)
-    size = nd ** degree
-
-    def checker(u):
-        items = sorted(u.coeffs.items())
-        if not items:
-            return True
-        vden = 1
-        for _, v in items:
-            vden = vden * v.denominator // gcd(vden, v.denominator)
-        vals = np.array([int(v * vden) for _, v in items], dtype=object)
-        if max(abs(int(x)) for x in vals) * (1 << 11) > _VEC_BOUND:
-            return None  # out of the safe integer range; use the exact path
-        vals = vals.astype(np.int64)
-        digits = np.array([k for k, _ in items], dtype=np.int64)
-        for (lterms, rterms) in compiled:
-            acc = np.zeros(size, dtype=np.int64)
-            for terms, sign in ((lterms, 1), (rterms, -1)):
-                for c, maps in terms:
-                    flat = np.zeros(len(items), dtype=np.int64)
-                    coe = np.full(len(items), sign * c, dtype=np.int64)
-                    alive = np.ones(len(items), dtype=bool)
-                    for s in range(degree):
-                        tgt, sgn = maps[s]
-                        ds = digits[:, s]
-                        t = tgt[ds]
-                        alive &= t >= 0
-                        flat += np.where(alive, t, 0) * powers[s]
-                        coe *= sgn[ds]
-                    if alive.any():
-                        np.add.at(acc, flat[alive], coe[alive] * vals[alive])
-            if acc.any():
-                return False
-        return True
-
-    return checker
+        return cache[key]
+    except KeyError:
+        return cache.setdefault(key, build())
 
 
-def _unit_expansions(H: HopfAlgebra, count: int) -> dict:
-    """All keys of 1^{ox count} with coefficients (the unit may be a sum)."""
-    return dict(unit_tensor(H.algebra, count).coeffs)
+class _ExactOps:
+    """The batch operations of `slotkernel.SlotKernel` on lists of
+    TensorElements, in Fraction arithmetic; slotwise products go through
+    `slotwise_mul_into`."""
+
+    def __init__(self, H: HopfAlgebra):
+        self.H = H
+
+    def encode(self, tensors, s: int) -> list:
+        return list(tensors)
+
+    def decode(self, x: list, count: int) -> list:
+        return x
+
+    def prepare(self, key, T: TensorElement) -> TensorElement:
+        return T
+
+    def all_basis(self, s: int) -> list:
+        A, nd = self.H.algebra, self.H.dim
+        return [TensorElement(A, s, {unflatten_index(t, nd, s): FR1}) for t in range(nd ** s)]
+
+    def insert_unit(self, x: list, slot: int) -> list:
+        return [u.insert_vector_at(slot, self.H.unit) for u in x]
+
+    def coproduct(self, x: list, slot: int) -> list:
+        return [iterated_coproduct(self.H, u, slot) for u in x]
+
+    def permute(self, x: list, perm) -> list:
+        return [u.permute_slots(perm) for u in x]
+
+    def mul(self, x: list, M: TensorElement, left: bool) -> list:
+        return [M.mul(u) if left else u.mul(M) for u in x]
+
+    def combine(self, parts) -> list:
+        """sum of sign * x over the (x, sign) parts, tensor by tensor."""
+        out = []
+        for us in zip(*(x for x, _ in parts)):
+            acc = TensorElement(self.H.algebra, us[0].degree, {})
+            for u, (_, sign) in zip(us, parts):
+                acc = acc.add(u.scale(sign))
+            out.append(acc)
+        return out
+
+    def is_zero(self, x: list) -> bool:
+        return all(u.is_zero() for u in x)
+
+    def pieces(self, x: list) -> list:
+        return [x]
+
+    def entries(self, x: list):
+        nd = self.H.dim
+        return [(r, flatten_index(k, nd), c)
+                for r, u in enumerate(x) for k, c in u.coeffs.items()]
 
 
 def identity_complex(H: HopfAlgebra) -> DYComplex:

@@ -50,17 +50,6 @@ def fr(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # sparse vectors: dict {index: Fraction}, zero entries never stored
 
-def vec_add(u: dict, v: dict) -> dict:
-    w = dict(u)
-    for i, c in v.items():
-        s = w.get(i, FR0) + c
-        if s:
-            w[i] = s
-        else:
-            w.pop(i, None)
-    return w
-
-
 def vec_sub(u: dict, v: dict) -> dict:
     w = dict(u)
     for i, c in v.items():
@@ -169,19 +158,6 @@ class SparseMatrix:
                     out[r] = s
                 else:
                     out.pop(r, None)
-        return out
-
-    def vec_mul(self, row: dict) -> dict:
-        """Row vector times matrix (vector indexed by rows)."""
-        out: dict = {}
-        for (r, c), m in self.entries.items():
-            x = row.get(r)
-            if x is not None:
-                s = out.get(c, FR0) + x * m
-                if s:
-                    out[c] = s
-                else:
-                    out.pop(c, None)
         return out
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":

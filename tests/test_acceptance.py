@@ -125,9 +125,9 @@ def tensor_cx_b2(B2):
     return tensor_complex(B2, R, rep.inverse)
 
 
-@pytest.mark.slow
 def test_criterion_05b_dy_tensor_b2_slow(tensor_cx_b2):
-    """For B_2 with R0: dim H^2 = 10 (slow, sparse path)."""
+    """For B_2 with R0: dim H^2 = 10 (a few seconds on the int64 slot
+    kernel; the `_slow` in the name predates it)."""
     assert tensor_cx_b2.cohomology_dim(2) == 10
 
 
@@ -137,7 +137,6 @@ def test_criterion_06_dimension_formula(tensor_cx_b1):
         build_bk(1)).cohomology_dim(2) == 1
 
 
-@pytest.mark.slow
 def test_criterion_06b_dimension_formula_b2(B2, tensor_cx_b2):
     h2t = tensor_cx_b2.cohomology_dim(2)
     h2i = identity_complex(B2).cohomology_dim(2)

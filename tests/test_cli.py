@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -129,6 +130,15 @@ class TestDyCommand:
     def test_unsupported_degree_exit_4(self, capsys):
         code = main(["dy", "id", "bk:1", "--degree", "9"])
         assert code == 4
+
+    def test_oversized_ambient_exit_5_before_basis_work(self, capsys):
+        # delta^4 of the tensor complex of B_1 lands in H^{ox 10}, dim 4^10
+        t0 = time.monotonic()
+        code = main(["dy", "tensor", "bk:1", "--r0", "--degree", "4",
+                     "--max-seconds", "60"])
+        assert code == 5
+        assert time.monotonic() - t0 < 5
+        assert capsys.readouterr().out == ""
 
 
 class TestTangentCommand:

@@ -1,14 +1,21 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfdy.algcore import AlgebraMap
+from hopfdy.algcore import Algebra, AlgebraMap
 from hopfdy.dycomplex import (DYConsistencyError, UnsupportedDegreeError,
                               cocycle_from_tangent, decompose_h2_tensor,
                               identity_complex, restriction_complex, tensor_complex)
-from hopfdy.exactlin import FR1, TensorElement, rank_of_vectors, unit_tensor
-from hopfdy.hopfcore import build_bk, build_cyclic, bk_inclusion, iterated_coproduct
-from hopfdy.rmatrix import bk_r0, check_rmatrix, tangent_space
+from hopfdy.exactlin import (FR1, SparseMatrix, TensorElement, rank_of_vectors,
+                             slotwise_mul_into, unit_tensor)
+from hopfdy.hopfcore import (HopfAlgebra, build_bk, build_cyclic, bk_inclusion,
+                             iterated_coproduct, verify_hopf)
+from hopfdy.rmatrix import bk_r0, bk_r_lambda, check_rmatrix, tangent_space
+from hopfdy.slotkernel import Fallback
 
 HALF = Fraction(1, 2)
 
@@ -193,8 +200,8 @@ def _delta_hh_block(H, u, block):
 
 class TestVectorCheckerFallback:
     def test_same_answer_without_numpy(self):
-        # the compiled integer checker is an accelerator only; blocking numpy
-        # must leave every dimension unchanged through the exact dict path
+        # the int64 slot kernel is an accelerator only; blocking numpy must
+        # leave every dimension unchanged through the Fraction path
         import subprocess
         import sys
         code = (
@@ -211,14 +218,27 @@ class TestVectorCheckerFallback:
             "H = build_bk(1)\n"
             "rep = check_rmatrix(H, bk_r0(1, H))\n"
             "cx = tensor_complex(H, bk_r0(1, H), rep.inverse)\n"
-            "assert cx._vector_checker(2) is None\n"
+            "assert cx._slot_kernel() is None\n"
             "assert cx.cohomology_dim(2) == 3\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert {'cochain_basis', 'differential_images'} <= set(cx.fallbacks)\n"
             "print('ok')\n"
         )
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "ok"
+
+
+    def test_import_hopfdy_leaves_numpy_unimported(self):
+        # numpy and the kernel module load at the first kernel use only
+        import subprocess
+        import sys
+        code = ("import sys, hopfdy\n"
+                "assert 'numpy' not in sys.modules\n"
+                "assert 'hopfdy.slotkernel' not in sys.modules\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
 
 class TestCohomologyDims:
@@ -455,3 +475,138 @@ def _mod_span(vec, span_rows, ncols):
     for r in span_rows:
         ech.add_row(r)
     return ech.residual(vec)
+
+
+# ---------------------------------------------------------------------------
+# the int64 slot kernel against the Fraction path
+
+_BK = {1: build_bk(1), 2: build_bk(2)}
+
+
+def _kernel_product(K, u, M, left):
+    """M u (left) or u M through the kernel, or None where it falls back."""
+    try:
+        x = K.mul(K.encode([u], u.degree), K.encode([M], M.degree), left)
+        return K.decode(K.combine([(x, 1)]), 1)[0].coeffs
+    except Fallback:
+        return None
+
+
+def _tensors(nd, s, big):
+    """Random rational tensors of degree s.  Small values have denominators
+    up to 12, so every scaled product and sum stays far below 2^62; `big`
+    values exceed 2^34."""
+    num = st.integers(2 ** 40, 2 ** 70) if big else st.integers(-99, 99)
+    coef = st.builds(Fraction, num, st.integers(1, 12 if not big else 60))
+    key = st.tuples(*[st.integers(0, nd - 1)] * s)
+    return st.dictionaries(key, coef, min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), k=st.sampled_from([1, 2]), s=st.integers(1, 3),
+       left=st.booleans(), big=st.booleans())
+def test_kernel_products_match_slotwise_mul_into(data, k, s, left, big):
+    H = _BK[k]
+    A = H.algebra
+    u = TensorElement(A, s, data.draw(_tensors(H.dim, s, big)))
+    M = TensorElement(A, s, data.draw(_tensors(H.dim, s, big)))
+    want: dict = {}
+    slotwise_mul_into(A.fast_mult(), *((M.coeffs, u.coeffs) if left else (u.coeffs, M.coeffs)),
+                      want)
+    got = _kernel_product(identity_complex(H)._slot_kernel(), u, M, left)
+    if big:
+        # values of both factors exceed 2^34, so every product is over
+        # the int64 bound: the kernel must refuse rather than wrap
+        assert got is None
+    else:
+        assert got == {key: v for key, v in want.items() if v}
+
+
+def test_containment_falls_back_beyond_int64():
+    H = build_bk(1)
+    cx = tensor_complex(H, bk_r0(1, H))
+    z = cx.cochain_basis(2)[0].scale(2 ** 70)
+    assert cx.in_cochain_space(2, z)
+    assert not cx.in_cochain_space(2, z.add(unit_tensor(H.algebra, 4)))
+    assert cx.fallbacks == ["containment", "containment"]
+
+
+def test_kernel_images_match_delta_raw(idB1, txB1, resB2B1):
+    lam = tensor_complex(build_bk(1), bk_r_lambda(1, [[Fraction(37, 41)]]))
+    for cx, tops in ((idB1, 3), (txB1, 2), (resB2B1, 2), (lam, 2)):
+        for n in range(tops + 1):
+            assert cx.differential_images(n) == \
+                [cx.delta_raw(n, u) for u in cx.cochain_basis(n)]
+        assert cx.fallbacks == []
+
+
+def _basis_changed(H, N):
+    """H in the basis f_i = sum_k P[k][i] e_k, P = 1 + N, N nilpotent."""
+    n = H.dim
+    one = SparseMatrix.identity(n)
+    P = one.add(N)
+    Pinv, power = one, one
+    for _ in range(1, n):
+        power = power.matmul(N).scale(-1)
+        Pinv = Pinv.add(power)
+    assert Pinv.matmul(P) == one
+    A = H.algebra
+
+    def to_f(v):
+        return Pinv.mul_vec(v)
+
+    cols = [P.col(i) for i in range(n)]
+    mult = {(i, j): to_f(A.mul_vec(cols[i], cols[j])) for i in range(n) for j in range(n)}
+    B = Algebra(n, A.labels, mult, to_f(A.unit), generators=[to_f(g) for g in A.generators])
+
+    def transport(t):
+        for slot in range(t.degree):
+            t = t.apply_matrix_at(slot, Pinv)
+        return TensorElement(B, t.degree, t.coeffs)
+
+    comult = [transport(H.comult_vec(cols[i])) for i in range(n)]
+    counit = [H.counit_vec(cols[i]) for i in range(n)]
+    antipode = SparseMatrix.from_columns(n, [to_f(H.antipode_vec(cols[i])) for i in range(n)])
+    return HopfAlgebra(B, comult, counit, antipode, name="B_1 in another basis"), transport
+
+
+def test_fraction_fallback_on_multi_term_products():
+    H = build_bk(1)
+    # f_3 = xg + x/2: x g = f_3 - f_1/2 and three more products get two terms
+    Hb, transport = _basis_changed(H, SparseMatrix(4, 4, {(1, 3): Fraction(1, 2)}))
+    assert verify_hopf(Hb) == []
+    tab = Hb.algebra.fast_mult()
+    assert any(isinstance(p, dict) for row in tab for p in row)  # multi-term products
+    R = transport(bk_r0(1, H))
+    assert check_rmatrix(Hb, R).verified
+    idc, txc = identity_complex(Hb), tensor_complex(Hb, R)
+    assert idc.cohomology_dim(2) == 1
+    assert txc.cohomology_dim(2) == 3
+    for cx in (idc, txc):
+        assert cx._slot_kernel() is None
+        assert {"cochain_basis", "differential_images"} <= set(cx.fallbacks)
+
+
+def test_shared_complex_is_thread_safe():
+    H = build_bk(1)
+    cx = tensor_complex(H, bk_r0(1, H))
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append(cx.cohomology_dim(2))
+        except Exception as exc:  # recorded for the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and results == [3, 3]

@@ -14,6 +14,7 @@ import pytest
 from hopfdy.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+LAMBDA = str(Path(__file__).parent / "data" / "lambda_37_41.json")  # [["37/41"]]
 
 CASES = {
     "verify_bk_2": ["verify", "bk:2"],
@@ -34,6 +35,12 @@ CASES = {
     "crosscheck_kunneth_bk_1_degree_2": ["crosscheck", "kunneth", "bk:1", "--degree", "2"],
     "crosscheck_kunneth_bk_1_degree_2_bar": [
         "crosscheck", "kunneth", "bk:1", "--degree", "2", "--resolution", "bar"],
+    # the rational path: R_lambda at lambda = 37/41, and an identity complex
+    "crosscheck_dimension_formula_bk_1_lambda_37_41": [
+        "crosscheck", "dimension-formula", "bk:1", "--lambda", LAMBDA],
+    "dy_tensor_bk_1_lambda_37_41_degree_2": [
+        "dy", "tensor", "bk:1", "--lambda", LAMBDA, "--degree", "2"],
+    "dy_id_bk_2_degree_3": ["dy", "id", "bk:2", "--degree", "3"],
 }
 
 
