@@ -7,8 +7,8 @@ Ext groups of induction-restriction pairs, with every number computed in
 exact rational arithmetic.
 """
 
-from .exactlin import (SparseMatrix, TensorElement, kernel_basis, rank,
-                       rank_modular, span_equal, unit_tensor)
+from .exactlin import (SparseMatrix, TensorElement, kernel_basis, rank, span_equal,
+                       unit_tensor)
 from .algcore import (Algebra, AlgebraMap, ModuleRep, hom_space, induced_module,
                       module_from_character, module_map_kernel, regular_module,
                       restrict_module, tensor_algebra, tensor_module,

@@ -23,9 +23,10 @@ from fractions import Fraction
 from .double import coeff_restriction, drinfeld_double
 from .dycomplex import (UnsupportedDegreeError, identity_complex,
                         restriction_complex, tensor_complex)
-from .exactlin import TensorElement, fr, unit_tensor
+from .exactlin import TensorElement, unit_tensor
 from .hopfcore import HopfError, bk_inclusion, catalog_hopf, verify_hopf
-from .hopffile import HopfFileError, load_hopf, tensor_from_json, tensor_to_json
+from .hopffile import (HopfFileError, load_hopf, parse_rational, tensor_from_json,
+                       tensor_to_json)
 from .relext import (BudgetExceededError, adjunction_crosscheck_restriction,
                      adjunction_crosscheck_tensor, kunneth_check,
                      pair_from_double, relative_ext_dims, trivial_module_over)
@@ -98,14 +99,26 @@ def load_rmatrix(H, args) -> TensorElement:
     if getattr(args, "rmatrix", None):
         with open(args.rmatrix) as f:
             data = json.load(f)
-        return tensor_from_json(H.algebra, 2, data)
+        try:
+            return tensor_from_json(H.algebra, 2, data)
+        except HopfFileError as exc:
+            raise CliError("--rmatrix %s: %s" % (args.rmatrix, exc), EXIT_INVALID_RMATRIX)
     if getattr(args, "lam", None):
         k = parse_bk_k(args.source)
         if k is None:
             raise CliError("--lambda requires a bk:k source", EXIT_INVALID_RMATRIX)
         with open(args.lam) as f:
             lam = json.load(f)
-        return bk_r_lambda(k, [[fr(x) for x in row] for row in lam], H)
+        if not (isinstance(lam, list) and len(lam) == k
+                and all(isinstance(row, list) and len(row) == k for row in lam)):
+            raise CliError("--lambda %s: %r is not a %dx%d matrix" % (args.lam, lam, k, k),
+                           EXIT_INVALID_RMATRIX)
+        try:
+            lam = [[parse_rational(x, "lambda[%d][%d]" % (i, j)) for j, x in enumerate(row)]
+                   for i, row in enumerate(lam)]
+        except HopfFileError as exc:
+            raise CliError("--lambda %s: %s" % (args.lam, exc), EXIT_INVALID_RMATRIX)
+        return bk_r_lambda(k, lam, H)
     raise CliError("no R-matrix given (use --r0, --trivial-r, --lambda or --rmatrix)",
                    EXIT_INVALID_RMATRIX)
 

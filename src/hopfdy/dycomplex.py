@@ -33,21 +33,20 @@ Arithmetic.  The three heavy stages -- the condition rows behind
 of a degree in one batch) and the containment check of `in_cochain_space`
 -- are written once against a small set of batch operations (insert the
 unit, coproduct at a slot, permute slots, slotwise product with a
-multiplier, signed sum).  `slotkernel.SlotKernel` runs them on int64
-arrays; it applies when numpy is importable and every product of two basis
-elements of H has at most one term, and it checks every product,
-rescaling and sum against a bound below 2^63.  Where it does not apply or a bound would be
-exceeded, the stage reruns on `_ExactOps`, the same operations in
-`Fraction` arithmetic (slotwise products through `slotwise_mul_into`), and
-the stage's name is appended to `DYComplex.fallbacks`.  Both paths give
-the same exact results; `coface` and `delta_raw` always take the Fraction
-path and are the reference the tests compare the kernel against.
+multiplier, signed sum), which `slotkernel.SlotKernel` runs on arrays for
+every Hopf algebra H, multi-term products included.  Its int64 kernel
+checks every product, rescaling and sum against a bound below 2^63; where
+a bound would be exceeded, the stage reruns on the same kernel over Python
+integers and its name is appended to `DYComplex.fallbacks`.  Both give the
+same exact results.  `coface` and `delta_raw` take `_ExactOps`, the same
+coface operations in `Fraction` arithmetic, and are the reference the
+tests compare the kernel against.
 """
 
 from __future__ import annotations
 
-from .exactlin import (FR1, SparseMatrix, TensorElement, flatten_index,
-                       kernel_basis_marked, rank_of_vectors, unflatten_index)
+from .exactlin import (FR1, SparseMatrix, TensorElement, kernel_basis_marked,
+                       rank_of_vectors, unflatten_index)
 from .hopfcore import HopfAlgebra, HopfError, iterated_coproduct
 from .algcore import AlgebraMap
 
@@ -93,9 +92,9 @@ class DYComplex:
         self._images = {}   # n -> raw delta^n of the basis
         self._conds = {}    # n -> condition pairs (L, R)
         self._mults = {}    # ("front"|"back", n) / ("middle", n, i) -> multiplier
-        self._kernel = {}   # "slot" -> the int64 kernel, or None where it does not apply
+        self._kernel = {}   # big -> the int64 (False) or Python-int (True) slot kernel
         self._exact = _ExactOps(H)
-        self.fallbacks = []  # stages that ran in Fraction arithmetic
+        self.fallbacks = []  # stages that reran on the Python-int kernel
 
     # -- geometry ----------------------------------------------------------
     def slots(self, n: int) -> int:
@@ -104,33 +103,22 @@ class DYComplex:
     def ambient_dim(self, n: int) -> int:
         return self.H.dim ** self.slots(n)
 
-    # -- the two arithmetic paths -------------------------------------------
-    def _slot_kernel(self):
-        """The int64 kernel over H, or None where it does not apply; its
-        module, and numpy with it, is imported here at first use."""
-        def build():
-            try:
-                from .slotkernel import Fallback, SlotKernel
-            except ImportError:  # numpy is not installed
-                return None
-            try:
-                return SlotKernel(self.H)
-            except Fallback:  # a basis product has more than one term
-                return None
-        return _once(self._kernel, "slot", build)
+    # -- the slot kernel ----------------------------------------------------
+    def _slot_kernel(self, big: bool = False):
+        """The slot kernel over H, int64 or (`big`) Python-int; its module,
+        and numpy with it, is imported here at first use."""
+        from .slotkernel import SlotKernel
+        return _once(self._kernel, big, lambda: SlotKernel(self.H, big))
 
     def _run(self, stage: str, work):
-        """work(ops) on the int64 kernel, or on the Fraction path when the
-        kernel does not apply or a bound would be exceeded."""
-        K = self._slot_kernel()
-        if K is not None:
-            from .slotkernel import Fallback
-            try:
-                return work(K)
-            except Fallback:
-                pass
-        self.fallbacks.append(stage)
-        return work(self._exact)
+        """work(kernel) on the int64 kernel, rerun on the Python-int kernel
+        where an int64 bound would be exceeded."""
+        from .slotkernel import Fallback
+        try:
+            return work(self._slot_kernel())
+        except Fallback:
+            self.fallbacks.append(stage)
+            return work(self._slot_kernel(big=True))
 
     # -- defining conditions -------------------------------------------------
     def _condition_vectors(self):
@@ -358,25 +346,16 @@ def _once(cache: dict, key, build):
 
 
 class _ExactOps:
-    """The batch operations of `slotkernel.SlotKernel` on lists of
-    TensorElements, in Fraction arithmetic; slotwise products go through
-    `slotwise_mul_into`."""
+    """The coface operations of `slotkernel.SlotKernel` on lists of
+    TensorElements, in Fraction arithmetic (slotwise products through
+    `slotwise_mul_into`): the reference behind `coface`, `delta_raw` and
+    the tensor coface multipliers."""
 
     def __init__(self, H: HopfAlgebra):
         self.H = H
 
-    def encode(self, tensors, s: int) -> list:
-        return list(tensors)
-
-    def decode(self, x: list, count: int) -> list:
-        return x
-
     def prepare(self, key, T: TensorElement) -> TensorElement:
         return T
-
-    def all_basis(self, s: int) -> list:
-        A, nd = self.H.algebra, self.H.dim
-        return [TensorElement(A, s, {unflatten_index(t, nd, s): FR1}) for t in range(nd ** s)]
 
     def insert_unit(self, x: list, slot: int) -> list:
         return [u.insert_vector_at(slot, self.H.unit) for u in x]
@@ -399,17 +378,6 @@ class _ExactOps:
                 acc = acc.add(u.scale(sign))
             out.append(acc)
         return out
-
-    def is_zero(self, x: list) -> bool:
-        return all(u.is_zero() for u in x)
-
-    def pieces(self, x: list) -> list:
-        return [x]
-
-    def entries(self, x: list):
-        nd = self.H.dim
-        return [(r, flatten_index(k, nd), c)
-                for r, u in enumerate(x) for k, c in u.coeffs.items()]
 
 
 def identity_complex(H: HopfAlgebra) -> DYComplex:

@@ -13,10 +13,6 @@ the same steps.  `Echelon` builds ranks, residuals, tracked coordinates
 and the reduced row echelon form on it, and kernels, solutions and
 rewrites come from that form.  RREF is unique, so every reported rank,
 kernel and rewrite is deterministic regardless of the pivot order.
-
-A fast rank pass over the prime field GF(2^31 - 1) is available as a
-consistency alarm only: a modular rank can drop below the rational rank
-(unlucky prime) but can never exceed it, so `rank_p > rank_QQ` aborts.
 """
 
 from __future__ import annotations
@@ -24,18 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-ALARM_PRIME = 2147483647  # 2^31 - 1, prime > 2^30
-
 FR0 = Fraction(0)
 FR1 = Fraction(1)
 
 
 class ExactlinError(Exception):
     pass
-
-
-class ConsistencyError(ExactlinError):
-    """An internal exactness invariant failed; results cannot be trusted."""
 
 
 def fr(x) -> Fraction:
@@ -420,26 +410,6 @@ class Echelon:
         return {c: Fraction(-v, lead) for c, v in row.items() if c != piv}
 
 
-def rank(M: SparseMatrix, modular_alarm: bool = True) -> int:
-    """Exact rank over QQ, deterministic.
-
-    When `modular_alarm` is set and the matrix is large, a GF(p) rank is
-    computed first; `rank_p > rank_QQ` is impossible, so it aborts.
-    """
-    ech = Echelon(M.cols)
-    for row in M.row_dicts():
-        ech.add_row(row)
-    r = ech.rank
-    if modular_alarm and len(M.entries) > 20000:
-        try:
-            rp = rank_modular(M)
-        except ExactlinError:
-            rp = None  # no reduction mod p: the alarm is unavailable
-        if rp is not None and rp > r:
-            raise ConsistencyError("modular rank %d exceeds exact rank %d" % (rp, r))
-    return r
-
-
 def rank_of_rows(rows: list, ncols: int) -> int:
     ech = Echelon(ncols)
     # sparse rows first: far less elimination fill-in, same canonical result
@@ -447,6 +417,11 @@ def rank_of_rows(rows: list, ncols: int) -> int:
     for i in order:
         ech.add_row(rows[i])
     return ech.rank
+
+
+def rank(M: SparseMatrix) -> int:
+    """Exact rank over QQ."""
+    return rank_of_rows(M.row_dicts(), M.cols)
 
 
 def rank_of_vectors(vecs: list, ambient: int) -> int:
@@ -462,37 +437,6 @@ def rank_of_vectors(vecs: list, ambient: int) -> int:
         for f, c in v.items():
             byidx.setdefault(f, {})[j] = c
     return rank_of_rows(list(byidx.values()), len(vecs))
-
-
-def rank_modular(M: SparseMatrix, p: int = ALARM_PRIME) -> int:
-    """Rank over GF(p); used only as a consistency alarm, never reported.
-
-    Raises when an entry's denominator vanishes mod p (the entry has no
-    image in GF(p)); callers treat that as "alarm unavailable".
-    """
-    pivots: dict = {}
-    for row0 in M.row_dicts():
-        for v in row0.values():
-            if v.denominator % p == 0:
-                raise ExactlinError("entry has no reduction mod %d" % p)
-        row = {c: int(v.numerator) * pow(v.denominator, p - 2, p) % p
-               for c, v in row0.items()}
-        row = {c: v for c, v in row.items() if v}
-        while row:
-            c0 = min(row)
-            if c0 not in pivots:
-                inv = pow(row[c0], p - 2, p)
-                pivots[c0] = {c: (v * inv) % p for c, v in row.items()}
-                break
-            prow = pivots[c0]
-            f = row[c0]
-            for c, v in prow.items():
-                s = (row.get(c, 0) - f * v) % p
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-    return len(pivots)
 
 
 def kernel_basis_marked(M: SparseMatrix):

@@ -47,10 +47,30 @@ def tensor_to_json(u: TensorElement) -> list:
     return [[list(k), rational_str(v)] for k, v in sorted(u.coeffs.items())]
 
 
+def parse_rational(value, where: str) -> Fraction:
+    """A JSON number or "p/q" string as a Fraction; HopfFileError naming
+    `where` when it is none."""
+    if not isinstance(value, bool):
+        try:
+            return fr(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise HopfFileError("%s: %r is not a rational number" % (where, value))
+
+
 def tensor_from_json(ambient, degree: int, data) -> TensorElement:
+    """A sparse tensor from [[indices...], "p/q"] pairs; each entry must
+    have `degree` indices in 0..dim-1, or HopfFileError names it."""
+    if not isinstance(data, list):
+        raise HopfFileError("tensor %r is not a list of entries" % (data,))
     coeffs = {}
-    for idx, val in data:
-        coeffs[tuple(idx)] = fr(val)
+    for entry in data:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)
+                and len(entry[0]) == degree):
+            raise HopfFileError("tensor entry %r is not [[%d indices], value]"
+                                % (entry, degree))
+        _check_indices(entry[0], ambient.dim, "tensor", entry)
+        coeffs[tuple(entry[0])] = parse_rational(entry[1], "tensor entry %r" % (entry,))
     return TensorElement(ambient, degree, coeffs)
 
 
@@ -83,14 +103,19 @@ def hopf_to_json(H: HopfAlgebra) -> dict:
     }
 
 
+def _check_indices(idx, dim: int, field: str, entry):
+    """Each index a JSON integer in 0..dim-1, or HopfFileError naming the entry."""
+    for i in idx:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
+            raise HopfFileError("%s entry %r: index %r is not in 0..%d"
+                                % (field, entry, i, dim - 1))
+
+
 def _entries(data: dict, field: str, dim: int):
     """The entries of one sparse field, each index checked against 0..dim-1."""
     for entry in data[field]:
         *idx, v = entry
-        for i in idx:
-            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
-                raise HopfFileError("%s entry %r: index %r is not in 0..%d"
-                                    % (field, entry, i, dim - 1))
+        _check_indices(idx, dim, field, entry)
         yield (*idx, fr(v))
 
 

@@ -59,7 +59,7 @@ class ResolventPair:
         self.free_basis = free_basis
         self.name = name or "(%s <= %s)" % (big.name, small.name)
         self._tensor: dict = {}       # tensor_pair(self, p2), keyed by p2
-        self._resolutions: dict = {}  # keyed by (V, kind, use_free)
+        self._resolutions: dict = {}  # keyed by (V, kind)
         self._lock = threading.Lock()  # guards _resolutions and their growth
 
     def verify(self, pairs="auto") -> list:
@@ -200,14 +200,13 @@ class Resolution:
         return out
 
 
-def _extend_bar(res: Resolution, upto: int, use_free: bool):
+def _extend_bar(res: Resolution, upto: int):
     pair = res.pair
     while res.maxdeg < upto:
         n = res.maxdeg + 1
         base = res.target if n == 0 else res.terms[n - 1]
         X = res.res_small(base)
-        fb = pair.free_basis if use_free else None
-        P = induced_module(pair.inclusion, X, free_basis=fb,
+        P = induced_module(pair.inclusion, X, free_basis=pair.free_basis,
                            name="bar%d" % n)
         res.terms.append(P)
         res.sources.append(X)
@@ -252,14 +251,14 @@ def _pair_class(term: InducedModule, a_label, src_idx: int) -> dict:
     return out
 
 
-def _extend_cover(res: Resolution, upto: int, use_free: bool):
+def _extend_cover(res: Resolution, upto: int):
     pair = res.pair
     while res.maxdeg < upto:
         n = res.maxdeg + 1
         K = res.kernel_modules[n]
         X = res.res_small(K)
-        fb = pair.free_basis if use_free else None
-        P = induced_module(pair.inclusion, X, free_basis=fb, name="cover%d" % n)
+        P = induced_module(pair.inclusion, X, free_basis=pair.free_basis,
+                           name="cover%d" % n)
         res.terms.append(P)
         res.sources.append(X)
         eps = res.counit_matrix(P, K)
@@ -276,22 +275,20 @@ def _extend_cover(res: Resolution, upto: int, use_free: bool):
         res.kernel_modules.append(submodule_on_basis(P, kbasis, name="K%d" % (n + 1)))
 
 
-def get_resolution(pair: ResolventPair, V: ModuleRep, kind: str, maxdeg: int,
-                   use_free: bool = True) -> Resolution:
+def get_resolution(pair: ResolventPair, V: ModuleRep, kind: str, maxdeg: int) -> Resolution:
     """The `kind` ("bar" or "cover") resolution of V up to maxdeg, cached
     on the pair and extended on demand under the pair's lock, so that two
-    threads never grow one resolution at the same time."""
+    threads never grow one resolution at the same time.  Its terms are
+    induced on the pair's free basis when it has one, and as quotients
+    otherwise."""
     if kind not in ("bar", "cover"):
         raise RelextError("unknown resolution kind %r" % kind)
-    if pair.free_basis is None:
-        use_free = False
-    key = (V, kind, use_free)
     extend = _extend_bar if kind == "bar" else _extend_cover
     with pair._lock:
-        res = pair._resolutions.get(key)
+        res = pair._resolutions.get((V, kind))
         if res is None:
-            res = pair._resolutions[key] = Resolution(pair, V, kind)
-        extend(res, maxdeg, use_free)
+            res = pair._resolutions[(V, kind)] = Resolution(pair, V, kind)
+        extend(res, maxdeg)
     return res
 
 
@@ -452,9 +449,9 @@ class ExtComputation:
 
 
 def relative_ext_dims(pair: ResolventPair, V: ModuleRep, W: ModuleRep,
-                      maxdeg: int, kind: str = "cover", use_free: bool = True) -> list:
+                      maxdeg: int, kind: str = "cover") -> list:
     """[dim Ext^0, ..., dim Ext^maxdeg] for the pair, via the chosen resolution."""
-    res = get_resolution(pair, V, kind, maxdeg, use_free)
+    res = get_resolution(pair, V, kind, maxdeg)
     return ExtComputation(res, W).ext_dims(maxdeg)
 
 

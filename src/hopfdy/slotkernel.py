@@ -1,13 +1,14 @@
-"""The int64 slotwise kernel of the Davydov-Yetter complexes.
+"""The slotwise kernel of the Davydov-Yetter complexes.
 
 `dycomplex` imports this module, and numpy with it, only when a complex
 first needs the kernel, so that `import hopfdy` stays free of both.  The
 kernel runs the batch operations that `dycomplex` writes its stages
 against (insert the unit, coproduct at a slot, permute slots, slotwise
-product with a multiplier, signed sum) on int64 arrays, exactly: every
-product, rescaling and sum is checked against a bound below 2^63, and
-`Fallback` is raised where a check fails or the kernel does not apply, so
-that the stage runs on the Fraction path instead.
+product with a multiplier, signed sum) on the arrays of every Hopf algebra,
+exactly.  Its coefficients are int64, and every product, rescaling and sum
+is checked against a bound below 2^63; where a check fails it raises
+`Fallback`, and the stage reruns on the same kernel over Python integers
+(`big=True`: arrays of dtype object, no bound checks).
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import TensorElement, flatten_index, unflatten_index
+from .exactlin import TensorElement, flatten_index
 
 
 class Fallback(Exception):
-    """The int64 kernel cannot compute this exactly; use the Fraction path."""
+    """The int64 kernel cannot compute this exactly; rerun on Python integers."""
 
 
 LIMIT = 1 << 62  # every int64 the kernel forms, sums included, stays below this
@@ -34,47 +35,60 @@ Batch = namedtuple("Batch", "row flat coef den deg")
 
 
 class SlotKernel:
-    """Slotwise tensor arithmetic on int64 arrays of flat indices, exact by
-    bound checks.
+    """Slotwise tensor arithmetic on arrays of flat indices, exact by bound
+    checks (int64) or by Python integers (`big`).
 
     A product with a multiplier applies per-slot digit maps to whole arrays:
-    e_a e_b = cst[p] / mden * e_{tgt[p]} at p = a * nd + b, built once from
-    `fast_mult()` and scaled to integers by the lcm `mden` of the structure
-    constants; the coproduct and the unit are compiled the same way.
-    `combine` sums duplicate (row, flat index) keys with `np.unique` and
-    `np.add.at`.
+    e_a e_b = sum_j cst[j, p] / mden * e_{tgt[j, p]} at p = a * nd + b, built
+    once from the multiplication table, scaled to integers by the lcm
+    `mden` of the structure constants and zero-padded to the largest number
+    of terms; the coproduct is compiled the same way, and the unit as a
+    list of terms.  `combine` sums duplicate (row, flat index) keys with
+    `np.unique` and `np.add.at`.
 
-    Raises `Fallback` where it does not apply: a basis product with more
-    than one term, or an int64 bound that a product, a rescaling or a sum
-    would exceed.
+    The int64 kernel raises `Fallback` where a product, a rescaling or a sum
+    would exceed its bound.  Flat indices are int64 in both kernels and
+    always bound-checked.
     """
 
-    def __init__(self, H):
-        self.H, self.nd = H, H.dim
+    def __init__(self, H, big: bool = False):
+        self.H, self.nd, self.big = H, H.dim, big
+        self.dtype = object if big else np.int64
         nd = self.nd
-        prods = [(a, b, p) for a, row in enumerate(H.algebra.fast_mult())
-                 for b, p in enumerate(row) if p is not None]
-        if any(type(p) is not tuple for _, _, p in prods):
-            raise Fallback("a basis product has more than one term")
-        self.mden = _lcm(c.denominator for _, _, (_, c) in prods)
-        self.tgt = np.zeros(nd * nd, np.int64)   # at a * nd + b
-        self.cst = np.zeros(nd * nd, np.int64)
-        for a, b, (k, c) in prods:
-            self.tgt[a * nd + b] = k
-            self.cst[a * nd + b] = _scaled(c, self.mden)
+        mult = [(a * nd + b, list(v.items())) for (a, b), v in H.algebra.mult.items()]
+        self.mden = _lcm(c.denominator for _, t in mult for _, c in t)
+        self.tgt, self.cst = self._padded(nd * nd, mult, self.mden)
         self.cmax = _maxabs(self.cst)
-        terms = [list(H.comult[d].coeffs.items()) for d in range(nd)]
-        width = max(len(t) for t in terms)
-        self.dden = _lcm(c.denominator for t in terms for _, c in t)
-        self.dkey = np.zeros((width, nd), np.int64)  # flat index a * nd + b of term j
-        self.dcoef = np.zeros((width, nd), np.int64)
-        for d, t in enumerate(terms):
-            for j, ((a, b), c) in enumerate(t):
-                self.dkey[j, d] = a * nd + b
-                self.dcoef[j, d] = _scaled(c, self.dden)
+        comult = [(d, [(a * nd + b, c) for (a, b), c in H.comult[d].coeffs.items()])
+                  for d in range(nd)]
+        self.dden = _lcm(c.denominator for _, t in comult for _, c in t)
+        self.dkey, self.dcoef = self._padded(nd, comult, self.dden)
         self.uden = _lcm(c.denominator for c in H.unit.values())
-        self.unit = [(i, _scaled(c, self.uden)) for i, c in H.unit.items()]
+        self.unit = [(i, self._scaled(c, self.uden)) for i, c in H.unit.items()]
         self.compiled = {}  # multiplier key -> encoded batch, published write-once
+
+    def _padded(self, size: int, columns, den: int):
+        """(key, coef) arrays of shape (width, size): column p holds the
+        terms (k, c) of its entry in `columns`, c scaled by den, and zeros
+        past them."""
+        width = max([len(t) for _, t in columns] + [1])
+        key = np.zeros((width, size), np.int64)
+        coef = np.zeros((width, size), self.dtype)
+        for p, t in columns:
+            for j, (k, c) in enumerate(t):
+                key[j, p] = k
+                coef[j, p] = self._scaled(c, den)
+        return key, coef
+
+    def _scaled(self, c: Fraction, den: int) -> int:
+        v = int(c * den)
+        self._bound(abs(v))
+        return v
+
+    def _bound(self, bound: int):
+        """Refuse a coefficient bound the int64 kernel cannot hold."""
+        if not self.big and bound >= LIMIT:
+            raise Fallback("int64 bound exceeded")
 
     # -- batches ---------------------------------------------------------------
     def encode(self, tensors, s: int) -> Batch:
@@ -87,10 +101,9 @@ class SlotKernel:
                 vals.append(v)
         den = _lcm(v.denominator for v in vals)
         nums = [v.numerator * (den // v.denominator) for v in vals]
-        if nums and max(map(abs, nums)) >= LIMIT:
-            raise Fallback("coefficient beyond the int64 bound")
+        self._bound(max(map(abs, nums), default=0))
         return Batch(np.array(rows, np.int64), np.array(flats, np.int64),
-                      np.array(nums, np.int64), den, s)
+                     np.array(nums, self.dtype), den, s)
 
     def prepare(self, key, T: TensorElement) -> Batch:
         """T encoded once per key; published write-once like the caches of
@@ -113,7 +126,7 @@ class SlotKernel:
     def all_basis(self, s: int) -> Batch:
         _check(self.nd ** s)
         t = np.arange(self.nd ** s, dtype=np.int64)
-        return Batch(t, t, np.ones(t.size, np.int64), 1, s)
+        return Batch(t, t, np.ones(t.size, self.dtype), 1, s)
 
     def is_zero(self, x: Batch) -> bool:
         return not x.coef.size  # x comes from combine, which drops zero sums
@@ -144,14 +157,14 @@ class SlotKernel:
         return Batch(*(np.concatenate(a) for a in zip(*parts)), den, s)
 
     def insert_unit(self, x: Batch, slot: int) -> Batch:
-        _check(_maxabs(x.coef) * max(abs(c) for _, c in self.unit))
+        self._bound(_maxabs(x.coef) * max(abs(c) for _, c in self.unit))
         p = self.nd ** (x.deg - slot)
         high, low = x.flat // p * self.nd, x.flat % p
         parts = [(x.row, (high + i) * p + low, x.coef * c) for i, c in self.unit]
         return self._join(parts, x.den * self.uden, x.deg + 1)
 
     def coproduct(self, x: Batch, slot: int) -> Batch:
-        _check(_maxabs(x.coef) * _maxabs(self.dcoef))
+        self._bound(_maxabs(x.coef) * _maxabs(self.dcoef))
         nd, p = self.nd, self.nd ** (x.deg - 1 - slot)
         d, high, low = x.flat // p % nd, x.flat // (p * nd) * nd * nd, x.flat % p
         parts = []
@@ -169,25 +182,38 @@ class SlotKernel:
 
     def mul(self, x: Batch, M: Batch, left: bool) -> Batch:
         """M x (left) or x M, slot by slot, for every tensor of x: a term of
-        M and an entry of x give one entry, on (term, entry) arrays of at
-        most about 2^20 elements."""
-        s, nd = x.deg, self.nd
-        _check(_maxabs(x.coef) * _maxabs(M.coef) * self.cmax ** s)
+        M and an entry of x give one entry per term of each slot product, on
+        arrays of at most about 2^20 elements."""
+        s, nd, n, width = x.deg, self.nd, x.coef.size, self.tgt.shape[0]
+        self._bound(_maxabs(x.coef) * _maxabs(M.coef) * self.cmax ** s)
         xd, md = self._digits(x), self._digits(M)
         # flat digit-pair index a * nd + b of each slot product e_a e_b
         xd = [d[None, :] if left else d[None, :] * nd for d in xd]
         md = [d[:, None] * nd if left else d[:, None] for d in md]
-        step = max(1, (1 << 20) // max(1, x.coef.size))
+        step = max(1, (1 << 20) // max(1, n * width ** s))
+        cst, tgt = (self.cst[0], self.tgt[0]) if width == 1 else (self.cst, self.tgt)
         parts = [(x.row[:0], x.flat[:0], x.coef[:0])]
         for lo in range(0, M.coef.size, step):
             coef = M.coef[lo:lo + step, None] * x.coef[None, :]
             flat = np.zeros(coef.shape, np.int64)
+            src = None  # (M term, x entry) position of each entry, once terms expand
             for a, b in zip(md, xd):
                 pair = a[lo:lo + step] + b
-                coef = coef * self.cst[pair]
-                flat = flat * nd + self.tgt[pair]
-            keep = coef != 0
-            parts.append((np.broadcast_to(x.row, keep.shape)[keep], flat[keep], coef[keep]))
+                if width == 1:
+                    coef = coef * cst[pair]
+                    flat = flat * nd + tgt[pair]
+                    continue
+                # one entry per nonzero term of each slot product
+                pair = pair.ravel() if src is None else pair.ravel()[src]
+                term, e = np.nonzero(cst[:, pair])
+                pair, src = pair[e], e if src is None else src[e]
+                coef = coef.ravel()[e] * cst[term, pair]
+                flat = flat.ravel()[e] * nd + tgt[term, pair]
+            if src is None:
+                keep = coef != 0
+                parts.append((np.broadcast_to(x.row, keep.shape)[keep], flat[keep], coef[keep]))
+            else:
+                parts.append((x.row[src % n], flat, coef))
         return self._join(parts, x.den * M.den * self.mden ** s, s)
 
     def combine(self, parts) -> Batch:
@@ -197,14 +223,14 @@ class SlotKernel:
         scaled = []
         for x, sign in parts:
             f = sign * (den // x.den)
-            _check(_maxabs(x.coef) * abs(f))
+            self._bound(_maxabs(x.coef) * abs(f))
             scaled.append((x.row, x.flat, x.coef * f))
         x = self._join(scaled, den, parts[0][0].deg)
         amb = self.nd ** x.deg
-        _check(_maxabs(x.coef) * x.coef.size)
+        self._bound(_maxabs(x.coef) * x.coef.size)
         _check((int(x.row.max()) + 1 if x.row.size else 0) * amb)
         keys, inverse = np.unique(x.row * amb + x.flat, return_inverse=True)
-        coef = np.zeros(keys.size, np.int64)
+        coef = np.zeros(keys.size, self.dtype)
         np.add.at(coef, inverse, x.coef)
         keys, coef = keys[coef != 0], coef[coef != 0]
         g = math.gcd(int(np.gcd.reduce(coef)) if coef.size else 0, den)
@@ -218,16 +244,10 @@ def _lcm(denominators) -> int:
     return math.lcm(1, *set(denominators))
 
 
-def _scaled(c: Fraction, den: int) -> int:
-    v = int(c * den)
-    if abs(v) >= LIMIT:
-        raise Fallback("structure constant beyond the int64 bound")
-    return v
-
-
 def _check(bound: int):
+    """Refuse a flat index (or row-scaled index) beyond the int64 bound."""
     if bound >= LIMIT:
-        raise Fallback("int64 bound exceeded")
+        raise Fallback("int64 index bound exceeded")
 
 
 def _maxabs(a) -> int:

@@ -19,7 +19,7 @@ from hopfdy.dycomplex import (cocycle_from_tangent, decompose_h2_tensor,
 from hopfdy.exactlin import rank_of_vectors, unit_tensor
 from hopfdy.hopfcore import (bk_inclusion, build_bk, build_cyclic, dual_hopf,
                              tensor_hopf, verify_hopf)
-from hopfdy.relext import (adjunction_crosscheck_tensor, get_resolution,
+from hopfdy.relext import (ResolventPair, adjunction_crosscheck_tensor, get_resolution,
                            kunneth_check, pair_from_double, relative_ext_dims,
                            tensor_pair, trivial_module_over, verify_resolution)
 from hopfdy.rmatrix import (bk_standard_tangent_basis, bk_r0, bk_r_lambda,
@@ -287,9 +287,9 @@ def test_criterion_15_resolution_independence(D1, D2, R1, W_res_b2_b1):
     cov8 = relative_ext_dims(p2, k2, W_res_b2_b1, 3, kind="cover")
     assert bar8 == cov8 == [1, 0, 3, 0]
     for kind in ("bar", "cover"):
-        for use_free in (True, False):
-            res = get_resolution(p2, k2, kind, 3, use_free)
-            assert verify_resolution(res) == [], (kind, use_free)
+        for pair in (p2, ResolventPair(p2.big, p2.small, p2.inclusion)):  # free, quotient
+            res = get_resolution(pair, k2, kind, 3)
+            assert verify_resolution(res) == [], (kind, pair.free_basis is not None)
 
     # criterion 9 instance: the tensor-square pair with the H* coefficient
     R, Rinv = R1
@@ -303,9 +303,9 @@ def test_criterion_15_resolution_independence(D1, D2, R1, W_res_b2_b1):
     assert bar9 == cov9
     assert bar9[2] == 3
     for kind in ("bar", "cover"):
-        for use_free in (True, False):
-            res = get_resolution(psq, ksq, kind, 2, use_free)
-            assert verify_resolution(res) == [], (kind, use_free)
+        for pair in (psq, ResolventPair(psq.big, psq.small, psq.inclusion)):
+            res = get_resolution(pair, ksq, kind, 2)
+            assert verify_resolution(res) == [], (kind, pair.free_basis is not None)
 
 
 def _sq_counit(D):

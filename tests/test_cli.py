@@ -182,6 +182,21 @@ class TestTangentCommand:
         assert code == 3
         assert rep["results"]["check"]["verified"] is False
 
+    @pytest.mark.parametrize("argv,data,named", [
+        (["rmatrix", "check", "bk:1", "--rmatrix"], [[[0, 9], "1"]], "index 9"),
+        (["rmatrix", "check", "bk:1", "--rmatrix"], [[[0, 0, 0], "1"]], "[[0, 0, 0], '1']"),
+        (["rmatrix", "check", "bk:1", "--rmatrix"], [[[0, 0], "x"]], "'x'"),
+        (["rmatrix", "check", "bk:2", "--lambda"], [["1", "2"]], "2x2"),
+        (["dy", "tensor", "bk:1", "--degree", "1", "--rmatrix"], [[[0, 9], "1"]], "index 9"),
+    ], ids=["index-high", "key-length", "value-not-rational", "lambda-1x2", "dy-index-high"])
+    def test_malformed_r_file_exit_3(self, capsys, tmp_path, argv, data, named):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        code = main(argv + [str(path)])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert named in err
+
 
 class TestRelextCommand:
     def test_trivial_coefficients(self, capsys):

@@ -199,37 +199,6 @@ def _delta_hh_block(H, u, block):
 
 
 class TestVectorCheckerFallback:
-    def test_same_answer_without_numpy(self):
-        # the int64 slot kernel is an accelerator only; blocking numpy must
-        # leave every dimension unchanged through the Fraction path
-        import subprocess
-        import sys
-        code = (
-            "import sys\n"
-            "class Block:\n"
-            "    def find_module(self, name, path=None):\n"
-            "        if name == 'numpy': return self\n"
-            "    def load_module(self, name):\n"
-            "        raise ImportError('blocked')\n"
-            "sys.meta_path.insert(0, Block())\n"
-            "from hopfdy.hopfcore import build_bk\n"
-            "from hopfdy.rmatrix import bk_r0, check_rmatrix\n"
-            "from hopfdy.dycomplex import tensor_complex\n"
-            "H = build_bk(1)\n"
-            "rep = check_rmatrix(H, bk_r0(1, H))\n"
-            "cx = tensor_complex(H, bk_r0(1, H), rep.inverse)\n"
-            "assert cx._slot_kernel() is None\n"
-            "assert cx.cohomology_dim(2) == 3\n"
-            "assert 'numpy' not in sys.modules\n"
-            "assert {'cochain_basis', 'differential_images'} <= set(cx.fallbacks)\n"
-            "print('ok')\n"
-        )
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "ok"
-
-
     def test_import_hopfdy_leaves_numpy_unimported(self):
         # numpy and the kernel module load at the first kernel use only
         import subprocess
@@ -478,67 +447,7 @@ def _mod_span(vec, span_rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# the int64 slot kernel against the Fraction path
-
-_BK = {1: build_bk(1), 2: build_bk(2)}
-
-
-def _kernel_product(K, u, M, left):
-    """M u (left) or u M through the kernel, or None where it falls back."""
-    try:
-        x = K.mul(K.encode([u], u.degree), K.encode([M], M.degree), left)
-        return K.decode(K.combine([(x, 1)]), 1)[0].coeffs
-    except Fallback:
-        return None
-
-
-def _tensors(nd, s, big):
-    """Random rational tensors of degree s.  Small values have denominators
-    up to 12, so every scaled product and sum stays far below 2^62; `big`
-    values exceed 2^34."""
-    num = st.integers(2 ** 40, 2 ** 70) if big else st.integers(-99, 99)
-    coef = st.builds(Fraction, num, st.integers(1, 12 if not big else 60))
-    key = st.tuples(*[st.integers(0, nd - 1)] * s)
-    return st.dictionaries(key, coef, min_size=1, max_size=8)
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), k=st.sampled_from([1, 2]), s=st.integers(1, 3),
-       left=st.booleans(), big=st.booleans())
-def test_kernel_products_match_slotwise_mul_into(data, k, s, left, big):
-    H = _BK[k]
-    A = H.algebra
-    u = TensorElement(A, s, data.draw(_tensors(H.dim, s, big)))
-    M = TensorElement(A, s, data.draw(_tensors(H.dim, s, big)))
-    want: dict = {}
-    slotwise_mul_into(A.fast_mult(), *((M.coeffs, u.coeffs) if left else (u.coeffs, M.coeffs)),
-                      want)
-    got = _kernel_product(identity_complex(H)._slot_kernel(), u, M, left)
-    if big:
-        # values of both factors exceed 2^34, so every product is over
-        # the int64 bound: the kernel must refuse rather than wrap
-        assert got is None
-    else:
-        assert got == {key: v for key, v in want.items() if v}
-
-
-def test_containment_falls_back_beyond_int64():
-    H = build_bk(1)
-    cx = tensor_complex(H, bk_r0(1, H))
-    z = cx.cochain_basis(2)[0].scale(2 ** 70)
-    assert cx.in_cochain_space(2, z)
-    assert not cx.in_cochain_space(2, z.add(unit_tensor(H.algebra, 4)))
-    assert cx.fallbacks == ["containment", "containment"]
-
-
-def test_kernel_images_match_delta_raw(idB1, txB1, resB2B1):
-    lam = tensor_complex(build_bk(1), bk_r_lambda(1, [[Fraction(37, 41)]]))
-    for cx, tops in ((idB1, 3), (txB1, 2), (resB2B1, 2), (lam, 2)):
-        for n in range(tops + 1):
-            assert cx.differential_images(n) == \
-                [cx.delta_raw(n, u) for u in cx.cochain_basis(n)]
-        assert cx.fallbacks == []
-
+# the slot kernel against the Fraction path
 
 def _basis_changed(H, N):
     """H in the basis f_i = sum_k P[k][i] e_k, P = 1 + N, N nilpotent."""
@@ -570,21 +479,95 @@ def _basis_changed(H, N):
     return HopfAlgebra(B, comult, counit, antipode, name="B_1 in another basis"), transport
 
 
-def test_fraction_fallback_on_multi_term_products():
+F2 = {(0, 2): HALF}  # f_2 = g + 1/2
+F3 = {(1, 3): HALF}  # f_3 = xg + x/2
+
+
+def _b1_in_basis(N):
+    return _basis_changed(build_bk(1), SparseMatrix(4, 4, N))
+
+
+# identity complexes, for their kernels; f3 has basis products with two terms
+_CX = {k: identity_complex(H) for k, H in
+       (("bk:1", build_bk(1)), ("bk:2", build_bk(2)), ("f3", _b1_in_basis(F3)[0]))}
+
+
+def _kernel_product(K, u, M, left):
+    """M u (left) or u M through the kernel K, or None where it falls back."""
+    try:
+        x = K.mul(K.encode([u], u.degree), K.encode([M], M.degree), left)
+        return K.decode(K.combine([(x, 1)]), 1)[0].coeffs
+    except Fallback:
+        return None
+
+
+def _tensors(nd, s, big):
+    """Random rational tensors of degree s.  Small values have denominators
+    up to 12, so every scaled product and sum stays far below 2^62; `big`
+    values exceed 2^34."""
+    num = st.integers(2 ** 40, 2 ** 70) if big else st.integers(-99, 99)
+    coef = st.builds(Fraction, num, st.integers(1, 12 if not big else 60))
+    key = st.tuples(*[st.integers(0, nd - 1)] * s)
+    return st.dictionaries(key, coef, min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), k=st.sampled_from(sorted(_CX)), s=st.integers(1, 3),
+       left=st.booleans(), big=st.booleans())
+def test_kernel_products_match_slotwise_mul_into(data, k, s, left, big):
+    cx = _CX[k]
+    A = cx.H.algebra
+    u = TensorElement(A, s, data.draw(_tensors(A.dim, s, big)))
+    M = TensorElement(A, s, data.draw(_tensors(A.dim, s, big)))
+    want: dict = {}
+    slotwise_mul_into(A.fast_mult(), *((M.coeffs, u.coeffs) if left else (u.coeffs, M.coeffs)),
+                      want)
+    want = {key: v for key, v in want.items() if v}
+    got = _kernel_product(cx._slot_kernel(), u, M, left)
+    if big:
+        # values of both factors exceed 2^34, so every product is over
+        # the int64 bound: the int64 kernel must refuse rather than wrap
+        assert got is None
+    else:
+        assert got == want
+    assert _kernel_product(cx._slot_kernel(big=True), u, M, left) == want
+
+
+def test_containment_falls_back_beyond_int64():
     H = build_bk(1)
-    # f_3 = xg + x/2: x g = f_3 - f_1/2 and three more products get two terms
-    Hb, transport = _basis_changed(H, SparseMatrix(4, 4, {(1, 3): Fraction(1, 2)}))
-    assert verify_hopf(Hb) == []
-    tab = Hb.algebra.fast_mult()
-    assert any(isinstance(p, dict) for row in tab for p in row)  # multi-term products
-    R = transport(bk_r0(1, H))
-    assert check_rmatrix(Hb, R).verified
-    idc, txc = identity_complex(Hb), tensor_complex(Hb, R)
-    assert idc.cohomology_dim(2) == 1
-    assert txc.cohomology_dim(2) == 3
-    for cx in (idc, txc):
-        assert cx._slot_kernel() is None
-        assert {"cochain_basis", "differential_images"} <= set(cx.fallbacks)
+    cx = tensor_complex(H, bk_r0(1, H))
+    z = cx.cochain_basis(2)[0].scale(2 ** 70)
+    assert cx.in_cochain_space(2, z)
+    assert not cx.in_cochain_space(2, z.add(unit_tensor(H.algebra, 4)))
+    assert cx.fallbacks == ["containment", "containment"]
+
+
+def test_kernel_images_match_delta_raw(idB1, txB1, resB2B1):
+    lam = tensor_complex(build_bk(1), bk_r_lambda(1, [[Fraction(37, 41)]]))
+    for cx, tops in ((idB1, 3), (txB1, 2), (resB2B1, 2), (lam, 2)):
+        for n in range(tops + 1):
+            assert cx.differential_images(n) == \
+                [cx.delta_raw(n, u) for u in cx.cochain_basis(n)]
+        assert cx.fallbacks == []
+
+
+def test_kernel_on_multi_term_products():
+    H = build_bk(1)
+    for N in (F2, F3):
+        Hb, transport = _b1_in_basis(N)
+        assert verify_hopf(Hb) == []
+        tab = Hb.algebra.fast_mult()
+        assert any(isinstance(p, dict) for row in tab for p in row)  # multi-term products
+        R = transport(bk_r0(1, H))
+        assert check_rmatrix(Hb, R).verified
+        idc, txc = identity_complex(Hb), tensor_complex(Hb, R)
+        assert idc.cohomology_dim(2) == 1
+        assert txc.cohomology_dim(2) == 3
+        for cx in (idc, txc):
+            for n in (0, 1):
+                assert cx.differential_images(n) == \
+                    [cx.delta_raw(n, u) for u in cx.cochain_basis(n)]
+            assert cx.fallbacks == []
 
 
 def test_shared_complex_is_thread_safe():

@@ -4,7 +4,10 @@ Each file in tests/golden/ is the exact stdout of one CLI command.  A
 refactor must leave these reports unchanged; a change that alters a report
 on purpose (a new flag or counter, say) regenerates the file with
 
-    PYTHONPATH=src python -m hopfdy.cli <argv> > tests/golden/<name>.json
+    cd tests && PYTHONPATH=../src python -m hopfdy.cli <argv> > golden/<name>.json
+
+Commands run from the tests directory, so that the paths of input files,
+which a report records, are the relative ones below.
 """
 
 from pathlib import Path
@@ -13,8 +16,9 @@ import pytest
 
 from hopfdy.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
-LAMBDA = str(Path(__file__).parent / "data" / "lambda_37_41.json")  # [["37/41"]]
+TESTS = Path(__file__).parent
+GOLDEN = TESTS / "golden"
+LAMBDA = "data/lambda_37_41.json"  # [["37/41"]]
 
 CASES = {
     "verify_bk_2": ["verify", "bk:2"],
@@ -41,11 +45,17 @@ CASES = {
     "dy_tensor_bk_1_lambda_37_41_degree_2": [
         "dy", "tensor", "bk:1", "--lambda", LAMBDA, "--degree", "2"],
     "dy_id_bk_2_degree_3": ["dy", "id", "bk:2", "--degree", "3"],
+    # B_1 in the basis f_3 = xg + x/2, whose basis products can have two
+    # terms, with R_0 carried over to that basis
+    "dy_tensor_bk_1_basis_f3_r0_degree_2": [
+        "dy", "tensor", "data/bk_1_basis_f3.json", "--rmatrix", "data/bk_1_basis_f3_r0.json",
+        "--degree", "2"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(capsys, name):
+def test_report_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.chdir(TESTS)
     code = main(CASES[name])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / (name + ".json")).read_text()

@@ -34,6 +34,17 @@ def P1(D1):
 
 
 @pytest.fixture(scope="module")
+def Q1(P1):
+    return quotient_pair(P1)
+
+
+def quotient_pair(pair):
+    """The same inclusion without its free basis, so induction builds
+    quotient terms."""
+    return ResolventPair(pair.big, pair.small, pair.inclusion)
+
+
+@pytest.fixture(scope="module")
 def k1(D1):
     return trivial_over(D1)
 
@@ -49,12 +60,12 @@ class TestResolutions:
         assert res.kernel_modules[1].dim == 3  # ker(counit) inside P_0
 
     @pytest.mark.parametrize("use_free", [True, False], ids=["free", "quotient"])
-    def test_bar_verifies(self, P1, k1, use_free):
-        assert verify_resolution(get_resolution(P1, k1, "bar", 2, use_free)) == []
+    def test_bar_verifies(self, P1, Q1, k1, use_free):
+        assert verify_resolution(get_resolution(P1 if use_free else Q1, k1, "bar", 2)) == []
 
     @pytest.mark.parametrize("use_free", [True, False], ids=["free", "quotient"])
-    def test_cover_verifies(self, P1, k1, use_free):
-        assert verify_resolution(get_resolution(P1, k1, "cover", 2, use_free)) == []
+    def test_cover_verifies(self, P1, Q1, k1, use_free):
+        assert verify_resolution(get_resolution(P1 if use_free else Q1, k1, "cover", 2)) == []
 
     @pytest.mark.parametrize("kind", ["bar", "cover"])
     def test_verifier_sees_a_corrupted_differential(self, P1, k1, kind):
@@ -86,11 +97,12 @@ class TestResolutions:
         res = get_resolution(P1, k1, "bar", 2)
         assert res.diffs[0].matmul(res.diffs[1]).is_zero()
 
-    def test_quotient_mode_matches_free_mode(self, P1, k1):
-        dims_free = relative_ext_dims(P1, k1, k1, 2, kind="bar", use_free=True)
-        dims_quot = relative_ext_dims(P1, k1, k1, 2, kind="bar", use_free=False)
+    def test_quotient_mode_matches_free_mode(self, P1, Q1, k1):
+        dims_free = relative_ext_dims(P1, k1, k1, 2, kind="bar")
+        dims_quot = relative_ext_dims(Q1, k1, k1, 2, kind="bar")
         assert dims_free == dims_quot
-        res_q = get_resolution(P1, k1, "bar", 2, use_free=False)
+        res_q = get_resolution(Q1, k1, "bar", 2)
+        assert all(t.mode == "quotient" for t in res_q.terms)
         assert [t.dim for t in res_q.terms] == [4, 16, 64]
 
     def test_relatively_projective_target_truncates(self, P1, k1):
@@ -167,11 +179,11 @@ def test_kernel_dim_top_against_composites_on_next_term(k, coeff, kind, use_free
     """dim ker delta^n from image generators in P_n equals dim C^n minus the
     dense rank of {f o d_{n+1}} on the materialized P_{n+1}."""
     D = drinfeld_double(build_bk(k))
-    p = pair_from_double(D)
+    p = pair_from_double(D) if use_free else quotient_pair(pair_from_double(D))
     V = trivial_module_over(D)
     W = V if coeff == "trivial" else coeff_restriction(D, bk_inclusion(1, 1),
                                                        build_bk(1)).module
-    res = get_resolution(p, V, kind, 3, use_free)
+    res = get_resolution(p, V, kind, 3)
     ext = ExtComputation(res, W)
     for n in range(3):
         images = [f.matmul(res.diffs[n + 1]).entries for f in ext.cochain_basis(n)]
