@@ -13,7 +13,8 @@ A Hopf file looks like
       "antipode": [[i, j, "p/q"], ...]      # coeff of e_i in S(e_j)
     }
 
-Rationals travel as exact "p/q" strings.  Sparse tensor elements serialize
+Rationals travel as exact "p/q" strings (JSON integers are read too;
+floats are refused, since their binary value is not the decimal written).  Sparse tensor elements serialize
 as [[indices...], "p/q"] pairs sorted lexicographically.  Loading verifies
 every Hopf axiom and rejects the file with the violation report otherwise.
 """
@@ -48,12 +49,13 @@ def tensor_to_json(u: TensorElement) -> list:
 
 
 def parse_rational(value, where: str) -> Fraction:
-    """A JSON number or "p/q" string as a Fraction; HopfFileError naming
-    `where` when it is none."""
-    if not isinstance(value, bool):
+    """A JSON integer or "p/q" string as a Fraction; HopfFileError naming
+    `where` when it is neither (a float, whose binary value is not the
+    decimal it was written as, included)."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
         try:
             return fr(value)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):
             pass
     raise HopfFileError("%s: %r is not a rational number" % (where, value))
 
@@ -116,7 +118,7 @@ def _entries(data: dict, field: str, dim: int):
     for entry in data[field]:
         *idx, v = entry
         _check_indices(idx, dim, field, entry)
-        yield (*idx, fr(v))
+        yield (*idx, parse_rational(v, "%s entry %r" % (field, entry)))
 
 
 def hopf_from_json(data: dict, name="file") -> HopfAlgebra:

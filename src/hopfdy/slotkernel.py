@@ -8,7 +8,9 @@ product with a multiplier, signed sum) on the arrays of every Hopf algebra,
 exactly.  Its coefficients are int64, and every product, rescaling and sum
 is checked against a bound below 2^63; where a check fails it raises
 `Fallback`, and the stage reruns on the same kernel over Python integers
-(`big=True`: arrays of dtype object, no bound checks).
+(`big=True`: arrays of dtype object, no bound checks).  Flat indices are
+int64 in both; an ambient too large for them is refused with
+`UnsupportedDegreeError`, which no rerun would mend.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dycomplex import UnsupportedDegreeError
 from .exactlin import TensorElement, flatten_index
 
 
@@ -47,8 +50,8 @@ class SlotKernel:
     `np.unique` and `np.add.at`.
 
     The int64 kernel raises `Fallback` where a product, a rescaling or a sum
-    would exceed its bound.  Flat indices are int64 in both kernels and
-    always bound-checked.
+    would exceed its bound.  Flat indices are int64 in both kernels; where
+    one would exceed the bound, both raise `UnsupportedDegreeError`.
     """
 
     def __init__(self, H, big: bool = False):
@@ -191,29 +194,19 @@ class SlotKernel:
         xd = [d[None, :] if left else d[None, :] * nd for d in xd]
         md = [d[:, None] * nd if left else d[:, None] for d in md]
         step = max(1, (1 << 20) // max(1, n * width ** s))
-        cst, tgt = (self.cst[0], self.tgt[0]) if width == 1 else (self.cst, self.tgt)
         parts = [(x.row[:0], x.flat[:0], x.coef[:0])]
         for lo in range(0, M.coef.size, step):
-            coef = M.coef[lo:lo + step, None] * x.coef[None, :]
-            flat = np.zeros(coef.shape, np.int64)
-            src = None  # (M term, x entry) position of each entry, once terms expand
+            coef = (M.coef[lo:lo + step, None] * x.coef[None, :]).ravel()
+            flat = np.zeros(coef.size, np.int64)
+            src = np.arange(coef.size)  # (M term, x entry) position of each entry
             for a, b in zip(md, xd):
-                pair = a[lo:lo + step] + b
-                if width == 1:
-                    coef = coef * cst[pair]
-                    flat = flat * nd + tgt[pair]
-                    continue
                 # one entry per nonzero term of each slot product
-                pair = pair.ravel() if src is None else pair.ravel()[src]
-                term, e = np.nonzero(cst[:, pair])
-                pair, src = pair[e], e if src is None else src[e]
-                coef = coef.ravel()[e] * cst[term, pair]
-                flat = flat.ravel()[e] * nd + tgt[term, pair]
-            if src is None:
-                keep = coef != 0
-                parts.append((np.broadcast_to(x.row, keep.shape)[keep], flat[keep], coef[keep]))
-            else:
-                parts.append((x.row[src % n], flat, coef))
+                pair = (a[lo:lo + step] + b).ravel()[src]
+                term, e = np.nonzero(self.cst[:, pair])
+                pair, src = pair[e], src[e]
+                coef = coef[e] * self.cst[term, pair]
+                flat = flat[e] * nd + self.tgt[term, pair]
+            parts.append((x.row[src % n], flat, coef))
         return self._join(parts, x.den * M.den * self.mden ** s, s)
 
     def combine(self, parts) -> Batch:
@@ -247,7 +240,8 @@ def _lcm(denominators) -> int:
 def _check(bound: int):
     """Refuse a flat index (or row-scaled index) beyond the int64 bound."""
     if bound >= LIMIT:
-        raise Fallback("int64 index bound exceeded")
+        raise UnsupportedDegreeError("ambient too large: flat index bound %d "
+                                     "is not below 2^62" % bound)
 
 
 def _maxabs(a) -> int:

@@ -35,6 +35,7 @@ class TestVerifyCommand:
         ("unit", [7, "1"], None),
         ("counit", [-1, "1"], None),
         ("antipode", [0, 4, "1"], None),
+        ("counit", [0, 1.0], None),  # the right value, but as a float
         ("dim", None, 4.9),
         ("dim", None, "4"),
         ("dim", None, True),
@@ -44,7 +45,7 @@ class TestVerifyCommand:
         ("basis_labels", None, "abcd"),
     ], ids=["antipode-identity", "mult-i-neg", "mult-i-high", "mult-k-high",
             "comult-k-high", "unit-high", "counit-neg", "antipode-col-high",
-            "dim-float", "dim-string", "dim-bool", "dim-zero", "labels-short",
+            "counit-float", "dim-float", "dim-string", "dim-bool", "dim-zero", "labels-short",
             "labels-non-string", "labels-not-list"])
     def test_corrupted_file_exit_2_named_axiom(self, capsys, tmp_path, field, extra,
                                                value):
@@ -187,8 +188,11 @@ class TestTangentCommand:
         (["rmatrix", "check", "bk:1", "--rmatrix"], [[[0, 0, 0], "1"]], "[[0, 0, 0], '1']"),
         (["rmatrix", "check", "bk:1", "--rmatrix"], [[[0, 0], "x"]], "'x'"),
         (["rmatrix", "check", "bk:2", "--lambda"], [["1", "2"]], "2x2"),
+        (["rmatrix", "check", "bk:1", "--rmatrix"], [[[0, 0], float("inf")]], "inf"),
+        (["rmatrix", "family", "bk:1", "--lambda"], [[0.1]], "0.1"),
         (["dy", "tensor", "bk:1", "--degree", "1", "--rmatrix"], [[[0, 9], "1"]], "index 9"),
-    ], ids=["index-high", "key-length", "value-not-rational", "lambda-1x2", "dy-index-high"])
+    ], ids=["index-high", "key-length", "value-not-rational", "lambda-1x2", "value-infinity",
+            "lambda-float", "dy-index-high"])
     def test_malformed_r_file_exit_3(self, capsys, tmp_path, argv, data, named):
         path = tmp_path / "r.json"
         path.write_text(json.dumps(data))

@@ -542,6 +542,18 @@ def test_containment_falls_back_beyond_int64():
     assert cx.fallbacks == ["containment", "containment"]
 
 
+def test_index_bound_is_refused_not_rerun():
+    # 4^31 = 2^62 flat indices: both kernels refuse them, and the stage is
+    # not rerun, since Python-int coefficients keep int64 flat indices
+    cx = identity_complex(build_bk(1))
+    for big in (False, True):
+        with pytest.raises(UnsupportedDegreeError, match="ambient too large"):
+            cx._slot_kernel(big).all_basis(31)
+    with pytest.raises(UnsupportedDegreeError, match="ambient too large"):
+        cx._run("cochain_basis", lambda K: K.all_basis(31))
+    assert cx.fallbacks == []
+
+
 def test_kernel_images_match_delta_raw(idB1, txB1, resB2B1):
     lam = tensor_complex(build_bk(1), bk_r_lambda(1, [[Fraction(37, 41)]]))
     for cx, tops in ((idB1, 3), (txB1, 2), (resB2B1, 2), (lam, 2)):
