@@ -22,11 +22,8 @@ class Algebra:
     mult[(i, j)] is the sparse vector of e_i * e_j; missing keys mean zero
     product.  `generators`, when set, is a list of sparse VECTORS whose
     products (together with the unit) span the algebra; the span property is
-    certified by `check_generators_span`.  Verifiers may then replace
-    full-basis pair/triple checks by generator-level ones: identities such
-    as associativity or multiplicativity of a coproduct are linear in each
-    slot and stable under left multiplication by verified generators, so
-    they propagate from generators to the whole algebra.
+    certified by `check_generators_span`, and multiplicative checks then
+    quantify over the generators alone (`check_elements`).
     """
 
     def __init__(self, dim, labels, mult, unit, generators=None, name=""):
@@ -112,35 +109,29 @@ def check_generators_span(A: Algebra) -> bool:
     return A._gen_span_ok
 
 
-def _gens_usable(A: Algebra) -> bool:
-    return A.generators is not None and check_generators_span(A)
+def check_elements(A: Algebra) -> list:
+    """The elements a multiplicative check quantifies over, as (vector, name)
+    pairs: the generators ("gen<k>") when `check_generators_span` certifies
+    them, else every basis element with its label.  Generators suffice for
+    an identity whose solutions form a subalgebra: a subalgebra holding
+    the generators holds all their products, which span A."""
+    if check_generators_span(A):
+        return [(g, "gen%d" % k) for k, g in enumerate(A.generators)]
+    return [({i: FR1}, A.labels[i]) for i in range(A.dim)]
 
 
-def verify_algebra(A: Algebra, level: str = "auto") -> list:
-    """Check associativity on basis triples and the unit laws.
-
-    level "full" checks every triple; "gens" checks (generator, basis, basis)
-    triples with generator vectors, which certifies full associativity: the
-    set of a with (a b) c = a (b c) for all b, c is a subspace closed under
-    left multiplication by verified generators, and generator products span.
-    "auto" picks "full" for small algebras.
-    """
+def verify_algebra(A: Algebra) -> list:
+    """Check the unit laws on every basis element and associativity on the
+    triples (a, e_j, e_k), a from `check_elements(A)`: the a with
+    (a b) c = a (b c) for all b, c form a subalgebra."""
     report = []
-    if level == "auto":
-        level = "full" if A.dim <= 32 or not _gens_usable(A) else "gens"
-    if level == "gens" and not _gens_usable(A):
-        level = "full"
     for i in range(A.dim):
         e = {i: FR1}
         if not vec_eq(A.mul_vec(A.unit, e), e):
             report.append("unit law fails: 1*e_%d != e_%d (%s)" % (i, i, A.labels[i]))
         if not vec_eq(A.mul_vec(e, A.unit), e):
             report.append("unit law fails: e_%d*1 != e_%d (%s)" % (i, i, A.labels[i]))
-    if level == "full":
-        firsts = [({i: FR1}, A.labels[i]) for i in range(A.dim)]
-    else:
-        firsts = [(g, "gen%d" % k) for k, g in enumerate(A.generators)]
-    for a, aname in firsts:
+    for a, aname in check_elements(A):
         for j in range(A.dim):
             prod_aj = A.mul_vec(a, {j: FR1})
             for k in range(A.dim):
@@ -172,17 +163,20 @@ class AlgebraMap:
         return out
 
     def verify(self) -> list:
+        """Check that the unit is preserved and f(a e_j) = f(a) f(e_j) for a
+        from `check_elements(source)`: the a with f(a b) = f(a) f(b) for
+        all b form a subalgebra."""
         report = []
         if not vec_eq(self.apply(self.source.unit), self.target.unit):
             report.append("unit not preserved")
-        for i in range(self.source.dim):
-            fi = self.columns[i]
+        for a, aname in check_elements(self.source):
+            fa = self.apply(a)
             for j in range(self.source.dim):
-                lhs = self.apply(self.source.mul_basis(i, j))
-                rhs = self.target.mul_vec(fi, self.columns[j])
+                lhs = self.apply(self.source.mul_vec(a, {j: FR1}))
+                rhs = self.target.mul_vec(fa, self.columns[j])
                 if not vec_eq(lhs, rhs):
                     report.append("product not preserved on (%s, %s)"
-                                  % (self.source.labels[i], self.source.labels[j]))
+                                  % (aname, self.source.labels[j]))
         return report
 
 
@@ -230,28 +224,15 @@ class ModuleRep:
         return "ModuleRep(%s over %s)" % (self.name, self.algebra.name)
 
 
-def verify_module(M: ModuleRep, level: str = "auto") -> list:
-    """Check rho(1) = id and rho(e_i) rho(e_j) = rho(e_i e_j).
-
-    "gens" restricts the first factor to generator vectors (sufficient: the
-    set of a with rho(a b) = rho(a) rho(b) for all b is a subspace closed
-    under verified generators, and generator products span the algebra).
-    """
+def verify_module(M: ModuleRep) -> list:
+    """Check rho(1) = id and rho(a) rho(e_j) = rho(a e_j) for a from
+    `check_elements(M.algebra)`: the a with rho(a b) = rho(a) rho(b) for
+    all b form a subalgebra."""
     A = M.algebra
     report = []
-    if level == "auto":
-        level = "full" if (A.dim * A.dim * M.dim <= 300000 or not _gens_usable(A)) else "gens"
-    if level == "gens" and not _gens_usable(A):
-        level = "full"
-    ident = SparseMatrix.identity(M.dim)
-    rho_unit = _act_matrix(M, A.unit)
-    if rho_unit != ident:
+    if _act_matrix(M, A.unit) != SparseMatrix.identity(M.dim):
         report.append("rho(1) != id")
-    if level == "full":
-        firsts = [({i: FR1}, A.labels[i]) for i in range(A.dim)]
-    else:
-        firsts = [(g, "gen%d" % k) for k, g in enumerate(A.generators)]
-    for a, aname in firsts:
+    for a, aname in check_elements(A):
         ma = _act_matrix(M, a)
         for j in range(A.dim):
             lhs = ma.matmul(M.action(j))
@@ -533,13 +514,9 @@ def induced_module(imap: AlgebraMap, V: ModuleRep, free_basis=None, name="") -> 
 
     nv = V.dim
     ncols = A.dim * nv
-    if _gens_usable(B):
-        bgens = list(B.generators)
-    else:
-        bgens = [{j: FR1} for j in range(B.dim)]
     # pivot preference: high flat index first, so low-index columns survive
     ech = Echelon(ncols, key=lambda c: -c)
-    for b in bgens:
+    for b, _ in check_elements(B):
         ib = imap.apply(b)
         bact = [V.act(b, {v_idx: FR1}) for v_idx in range(nv)]
         for a in range(A.dim):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .algcore import Algebra, AlgebraMap, ModuleRep, _act_matrix, verify_module
 from .exactlin import (FR0, FR1, Echelon, SparseMatrix, TensorElement,
-                       kernel_basis, vec_addmul, vec_eq)
+                       kernel_basis, vec_addmul)
 from .hopfcore import HopfAlgebra, HopfError, bk_dual_generators, dual_hopf, verify_hopf
 
 
@@ -70,14 +70,14 @@ class DoubleAlgebra:
         return "DoubleAlgebra(D(%s), dim=%d)" % (self.base.name, self.dim)
 
 
-def drinfeld_double(H: HopfAlgebra, check: bool = True) -> DoubleAlgebra:
-    """Build D(H) = (H*)^op ox H with full Hopf structure (cached on H)."""
+def drinfeld_double(H: HopfAlgebra) -> DoubleAlgebra:
+    """Build D(H) = (H*)^op ox H with full Hopf structure (cached on H);
+    H, the double and both embeddings are verified."""
     if H._double is not None:
         return H._double
-    if check:
-        rep = verify_hopf(H)
-        if rep:
-            raise HopfError("input of drinfeld_double fails Hopf axioms: %s" % rep[:3])
+    rep = verify_hopf(H)
+    if rep:
+        raise HopfError("input of drinfeld_double fails Hopf axioms: %s" % rep[:3])
     n = H.dim
     dual = dual_hopf(H, opposite_product=True)
     H.antipode_inverse()  # force existence; S of a f.d. Hopf algebra is bijective
@@ -192,14 +192,13 @@ def drinfeld_double(H: HopfAlgebra, check: bool = True) -> DoubleAlgebra:
                            [{i * n + j: cj for j, cj in H.algebra.unit.items()}
                             for i in range(n)], name="H*op->D(H)")
     D = DoubleAlgebra(Dhopf, H, dual, incl_base, incl_dual)
-    if check:
-        rep = verify_hopf(Dhopf)
+    rep = verify_hopf(Dhopf)
+    if rep:
+        raise HopfError("constructed double fails Hopf axioms: %s" % rep[:3])
+    for emb in (incl_base, incl_dual):
+        rep = emb.verify()
         if rep:
-            raise HopfError("constructed double fails Hopf axioms: %s" % rep[:3])
-        for emb in (incl_base, incl_dual):
-            rep = emb.verify()
-            if rep:
-                raise HopfError("embedding %s fails: %s" % (emb.name, rep[:3]))
+            raise HopfError("embedding %s fails: %s" % (emb.name, rep[:3]))
     H._double = D
     return D
 
@@ -294,27 +293,6 @@ def ell_maps(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement):
     return pi_plus, pi_minus
 
 
-def check_algebra_map(f: AlgebraMap, pairs: str = "auto") -> list:
-    """Unit + multiplicativity; generator-level pairs for big sources."""
-    from .algcore import _gens_usable
-    A = f.source
-    if pairs == "auto":
-        pairs = "full" if A.dim <= 32 or not _gens_usable(A) else "gens"
-    if pairs == "full":
-        return f.verify()
-    report = []
-    if not vec_eq(f.apply(A.unit), f.target.unit):
-        report.append("unit not preserved")
-    for gi, g in enumerate(A.generators):
-        fg = f.apply(g)
-        for j in range(A.dim):
-            lhs = f.apply(A.mul_vec(g, {j: FR1}))
-            rhs = f.target.mul_vec(fg, f.apply_basis(j))
-            if not vec_eq(lhs, rhs):
-                report.append("product not preserved on (gen%d, %s)" % (gi, A.labels[j]))
-    return report
-
-
 # ---------------------------------------------------------------------------
 # coefficient modules
 
@@ -331,7 +309,7 @@ class CoefficientModule:
 
 
 def coeff_tensor_product(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement,
-                         E: Algebra, check: bool = True) -> CoefficientModule:
+                         E: Algebra) -> CoefficientModule:
     """H* as a module over E = D(H) ox D(H):
 
         (alpha a ox beta b) . psi = l-(beta) b |> psi <| S(l+(alpha) a).
@@ -368,17 +346,16 @@ def coeff_tensor_product(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement
         return SparseMatrix(n, n, ent)
 
     mod = ModuleRep(E, n, action_fn=action, name="H*-coeff(ox)")
-    if check:
-        rep = verify_module(mod, level="auto")
-        if rep:
-            raise HopfError("tensor coefficient module fails axioms: %s" % rep[:3])
+    rep = verify_module(mod)
+    if rep:
+        raise HopfError("tensor coefficient module fails axioms: %s" % rep[:3])
     out = CoefficientModule(mod, "tensor_product_coeff")
     D._coeffs[cache_key] = out
     return out
 
 
 def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
-                      twist=None, check: bool = True) -> CoefficientModule:
+                      twist=None) -> CoefficientModule:
     """Hom_K(H, k) = {f in H*: f <| i(k) = eps(k) f} as a D(H)-module:
 
         <(phi h).f, x> = phi(S(x(1)) x(3)) f(x(2) h).
@@ -397,10 +374,9 @@ def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
     from .hopfcore import is_hopf_map
     H = D.base
     n = H.dim
-    if check:
-        rep = is_hopf_map(imap, Hs, H)
-        if rep:
-            raise HopfError("restriction inclusion is not a Hopf map: %s" % rep[:3])
+    rep = is_hopf_map(imap, Hs, H)
+    if rep:
+        raise HopfError("restriction inclusion is not a Hopf map: %s" % rep[:3])
 
     # subspace {f : f(i(k) x) = eps_K(k) f(x)} of H*
     rows = []
@@ -469,10 +445,9 @@ def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
         return SparseMatrix(len(basis), len(basis), ent)
 
     mod = ModuleRep(D.algebra, len(basis), action_fn=action, name="Hom_K(H,k)")
-    if check:
-        rep = verify_module(mod, level="auto")
-        if rep:
-            raise HopfError("restriction coefficient module fails axioms: %s" % rep[:3])
+    rep = verify_module(mod)
+    if rep:
+        raise HopfError("restriction coefficient module fails axioms: %s" % rep[:3])
     out = CoefficientModule(mod, "restriction_coeff", dual_basis_rows=basis)
     D._coeffs[cache_key] = out
     return out
@@ -484,7 +459,7 @@ def _unit_twist(H: HopfAlgebra) -> TensorElement:
 
 
 def center_module_from_rmatrix(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement,
-                               M: ModuleRep, variant: str, check: bool = True) -> ModuleRep:
+                               M: ModuleRep, variant: str) -> ModuleRep:
     """Promote an H-module to a D(H)-module along an R-matrix.
 
     variant "braiding":         pullback along phi h -> l+(phi) h
@@ -513,14 +488,13 @@ def center_module_from_rmatrix(D: DoubleAlgebra, R: TensorElement, Rinv: TensorE
             return _act_matrix(M, H.antipode_vec(pi.apply_basis(flat))).transpose()
         mod = ModuleRep(D.algebra, M.dim, action_fn=action,
                         name="center(%s,dual)" % M.name)
-    if check:
-        rep = verify_module(mod, level="auto")
-        if rep:
-            raise HopfError("center module fails axioms: %s" % rep[:3])
+    rep = verify_module(mod)
+    if rep:
+        raise HopfError("center module fails axioms: %s" % rep[:3])
     return mod
 
 
-def build_c_pm(D: DoubleAlgebra, sign: int, check: bool = True) -> ModuleRep:
+def build_c_pm(D: DoubleAlgebra, sign: int) -> ModuleRep:
     """The D(B_k)-modules C_+ / C_-: free cyclic duals with x_i acting by 0
     and g acting as h = 1* - g*."""
     H = D.base
@@ -572,8 +546,7 @@ def build_c_pm(D: DoubleAlgebra, sign: int, check: bool = True) -> ModuleRep:
     mod = ModuleRep(D.algebra, dimc, action_fn=action,
                     name="C%s(B_%d)" % ("+" if sign == 1 else "-", k))
     mod.basis_in_dual = basis
-    if check:
-        rep = verify_module(mod, level="auto")
-        if rep:
-            raise HopfError("C_pm fails module axioms: %s" % rep[:3])
+    rep = verify_module(mod)
+    if rep:
+        raise HopfError("C_pm fails module axioms: %s" % rep[:3])
     return mod

@@ -45,10 +45,10 @@ tests compare the kernel against.
 
 from __future__ import annotations
 
-from .exactlin import (FR1, SparseMatrix, TensorElement, kernel_basis_marked,
+from .exactlin import (SparseMatrix, TensorElement, kernel_basis_marked,
                        rank_of_vectors, unflatten_index)
 from .hopfcore import HopfAlgebra, HopfError, iterated_coproduct
-from .algcore import AlgebraMap
+from .algcore import AlgebraMap, check_elements
 
 
 class UnsupportedDegreeError(HopfError):
@@ -123,18 +123,11 @@ class DYComplex:
     # -- defining conditions -------------------------------------------------
     def _condition_vectors(self):
         """Elements of H (resp. i(K)) whose Delta-powers cut out the cochain
-        spaces.  Certified generators suffice: both sides of the centralizing
-        condition are multiplicative in the element."""
-        from .algcore import _gens_usable
-        H = self.H
+        spaces, from `check_elements`: the elements satisfying the
+        centralizing condition form a subalgebra."""
         if self.kind == "restriction":
-            K = self.Hsub.algebra
-            if _gens_usable(K):
-                return [self.imap.apply(g) for g in K.generators]
-            return [self.imap.apply_basis(kk) for kk in range(K.dim)]
-        if _gens_usable(H.algebra):
-            return list(H.algebra.generators)
-        return [{h: FR1} for h in range(H.dim)]
+            return [self.imap.apply(k) for k, _ in check_elements(self.Hsub.algebra)]
+        return [h for h, _ in check_elements(self.H.algebra)]
 
     def _condition_elements(self, n: int):
         """Pairs (L, R) of tensor multipliers: cochains satisfy L u = u R."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 
 from .algcore import (Algebra, AlgebraMap, InducedModule, ModuleRep, _act_matrix,
-                      _gens_usable, hom_space, induced_module, restrict_module,
+                      check_elements, hom_space, induced_module, restrict_module,
                       module_from_character, submodule_on_basis, tensor_algebra,
                       tensor_module, verify_module)
 from .exactlin import (FR1, SparseMatrix, kernel_basis_marked, kron_into,
@@ -62,9 +62,8 @@ class ResolventPair:
         self._resolutions: dict = {}  # keyed by (V, kind)
         self._lock = threading.Lock()  # guards _resolutions and their growth
 
-    def verify(self, pairs="auto") -> list:
-        from .double import check_algebra_map
-        return check_algebra_map(self.inclusion, pairs=pairs)
+    def verify(self) -> list:
+        return self.inclusion.verify()
 
     def __repr__(self):
         return "ResolventPair%s" % self.name
@@ -306,22 +305,13 @@ def verify_resolution(res) -> list:
     V <- P_0 <- ... <- P_maxdeg is exact up to P_{maxdeg-1} and that it
     splits over B, so the resolution is allowable for the pair
     (Hochschild, "Relative homological algebra", Trans. AMS 82, 1956).
-    Linearity is checked on the generators of A and B once
-    dim A * max dim P_n exceeds 30000 and the generators span: the
+    A- and B-linearity are checked on `check_elements` of A and B: the
     elements a with rho(a) f = f rho(a) form a subalgebra.
     """
     pair = res.pair
     top = max(t.dim for t in res.terms)
-    full = pair.big.dim * top <= 30000 or not _gens_usable(pair.big)
-
-    def elements(alg, gens):
-        if gens:
-            return [(g, "gen%d" % k) for k, g in enumerate(alg.generators)]
-        return [({i: FR1}, alg.labels[i]) for i in range(alg.dim)]
-
-    acts = elements(pair.big, not full)
-    bacts = [(pair.inclusion.apply(b), name) for b, name in
-             elements(pair.small, not full and _gens_usable(pair.small))]
+    acts = check_elements(pair.big)
+    bacts = [(pair.inclusion.apply(b), name) for b, name in check_elements(pair.small)]
 
     def commutes(f, dom, cod, a):
         return _act_matrix(cod, a).matmul(f) == f.matmul(_act_matrix(dom, a))
@@ -336,7 +326,7 @@ def verify_resolution(res) -> list:
                 report.append("d_%d is not A-linear at %s" % (n, name))
                 break
         if top <= 600:
-            rep = verify_module(res.terms[n], level="full" if full else "gens")
+            rep = verify_module(res.terms[n])
             if rep:
                 report.append("term P_%d fails module axioms: %s" % (n, rep[0]))
     h = res.homotopies()
@@ -458,15 +448,16 @@ def relative_ext_dims(pair: ResolventPair, V: ModuleRep, W: ModuleRep,
 # ---------------------------------------------------------------------------
 # cross-checks
 
-def adjunction_crosscheck_tensor(D, R, Rinv, n: int, kind: str = "cover",
-                                 maxdeg_budget: int = 2) -> dict:
+TENSOR_SQUARE_MAXDEG = 2   # highest degree of the tensor-square crosscheck
+
+def adjunction_crosscheck_tensor(D, R, Rinv, n: int, kind: str = "cover") -> dict:
     """H^n of the R-twisted tensor complex against Ext over the square pair."""
     from .double import coeff_tensor_product
     from .dycomplex import tensor_complex
-    if n > maxdeg_budget:
+    if n > TENSOR_SQUARE_MAXDEG:
         raise BudgetExceededError(
             "degree %d exceeds the budget %d for the tensor-square pair"
-            % (n, maxdeg_budget))
+            % (n, TENSOR_SQUARE_MAXDEG))
     H = D.base
     cx = tensor_complex(H, R)
     lhs = cx.cohomology_dim(n)

@@ -1,7 +1,7 @@
 import pytest
 
-from hopfdy.algcore import (Algebra, AlgebraMap, ModuleRep, check_generators_span,
-                            hom_space, induced_module, is_intertwiner,
+from hopfdy.algcore import (Algebra, AlgebraMap, ModuleRep, check_elements,
+                            check_generators_span, hom_space, induced_module, is_intertwiner,
                             module_from_character, module_map_kernel,
                             regular_module, tensor_algebra, tensor_module,
                             verify_algebra, verify_module)
@@ -23,18 +23,31 @@ class TestVerifyAlgebra:
     def test_bk_clean(self):
         assert verify_algebra(build_bk(2).algebra) == []
 
-    def test_corrupted_mult_named(self):
+    @pytest.mark.parametrize("gens", ["kept", "stripped"])
+    def test_corrupted_mult_named(self, gens):
         A = build_bk(1).algebra
         bad_mult = dict(A.mult)
         bad_mult[(1, 1)] = {0: FR1}  # x*x = 1 breaks associativity
-        B = Algebra(A.dim, A.labels, bad_mult, A.unit)
+        B = Algebra(A.dim, A.labels, bad_mult, A.unit,
+                    generators=A.generators if gens == "kept" else None)
+        assert check_generators_span(B) == (gens == "kept")
         rep = verify_algebra(B)
         assert rep and any("associativity" in line for line in rep)
+        # the witness names a generator on the generator path, a label otherwise
+        assert any("(gen" in line for line in rep) == (gens == "kept")
 
     def test_gens_level_matches_full(self):
         A = build_bk(2).algebra
-        assert check_generators_span(A)
-        assert verify_algebra(A, level="gens") == verify_algebra(A, level="full") == []
+        plain = Algebra(A.dim, A.labels, A.mult, A.unit)
+        assert [name for _, name in check_elements(A)] == ["gen0", "gen1", "gen2"]
+        assert [name for _, name in check_elements(plain)] == A.labels
+        assert verify_algebra(A) == verify_algebra(plain) == []
+
+    def test_non_spanning_generators_use_the_basis(self):
+        A = build_bk(2).algebra
+        x1_only = Algebra(A.dim, A.labels, A.mult, A.unit, generators=[{1: FR1}])
+        assert not check_generators_span(x1_only)
+        assert check_elements(x1_only) == [({i: FR1}, A.labels[i]) for i in range(8)]
 
 
 class TestHomSpace:

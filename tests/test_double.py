@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from hopfdy.algcore import _act_matrix, tensor_algebra, verify_module
+from hopfdy.algcore import (Algebra, AlgebraMap, _act_matrix, check_generators_span,
+                            tensor_algebra, verify_module)
 from hopfdy.double import (TwistNotSupportedError, build_c_pm, center_module_from_rmatrix,
-                           check_algebra_map, coeff_restriction, coeff_tensor_product,
+                           coeff_restriction, coeff_tensor_product,
                            drinfeld_double, ell_maps, ell_minus, ell_plus)
 from hopfdy.exactlin import FR1, TensorElement, unit_tensor, vec_eq, vec_scale
 from hopfdy.hopfcore import (bk_dual_generators, bk_inclusion, build_bk, build_cyclic,
@@ -73,21 +74,25 @@ class TestEllMaps:
             assert ell_plus(H, R, y) == {}
             assert ell_minus(H, R, y) == {}
 
-    def test_extended_maps_are_algebra_maps(self, D1):
-        H = D1.base
-        R = bk_r0(1, H)
+    @staticmethod
+    def _check_both_paths(D, k):
+        """AlgebraMap.verify on the certified generators of D(B_k), and on a
+        copy of D(B_k) without generators, which checks every basis pair."""
+        H = D.base
+        R = bk_r0(k, H)
         rep = check_rmatrix(H, R)
-        pi_plus, pi_minus = ell_maps(D1, R, rep.inverse)
-        assert check_algebra_map(pi_plus, pairs="full") == []
-        assert check_algebra_map(pi_minus, pairs="full") == []
+        A = D.algebra
+        plain = Algebra(A.dim, A.labels, A.mult, A.unit)
+        assert check_generators_span(A)
+        for pi in ell_maps(D, R, rep.inverse):
+            assert pi.verify() == []
+            assert AlgebraMap(plain, pi.target, pi.columns).verify() == []
+
+    def test_extended_maps_are_algebra_maps(self, D1):
+        self._check_both_paths(D1, 1)
 
     def test_extended_maps_b2_generator_level(self, D2):
-        H = D2.base
-        R = bk_r0(2, H)
-        rep = check_rmatrix(H, R)
-        pi_plus, pi_minus = ell_maps(D2, R, rep.inverse)
-        assert check_algebra_map(pi_plus, pairs="gens") == []
-        assert check_algebra_map(pi_minus, pairs="gens") == []
+        self._check_both_paths(D2, 2)
 
 
 @pytest.fixture(scope="module")

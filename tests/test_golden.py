@@ -22,6 +22,7 @@ LAMBDA = "data/lambda_37_41.json"  # [["37/41"]]
 
 CASES = {
     "verify_bk_2": ["verify", "bk:2"],
+    "double_bk_1": ["double", "bk:1"],
     "rmatrix_tangent_bk_2_r0": ["rmatrix", "tangent", "bk:2", "--r0"],
     "dy_tensor_bk_1_r0_degree_2": ["dy", "tensor", "bk:1", "--r0", "--degree", "2"],
     "dy_res_bk_2_sub_bk_1_degree_2": ["dy", "res", "bk:2", "--sub", "bk:1",
@@ -36,6 +37,8 @@ CASES = {
     "crosscheck_adjunction_res_bk_2_sub_bk_1_degree_2_bar": [
         "crosscheck", "adjunction-res", "bk:2", "--sub", "bk:1", "--degree", "2",
         "--resolution", "bar"],
+    "crosscheck_adjunction_tensor_bk_1_r0_degree_2": [
+        "crosscheck", "adjunction-tensor", "bk:1", "--r0", "--degree", "2"],
     "crosscheck_kunneth_bk_1_degree_2": ["crosscheck", "kunneth", "bk:1", "--degree", "2"],
     "crosscheck_kunneth_bk_1_degree_2_bar": [
         "crosscheck", "kunneth", "bk:1", "--degree", "2", "--resolution", "bar"],
