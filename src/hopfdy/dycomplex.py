@@ -112,13 +112,9 @@ class DYComplex:
 
     def _run(self, stage: str, work):
         """work(kernel) on the int64 kernel, rerun on the Python-int kernel
-        where an int64 bound would be exceeded."""
-        from .slotkernel import Fallback
-        try:
-            return work(self._slot_kernel())
-        except Fallback:
-            self.fallbacks.append(stage)
-            return work(self._slot_kernel(big=True))
+        where an int64 bound would be exceeded, noting the stage."""
+        from .slotkernel import run_exact
+        return run_exact(work, self._slot_kernel, lambda: self.fallbacks.append(stage))
 
     # -- defining conditions -------------------------------------------------
     def _condition_vectors(self):
@@ -146,27 +142,18 @@ class DYComplex:
     def _condition_diffs(self, ops, n: int, x):
         """L x - x R for every condition pair, on every tensor of the batch x."""
         for j, (L, R) in enumerate(self._condition_elements(n)):
-            yield j, ops.combine([(ops.mul(x, ops.prepare(("L", n, j), L), True), 1),
-                                  (ops.mul(x, ops.prepare(("R", n, j), R), False), -1)])
+            yield ops.combine([(ops.mul(x, ops.prepare(("L", n, j), L), True), 1),
+                               (ops.mul(x, ops.prepare(("R", n, j), R), False), -1)])
 
     def _contained(self, ops, n: int, x) -> bool:
         return all(ops.is_zero(d) for piece in ops.pieces(x)
-                   for _, d in self._condition_diffs(ops, n, piece))
+                   for d in self._condition_diffs(ops, n, piece))
 
     def in_cochain_space(self, n: int, u: TensorElement) -> bool:
         if u.degree != self.slots(n):
             return False
         return self._run("containment",
                          lambda ops: self._contained(ops, n, ops.encode([u], u.degree)))
-
-    def _condition_rows(self, ops, n: int) -> list:
-        """Rows of the condition matrix on H^{ox s}: row (j, f) holds, at
-        column t, the e_f coefficient of L_j e_t - e_t R_j."""
-        rows: dict = {}
-        for j, d in self._condition_diffs(ops, n, ops.all_basis(self.slots(n))):
-            for t, f, c in ops.entries(d):
-                rows.setdefault((j, f), {})[t] = c
-        return list(rows.values())
 
     def cochain_basis(self, n: int) -> list:
         """Exact basis of C^n, canonical (kernel RREF over lex tuple order)."""
@@ -175,7 +162,9 @@ class DYComplex:
 
         def build():
             nd, s = self.H.dim, self.slots(n)
-            rows = self._run("cochain_basis", lambda ops: self._condition_rows(ops, n))
+            # row (j, f), column t: the e_f coefficient of L_j e_t - e_t R_j
+            rows = self._run("cochain_basis", lambda ops: ops.rows(
+                self._condition_diffs(ops, n, ops.all_basis(s))))
             vecs, markers = kernel_basis_marked(SparseMatrix.from_rows_list(rows, nd ** s))
             basis = [TensorElement(self.H.algebra, s,
                                    {unflatten_index(f, nd, s): c for f, c in v.items()})

@@ -410,13 +410,18 @@ class Echelon:
         return {c: Fraction(-v, lead) for c, v in row.items() if c != piv}
 
 
-def rank_of_rows(rows: list, ncols: int) -> int:
+def _sparse_first(rows: list, ncols: int) -> Echelon:
+    """An Echelon of `rows`, inserted sparsest first (ties in list order):
+    far less elimination fill-in, and the pivots and RREF are the same in
+    any order."""
     ech = Echelon(ncols)
-    # sparse rows first: far less elimination fill-in, same canonical result
-    order = sorted(range(len(rows)), key=lambda i: (len(rows[i]), i))
-    for i in order:
-        ech.add_row(rows[i])
-    return ech.rank
+    for row in sorted(rows, key=len):
+        ech.add_row(row)
+    return ech
+
+
+def rank_of_rows(rows: list, ncols: int) -> int:
+    return _sparse_first(rows, ncols).rank
 
 
 def rank(M: SparseMatrix) -> int:
@@ -448,9 +453,7 @@ def kernel_basis_marked(M: SparseMatrix):
     Coordinates of any v in the kernel span are read off at the markers:
     v = sum_j v[free_cols[j]] * basis[j].
     """
-    ech = Echelon(M.cols)
-    for row in M.row_dicts():
-        ech.add_row(row)
+    ech = _sparse_first(M.row_dicts(), M.cols)
     ech.to_rref()
     free = [c for c in range(M.cols) if c not in ech.pivot_rows]
     vecs = {f: {f: FR1} for f in free}
@@ -476,31 +479,6 @@ def span_equal(A: list, B: list, dim: int) -> bool:
     if ra != rb:
         return False
     return rank_of_rows(A + B, dim) == ra
-
-
-def solve(M: SparseMatrix, b: dict):
-    """One solution x of M x = b, or None.  Deterministic (free vars = 0)."""
-    aug_col = M.cols
-    ech = Echelon(M.cols + 1)
-    rows = M.row_dicts()
-    for r, v in b.items():
-        if v:
-            rows[r][aug_col] = -v
-    for row in rows:
-        ech.add_row(row)
-    if aug_col in ech.pivot_rows:
-        return None  # inconsistent
-    ech.to_rref()
-    x: dict = {}
-    for p in ech.pivot_rows:
-        rw = ech.rewrite(p)
-        c = rw.get(aug_col)
-        if c:
-            x[p] = c
-    # verify exactly
-    if not vec_eq(M.mul_vec(x), b):
-        return None
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ of T in H ox H with
     (Delta ox id)(T) = T13 R23 + R13 T23
     (id ox Delta)(T) = T13 R12 + R13 T12,
 
-computed as one exact kernel; (eps ox id)(T) = (id ox eps)(T) = 0 is
+computed as one exact kernel.  Its condition rows are built for every
+basis tensor at once on `slotkernel.SlotKernel`, quasi-cocommutativity on
+the elements of `check_elements`; (eps ox id)(T) = (id ox eps)(T) = 0 is
 asserted on every basis vector rather than assumed.
 """
 
@@ -23,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, fr, kernel_basis,
-                       span_equal, unit_tensor)
+from .algcore import check_elements
+from .exactlin import (FR1, SparseMatrix, TensorElement, fr, kernel_basis, span_equal,
+                       unit_tensor)
 from .hopfcore import HopfAlgebra, HopfError, build_bk, iterated_coproduct
 
 FRH = Fraction(1, 2)
@@ -124,59 +127,20 @@ def check_rmatrix(H: HopfAlgebra, R: TensorElement) -> RMatrixReport:
 
 
 def tangent_space(H: HopfAlgebra, R: TensorElement, report: RMatrixReport = None) -> TangentBasis:
-    """Exact kernel basis of the stacked linearized R-matrix conditions."""
+    """Exact kernel basis of the stacked linearized R-matrix conditions,
+    built for all basis tensors e_a ox e_b at once on the slot kernel
+    (`_tangent_rows`) and eliminated in `kernel_basis`."""
+    from .slotkernel import SlotKernel, run_exact
     if report is None:
         report = check_rmatrix(H, R)
     if not report.verified:
         raise RMatrixError("tangent_space requires a verified R-matrix: %s"
                            % report.witnesses[:3])
     n = H.dim
-    ncols = n * n
-
-    # linear maps applied to the basis elements e_a ox e_b of H ox H
-    r13 = embed13(R, H)
-    r23 = embed23(R, H)
-    r12 = embed12(R, H)
-    conds = {}  # (tag, flat ambient index) -> {column: coeff}
-
-    def put(tag, tensor: TensorElement, col: int, sign=FR1):
-        for key, c in tensor.coeffs.items():
-            f = 0
-            for i in key:
-                f = f * n + i
-            d = conds.setdefault((tag, f), {})
-            s = d.get(col, FR0) + sign * c
-            if s:
-                d[col] = s
-            else:
-                d.pop(col, None)
-
-    for a in range(n):
-        for b in range(n):
-            col = a * n + b
-            T = TensorElement(H.algebra, 2, {(a, b): FR1})
-            # T Delta(h) - Delta_op(h) T for all basis h
-            for h in range(H.dim):
-                dh = H.comult[h]
-                dop = dh.permute_slots([1, 0])
-                put(("qc", h), T.mul(dh), col)
-                put(("qc", h), dop.mul(T), col, sign=fr(-1))
-            t13 = embed13(T, H)
-            t23 = embed23(T, H)
-            t12 = embed12(T, H)
-            put(("hex1", 0), delta_at(H, T, 0), col)
-            put(("hex1", 0), t13.mul(r23), col, sign=fr(-1))
-            put(("hex1", 0), r13.mul(t23), col, sign=fr(-1))
-            put(("hex2", 0), delta_at(H, T, 1), col)
-            put(("hex2", 0), t13.mul(r12), col, sign=fr(-1))
-            put(("hex2", 0), r13.mul(t12), col, sign=fr(-1))
-
-    rows = [d for d in conds.values() if d]
-    basis_flat = kernel_basis(SparseMatrix.from_rows_list(rows, ncols) if rows
-                              else SparseMatrix(0, ncols))
+    rows = run_exact(lambda ops: _tangent_rows(ops, H, R), lambda big: SlotKernel(H, big))
     vectors = []
     zero1 = TensorElement(H.algebra, 1, {})
-    for v in basis_flat:
+    for v in kernel_basis(SparseMatrix.from_rows_list(rows, n * n)):
         T = TensorElement(H.algebra, 2, {(f // n, f % n): c for f, c in v.items()})
         # the counit conditions hold automatically; assert rather than assume
         if T.contract_at(0, H.counit) != zero1 or T.contract_at(1, H.counit) != zero1:
@@ -184,6 +148,27 @@ def tangent_space(H: HopfAlgebra, R: TensorElement, report: RMatrixReport = None
                                "internal inconsistency")
         vectors.append(T)
     return TangentBasis(R, vectors)
+
+
+def _tangent_rows(ops, H: HopfAlgebra, R: TensorElement) -> list:
+    """Rows of the linearized conditions on the slot kernel `ops`: row (j, f)
+    holds, at column t, the e_f coefficient of condition j at T = e_t.
+    Quasi-cocommutativity runs over `check_elements`, since the h with
+    T Delta(h) = Delta^op(h) T form a subalgebra."""
+    x = ops.all_basis(2)
+    conds = []
+    for h, _ in check_elements(H.algebra):
+        dh = H.delta_power(h, 2)
+        conds.append(ops.combine([
+            (ops.mul(x, ops.encode([dh], 2), False), 1),
+            (ops.mul(x, ops.encode([dh.permute_slots([1, 0])], 2), True), -1)]))
+    r13, r23, r12 = (ops.encode([e(R, H)], 3) for e in (embed13, embed23, embed12))
+    t13, t23, t12 = (ops.insert_unit(x, slot) for slot in (1, 0, 2))
+    conds.append(ops.combine([(ops.coproduct(x, 0), 1), (ops.mul(t13, r23, False), -1),
+                              (ops.mul(t23, r13, True), -1)]))
+    conds.append(ops.combine([(ops.coproduct(x, 1), 1), (ops.mul(t13, r12, False), -1),
+                              (ops.mul(t12, r13, True), -1)]))
+    return ops.rows(conds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""The slotwise kernel of the Davydov-Yetter complexes.
+"""The slotwise kernel of the Davydov-Yetter complexes and the tangent space.
 
-`dycomplex` imports this module, and numpy with it, only when a complex
-first needs the kernel, so that `import hopfdy` stays free of both.  The
-kernel runs the batch operations that `dycomplex` writes its stages
-against (insert the unit, coproduct at a slot, permute slots, slotwise
-product with a multiplier, signed sum) on the arrays of every Hopf algebra,
-exactly.  Its coefficients are int64, and every product, rescaling and sum
-is checked against a bound below 2^63; where a check fails it raises
-`Fallback`, and the stage reruns on the same kernel over Python integers
+`dycomplex` and `rmatrix` import this module, and numpy with it, only when
+a computation first needs the kernel, so that `import hopfdy` stays free of
+both.  The kernel runs the batch operations that the cochain-space stages
+and the linearized R-matrix conditions are written against (insert the
+unit, coproduct at a slot, permute slots, slotwise product with a
+multiplier, signed sum) on the arrays of every Hopf algebra, exactly.  Its
+coefficients are int64, and every product, rescaling and sum is checked
+against a bound below 2^63; where a check fails it raises `Fallback`, and
+`run_exact` reruns the work on the same kernel over Python integers
 (`big=True`: arrays of dtype object, no bound checks).  Flat indices are
 int64 in both; an ambient too large for them is refused with
 `UnsupportedDegreeError`, which no rerun would mend.
@@ -146,8 +147,14 @@ class SlotKernel:
         return [Batch(x.row[a:b], x.flat[a:b], x.coef[a:b], x.den, x.deg)
                 for a, b in zip(cuts, cuts[1:])]
 
-    def entries(self, x: Batch):
-        return zip(x.row.tolist(), x.flat.tolist(), x.coef.tolist())
+    def rows(self, conditions) -> list:
+        """Rows of a condition matrix, one per (j, f): at column t, the e_f
+        coefficient of the j-th condition batch on the t-th tensor."""
+        rows: dict = {}
+        for j, d in enumerate(conditions):
+            for t, f, c in zip(d.row.tolist(), d.flat.tolist(), d.coef.tolist()):
+                rows.setdefault((j, f), {})[t] = c
+        return list(rows.values())
 
     # -- linear maps -------------------------------------------------------------
     def _digits(self, x: Batch) -> list:
@@ -231,6 +238,16 @@ class SlotKernel:
             coef //= g
             den //= g
         return Batch(keys // amb, keys % amb, coef, den, x.deg)
+
+
+def run_exact(work, kernel, on_fallback=lambda: None):
+    """work(kernel(False)) on the int64 kernel; where that raises `Fallback`,
+    on_fallback() and work(kernel(True)) on the Python-int kernel."""
+    try:
+        return work(kernel(False))
+    except Fallback:
+        on_fallback()
+        return work(kernel(True))
 
 
 def _lcm(denominators) -> int:

@@ -58,19 +58,6 @@ def dense_nullspace(rows, ncols):
     return basis
 
 
-def dense_solve(rows, rhs):
-    """One solution of A x = b or None, by RREF of the augmented matrix."""
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    m, pivots = dense_rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = m[r][ncols]
-    return x
-
-
 def intertwiner_basis_dense(act_m, act_n):
     """Brute-force basis of {f : f a_M = a_N f for all listed actions}.
 
@@ -93,6 +80,71 @@ def intertwiner_basis_dense(act_m, act_n):
     for v in dense_nullspace(rows, dn * dm):
         out.append([[v[r * dm + c] for c in range(dm)] for r in range(dn)])
     return out
+
+
+def _add(out, key, c):
+    out[key] = out.get(key, 0) + c
+
+
+def tangent_conditions_dense(H, R):
+    """Dense rows of the linearized R-matrix conditions at R on T in H ox H,
+    one column per e_a ox e_b (a * dim + b), by loops over the tables
+    H.algebra.mult, H.algebra.unit and H.comult:
+
+        T Delta(h) - Delta^op(h) T           for every basis element h
+        (Delta ox id)(T) - T13 R23 - R13 T23
+        (id ox Delta)(T) - T13 R12 - R13 T12
+
+    Tensors are dicts {index tuple: Fraction}.
+    """
+    n, mult, unit = H.dim, H.algebra.mult, H.algebra.unit
+    comult = [H.comult[h].coeffs for h in range(n)]
+
+    def prod(u, v):
+        out = {}
+        for ku, cu in u.items():
+            for kv, cv in v.items():
+                terms = {(): cu * cv}
+                for a, b in zip(ku, kv):
+                    terms = {k + (p,): c * x for k, c in terms.items()
+                             for p, x in mult.get((a, b), {}).items()}
+                for k, c in terms.items():
+                    _add(out, k, c)
+        return out
+
+    def with_unit(u, slot):
+        return {k[:slot] + (i,) + k[slot:]: c * x for k, c in u.items() for i, x in unit.items()}
+
+    def coproduct(u, slot):
+        out = {}
+        for k, c in u.items():
+            for pq, x in comult[k[slot]].items():
+                _add(out, k[:slot] + pq + k[slot + 1:], c * x)
+        return out
+
+    def diff(*terms):
+        out = {}
+        for sign, u in terms:
+            for k, c in u.items():
+                _add(out, k, sign * c)
+        return out
+
+    R = R.coeffs
+    r13, r23, r12 = with_unit(R, 1), with_unit(R, 0), with_unit(R, 2)
+    rows = {}  # (condition, index tuple) -> dense row
+    for a in range(n):
+        for b in range(n):
+            T = {(a, b): Fraction(1)}
+            t13, t23, t12 = with_unit(T, 1), with_unit(T, 0), with_unit(T, 2)
+            conds = [diff((1, prod(T, comult[h])),
+                          (-1, prod({(q, p): c for (p, q), c in comult[h].items()}, T)))
+                     for h in range(n)]
+            conds.append(diff((1, coproduct(T, 0)), (-1, prod(t13, r23)), (-1, prod(r13, t23))))
+            conds.append(diff((1, coproduct(T, 1)), (-1, prod(t13, r12)), (-1, prod(r13, t12))))
+            for j, cond in enumerate(conds):
+                for k, c in cond.items():
+                    rows.setdefault((j, k), [Fraction(0)] * (n * n))[a * n + b] += c
+    return list({tuple(r): r for r in rows.values() if any(r)}.values())  # distinct, nonzero
 
 
 def densify_matrix(M):

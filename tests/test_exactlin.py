@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfdy.exactlin import (Echelon, SparseMatrix, TensorElement, kernel_basis,
-                             kernel_basis_marked, rank, rank_of_vectors, solve,
+                             kernel_basis_marked, rank, rank_of_rows, rank_of_vectors,
                              span_equal, unit_tensor)
 from hopfdy.hopfcore import build_bk
 
@@ -98,17 +98,6 @@ class TestSpanEqual:
             span_equal([{5: Fraction(1)}], [{0: Fraction(1)}], 3)
 
 
-class TestSolve:
-    def test_consistent(self):
-        M = sm([[1, 1], [0, 1]])
-        x = solve(M, {0: Fraction(3), 1: Fraction(1)})
-        assert M.mul_vec(x) == {0: Fraction(3), 1: Fraction(1)}
-
-    def test_inconsistent(self):
-        M = sm([[1, 1], [2, 2]])
-        assert solve(M, {0: Fraction(1), 1: Fraction(3)}) is None
-
-
 @st.composite
 def small_matrices(draw):
     rows = draw(st.integers(1, 5))
@@ -194,6 +183,23 @@ def test_echelon_matches_dense_oracles(case):
         for r, p in enumerate(pivots):
             row = ech.pivot_rows[p]
             assert {c: Fraction(x, row[p]) for c, x in row.items()} == _sparse(m[r])
+
+
+@given(rational_rows(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_insertion_order_keeps_kernel_and_rank(case, data):
+    """kernel_basis_marked and rank_of_rows give the dense oracles' kernel,
+    free columns and rank on the rows and on a shuffle of them."""
+    rows, _ = case
+    ncols = len(rows[0])
+    pivots = dense_rref(rows)[1]
+    want = dense_nullspace(rows, ncols)
+    for order in (rows, data.draw(st.permutations(rows))):
+        sparse = [_sparse(r) for r in order]
+        basis, markers = kernel_basis_marked(SparseMatrix.from_rows_list(sparse, ncols))
+        assert [densify_vec(v, ncols) for v in basis] == want
+        assert markers == [c for c in range(ncols) if c not in pivots]
+        assert rank_of_rows(sparse, ncols) == dense_rank(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ CASES = {
     "verify_bk_2": ["verify", "bk:2"],
     "double_bk_1": ["double", "bk:1"],
     "rmatrix_tangent_bk_2_r0": ["rmatrix", "tangent", "bk:2", "--r0"],
+    # lambda = [["37/41", "-5/3"], ["2/7", "11/13"]]: rational tangent conditions
+    "rmatrix_tangent_bk_2_lambda_bk2": ["rmatrix", "tangent", "bk:2", "--lambda",
+                                        "data/lambda_bk2.json"],
     "dy_tensor_bk_1_r0_degree_2": ["dy", "tensor", "bk:1", "--r0", "--degree", "2"],
     "dy_res_bk_2_sub_bk_1_degree_2": ["dy", "res", "bk:2", "--sub", "bk:1",
                                       "--degree", "2"],

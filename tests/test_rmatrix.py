@@ -5,9 +5,12 @@ import pytest
 
 from hopfdy.exactlin import TensorElement, unit_tensor
 from hopfdy.hopfcore import build_bk, build_cyclic
-from hopfdy.rmatrix import (RMatrixError, bk_standard_tangent_basis, bk_r0,
+from hopfdy.rmatrix import (RMatrixError, _tangent_rows, bk_standard_tangent_basis, bk_r0,
                             bk_r_lambda, check_rmatrix, tangent_space,
                             tangent_span_matches)
+from hopfdy.slotkernel import Fallback, SlotKernel
+
+from oracles import dense_nullspace, densify_vec, tangent_conditions_dense
 
 HALF = Fraction(1, 2)
 
@@ -120,3 +123,28 @@ class TestRLambdaFamily:
         for _ in range(2):
             R = bk_r_lambda(1, _random_lambda(1, rng), H)
             assert tangent_space(H, R).dim == 1
+
+
+@pytest.mark.parametrize("case", ["bk_2_seed_5", "bk_2_seed_6", "cyclic_2_trivial",
+                                  "bk_1_huge"])
+def test_tangent_space_matches_dense_oracle(case):
+    """The slot-kernel conditions give, entry for entry, the kernel of the
+    dense conditions built from the structure tables.  At lambda = 2^70/3
+    the int64 kernel refuses them, and the Python-int rerun answers."""
+    if case == "cyclic_2_trivial":
+        H = build_cyclic(2)
+        R = unit_tensor(H.algebra, 2)
+    elif case == "bk_1_huge":
+        H = build_bk(1)
+        R = bk_r_lambda(1, [[Fraction(2 ** 70, 3)]], H)
+    else:
+        H = build_bk(2)
+        R = bk_r_lambda(2, _random_lambda(2, random.Random(int(case[-1]))), H)
+    ncols = H.dim ** 2
+    got = [densify_vec(T.flat(), ncols) for T in tangent_space(H, R).vectors]
+    assert got == dense_nullspace(tangent_conditions_dense(H, R), ncols)
+    if case == "bk_1_huge":
+        with pytest.raises(Fallback):
+            _tangent_rows(SlotKernel(H), H, R)
+    else:
+        _tangent_rows(SlotKernel(H), H, R)  # the int64 kernel suffices
