@@ -9,7 +9,7 @@ empty report means the axioms hold.
 from __future__ import annotations
 
 from .exactlin import (FR0, FR1, Echelon, SparseMatrix, fr, kernel_basis,
-                       kron_into, vec_addmul, vec_eq)
+                       kernel_basis_marked, kron_into, vec_addmul, vec_eq)
 
 
 class AlgebraError(Exception):
@@ -276,18 +276,19 @@ def restrict_module(imap: AlgebraMap, M: ModuleRep, name="") -> ModuleRep:
 def hom_space(M: ModuleRep, N: ModuleRep) -> list:
     """Exact basis of intertwiners f: M -> N with f rho_M(a) = rho_N(a) f.
 
-    The linear system is assembled over the full basis of the algebra.
-    Unknowns are the entries of f, flattened as r*dim(M) + c; the result is
-    the canonical kernel basis, returned as matrices.
+    The linear system is assembled for a in `check_elements(A)`: the a with
+    f rho_M(a) = rho_N(a) f form a subalgebra.  Unknowns are the entries of
+    f, flattened as r*dim(M) + c; the result is the canonical kernel basis,
+    returned as matrices.
     """
     if M.algebra is not N.algebra:
         raise AlgebraError("hom_space requires modules over the same algebra")
     A = M.algebra
     dm, dn = M.dim, N.dim
     rows = []
-    for a in range(A.dim):
-        ma = M.action(a)
-        na = N.action(a)
+    for a, _ in check_elements(A):
+        ma = _act_matrix(M, a)
+        na = _act_matrix(N, a)
         ma_cols = ma.columns()
         na_cols = na.columns()
         # equation (r, j):  sum_c f[r,c] ma[c,j] - sum_c na[r,c] f[c,j] = 0
@@ -311,10 +312,8 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
                     else:
                         d.pop(c * dm + j, None)
         rows.extend(v for v in eq.values() if v)
-    basis = kernel_basis(SparseMatrix.from_rows_list(rows, dn * dm) if rows
-                         else SparseMatrix(0, dn * dm))
     out = []
-    for v in basis:
+    for v in kernel_basis(rows, dn * dm):
         ent = {}
         for flat, c in v.items():
             ent[(flat // dm, flat % dm)] = c
@@ -323,8 +322,9 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
 
 
 def is_intertwiner(f: SparseMatrix, M: ModuleRep, N: ModuleRep) -> bool:
-    for a in range(M.algebra.dim):
-        if f.matmul(M.action(a)) != N.action(a).matmul(f):
+    """f rho_M(a) = rho_N(a) f for a in `check_elements`, as in `hom_space`."""
+    for a, _ in check_elements(M.algebra):
+        if f.matmul(_act_matrix(M, a)) != _act_matrix(N, a).matmul(f):
             return False
     return True
 
@@ -333,7 +333,7 @@ def module_map_kernel(f: SparseMatrix, M: ModuleRep, N: ModuleRep):
     """Kernel of an intertwiner as a module, with its inclusion matrix."""
     if not is_intertwiner(f, M, N):
         raise AlgebraError("module_map_kernel: map is not an intertwiner")
-    basis = kernel_basis(f)
+    basis = kernel_basis(f.row_dicts(), f.cols)
     incl = SparseMatrix.from_columns(M.dim, basis)
     K = submodule_on_basis(M, basis, name="ker(%s)" % M.name)
     return K, incl
@@ -410,10 +410,10 @@ def tensor_module(M: ModuleRep, N: ModuleRep, T: Algebra) -> ModuleRep:
 class InducedModule(ModuleRep):
     """A ox_B V as a left A-module, via the quotient construction by default.
 
-    The quotient of A ox V by span{(a*i(b)) ox v - a ox (b.v)} is computed by
-    a deterministic echelon whose surviving (non-pivot) columns form the
-    canonical basis; `rewrite_pair` sends any pure tensor a_idx ox v_idx to
-    canonical coordinates.  When `free_basis` elements u with
+    The quotient of A ox V by span{(a*i(b)) ox v - a ox (b.v)} is read from
+    the canonical kernel basis of the relations: its free columns (markers)
+    form the canonical basis, and `pair_vec` sends any pure tensor
+    a_idx ox v_idx to canonical coordinates.  When `free_basis` elements u with
     A = direct-sum u_alpha * i(B) are supplied and verified, an equivalent
     free realization with basis {alpha} x {v} is used instead; dimensions and
     all derived invariants agree with the quotient construction.
@@ -425,10 +425,9 @@ class InducedModule(ModuleRep):
         self.mode = mode
         A = imap.target
         if mode == "quotient":
-            reps, rewrites = data
+            reps, classes = data
             self.reps = reps          # list of (a_idx, v_idx)
-            self.rep_pos = {p: k for k, p in enumerate(reps)}
-            self._rewrites = rewrites  # (a_idx, v_idx) -> {canonical idx: Fraction}
+            self._classes = classes   # (a_idx, v_idx) -> {canonical idx: Fraction}
             dim = len(reps)
         else:
             free_cols, rewrite_table = data
@@ -441,10 +440,7 @@ class InducedModule(ModuleRep):
     def pair_vec(self, a_idx: int, v_idx: int) -> dict:
         """Canonical coordinates of the class of e_{a_idx} ox e_{v_idx}."""
         if self.mode == "quotient":
-            pos = self.rep_pos.get((a_idx, v_idx))
-            if pos is not None:
-                return {pos: FR1}
-            return self._rewrites[(a_idx, v_idx)]
+            return self._classes[(a_idx, v_idx)]
         out: dict = {}
         nv = self.source.dim
         for alpha, b_idx, c in self._free_rewrite[a_idx]:
@@ -514,8 +510,7 @@ def induced_module(imap: AlgebraMap, V: ModuleRep, free_basis=None, name="") -> 
 
     nv = V.dim
     ncols = A.dim * nv
-    # pivot preference: high flat index first, so low-index columns survive
-    ech = Echelon(ncols, key=lambda c: -c)
+    rows = []
     for b, _ in check_elements(B):
         ib = imap.apply(b)
         bact = [V.act(b, {v_idx: FR1}) for v_idx in range(nv)]
@@ -533,17 +528,18 @@ def induced_module(imap: AlgebraMap, V: ModuleRep, free_basis=None, name="") -> 
                         row[a * nv + w] = s
                     else:
                         row.pop(a * nv + w, None)
-                ech.add_row(row)
-    ech.to_rref()
-    pivset = set(ech.pivot_rows)
-    reps = [(f // nv, f % nv) for f in range(ncols) if f not in pivset]
-    rep_pos = {f: k for k, f in enumerate(sorted(set(range(ncols)) - pivset))}
-    rewrites = {}
-    for p in ech.pivot_rows:
-        rw = ech.rewrite(p)
-        rewrites[(p // nv, p % nv)] = {rep_pos[c]: v for c, v in rw.items()}
+                rows.append(row)
+    # pivots at high flat indices, so low-index columns survive as reps.
+    # The relations vanish on every kernel vector, so the class of e_f is
+    # sum_j vecs[j][f] * (rep j): the transpose of the kernel basis.
+    vecs, markers = kernel_basis_marked(rows, ncols, key=lambda c: -c)
+    classes = {divmod(f, nv): {} for f in range(ncols)}
+    for j, v in enumerate(vecs):
+        for f, c in v.items():
+            classes[divmod(f, nv)][j] = c
+    reps = [divmod(f, nv) for f in markers]
     name = name or "ind(%s)" % V.name
-    return InducedModule(imap, V, "quotient", (reps, rewrites), name=name)
+    return InducedModule(imap, V, "quotient", (reps, classes), name=name)
 
 
 def _free_rewrite_table(imap: AlgebraMap, free_basis: list) -> list:
@@ -576,28 +572,16 @@ def _free_rewrite_table(imap: AlgebraMap, free_basis: list) -> list:
 
 
 def _invert_columns(M: SparseMatrix):
-    """Columns of M^{-1}, or None if singular."""
+    """Columns of M^{-1}, or None if singular.  The kernel of (M | -I) is
+    {(x, M x)}; M is invertible iff its free columns are n..2n-1, and then
+    kernel vector j is (M^{-1} e_j, e_j)."""
     n = M.rows
     if M.cols != n:
         return None
-    ech = Echelon(2 * n)
-    rows = [dict() for _ in range(n)]
-    for (r, c), v in M.entries.items():
-        rows[r][c] = v
-    for r in range(n):
-        rows[r][n + r] = FR1
-        ech.add_row(rows[r])
-    if len([p for p in ech.pivot_rows if p < n]) < n:
+    rows = M.row_dicts()
+    for r, row in enumerate(rows):
+        row[n + r] = -FR1
+    vecs, markers = kernel_basis_marked(rows, 2 * n)
+    if markers != list(range(n, 2 * n)):
         return None
-    ech.to_rref()
-    inv_cols = [dict() for _ in range(n)]
-    for p in list(ech.pivot_rows):
-        if p >= n:
-            return None
-        rw = ech.rewrite(p)
-        for c, v in rw.items():
-            assert c >= n
-            inv_cols[c - n][p] = -v
-    # M^{-1} columns: solve M x = e_j; rewrite gives e_p = sum over aug cols
-    # of coeff * e_{n+j}, i.e. x_p for rhs e_j is -coeff with the sign above.
-    return inv_cols
+    return [{i: c for i, c in v.items() if i < n} for v in vecs]

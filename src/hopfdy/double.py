@@ -8,15 +8,18 @@ relation
 
 with the coregular actions (h |> f)(x) = f(x h), (f <| h)(x) = f(h x).
 The coproduct is Delta(phi h) = phi(1) h(1) ox phi(2) h(2) where
-phi(1)(x) phi(2)(y) = phi(xy); the antipode is obtained by solving the
-antipode axiom as a linear system (antipodes are unique, so the solve is a
-proof).  Only the untwisted setting is supported: coefficient modules for
-restriction functors insist on J = 1 ox 1.
+phi(1)(x) phi(2)(y) = phi(xy).  The antipode is S(phi h) = S(h) S(phi),
+the product of the images of the antipodes of H and (H*)^op under the two
+embeddings; `verify_hopf` checks both antipode axioms on every basis
+element, and antipodes are unique, so the check is a proof.  Only the
+untwisted setting is supported: coefficient modules for restriction
+functors insist on J = 1 ox 1.
 """
 
 from __future__ import annotations
 
-from .algcore import Algebra, AlgebraMap, ModuleRep, _act_matrix, verify_module
+from .algcore import (Algebra, AlgebraMap, ModuleRep, _act_matrix, check_elements,
+                      verify_module)
 from .exactlin import (FR0, FR1, Echelon, SparseMatrix, TensorElement,
                        kernel_basis, vec_addmul)
 from .hopfcore import HopfAlgebra, HopfError, bk_dual_generators, dual_hopf, verify_hopf
@@ -182,15 +185,18 @@ def drinfeld_double(H: HopfAlgebra) -> DoubleAlgebra:
         for j in range(n):
             counit.append(H.algebra.unit.get(i, FR0) * H.counit[j])
 
-    antipode = _solve_antipode(DAlg, comult, counit, unit)
-    Dhopf = HopfAlgebra(DAlg, comult, counit, antipode, name=DAlg.name)
-
     incl_base = AlgebraMap(H.algebra, DAlg,
                            [{i * n + j: ci for i, ci in dual.algebra.unit.items()}
                             for j in range(n)], name="H->D(H)")
     incl_dual = AlgebraMap(dual.algebra, DAlg,
                            [{i * n + j: cj for j, cj in H.algebra.unit.items()}
                             for i in range(n)], name="H*op->D(H)")
+    # S is an anti-algebra map and both embeddings are bialgebra maps
+    s_base = [incl_base.apply(H.antipode_vec({j: FR1})) for j in range(n)]
+    s_dual = [incl_dual.apply(dual.antipode_vec({i: FR1})) for i in range(n)]
+    antipode = SparseMatrix.from_columns(dim, [DAlg.mul_vec(s_base[j], s_dual[i])
+                                               for i in range(n) for j in range(n)])
+    Dhopf = HopfAlgebra(DAlg, comult, counit, antipode, name=DAlg.name)
     D = DoubleAlgebra(Dhopf, H, dual, incl_base, incl_dual)
     rep = verify_hopf(Dhopf)
     if rep:
@@ -201,48 +207,6 @@ def drinfeld_double(H: HopfAlgebra) -> DoubleAlgebra:
             raise HopfError("embedding %s fails: %s" % (emb.name, rep[:3]))
     H._double = D
     return D
-
-
-def _solve_antipode(A: Algebra, comult, counit, unit) -> SparseMatrix:
-    """Solve m(S ox id)Delta = eta eps for S; unique for Hopf algebras."""
-    n = A.dim
-    # unknowns: S[r, u] flattened u*n + r; equations per basis d and output k:
-    # sum_{(u,v)} Delta(d)[u,v] * sum_r S[r,u] (e_r e_v)_k = eps(d) unit_k
-    rows = []
-    for d in range(n):
-        eq: dict = {}
-        for (u, v), c in comult[d].coeffs.items():
-            for r in range(n):
-                for k, m in A.mul_basis(r, v).items():
-                    row = eq.setdefault(k, {})
-                    cell = row.get(u * n + r, FR0) + c * m
-                    if cell:
-                        row[u * n + r] = cell
-                    else:
-                        row.pop(u * n + r, None)
-        for k in range(n):
-            row = dict(eq.get(k, {}))
-            rhsv = counit[d] * unit.get(k, FR0)
-            if rhsv:
-                row[n * n] = -rhsv
-            if row:
-                rows.append(row)
-    ech = Echelon(n * n + 1)
-    for row in rows:
-        ech.add_row(row)
-    if n * n in ech.pivot_rows:
-        raise HopfError("antipode system is inconsistent; corrupted input")
-    if ech.rank != n * n:
-        raise HopfError("antipode system is underdetermined; corrupted input")
-    ech.to_rref()
-    ent = {}
-    for p in ech.pivot_rows:
-        rw = ech.rewrite(p)
-        c = rw.get(n * n)
-        if c:
-            u, r = divmod(p, n)
-            ent[(r, u)] = c
-    return SparseMatrix(n, n, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -378,30 +342,15 @@ def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
     if rep:
         raise HopfError("restriction inclusion is not a Hopf map: %s" % rep[:3])
 
-    # subspace {f : f(i(k) x) = eps_K(k) f(x)} of H*
+    # subspace {f : f(i(k) x) = eps_K(k) f(x)} of H*, for k in
+    # `check_elements`: the k with that property form a subalgebra
     rows = []
-    for kidx in range(Hs.dim):
-        ik = imap.apply_basis(kidx)
-        epsk = Hs.counit[kidx]
+    for k, _ in check_elements(Hs.algebra):
+        ik = imap.apply(k)
+        epsk = Hs.counit_vec(k)
         for m in range(n):
-            row: dict = {}
-            for i, ci in ik.items():
-                for p, cp in H.mul_basis(i, m).items():
-                    s = row.get(p, FR0) + ci * cp
-                    if s:
-                        row[p] = s
-                    else:
-                        row.pop(p, None)
-            if epsk:
-                s = row.get(m, FR0) - epsk
-                if s:
-                    row[m] = s
-                else:
-                    row.pop(m, None)
-            if row:
-                rows.append(row)
-    basis = kernel_basis(SparseMatrix.from_rows_list(rows, n) if rows
-                         else SparseMatrix(0, n))
+            rows.append(vec_addmul(H.mul_vec(ik, {m: FR1}), {m: FR1}, -epsk))
+    basis = kernel_basis(rows, n)
     solver = Echelon(n, tracked=True)
     for b in basis:
         solver.add_row(b)

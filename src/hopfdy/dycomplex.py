@@ -165,7 +165,7 @@ class DYComplex:
             # row (j, f), column t: the e_f coefficient of L_j e_t - e_t R_j
             rows = self._run("cochain_basis", lambda ops: ops.rows(
                 self._condition_diffs(ops, n, ops.all_basis(s))))
-            vecs, markers = kernel_basis_marked(SparseMatrix.from_rows_list(rows, nd ** s))
+            vecs, markers = kernel_basis_marked(rows, nd ** s)
             basis = [TensorElement(self.H.algebra, s,
                                    {unflatten_index(f, nd, s): c for f, c in v.items()})
                      for v in vecs]

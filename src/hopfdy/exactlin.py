@@ -10,9 +10,12 @@ with gcd normalization, Bareiss flavour) and returns the scale it
 accumulated, so a caller that needs the exact rational remainder divides
 by it once at the end.  It can carry a combination of generators through
 the same steps.  `Echelon` builds ranks, residuals, tracked coordinates
-and the reduced row echelon form on it, and kernels, solutions and
-rewrites come from that form.  RREF is unique, so every reported rank,
-kernel and rewrite is deterministic regardless of the pivot order.
+and the reduced row echelon form on it.  `kernel_basis_marked` is the one
+reader of that form: every exact solve of the package (matrix inverses,
+the quotient rewrites of induction, cochain and tangent spaces) is read
+from the canonical kernel basis of a list of rows.  RREF is unique, so
+every reported rank and kernel is deterministic regardless of the pivot
+order.
 """
 
 from __future__ import annotations
@@ -103,15 +106,6 @@ class SparseMatrix:
                 if v:
                     ent[(i, j)] = fr(v)
         return cls(rows, len(columns), ent)
-
-    @classmethod
-    def from_rows_list(cls, rows: list, cols: int) -> "SparseMatrix":
-        ent = {}
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                if v:
-                    ent[(i, j)] = fr(v)
-        return cls(len(rows), cols, ent)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -399,22 +393,19 @@ class Echelon:
             done[piv] = pivots[piv]
         self._rref_done = True
 
-    def rewrite(self, piv: int) -> dict:
-        """Express a pivot column over non-pivot columns: piv = sum c_j * e_j.
 
-        Requires to_rref() first.  Returns {col: Fraction} over non-pivots.
-        """
-        assert self._rref_done
-        row = self.pivot_rows[piv]
-        lead = row[piv]
-        return {c: Fraction(-v, lead) for c, v in row.items() if c != piv}
+def _check_columns(rows: list, ncols: int):
+    for row in rows:
+        for c in row:
+            if not 0 <= c < ncols:
+                raise ExactlinError("column %d out of range for %d columns" % (c, ncols))
 
 
-def _sparse_first(rows: list, ncols: int) -> Echelon:
+def _sparse_first(rows: list, ncols: int, key=None) -> Echelon:
     """An Echelon of `rows`, inserted sparsest first (ties in list order):
     far less elimination fill-in, and the pivots and RREF are the same in
     any order."""
-    ech = Echelon(ncols)
+    ech = Echelon(ncols, key)
     for row in sorted(rows, key=len):
         ech.add_row(row)
     return ech
@@ -444,36 +435,39 @@ def rank_of_vectors(vecs: list, ambient: int) -> int:
     return rank_of_rows(list(byidx.values()), len(vecs))
 
 
-def kernel_basis_marked(M: SparseMatrix):
-    """Exact basis of ker(M) as column vectors {index: Fraction}, plus the
+def kernel_basis_marked(rows: list, ncols: int, key=None):
+    """Exact basis of the solutions x in QQ^ncols of row . x = 0 for every
+    row (an int or Fraction dict), as vectors {index: Fraction}, plus the
     free-column marker of each basis vector.
 
-    Canonical: one vector per free column f (ascending), normalized with
-    entry 1 at f and RREF-determined entries at the pivot columns.
-    Coordinates of any v in the kernel span are read off at the markers:
+    Canonical: one vector per free column f, markers ascending, normalized
+    with entry 1 at f and RREF-determined entries at the pivot columns.
+    `key` is the Echelon pivot preference; a reversed key puts the pivots
+    at high columns, so low columns are free.  Coordinates of any v in the
+    kernel span are read off at the markers:
     v = sum_j v[free_cols[j]] * basis[j].
     """
-    ech = _sparse_first(M.row_dicts(), M.cols)
+    _check_columns(rows, ncols)
+    ech = _sparse_first(rows, ncols, key)
     ech.to_rref()
-    free = [c for c in range(M.cols) if c not in ech.pivot_rows]
+    free = [c for c in range(ncols) if c not in ech.pivot_rows]
     vecs = {f: {f: FR1} for f in free}
-    for p in ech.pivot_rows:
-        for f, c in ech.rewrite(p).items():
-            vecs[f][p] = c
+    for p, row in ech.pivot_rows.items():
+        lead = row[p]
+        for f, v in row.items():
+            if f != p:
+                vecs[f][p] = Fraction(-v, lead)
     return [vecs[f] for f in free], free
 
 
-def kernel_basis(M: SparseMatrix) -> list:
+def kernel_basis(rows: list, ncols: int) -> list:
     """kernel_basis_marked without the markers."""
-    return kernel_basis_marked(M)[0]
+    return kernel_basis_marked(rows, ncols)[0]
 
 
 def span_equal(A: list, B: list, dim: int) -> bool:
     """True iff the two lists of vectors span the same subspace of QQ^dim."""
-    for v in A + B:
-        for i in v:
-            if not (0 <= i < dim):
-                raise ExactlinError("vector coordinate %d out of dimension %d" % (i, dim))
+    _check_columns(A + B, dim)
     ra = rank_of_rows(A, dim)
     rb = rank_of_rows(B, dim)
     if ra != rb:

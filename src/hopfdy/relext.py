@@ -268,7 +268,7 @@ def _extend_cover(res: Resolution, upto: int):
             incl = SparseMatrix.from_columns(res.terms[n - 1].dim,
                                              res.kernel_bases[n])
             res.diffs.append(incl.matmul(eps))
-        kbasis, kmarkers = kernel_basis_marked(eps)
+        kbasis, kmarkers = kernel_basis_marked(eps.row_dicts(), eps.cols)
         res.kernel_bases.append(kbasis)
         res.kernel_markers.append(kmarkers)
         res.kernel_modules.append(submodule_on_basis(P, kbasis, name="K%d" % (n + 1)))

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algcore import check_elements
-from .exactlin import (FR1, SparseMatrix, TensorElement, fr, kernel_basis, span_equal,
-                       unit_tensor)
+from .exactlin import FR1, TensorElement, fr, kernel_basis, span_equal, unit_tensor
 from .hopfcore import HopfAlgebra, HopfError, build_bk, iterated_coproduct
 
 FRH = Fraction(1, 2)
@@ -140,7 +139,7 @@ def tangent_space(H: HopfAlgebra, R: TensorElement, report: RMatrixReport = None
     rows = run_exact(lambda ops: _tangent_rows(ops, H, R), lambda big: SlotKernel(H, big))
     vectors = []
     zero1 = TensorElement(H.algebra, 1, {})
-    for v in kernel_basis(SparseMatrix.from_rows_list(rows, n * n)):
+    for v in kernel_basis(rows, n * n):
         T = TensorElement(H.algebra, 2, {(f // n, f % n): c for f, c in v.items()})
         # the counit conditions hold automatically; assert rather than assume
         if T.contract_at(0, H.counit) != zero1 or T.contract_at(1, H.counit) != zero1:

@@ -82,6 +82,32 @@ def intertwiner_basis_dense(act_m, act_n):
     return out
 
 
+def antipode_dense(H):
+    """The antipode of H as entries {(r, u): Fraction} (S(e_u) has e_r
+    coefficient S[r, u]), solved from m(S ox id)Delta = eta eps by loops
+    over the tables H.algebra.mult, H.algebra.unit, H.comult and H.counit.
+
+    Unknowns are S[r, u] at column u*n + r, and column n*n carries the
+    right-hand side: equation (d, k) reads
+    sum_{(u,v)} Delta(d)[u,v] sum_r S[r,u] (e_r e_v)_k - eps(d) 1_k t = 0.
+    The antipode is unique, so the kernel is the line through (S, 1).
+    """
+    n, mult, unit = H.dim, H.algebra.mult, H.algebra.unit
+    rows = []
+    for d in range(n):
+        eqs = [[Fraction(0)] * (n * n + 1) for _ in range(n)]
+        for (u, v), c in H.comult[d].coeffs.items():
+            for r in range(n):
+                for k, m in mult.get((r, v), {}).items():
+                    eqs[k][u * n + r] += c * m
+        for k in range(n):
+            eqs[k][n * n] -= H.counit[d] * unit.get(k, 0)
+        rows.extend(eqs)
+    (v,) = dense_nullspace(rows, n * n + 1)
+    assert v[n * n] == 1
+    return {(r, u): v[u * n + r] for u in range(n) for r in range(n) if v[u * n + r]}
+
+
 def _add(out, key, c):
     out[key] = out.get(key, 0) + c
 

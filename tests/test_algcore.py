@@ -66,12 +66,29 @@ class TestHomSpace:
             assert is_intertwiner(f, reg, reg)
 
     def test_matches_dense_oracle(self):
-        A = build_bk(1).algebra
-        reg = regular_module(A)
-        got = hom_space(reg, reg)
-        dense_acts = [densify_matrix(reg.action(i)) for i in range(A.dim)]
-        want = intertwiner_basis_dense(dense_acts, dense_acts)
-        assert len(got) == len(want)
+        """The canonical basis equals the dense one over the full basis, on
+        the generator path (regular B_1) and the basis path (regular to
+        trivial over B_1 without generators)."""
+        H = build_bk(1)
+        plain = Algebra(H.dim, H.algebra.labels, H.algebra.mult, H.algebra.unit)
+        reg = regular_module(H.algebra)
+        pairs = [(reg, reg),
+                 (regular_module(plain), module_from_character(plain, H.counit_row()))]
+        for M, N in pairs:
+            want = intertwiner_basis_dense(
+                [densify_matrix(M.action(i)) for i in range(H.dim)],
+                [densify_matrix(N.action(i)) for i in range(H.dim)])
+            assert [densify_matrix(f) for f in hom_space(M, N)] == want
+
+    @pytest.mark.parametrize("good, bad", [(2, 1), (1, 2)], ids=["g", "x1"])
+    def test_is_intertwiner_checks_every_generator(self, good, bad):
+        # on regular B_1, left multiplication by g (index 2) or x1 (index 1)
+        # commutes with its own action and anticommutes with the other's
+        reg = regular_module(build_bk(1).algebra)
+        f = reg.action(good)
+        assert f.matmul(reg.action(good)) == reg.action(good).matmul(f)
+        assert f.matmul(reg.action(bad)) != reg.action(bad).matmul(f)
+        assert not is_intertwiner(f, reg, reg)
 
     def test_hom_from_zero_module(self):
         H = build_bk(1)

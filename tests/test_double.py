@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,10 @@ from hopfdy.double import (TwistNotSupportedError, build_c_pm, center_module_fro
 from hopfdy.exactlin import FR1, TensorElement, unit_tensor, vec_eq, vec_scale
 from hopfdy.hopfcore import (bk_dual_generators, bk_inclusion, build_bk, build_cyclic,
                              trivial_module, verify_hopf)
+from hopfdy.hopffile import load_hopf
 from hopfdy.rmatrix import bk_r0, check_rmatrix
+
+from oracles import antipode_dense
 
 HALF = Fraction(1, 2)
 
@@ -37,6 +41,16 @@ class TestDrinfeldDouble:
         D = drinfeld_double(build_cyclic(2))
         assert D.dim == 4
         assert verify_hopf(D.hopf) == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_cyclic(3), lambda: build_bk(1),
+        lambda: load_hopf(str(Path(__file__).parent / "data" / "bk_1_basis_f3.json"))],
+        ids=["cyclic_3", "bk_1", "bk_1_basis_f3"])
+    def test_antipode_matches_dense_solve(self, make):
+        """S(phi h) = S(h) S(phi) is the unique solution of the antipode
+        axiom, solved densely from the double's structure tables."""
+        D = drinfeld_double(make())
+        assert D.hopf.antipode.entries == antipode_dense(D.hopf)
 
     def test_embeddings_are_algebra_maps(self, D1, D2):
         for D in (D1, D2):

@@ -400,17 +400,12 @@ class TestH2Decomposition:
         basis = txB1.cochain_basis(2)
         # coordinate kernel of delta^2 = cocycle space in C^2 coordinates
         images = txB1.differential_images(2)
-        from hopfdy.exactlin import SparseMatrix, kernel_basis
-        cols = []
-        support = {}
-        for v in images:
-            for f2, c in v.flat().items():
-                support.setdefault(f2, len(support))
-        ent = {}
+        from hopfdy.exactlin import kernel_basis
+        rows = {}
         for j, v in enumerate(images):
             for f2, c in v.flat().items():
-                ent[(support[f2], j)] = c
-        Z = kernel_basis(SparseMatrix(len(support), len(basis), ent))
+                rows.setdefault(f2, {})[j] = c
+        Z = kernel_basis(list(rows.values()), len(basis))
 
         id_cx = identity_complex(H)
         id_cob = [v.flat() for v in id_cx.differential_images(1)]

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfdy.exactlin import (Echelon, SparseMatrix, TensorElement, kernel_basis,
-                             kernel_basis_marked, rank, rank_of_rows, rank_of_vectors,
-                             span_equal, unit_tensor)
+from hopfdy.algcore import _invert_columns
+from hopfdy.exactlin import (Echelon, ExactlinError, SparseMatrix, TensorElement,
+                             kernel_basis, kernel_basis_marked, rank, rank_of_rows,
+                             rank_of_vectors, span_equal, unit_tensor)
 from hopfdy.hopfcore import build_bk
 
 from oracles import dense_nullspace, dense_rank, dense_rref, densify_vec
@@ -34,7 +35,7 @@ class TestRank:
 
     def test_rank_plus_nullity(self):
         M = sm([[1, 2, 3], [0, 1, 1], [1, 3, 4]])
-        assert rank(M) + len(kernel_basis(M)) == M.cols
+        assert rank(M) + len(kernel_basis(M.row_dicts(), M.cols)) == M.cols
 
     def test_modular_agrees(self):
         M = sm([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
@@ -48,25 +49,25 @@ class TestRank:
 
 class TestKernel:
     def test_identity_kernel_empty(self):
-        assert kernel_basis(SparseMatrix.identity(2)) == []
+        assert kernel_basis([{0: 1}, {1: 1}], 2) == []
 
     def test_zero_kernel_full(self):
-        ker = kernel_basis(SparseMatrix(1, 3, {}))
+        ker = kernel_basis([], 3)
         assert ker == [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
 
     def test_hand_solved(self):
         # [[1, 1]] has kernel spanned by (1, -1)
-        ker = kernel_basis(sm([[1, 1]]))
+        ker = kernel_basis([{0: 1, 1: 1}], 2)
         assert ker == [{1: Fraction(1), 0: Fraction(-1)}]
 
     def test_vectors_satisfy_system(self):
         M = sm([[1, 2, 3, 1], [2, 0, 1, 1], [3, 2, 4, 2]])
-        for v in kernel_basis(M):
+        for v in kernel_basis(M.row_dicts(), M.cols):
             assert M.mul_vec(v) == {}
 
     def test_against_dense_oracle(self):
         rows = [[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1]]
-        got = kernel_basis(sm(rows))
+        got = kernel_basis([_sparse(r) for r in rows], 4)
         want = dense_nullspace(rows, 4)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -74,7 +75,7 @@ class TestKernel:
 
     def test_markers_read_coordinates(self):
         M = sm([[1, 2, 0, 1], [0, 1, 1, 0]])
-        basis, markers = kernel_basis_marked(M)
+        basis, markers = kernel_basis_marked(M.row_dicts(), M.cols)
         # combination 2*b0 - b1 recovered from its marker coordinates
         v = {}
         for k, c in basis[0].items():
@@ -84,6 +85,11 @@ class TestKernel:
         v = {k: c for k, c in v.items() if c}
         assert v.get(markers[0], Fraction(0)) == 2
         assert v.get(markers[1], Fraction(0)) == -1
+
+    @pytest.mark.parametrize("col", [-1, 3])
+    def test_column_out_of_range(self, col):
+        with pytest.raises(ExactlinError):
+            kernel_basis_marked([{0: 1}, {col: 1}], 3)
 
 
 class TestSpanEqual:
@@ -113,7 +119,7 @@ def small_matrices(draw):
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity_property(M):
-    assert rank(M) + len(kernel_basis(M)) == M.cols
+    assert rank(M) + len(kernel_basis(M.row_dicts(), M.cols)) == M.cols
 
 
 @given(small_matrices())
@@ -189,17 +195,37 @@ def test_echelon_matches_dense_oracles(case):
 @settings(max_examples=80, deadline=None)
 def test_insertion_order_keeps_kernel_and_rank(case, data):
     """kernel_basis_marked and rank_of_rows give the dense oracles' kernel,
-    free columns and rank on the rows and on a shuffle of them."""
-    rows, _ = case
+    free columns and rank on the rows and on a shuffle of them.  With the
+    reversed key the kernel is the oracles' one on the reversed columns,
+    read back with ascending markers."""
+    rows, reverse = case
     ncols = len(rows[0])
-    pivots = dense_rref(rows)[1]
-    want = dense_nullspace(rows, ncols)
+    flip = (lambda r: r[::-1]) if reverse else (lambda r: r)
+    pivots = [ncols - 1 - p if reverse else p for p in dense_rref([flip(r) for r in rows])[1]]
+    want = [flip(v) for v in dense_nullspace([flip(r) for r in rows], ncols)]
+    key = (lambda c: -c) if reverse else None
     for order in (rows, data.draw(st.permutations(rows))):
         sparse = [_sparse(r) for r in order]
-        basis, markers = kernel_basis_marked(SparseMatrix.from_rows_list(sparse, ncols))
-        assert [densify_vec(v, ncols) for v in basis] == want
+        basis, markers = kernel_basis_marked(sparse, ncols, key=key)
+        assert [densify_vec(v, ncols) for v in basis] == flip(want)
         assert markers == [c for c in range(ncols) if c not in pivots]
         assert rank_of_rows(sparse, ncols) == dense_rank(rows)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=80, deadline=None)
+def test_invert_columns_matches_dense_oracle(dense):
+    """None iff singular; else the columns of the inverse read from the
+    RREF of (M | I)."""
+    n = len(dense)
+    got = _invert_columns(sm(dense))
+    if dense_rank(dense) < n:
+        assert got is None
+        return
+    m, _ = dense_rref([row + [int(r == c) for c in range(n)] for r, row in enumerate(dense)])
+    assert [densify_vec(col, n) for col in got] == [[m[r][n + j] for r in range(n)]
+                                                    for j in range(n)]
 
 
 # ---------------------------------------------------------------------------

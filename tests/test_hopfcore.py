@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hopfdy.exactlin import FR1, TensorElement
-from hopfdy.hopfcore import (HopfAlgebra, apply_antipode_at, apply_counit_at,
+from hopfdy.hopfcore import (HopfAlgebra, HopfError, apply_antipode_at, apply_counit_at,
                              bk_dual_generators, bk_inclusion, bk_monomial_index,
                              build_bk, build_cyclic, catalog_hopf, coreg_left,
                              coreg_right, dual_hopf, is_hopf_map, iterated_coproduct,
@@ -32,6 +32,14 @@ class TestVerifyHopf:
         bad = SparseMatrix(H.dim, H.dim, ent)
         rep = verify_hopf(HopfAlgebra(H.algebra, H.comult, H.counit, bad))
         assert any("antipode" in line for line in rep)
+
+    def test_singular_antipode_has_no_inverse(self):
+        H = build_bk(1)
+        ent = dict(H.antipode.entries)
+        ent.pop((3, 1))  # S(x) = 0 instead of gx
+        bad = HopfAlgebra(H.algebra, H.comult, H.counit, SparseMatrix(H.dim, H.dim, ent))
+        with pytest.raises(HopfError):
+            bad.antipode_inverse()
 
 
 class TestBk:
