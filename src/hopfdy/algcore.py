@@ -8,7 +8,7 @@ empty report means the axioms hold.
 
 from __future__ import annotations
 
-from .exactlin import (FR0, FR1, Echelon, SparseMatrix, fr, kernel_basis,
+from .exactlin import (FR0, FR1, Echelon, SparseMatrix, _once, fr, kernel_basis,
                        kernel_basis_marked, kron_into, vec_addmul, vec_eq)
 
 
@@ -38,8 +38,8 @@ class Algebra:
         self.unit = {i: fr(c) for i, c in unit.items() if fr(c)}
         self.generators = generators
         self.name = name or "algebra(dim=%d)" % dim
-        self._left_mult = {}
-        self._gen_span_ok = None
+        # "fast_mult", "gen_span_ok" and ("left_mult", i), filled by `_once`
+        self._cache: dict = {}
 
     def mul_basis(self, i: int, j: int) -> dict:
         return self.mult.get((i, j), {})
@@ -47,8 +47,7 @@ class Algebra:
     def fast_mult(self):
         """2-D table: fast_mult()[i][j] is None (zero product), a (k, coeff)
         pair (single-term product) or the full sparse dict."""
-        tab = getattr(self, "_fast_mult", None)
-        if tab is None:
+        def build():
             tab = [[None] * self.dim for _ in range(self.dim)]
             for (i, j), v in self.mult.items():
                 if len(v) == 1:
@@ -56,8 +55,8 @@ class Algebra:
                     tab[i][j] = (k, c)
                 else:
                     tab[i][j] = v
-            self._fast_mult = tab
-        return tab
+            return tab
+        return _once(self._cache, "fast_mult", build)
 
     def mul_vec(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -71,15 +70,13 @@ class Algebra:
 
     def left_mult_matrix(self, i: int) -> SparseMatrix:
         """Matrix of x -> e_i * x."""
-        m = self._left_mult.get(i)
-        if m is None:
+        def build():
             ent = {}
             for j in range(self.dim):
                 for k, c in self.mul_basis(i, j).items():
                     ent[(k, j)] = c
-            m = SparseMatrix(self.dim, self.dim, ent)
-            self._left_mult[i] = m
-        return m
+            return SparseMatrix(self.dim, self.dim, ent)
+        return _once(self._cache, ("left_mult", i), build)
 
     def label_of(self, i: int) -> str:
         return self.labels[i]
@@ -88,25 +85,31 @@ class Algebra:
         return "Algebra(%s, dim=%d)" % (self.name, self.dim)
 
 
+def left_span(A: Algebra, start: dict, elements: list) -> list:
+    """Breadth-first closure of span{start} under left multiplication by
+    `elements`: the vectors that enlarged the span, `start` first, so they
+    are a basis of the smallest left-stable subspace holding `start`."""
+    ech = Echelon()
+    frontier = [start] if ech.add_row(start) is not None else []
+    out = list(frontier)
+    while frontier:
+        new = []
+        for v in frontier:
+            for g in elements:
+                w = A.mul_vec(g, v)
+                if ech.add_row(w) is not None:
+                    new.append(w)
+        out.extend(new)
+        frontier = new
+    return out
+
+
 def check_generators_span(A: Algebra) -> bool:
     """Certify that products of A.generators (plus the unit) span A."""
     if A.generators is None:
         return False
-    if A._gen_span_ok is not None:
-        return A._gen_span_ok
-    ech = Echelon(A.dim)
-    ech.add_row(A.unit)
-    frontier = [dict(A.unit)]
-    while frontier:
-        new = []
-        for v in frontier:
-            for g in A.generators:
-                w = A.mul_vec(g, v)
-                if ech.add_row(w) is not None:
-                    new.append(w)
-        frontier = new
-    A._gen_span_ok = (ech.rank == A.dim)
-    return A._gen_span_ok
+    return _once(A._cache, "gen_span_ok",
+                 lambda: len(left_span(A, A.unit, A.generators)) == A.dim)
 
 
 def check_elements(A: Algebra) -> list:
@@ -184,14 +187,15 @@ class ModuleRep:
     """Module over an algebra: one dim x dim action matrix per basis element.
 
     Matrices may be provided eagerly (list) or lazily via `action_fn(i)`;
-    lazily built matrices are cached, so instances stay immutable in effect.
+    lazily built matrices are cached write-once, so instances stay
+    immutable in effect.
     """
 
     def __init__(self, algebra: Algebra, dim: int, action=None, action_fn=None, name=""):
         self.algebra = algebra
         self.dim = dim
         self.name = name or "module(dim=%d)" % dim
-        self._matrices = {}
+        self._matrices = {}  # i -> rho(e_i), filled by `_once`
         self._action_fn = action_fn
         if action is not None:
             assert len(action) == algebra.dim
@@ -204,12 +208,11 @@ class ModuleRep:
 
     def action(self, i: int) -> SparseMatrix:
         m = self._matrices.get(i)
-        if m is None:
-            m = self._action_fn(i)
-            if not isinstance(m, SparseMatrix):
-                m = SparseMatrix(self.dim, self.dim, m)
-            self._matrices[i] = m
-        return m
+        return m if m is not None else _once(self._matrices, i, lambda: self._build(i))
+
+    def _build(self, i: int) -> SparseMatrix:
+        m = self._action_fn(i)
+        return m if isinstance(m, SparseMatrix) else SparseMatrix(self.dim, self.dim, m)
 
     def act_basis(self, i: int, v: dict) -> dict:
         return self.action(i).mul_vec(v)
@@ -335,13 +338,15 @@ def module_map_kernel(f: SparseMatrix, M: ModuleRep, N: ModuleRep):
         raise AlgebraError("module_map_kernel: map is not an intertwiner")
     basis = kernel_basis(f.row_dicts(), f.cols)
     incl = SparseMatrix.from_columns(M.dim, basis)
-    K = submodule_on_basis(M, basis, name="ker(%s)" % M.name)
+    K = submodule_on_basis(M.algebra, basis, M.act_basis, name="ker(%s)" % M.name)
     return K, incl
 
 
-def submodule_on_basis(M: ModuleRep, basis: list, name="") -> ModuleRep:
-    """Module structure on an action-stable subspace given by a basis."""
-    solver = Echelon(M.dim, tracked=True)
+def submodule_on_basis(A: Algebra, basis: list, act, name="") -> ModuleRep:
+    """The A-module on the span of `basis`, where act(i, v) is the ambient
+    image of v under e_i; its action matrices are built lazily and raise
+    AlgebraError when an image leaves the span."""
+    solver = Echelon(tracked=True)
     for v in basis:
         added = solver.add_row(v)
         assert added is not None, "submodule basis is dependent"
@@ -349,18 +354,14 @@ def submodule_on_basis(M: ModuleRep, basis: list, name="") -> ModuleRep:
     def fn(i):
         ent = {}
         for j, v in enumerate(basis):
-            img = M.act_basis(i, v)
-            coords = solver.coordinates(img)
+            coords = solver.coordinates(act(i, v))
             if coords is None:
                 raise AlgebraError("subspace is not stable under e_%d" % i)
             for r, c in coords.items():
                 ent[(r, j)] = c
         return SparseMatrix(len(basis), len(basis), ent)
 
-    sub = ModuleRep(M.algebra, len(basis), action_fn=fn, name=name or "sub(%s)" % M.name)
-    sub.basis_in_ambient = basis
-    sub.ambient = M
-    return sub
+    return ModuleRep(A, len(basis), action_fn=fn, name=name or "sub")
 
 
 def tensor_algebra(A: Algebra, B: Algebra) -> Algebra:
@@ -408,81 +409,41 @@ def tensor_module(M: ModuleRep, N: ModuleRep, T: Algebra) -> ModuleRep:
 
 
 class InducedModule(ModuleRep):
-    """A ox_B V as a left A-module, via the quotient construction by default.
+    """A ox_B V as a left A-module on a canonical basis.
 
-    The quotient of A ox V by span{(a*i(b)) ox v - a ox (b.v)} is read from
-    the canonical kernel basis of the relations: its free columns (markers)
-    form the canonical basis, and `pair_vec` sends any pure tensor
-    a_idx ox v_idx to canonical coordinates.  When `free_basis` elements u with
-    A = direct-sum u_alpha * i(B) are supplied and verified, an equivalent
-    free realization with basis {alpha} x {v} is used instead; dimensions and
-    all derived invariants agree with the quotient construction.
+    `gens[pos] = (u, v)` says that canonical basis vector `pos` is the
+    class [u ox e_v], u a sparse A-vector, and `pair_vec(a, v)` gives the
+    canonical coordinates of [e_a ox e_v].  `induced_module` chooses both,
+    from the quotient construction or from a verified free basis; every
+    consumer reads the module through `gens`, `class_of`, `act` and
+    `unit_section` alone.
     """
 
-    def __init__(self, imap: AlgebraMap, V: ModuleRep, mode: str, data, name=""):
+    def __init__(self, imap: AlgebraMap, V: ModuleRep, gens: list, pair_vec, name=""):
         self.imap = imap
         self.source = V
-        self.mode = mode
-        A = imap.target
-        if mode == "quotient":
-            reps, classes = data
-            self.reps = reps          # list of (a_idx, v_idx)
-            self._classes = classes   # (a_idx, v_idx) -> {canonical idx: Fraction}
-            dim = len(reps)
-        else:
-            free_cols, rewrite_table = data
-            self.free_cols = free_cols          # list of A-vectors u_alpha
-            self._free_rewrite = rewrite_table  # A-basis idx -> [(alpha, b_idx, c)]
-            dim = len(free_cols) * V.dim
-        super().__init__(A, dim, action_fn=self._action_of, name=name)
+        self.gens = gens
+        self.pair_vec = pair_vec
+        super().__init__(imap.target, len(gens), action_fn=self._action_of, name=name)
 
-    # -- canonical coordinates -------------------------------------------
-    def pair_vec(self, a_idx: int, v_idx: int) -> dict:
-        """Canonical coordinates of the class of e_{a_idx} ox e_{v_idx}."""
-        if self.mode == "quotient":
-            return self._classes[(a_idx, v_idx)]
+    def class_of(self, u: dict, v_idx: int) -> dict:
+        """Canonical coordinates of [u ox e_{v_idx}], u a sparse A-vector."""
         out: dict = {}
-        nv = self.source.dim
-        for alpha, b_idx, c in self._free_rewrite[a_idx]:
-            bv = self.source.act_basis(b_idx, {v_idx: FR1})
-            for w, cw in bv.items():
-                flat = alpha * nv + w
-                s = out.get(flat, FR0) + c * cw
-                if s:
-                    out[flat] = s
-                else:
-                    out.pop(flat, None)
+        for a_idx, c in u.items():
+            vec_addmul(out, self.pair_vec(a_idx, v_idx), c)
         return out
 
     def unit_section(self, v: dict) -> dict:
         """eta(v) = class of 1_A ox v (the adjunction unit)."""
         out: dict = {}
-        for a_idx, ca in self.imap.target.unit.items():
-            for v_idx, cv in v.items():
-                vec_addmul(out, self.pair_vec(a_idx, v_idx), ca * cv)
+        for v_idx, cv in v.items():
+            vec_addmul(out, self.class_of(self.imap.target.unit, v_idx), cv)
         return out
 
     def act_class(self, a_idx: int, pos: int) -> dict:
-        """a . (canonical basis vector `pos`)."""
-        A = self.imap.target
-        nv = self.source.dim
-        if self.mode == "quotient":
-            a2, v2 = self.reps[pos]
-        else:
-            a2 = None
-        out: dict = {}
-        if self.mode == "quotient":
-            for p_idx, c in A.mul_basis(a_idx, a2).items():
-                vec_addmul(out, self.pair_vec(p_idx, v2), c)
-        else:
-            alpha, v2 = divmod(pos, nv)
-            ua = self.free_cols[alpha]
-            prod: dict = {}
-            for i, ci in ua.items():
-                vec_addmul(prod, A.mul_basis(a_idx, i), ci)
-            for p_idx, c in prod.items():
-                vec_addmul(out, self.pair_vec(p_idx, v2), c)
-        return out
+        """a . (canonical basis vector `pos`) = [(e_a u) ox e_v]."""
+        u, v_idx = self.gens[pos]
+        return self.class_of(self.imap.target.mul_vec({a_idx: FR1}, u), v_idx)
 
     def _action_of(self, a_idx: int) -> SparseMatrix:
         ent = {}
@@ -495,20 +456,40 @@ class InducedModule(ModuleRep):
 def induced_module(imap: AlgebraMap, V: ModuleRep, free_basis=None, name="") -> InducedModule:
     """Induction A ox_B V along an algebra map B -> A.
 
-    Relations are spanned by {(a*i(b)) ox v - a ox (b.v)}; it is enough to
-    let b range over a generating set of B (relations for products follow:
+    With `free_basis` elements u_alpha, A = direct-sum u_alpha * i(B)
+    (verified), the canonical basis is [u_alpha ox e_v] and `pair_vec`
+    rewrites e_a through the inverse of (alpha, b) -> u_alpha * i(b).
+    Otherwise the quotient of A ox V by the relations
+    {(a*i(b)) ox v - a ox (b.v)} is read from their canonical kernel
+    basis: the surviving pairs [e_a ox e_v] (the markers) are the basis,
+    and `pair_vec` is the class table.  It is enough to let b range over
+    a generating set of B (relations for products follow:
     rel(a, b b', v) = rel(a*i(b), b', v) + rel(a, b, b'.v)), and over the
-    full basis otherwise.
+    full basis otherwise.  Dimensions and every derived invariant agree.
     """
     if V.algebra is not imap.source:
         raise AlgebraError("induced_module: V is not a module over the map source")
     A, B = imap.target, imap.source
+    nv = V.dim
+    name = name or "ind(%s)" % V.name
     if free_basis is not None:
         table = _free_rewrite_table(imap, free_basis)
-        name = name or "ind(%s)" % V.name
-        return InducedModule(imap, V, "free", (free_basis, table), name=name)
 
-    nv = V.dim
+        def free_pair_vec(a_idx, v_idx):
+            out: dict = {}
+            for alpha, b_idx, c in table[a_idx]:
+                for w, cw in V.act_basis(b_idx, {v_idx: FR1}).items():
+                    flat = alpha * nv + w
+                    s = out.get(flat, FR0) + c * cw
+                    if s:
+                        out[flat] = s
+                    else:
+                        out.pop(flat, None)
+            return out
+
+        gens = [(u, v_idx) for u in free_basis for v_idx in range(nv)]
+        return InducedModule(imap, V, gens, free_pair_vec, name=name)
+
     ncols = A.dim * nv
     rows = []
     for b, _ in check_elements(B):
@@ -537,9 +518,9 @@ def induced_module(imap: AlgebraMap, V: ModuleRep, free_basis=None, name="") -> 
     for j, v in enumerate(vecs):
         for f, c in v.items():
             classes[divmod(f, nv)][j] = c
-    reps = [divmod(f, nv) for f in markers]
-    name = name or "ind(%s)" % V.name
-    return InducedModule(imap, V, "quotient", (reps, classes), name=name)
+    gens = [({f // nv: FR1}, f % nv) for f in markers]
+    return InducedModule(imap, V, gens, lambda a_idx, v_idx: classes[(a_idx, v_idx)],
+                         name=name)
 
 
 def _free_rewrite_table(imap: AlgebraMap, free_basis: list) -> list:

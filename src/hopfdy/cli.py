@@ -88,6 +88,16 @@ def parse_bk_k(source: str):
     return None
 
 
+def _read_json(flag: str, path: str):
+    """The JSON value in the file given to `flag`, or a CliError (exit 3)
+    naming the file when it cannot be read or is not JSON."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:
+        raise CliError("%s %s: %s" % (flag, path, exc), EXIT_INVALID_RMATRIX)
+
+
 def load_rmatrix(H, args) -> TensorElement:
     if getattr(args, "r0", False):
         k = parse_bk_k(args.source)
@@ -97,8 +107,7 @@ def load_rmatrix(H, args) -> TensorElement:
     if getattr(args, "trivial_r", False):
         return unit_tensor(H.algebra, 2)
     if getattr(args, "rmatrix", None):
-        with open(args.rmatrix) as f:
-            data = json.load(f)
+        data = _read_json("--rmatrix", args.rmatrix)
         try:
             return tensor_from_json(H.algebra, 2, data)
         except HopfFileError as exc:
@@ -107,8 +116,7 @@ def load_rmatrix(H, args) -> TensorElement:
         k = parse_bk_k(args.source)
         if k is None:
             raise CliError("--lambda requires a bk:k source", EXIT_INVALID_RMATRIX)
-        with open(args.lam) as f:
-            lam = json.load(f)
+        lam = _read_json("--lambda", args.lam)
         if not (isinstance(lam, list) and len(lam) == k
                 and all(isinstance(row, list) and len(row) == k for row in lam)):
             raise CliError("--lambda %s: %r is not a %dx%d matrix" % (args.lam, lam, k, k),

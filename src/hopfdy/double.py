@@ -19,9 +19,9 @@ functors insist on J = 1 ox 1.
 from __future__ import annotations
 
 from .algcore import (Algebra, AlgebraMap, ModuleRep, _act_matrix, check_elements,
-                      verify_module)
-from .exactlin import (FR0, FR1, Echelon, SparseMatrix, TensorElement,
-                       kernel_basis, vec_addmul)
+                      left_span, submodule_on_basis, verify_module)
+from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, kernel_basis,
+                       vec_addmul)
 from .hopfcore import HopfAlgebra, HopfError, bk_dual_generators, dual_hopf, verify_hopf
 
 
@@ -39,11 +39,11 @@ class DoubleAlgebra:
         self.dual = dual
         self.inclusion_base = inclusion_base
         self.inclusion_dual = inclusion_dual
-        # caches owned by this double, released with it
-        self._coeffs: dict = {}   # coefficient modules, keyed by their inputs
-        self._pair = None         # relext: (D(H), H) as a resolvent pair
-        self._trivial = None      # relext: the trivial D(H)-module
-        self._trivial_sq = None   # relext: the trivial D(H) ox D(H)-module
+        # caches owned by this double, released with it and filled by
+        # `_once`: the coefficient modules, keyed by their inputs, and for
+        # relext "pair" ((D(H), H) as a resolvent pair), "trivial" and
+        # "trivial_sq" (the trivial D(H)- and D(H) ox D(H)-modules)
+        self._cache: dict = {}
 
     @property
     def algebra(self) -> Algebra:
@@ -76,8 +76,10 @@ class DoubleAlgebra:
 def drinfeld_double(H: HopfAlgebra) -> DoubleAlgebra:
     """Build D(H) = (H*)^op ox H with full Hopf structure (cached on H);
     H, the double and both embeddings are verified."""
-    if H._double is not None:
-        return H._double
+    return _once(H._cache, "double", lambda: _double_build(H))
+
+
+def _double_build(H: HopfAlgebra) -> DoubleAlgebra:
     rep = verify_hopf(H)
     if rep:
         raise HopfError("input of drinfeld_double fails Hopf axioms: %s" % rep[:3])
@@ -205,7 +207,6 @@ def drinfeld_double(H: HopfAlgebra) -> DoubleAlgebra:
         rep = emb.verify()
         if rep:
             raise HopfError("embedding %s fails: %s" % (emb.name, rep[:3]))
-    H._double = D
     return D
 
 
@@ -263,10 +264,9 @@ def ell_maps(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement):
 class CoefficientModule:
     """A module of functionals together with its provenance tag."""
 
-    def __init__(self, module: ModuleRep, provenance: str, dual_basis_rows=None):
+    def __init__(self, module: ModuleRep, provenance: str):
         self.module = module
         self.provenance = provenance
-        self.dual_basis_rows = dual_basis_rows  # rows in H*-coordinates, if a subspace
 
     def __repr__(self):
         return "CoefficientModule(%s, dim=%d)" % (self.provenance, self.module.dim)
@@ -278,10 +278,12 @@ def coeff_tensor_product(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement
 
         (alpha a ox beta b) . psi = l-(beta) b |> psi <| S(l+(alpha) a).
     """
-    cache_key = ("tensor", E, tuple(sorted(R.flat().items())))
-    got = D._coeffs.get(cache_key)
-    if got is not None:
-        return got
+    return _once(D._cache, ("tensor", E, tuple(sorted(R.flat().items()))),
+                 lambda: _coeff_tensor_build(D, R, Rinv, E))
+
+
+def _coeff_tensor_build(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement,
+                        E: Algebra) -> CoefficientModule:
     H = D.base
     n = H.dim
     nd = D.dim
@@ -313,9 +315,7 @@ def coeff_tensor_product(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement
     rep = verify_module(mod)
     if rep:
         raise HopfError("tensor coefficient module fails axioms: %s" % rep[:3])
-    out = CoefficientModule(mod, "tensor_product_coeff")
-    D._coeffs[cache_key] = out
-    return out
+    return CoefficientModule(mod, "tensor_product_coeff")
 
 
 def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
@@ -331,10 +331,11 @@ def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
         H = D.base
         if twist != _unit_twist(H):
             raise TwistNotSupportedError("only the trivial twist 1 ox 1 is supported")
-    cache_key = ("restriction", imap)
-    got = D._coeffs.get(cache_key)
-    if got is not None:
-        return got
+    return _once(D._cache, ("restriction", imap), lambda: _coeff_restriction_build(D, imap, Hs))
+
+
+def _coeff_restriction_build(D: DoubleAlgebra, imap: AlgebraMap,
+                             Hs: HopfAlgebra) -> CoefficientModule:
     from .hopfcore import is_hopf_map
     H = D.base
     n = H.dim
@@ -351,10 +352,6 @@ def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
         for m in range(n):
             rows.append(vec_addmul(H.mul_vec(ik, {m: FR1}), {m: FR1}, -epsk))
     basis = kernel_basis(rows, n)
-    solver = Echelon(n, tracked=True)
-    for b in basis:
-        solver.add_row(b)
-
     delta2 = [H.delta_power({m: FR1}, 3) for m in range(n)]
 
     def act_row(flat, f):
@@ -382,24 +379,11 @@ def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
                 out[m] = s
         return out
 
-    def action(flat):
-        ent = {}
-        for col, b in enumerate(basis):
-            img = act_row(flat, b)
-            coords = solver.coordinates(img)
-            if coords is None:
-                raise HopfError("restriction coefficient subspace is not action-stable")
-            for r, c in coords.items():
-                ent[(r, col)] = c
-        return SparseMatrix(len(basis), len(basis), ent)
-
-    mod = ModuleRep(D.algebra, len(basis), action_fn=action, name="Hom_K(H,k)")
+    mod = submodule_on_basis(D.algebra, basis, act_row, name="Hom_K(H,k)")
     rep = verify_module(mod)
     if rep:
         raise HopfError("restriction coefficient module fails axioms: %s" % rep[:3])
-    out = CoefficientModule(mod, "restriction_coeff", dual_basis_rows=basis)
-    D._coeffs[cache_key] = out
-    return out
+    return CoefficientModule(mod, "restriction_coeff")
 
 
 def _unit_twist(H: HopfAlgebra) -> TensorElement:
@@ -457,44 +441,20 @@ def build_c_pm(D: DoubleAlgebra, sign: int) -> ModuleRep:
     dual = D.dual
 
     # closure of f0 under left multiplication in (B_k*)^op
-    solver = Echelon(n, tracked=True)
-    basis = [dict(f0)]
-    solver.add_row(f0)
-    frontier = [f0]
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(n):
-                w = dual.algebra.mul_vec({i: FR1}, v)
-                if solver.add_row(w) is not None:
-                    basis.append(w)
-                    new.append(w)
-        frontier = new
-    dimc = len(basis)
-
+    basis = left_span(dual.algebra, f0, [{i: FR1} for i in range(n)])
     h_vec = bk_dual_generators(k)[-1]  # h = 1* - g*
 
-    def action(flat):
+    def act(flat, b):
         i, j = D.split_index(flat)
         # rho(phi^i h_j) = rho_dual(phi^i) rho_H(h_j); x-letters kill, g acts as h
         mask, t = j & ((1 << k) - 1), j >> k
         if mask:
-            return SparseMatrix(dimc, dimc, {})
-        mult_elt = {i: FR1}
-        if t:
-            mult_elt = dual.algebra.mul_vec(mult_elt, h_vec)
-        ent = {}
-        for col, b in enumerate(basis):
-            img = dual.algebra.mul_vec(mult_elt, b)
-            coords = solver.coordinates(img)
-            assert coords is not None
-            for r, c in coords.items():
-                ent[(r, col)] = c
-        return SparseMatrix(dimc, dimc, ent)
+            return {}
+        mult_elt = dual.algebra.mul_vec({i: FR1}, h_vec) if t else {i: FR1}
+        return dual.algebra.mul_vec(mult_elt, b)
 
-    mod = ModuleRep(D.algebra, dimc, action_fn=action,
-                    name="C%s(B_%d)" % ("+" if sign == 1 else "-", k))
-    mod.basis_in_dual = basis
+    mod = submodule_on_basis(D.algebra, basis, act,
+                             name="C%s(B_%d)" % ("+" if sign == 1 else "-", k))
     rep = verify_module(mod)
     if rep:
         raise HopfError("C_pm fails module axioms: %s" % rep[:3])

@@ -45,7 +45,7 @@ tests compare the kernel against.
 
 from __future__ import annotations
 
-from .exactlin import (SparseMatrix, TensorElement, kernel_basis_marked,
+from .exactlin import (SparseMatrix, TensorElement, _once, kernel_basis_marked,
                        rank_of_vectors, unflatten_index)
 from .hopfcore import HopfAlgebra, HopfError, iterated_coproduct
 from .algcore import AlgebraMap, check_elements
@@ -316,15 +316,6 @@ class DYComplex:
             si = self.codegeneracy_raw(n, i, out)
             out = out.sub(self.coface(n - 1, i, si))
         return out
-
-
-def _once(cache: dict, key, build):
-    """cache[key], built on first use and published write-once: threads that
-    race to build it all return the first value stored."""
-    try:
-        return cache[key]
-    except KeyError:
-        return cache.setdefault(key, build())
 
 
 class _ExactOps:

@@ -31,6 +31,15 @@ class ExactlinError(Exception):
     pass
 
 
+def _once(cache: dict, key, build):
+    """cache[key], built on first use and published write-once: threads that
+    race to build it all return the first value stored."""
+    try:
+        return cache[key]
+    except KeyError:
+        return cache.setdefault(key, build())
+
+
 def fr(x) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to Fraction."""
     if isinstance(x, Fraction):
@@ -322,8 +331,7 @@ class Echelon:
     echelons, the rank hot path, skip that bookkeeping.
     """
 
-    def __init__(self, ncols: int, key=None, tracked: bool = False):
-        self.ncols = ncols
+    def __init__(self, key=None, tracked: bool = False):
         self.key = key if key is not None else (lambda c: c)
         self.pivot_rows: dict = {}   # pivot col -> primitive integer row
         self.track = {} if tracked else None  # pivot col -> {row number: Fraction}
@@ -401,18 +409,18 @@ def _check_columns(rows: list, ncols: int):
                 raise ExactlinError("column %d out of range for %d columns" % (c, ncols))
 
 
-def _sparse_first(rows: list, ncols: int, key=None) -> Echelon:
+def _sparse_first(rows: list, key=None) -> Echelon:
     """An Echelon of `rows`, inserted sparsest first (ties in list order):
     far less elimination fill-in, and the pivots and RREF are the same in
     any order."""
-    ech = Echelon(ncols, key)
+    ech = Echelon(key)
     for row in sorted(rows, key=len):
         ech.add_row(row)
     return ech
 
 
 def rank_of_rows(rows: list, ncols: int) -> int:
-    return _sparse_first(rows, ncols).rank
+    return _sparse_first(rows).rank
 
 
 def rank(M: SparseMatrix) -> int:
@@ -448,7 +456,7 @@ def kernel_basis_marked(rows: list, ncols: int, key=None):
     v = sum_j v[free_cols[j]] * basis[j].
     """
     _check_columns(rows, ncols)
-    ech = _sparse_first(rows, ncols, key)
+    ech = _sparse_first(rows, key)
     ech.to_rref()
     free = [c for c in range(ncols) if c not in ech.pivot_rows]
     vecs = {f: {f: FR1} for f in free}

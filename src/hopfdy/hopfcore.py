@@ -50,7 +50,7 @@ class HopfAlgebra:
         self.antipode = antipode
         self.antipode_inv = antipode_inv
         self.name = name or algebra.name
-        self._double = None  # D(H), once drinfeld_double has built it
+        self._cache: dict = {}  # "double": D(H), filled by drinfeld_double
 
     # convenience passthroughs
     @property
@@ -452,11 +452,17 @@ def bk_dual_generators(k: int) -> list:
 # catalog keys: "cyclic:n", "bk:k" (Hopf algebras), "cplus:k", "cminus:k"
 # (D(B_k)-modules)
 
-def catalog_hopf(key: str) -> HopfAlgebra:
+def _catalog_key(key: str):
+    """(family, integer parameter) of a catalog key such as "bk:2"."""
     fam, _, arg = key.partition(":")
-    if not arg:
-        raise HopfError("catalog key needs a parameter, e.g. bk:2")
-    n = int(arg)
+    try:
+        return fam, int(arg)
+    except ValueError:
+        raise HopfError("catalog key %r needs an integer parameter, e.g. bk:2" % key)
+
+
+def catalog_hopf(key: str) -> HopfAlgebra:
+    fam, n = _catalog_key(key)
     if fam == "cyclic":
         return build_cyclic(n)
     if fam == "bk":
@@ -465,10 +471,7 @@ def catalog_hopf(key: str) -> HopfAlgebra:
 
 
 def catalog_module(key: str) -> ModuleRep:
-    fam, _, arg = key.partition(":")
-    if not arg:
-        raise HopfError("catalog key needs a parameter, e.g. cplus:2")
-    k = int(arg)
+    fam, k = _catalog_key(key)
     if fam == "cplus":
         return build_c_pm(k, +1)
     if fam == "cminus":

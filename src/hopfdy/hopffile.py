@@ -160,7 +160,10 @@ def hopf_from_json(data: dict, name="file") -> HopfAlgebra:
 
 def load_hopf(path: str) -> HopfAlgebra:
     with open(path) as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except ValueError as exc:  # not JSON, or not text
+            raise HopfFileError("unparseable Hopf file: %s" % exc)
     return hopf_from_json(data, name=path)
 
 

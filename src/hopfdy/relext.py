@@ -8,6 +8,10 @@ resolutions of any A-module V:
   iterated-cover        K_0 = V, P_n = G(K_n) --eps--> K_n,
                         K_{n+1} = ker(eps), d_n = incl o eps
 
+Each term is an `algcore.InducedModule`, built on the pair's free basis
+when it has one and as a quotient otherwise; this module reads a term
+only through its `gens` ((u, v) with basis vector pos = [u ox e_v]),
+`class_of`, `act` and `unit_section`, so it never asks which it is.
 Both come with contracting homotopies h built from the adjunction unit
 x -> [1 ox x] (`Resolution.homotopies`), and so does the tensor product
 of two resolutions over a tensor pair (`TensorResolution`).
@@ -35,7 +39,7 @@ from .algcore import (Algebra, AlgebraMap, InducedModule, ModuleRep, _act_matrix
                       check_elements, hom_space, induced_module, restrict_module,
                       module_from_character, submodule_on_basis, tensor_algebra,
                       tensor_module, verify_module)
-from .exactlin import (FR1, SparseMatrix, kernel_basis_marked, kron_into,
+from .exactlin import (FR1, SparseMatrix, _once, kernel_basis_marked, kron_into,
                        rank_of_vectors, vec_addmul)
 
 
@@ -72,26 +76,20 @@ class ResolventPair:
 def pair_from_double(D) -> ResolventPair:
     """(D(H), H) along the canonical embedding, with the dual free basis
     (cached on D)."""
-    if D._pair is None:
-        D._pair = ResolventPair(D.algebra, D.base.algebra, D.inclusion_base,
-                                free_basis=D.dual_part_basis(),
-                                name="(D(%s), %s)" % (D.base.name, D.base.name))
-    return D._pair
+    return _once(D._cache, "pair", lambda: ResolventPair(
+        D.algebra, D.base.algebra, D.inclusion_base, free_basis=D.dual_part_basis(),
+        name="(D(%s), %s)" % (D.base.name, D.base.name)))
 
 
 def trivial_module_over(D) -> ModuleRep:
     """The trivial D(H)-module through the counit of the double (cached on D)."""
-    if D._trivial is None:
-        D._trivial = module_from_character(
-            D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c}, name="k")
-    return D._trivial
+    return _once(D._cache, "trivial", lambda: module_from_character(
+        D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c}, name="k"))
 
 
 def tensor_pair(p1: ResolventPair, p2: ResolventPair) -> ResolventPair:
-    got = p1._tensor.get(p2)
-    if got is None:
-        got = p1._tensor[p2] = _tensor_pair_build(p1, p2)
-    return got
+    """The tensor-product pair (A1 ox A2, B1 ox B2) (cached on p1)."""
+    return _once(p1._tensor, p2, lambda: _tensor_pair_build(p1, p2))
 
 
 def _tensor_pair_build(p1: ResolventPair, p2: ResolventPair) -> ResolventPair:
@@ -147,23 +145,12 @@ class Resolution:
         return len(self.terms) - 1
 
     def res_small(self, M: ModuleRep) -> ModuleRep:
-        got = self._res_small.get(M)
-        if got is None:
-            got = self._res_small[M] = restrict_module(self.pair.inclusion, M)
-        return got
+        return _once(self._res_small, M, lambda: restrict_module(self.pair.inclusion, M))
 
     # counit epi of the comonad: P_n = Ind(X) -> target module over A
-    def counit_matrix(self, term: InducedModule, target_over_big: ModuleRep) -> SparseMatrix:
-        cols = []
-        if term.mode == "free":
-            nv = term.source.dim
-            for pos in range(term.dim):
-                alpha, v = divmod(pos, nv)
-                cols.append(target_over_big.act(term.free_cols[alpha], {v: FR1}))
-        else:
-            for (a_idx, v_idx) in term.reps:
-                cols.append(target_over_big.act_basis(a_idx, {v_idx: FR1}))
-        return SparseMatrix.from_columns(target_over_big.dim, cols)
+    def counit_matrix(self, term: InducedModule, target: ModuleRep) -> SparseMatrix:
+        cols = [target.act(u, {v: FR1}) for u, v in term.gens]
+        return SparseMatrix.from_columns(target.dim, cols)
 
     def unit_section_matrix(self, term: InducedModule) -> SparseMatrix:
         """eta: X -> P_n = Ind(X), x -> [1 ox x]."""
@@ -216,38 +203,15 @@ def _extend_bar(res: Resolution, upto: int):
         dprev_cols = res.diffs[n - 1].columns()
         sign = FR1 if n % 2 == 0 else -FR1
         cols = []
-        for pos in range(P.dim):
-            a_label, p_idx = _label_of(P, pos)
+        for u, p_idx in P.gens:
             col: dict = {}
-            # G(d_{n-1}): [a ox p] -> [a ox d_{n-1}(p)] in P_{n-1}
+            # G(d_{n-1}): [u ox p] -> [u ox d_{n-1}(p)] in P_{n-1}
             for q, c in dprev_cols[p_idx].items():
-                vec_addmul(col, _pair_class(prev, a_label, q), c)
-            # (-1)^n eps: a . p inside P_{n-1}
-            if isinstance(a_label, int):
-                act = prev.act_basis(a_label, {p_idx: FR1})
-            else:
-                act = prev.act(a_label, {p_idx: FR1})
-            vec_addmul(col, act, sign)
+                vec_addmul(col, prev.class_of(u, q), c)
+            # (-1)^n eps: u . p inside P_{n-1}
+            vec_addmul(col, prev.act(u, {p_idx: FR1}), sign)
             cols.append(col)
         res.diffs.append(SparseMatrix.from_columns(prev.dim, cols))
-
-
-def _label_of(term: InducedModule, pos: int):
-    """(a_label, source_idx) of a canonical basis position; a_label is a
-    basis index (quotient mode) or a sparse A-vector (free mode)."""
-    if term.mode == "free":
-        alpha, v = divmod(pos, term.source.dim)
-        return term.free_cols[alpha], v
-    return term.reps[pos]
-
-
-def _pair_class(term: InducedModule, a_label, src_idx: int) -> dict:
-    if isinstance(a_label, int):
-        return term.pair_vec(a_label, src_idx)
-    out: dict = {}
-    for a_idx, c in a_label.items():
-        vec_addmul(out, term.pair_vec(a_idx, src_idx), c)
-    return out
 
 
 def _extend_cover(res: Resolution, upto: int):
@@ -271,7 +235,8 @@ def _extend_cover(res: Resolution, upto: int):
         kbasis, kmarkers = kernel_basis_marked(eps.row_dicts(), eps.cols)
         res.kernel_bases.append(kbasis)
         res.kernel_markers.append(kmarkers)
-        res.kernel_modules.append(submodule_on_basis(P, kbasis, name="K%d" % (n + 1)))
+        res.kernel_modules.append(submodule_on_basis(pair.big, kbasis, P.act_basis,
+                                                     name="K%d" % (n + 1)))
 
 
 def get_resolution(pair: ResolventPair, V: ModuleRep, kind: str, maxdeg: int) -> Resolution:
@@ -369,18 +334,9 @@ class ExtComputation:
         for g in mates:
             gcols = g.columns()
             ent = {}
-            if term.mode == "free":
-                nv = term.source.dim
-                for pos in range(term.dim):
-                    alpha, v = divmod(pos, nv)
-                    col = self.W.act(term.free_cols[alpha], gcols[v])
-                    for r, c in col.items():
-                        ent[(r, pos)] = c
-            else:
-                for pos, (a_idx, v_idx) in enumerate(term.reps):
-                    col = self.W.act_basis(a_idx, gcols[v_idx])
-                    for r, c in col.items():
-                        ent[(r, pos)] = c
+            for pos, (u, v) in enumerate(term.gens):
+                for r, c in self.W.act(u, gcols[v]).items():
+                    ent[(r, pos)] = c
             out.append(SparseMatrix(self.W.dim, term.dim, ent))
         self._cochains[n] = out
         return out
@@ -464,10 +420,9 @@ def adjunction_crosscheck_tensor(D, R, Rinv, n: int, kind: str = "cover") -> dic
     p = pair_from_double(D)
     psq = tensor_pair(p, p)
     W = coeff_tensor_product(D, R, Rinv, psq.big).module
-    if D._trivial_sq is None:
-        D._trivial_sq = module_from_character(psq.big, _double_sq_counit(D, psq.big),
-                                              name="k")
-    rhs = relative_ext_dims(psq, D._trivial_sq, W, n, kind=kind)[n]
+    V = _once(D._cache, "trivial_sq", lambda: module_from_character(
+        psq.big, _double_sq_counit(D, psq.big), name="k"))
+    rhs = relative_ext_dims(psq, V, W, n, kind=kind)[n]
     return {"degree": n, "dy_dim": lhs, "ext_dim": rhs, "equal": lhs == rhs}
 
 

@@ -1,11 +1,11 @@
 import pytest
 
-from hopfdy.algcore import (Algebra, AlgebraMap, ModuleRep, check_elements,
+from hopfdy.algcore import (Algebra, AlgebraError, AlgebraMap, ModuleRep, check_elements,
                             check_generators_span, hom_space, induced_module, is_intertwiner,
                             module_from_character, module_map_kernel,
-                            regular_module, tensor_algebra, tensor_module,
-                            verify_algebra, verify_module)
-from hopfdy.exactlin import FR1, SparseMatrix
+                            regular_module, submodule_on_basis, tensor_algebra,
+                            tensor_module, verify_algebra, verify_module)
+from hopfdy.exactlin import FR1, SparseMatrix, rank
 from hopfdy.hopfcore import build_bk, build_cyclic, bk_inclusion, trivial_module
 from hopfdy.double import drinfeld_double
 
@@ -129,10 +129,8 @@ class TestInducedModule:
         ind = induced_module(emb, triv)
         assert ind.dim == A.dim
         reg = regular_module(A)
-        # full-rank intertwiner exists: the map [a ox 1] -> a
-        cols = [{a: FR1} if ind.mode == "quotient" and ind.reps[p] == (a, 0) else None
-                for p, a in enumerate(a for (a, _) in ind.reps)]
-        f = SparseMatrix.from_columns(A.dim, [{a: FR1} for (a, _) in ind.reps])
+        # full-rank intertwiner exists: the map [u ox 1] -> u
+        f = SparseMatrix.from_columns(A.dim, [u for (u, _) in ind.gens])
         assert is_intertwiner(f, ind, reg)
 
     def test_double_over_base_dimension(self):
@@ -163,6 +161,14 @@ class TestInducedModule:
         triv_D = module_from_character(
             D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c})
         assert len(hom_space(q, triv_D)) == len(hom_space(f, triv_D))
+        # on the trivial and the regular B_1-module, the free position (u, v)
+        # sent to its quotient class [u ox e_v] is an isomorphism
+        for V in (k, regular_module(H.algebra)):
+            q = induced_module(D.inclusion_base, V)
+            f = induced_module(D.inclusion_base, V, free_basis=D.dual_part_basis())
+            iso = SparseMatrix.from_columns(q.dim, [q.class_of(u, v) for u, v in f.gens])
+            assert is_intertwiner(iso, f, q)
+            assert rank(iso) == q.dim == f.dim == H.dim * V.dim
 
     def test_induced_along_identity_keeps_dimension(self):
         A = build_bk(1).algebra
@@ -172,7 +178,6 @@ class TestInducedModule:
         assert ind.dim == reg.dim
         cols = [ind.unit_section({v: FR1}) for v in range(reg.dim)]
         f = SparseMatrix.from_columns(ind.dim, cols)
-        from hopfdy.exactlin import rank
         assert rank(f) == reg.dim
         assert is_intertwiner(f, reg, ind)
 
@@ -199,13 +204,20 @@ class TestModuleMapKernel:
         kD = module_from_character(
             D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c})
         eps_cols = []
-        for pos in range(ind.dim):
-            a_idx, _ = ind.reps[pos]
-            eps_cols.append({0: D.hopf.counit[a_idx]} if D.hopf.counit[a_idx] else {})
+        for u, _ in ind.gens:
+            e = D.hopf.counit_vec(u)
+            eps_cols.append({0: e} if e else {})
         f = SparseMatrix.from_columns(1, eps_cols)
         K, incl = module_map_kernel(f, ind, kD)
         assert K.dim == 3
         assert f.matmul(incl).is_zero()
+
+    def test_submodule_on_unstable_subspace_raises(self):
+        # span{1} in the regular B_1-module: x . 1 = x leaves it
+        A = build_bk(1).algebra
+        sub = submodule_on_basis(A, [dict(A.unit)], regular_module(A).act_basis)
+        with pytest.raises(AlgebraError, match="not stable"):
+            [sub.action(i) for i in range(A.dim)]
 
     def test_rejects_non_intertwiner(self):
         H = build_bk(1)
@@ -215,7 +227,6 @@ class TestModuleMapKernel:
             module_map_kernel(bad, reg, reg)
 
     def test_rank_nullity_of_intertwiner(self):
-        from hopfdy.exactlin import rank
         H = build_bk(1)
         D = drinfeld_double(H)
         k = trivial_module(H)

@@ -62,9 +62,17 @@ class TestVerifyCommand:
 
     def test_unparseable_exit_2(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
-        path.write_text('{"format_version": 1, "dim": "zebra"}')
-        code = main(["verify", str(path)])
-        assert code == 2
+        for text, named in [('{"format_version": 1, "dim": "zebra"}', "zebra"),
+                            ("not JSON {", "unparseable Hopf file")]:
+            path.write_text(text)
+            code, rep = run_cli(capsys, "verify", str(path))
+            assert code == 2
+            assert named in rep["results"]["violations"][0]
+
+    @pytest.mark.parametrize("key", ["bk:x", "cyclic:x", "bk:"])
+    def test_malformed_catalog_key_exit_2(self, capsys, key):
+        code, rep = run_cli(capsys, "verify", key)
+        assert code == 2 and rep is None
 
 
 class TestRoundTrip:
@@ -191,11 +199,17 @@ class TestTangentCommand:
         (["rmatrix", "check", "bk:1", "--rmatrix"], [[[0, 0], float("inf")]], "inf"),
         (["rmatrix", "family", "bk:1", "--lambda"], [[0.1]], "0.1"),
         (["dy", "tensor", "bk:1", "--degree", "1", "--rmatrix"], [[[0, 9], "1"]], "index 9"),
+        (["rmatrix", "check", "bk:1", "--rmatrix"], b"not JSON [", "r.json"),
+        (["rmatrix", "family", "bk:1", "--lambda"], None, "r.json"),
     ], ids=["index-high", "key-length", "value-not-rational", "lambda-1x2", "value-infinity",
-            "lambda-float", "dy-index-high"])
+            "lambda-float", "dy-index-high", "not-json", "lambda-missing"])
     def test_malformed_r_file_exit_3(self, capsys, tmp_path, argv, data, named):
+        """data is written as JSON, as raw bytes, or (None) not at all."""
         path = tmp_path / "r.json"
-        path.write_text(json.dumps(data))
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        elif data is not None:
+            path.write_text(json.dumps(data))
         code = main(argv + [str(path)])
         out, err = capsys.readouterr()
         assert code == 3 and out == ""

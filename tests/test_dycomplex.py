@@ -416,9 +416,9 @@ class TestH2Decomposition:
                 u = u.add(basis[j].scale(c))
             a, b, T = decompose_h2_tensor(txB1, u)
             merged = {}
-            for i, c in _mod_span(a.flat(), id_cob, n2).items():
+            for i, c in _mod_span(a.flat(), id_cob).items():
                 merged[i] = c
-            for i, c in _mod_span(b.flat(), id_cob, n2).items():
+            for i, c in _mod_span(b.flat(), id_cob).items():
                 merged[n2 + i] = c
             for i, c in T.flat().items():
                 merged[2 * n2 + i] = c
@@ -433,9 +433,9 @@ class TestH2Decomposition:
         assert rank_of_vectors(vectors, 3 * n2) == txB1.cohomology_dim(2)
 
 
-def _mod_span(vec, span_rows, ncols):
+def _mod_span(vec, span_rows):
     from hopfdy.exactlin import Echelon
-    ech = Echelon(ncols)
+    ech = Echelon()
     for r in span_rows:
         ech.add_row(r)
     return ech.residual(vec)

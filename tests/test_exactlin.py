@@ -160,7 +160,7 @@ def test_echelon_matches_dense_oracles(case):
     does, coordinates rebuild the row, and RREF matches the oracle's."""
     rows, reverse = case
     ncols = len(rows[0])
-    ech = Echelon(ncols, key=(lambda c: -c) if reverse else None, tracked=True)
+    ech = Echelon(key=(lambda c: -c) if reverse else None, tracked=True)
     added, gens = [], []
     for dense in rows:
         v = _sparse(dense)

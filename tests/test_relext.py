@@ -12,7 +12,7 @@ from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
                            adjunction_crosscheck_restriction,
                            adjunction_crosscheck_tensor, get_resolution,
                            kunneth_check, pair_from_double, relative_ext_dims,
-                           trivial_module_over, verify_resolution)
+                           tensor_pair, trivial_module_over, verify_resolution)
 from hopfdy.rmatrix import bk_r0, check_rmatrix
 
 from oracles import dense_rank
@@ -102,7 +102,8 @@ class TestResolutions:
         dims_quot = relative_ext_dims(Q1, k1, k1, 2, kind="bar")
         assert dims_free == dims_quot
         res_q = get_resolution(Q1, k1, "bar", 2)
-        assert all(t.mode == "quotient" for t in res_q.terms)
+        # quotient terms: every canonical position is a pair [e_a ox e_v]
+        assert all(len(u) == 1 and FR1 in u.values() for t in res_q.terms for u, _ in t.gens)
         assert [t.dim for t in res_q.terms] == [4, 16, 64]
 
     def test_relatively_projective_target_truncates(self, P1, k1):
@@ -137,6 +138,50 @@ def test_get_resolution_is_thread_safe(P1, k1):
                 t.join(timeout=120)
                 assert not t.is_alive()
             assert errors == [] and results == [[1, 0, 1, 0]] * 3
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_owner_caches_publish_write_once(tmp_path):
+    """Two threads that fill the caches of one freshly loaded bk:1 at the
+    same time get the very same objects from every call."""
+    from hopfdy.algcore import AlgebraMap
+    from hopfdy.hopffile import load_hopf, save_hopf
+
+    path = str(tmp_path / "bk1.json")
+    save_hopf(build_bk(1), path)
+
+    def calls(H, ident):
+        D = drinfeld_double(H)
+        p = pair_from_double(D)
+        W = coeff_restriction(D, ident, H).module
+        return (D, p, trivial_module_over(D), tensor_pair(p, p), W,
+                W.action(1), H.algebra.fast_mult(), D.algebra.left_mult_matrix(1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            H = load_hopf(path)
+            ident = AlgebraMap(H.algebra, H.algebra, [{i: FR1} for i in range(H.dim)])
+            start = threading.Barrier(2)
+            results, errors = [], []
+
+            def run():
+                try:
+                    start.wait()
+                    results.append(calls(H, ident))
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert errors == [] and len(results) == 2
+            assert all(a is b for a, b in zip(*results))
     finally:
         sys.setswitchinterval(interval)
 
