@@ -13,23 +13,19 @@ timing go to standard error.  Exit codes: 0 ok, 2 invalid algebra,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
 from fractions import Fraction
 
-from .double import coeff_restriction, drinfeld_double
+from .algcore import AlgebraMap
 from .dycomplex import (UnsupportedDegreeError, identity_complex,
                         restriction_complex, tensor_complex)
-from .exactlin import TensorElement, unit_tensor
-from .hopfcore import HopfError, bk_inclusion, catalog_hopf, verify_hopf
+from .exactlin import BudgetExceededError, TensorElement, unit_tensor
+from .hopfcore import HopfError, bk_inclusion, catalog_hopf, is_hopf_map, verify_hopf
 from .hopffile import (HopfFileError, load_hopf, parse_rational, tensor_from_json,
                        tensor_to_json)
-from .relext import (BudgetExceededError, adjunction_crosscheck_restriction,
-                     adjunction_crosscheck_tensor, kunneth_check,
-                     pair_from_double, relative_ext_dims, trivial_module_over)
 from .rmatrix import (RMatrixError, bk_standard_tangent_basis, bk_r0, bk_r_lambda,
                       check_rmatrix, tangent_space, tangent_span_matches)
 
@@ -65,6 +61,7 @@ def log(msg):
 
 def source_digest(source: str) -> str:
     if os.path.exists(source):
+        import hashlib
         with open(source, "rb") as f:
             return "sha256:" + hashlib.sha256(f.read()).hexdigest()
     return "catalog:" + source
@@ -76,9 +73,9 @@ def load_algebra(source: str):
         return load_hopf(source)
     try:
         return catalog_hopf(source)
-    except HopfError:
-        raise CliError("unknown algebra source %r (not a file, not a catalog key)"
-                       % source, EXIT_INVALID_ALGEBRA)
+    except HopfError as exc:
+        raise CliError("algebra source %r: not a file, and %s" % (source, exc),
+                       EXIT_INVALID_ALGEBRA)
 
 
 def parse_bk_k(source: str):
@@ -174,6 +171,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_double(args) -> int:
+    from .double import drinfeld_double
     rep = base_report(args, "double")
     H = load_algebra(args.source)
     budget = Budget(args.max_seconds)
@@ -240,8 +238,6 @@ def _inclusion_for(args, H, Hsub):
     ks = parse_bk_k(args.sub)
     if kb is not None and ks is not None and kb > ks:
         return bk_inclusion(kb - ks, ks)
-    from .hopfcore import is_hopf_map
-    from .algcore import AlgebraMap
     if H.dim == Hsub.dim:
         ident = AlgebraMap(Hsub.algebra, H.algebra,
                            [{i: Fraction(1)} for i in range(H.dim)])
@@ -286,6 +282,8 @@ def cmd_dy(args) -> int:
 
 
 def cmd_relext(args) -> int:
+    from .double import coeff_restriction, drinfeld_double
+    from .relext import pair_from_double, relative_ext_dims, trivial_module_over
     rep = base_report(args, "relext")
     if args.degree < 0 or args.degree > DEGREE_BUDGET:
         raise CliError("degree %d outside the supported range 0..%d"
@@ -318,6 +316,23 @@ def cmd_crosscheck(args) -> int:
     rep = base_report(args, "crosscheck " + args.which)
     H = load_algebra(args.source)
     budget = Budget(args.max_seconds)
+    if args.which == "dimension-formula":
+        R = load_rmatrix(H, args)
+        rm = check_rmatrix(H, R)
+        if not rm.verified:
+            raise CliError("R-matrix fails axioms", EXIT_INVALID_RMATRIX)
+        h2t = tensor_complex(H, R).cohomology_dim(2)
+        budget.check("tensor complex")
+        h2i = identity_complex(H).cohomology_dim(2)
+        tdim = tangent_space(H, R, rm).dim
+        out = {"h2_tensor": h2t, "h2_id": h2i, "tangent_dim": tdim,
+               "consistent": h2t - 2 * h2i == tdim}
+        rep["results"] = out
+        return emit(args, rep, EXIT_OK if out["consistent"] else 1)
+    # every other crosscheck compares against relative Ext over the double
+    from .double import drinfeld_double
+    from .relext import (adjunction_crosscheck_restriction, adjunction_crosscheck_tensor,
+                         kunneth_check, pair_from_double, trivial_module_over)
     if args.which == "adjunction-tensor":
         R = load_rmatrix(H, args)
         rm = check_rmatrix(H, R)
@@ -338,19 +353,6 @@ def cmd_crosscheck(args) -> int:
                                                 kind=args.resolution)
         rep["results"] = out
         return emit(args, rep, EXIT_OK if out["equal"] else 1)
-    if args.which == "dimension-formula":
-        R = load_rmatrix(H, args)
-        rm = check_rmatrix(H, R)
-        if not rm.verified:
-            raise CliError("R-matrix fails axioms", EXIT_INVALID_RMATRIX)
-        h2t = tensor_complex(H, R).cohomology_dim(2)
-        budget.check("tensor complex")
-        h2i = identity_complex(H).cohomology_dim(2)
-        tdim = tangent_space(H, R, rm).dim
-        out = {"h2_tensor": h2t, "h2_id": h2i, "tangent_dim": tdim,
-               "consistent": h2t - 2 * h2i == tdim}
-        rep["results"] = out
-        return emit(args, rep, EXIT_OK if out["consistent"] else 1)
     if args.which == "kunneth":
         D = drinfeld_double(H)
         pair = pair_from_double(D)
@@ -437,6 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact arithmetic only: numpy, imported later by the slot kernel, needs no BLAS threads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:

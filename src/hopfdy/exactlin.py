@@ -31,6 +31,10 @@ class ExactlinError(Exception):
     pass
 
 
+class BudgetExceededError(Exception):
+    """A request exceeds a configured budget (the CLI's exit 5)."""
+
+
 def _once(cache: dict, key, build):
     """cache[key], built on first use and published write-once: threads that
     race to build it all return the first value stored."""
@@ -419,13 +423,13 @@ def _sparse_first(rows: list, key=None) -> Echelon:
     return ech
 
 
-def rank_of_rows(rows: list, ncols: int) -> int:
+def rank_of_rows(rows: list) -> int:
     return _sparse_first(rows).rank
 
 
 def rank(M: SparseMatrix) -> int:
     """Exact rank over QQ."""
-    return rank_of_rows(M.row_dicts(), M.cols)
+    return rank_of_rows(M.row_dicts())
 
 
 def rank_of_vectors(vecs: list, ambient: int) -> int:
@@ -435,12 +439,12 @@ def rank_of_vectors(vecs: list, ambient: int) -> int:
     if not vecs:
         return 0
     if ambient <= 4 * len(vecs):
-        return rank_of_rows(vecs, ambient)
+        return rank_of_rows(vecs)
     byidx: dict = {}
     for j, v in enumerate(vecs):
         for f, c in v.items():
             byidx.setdefault(f, {})[j] = c
-    return rank_of_rows(list(byidx.values()), len(vecs))
+    return rank_of_rows(list(byidx.values()))
 
 
 def kernel_basis_marked(rows: list, ncols: int, key=None):
@@ -476,11 +480,11 @@ def kernel_basis(rows: list, ncols: int) -> list:
 def span_equal(A: list, B: list, dim: int) -> bool:
     """True iff the two lists of vectors span the same subspace of QQ^dim."""
     _check_columns(A + B, dim)
-    ra = rank_of_rows(A, dim)
-    rb = rank_of_rows(B, dim)
+    ra = rank_of_rows(A)
+    rb = rank_of_rows(B)
     if ra != rb:
         return False
-    return rank_of_rows(A + B, dim) == ra
+    return rank_of_rows(A + B) == ra
 
 
 # ---------------------------------------------------------------------------

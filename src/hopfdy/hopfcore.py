@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .algcore import (Algebra, AlgebraMap, ModuleRep, check_elements, module_from_character,
                       verify_algebra)
-from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, fr,
+from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, fr,
                        unit_tensor, vec_eq)
 
 FRH = Fraction(1, 2)
@@ -48,9 +48,9 @@ class HopfAlgebra:
         self.comult = list(comult)
         self.counit = [fr(c) for c in counit]
         self.antipode = antipode
-        self.antipode_inv = antipode_inv
         self.name = name or algebra.name
-        self._cache: dict = {}  # "double": D(H), filled by drinfeld_double
+        # "double": D(H), filled by drinfeld_double; "antipode_inv": S^{-1}
+        self._cache: dict = {} if antipode_inv is None else {"antipode_inv": antipode_inv}
 
     # convenience passthroughs
     @property
@@ -89,13 +89,13 @@ class HopfAlgebra:
         return self.antipode.mul_vec(v)
 
     def antipode_inverse(self) -> SparseMatrix:
-        if self.antipode_inv is None:
+        def build():
             from .algcore import _invert_columns
             cols = _invert_columns(self.antipode)
             if cols is None:
                 raise HopfError("antipode is not invertible; corrupt input")
-            self.antipode_inv = SparseMatrix.from_columns(self.dim, cols)
-        return self.antipode_inv
+            return SparseMatrix.from_columns(self.dim, cols)
+        return _once(self._cache, "antipode_inv", build)
 
     def element(self, v: dict) -> TensorElement:
         return TensorElement(self.algebra, 1, {(i,): c for i, c in v.items()})
@@ -461,13 +461,16 @@ def _catalog_key(key: str):
         raise HopfError("catalog key %r needs an integer parameter, e.g. bk:2" % key)
 
 
+# largest parameters, both dimension 1024: structure constants cost ~dim^2 (B_9: 3 s)
+CATALOG_MAX = {"cyclic": 1024, "bk": 9}
+
 def catalog_hopf(key: str) -> HopfAlgebra:
     fam, n = _catalog_key(key)
-    if fam == "cyclic":
-        return build_cyclic(n)
-    if fam == "bk":
-        return build_bk(n)
-    raise HopfError("unknown catalog key %r" % key)
+    if fam not in CATALOG_MAX:
+        raise HopfError("unknown catalog key %r" % key)
+    if n > CATALOG_MAX[fam]:
+        raise HopfError("%s is over the catalog bound %s:%d" % (key, fam, CATALOG_MAX[fam]))
+    return build_cyclic(n) if fam == "cyclic" else build_bk(n)
 
 
 def catalog_module(key: str) -> ModuleRep:

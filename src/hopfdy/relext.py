@@ -39,16 +39,12 @@ from .algcore import (Algebra, AlgebraMap, InducedModule, ModuleRep, _act_matrix
                       check_elements, hom_space, induced_module, restrict_module,
                       module_from_character, submodule_on_basis, tensor_algebra,
                       tensor_module, verify_module)
-from .exactlin import (FR1, SparseMatrix, _once, kernel_basis_marked, kron_into,
-                       rank_of_vectors, vec_addmul)
+from .exactlin import (FR1, BudgetExceededError, SparseMatrix, _once, kernel_basis_marked,
+                       kron_into, rank_of_vectors, vec_addmul)
 
 
 class RelextError(Exception):
     pass
-
-
-class BudgetExceededError(RelextError):
-    """A degree request exceeds the configured budget for this pair."""
 
 
 class ResolventPair:

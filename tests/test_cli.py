@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,14 @@ class TestVerifyCommand:
     def test_malformed_catalog_key_exit_2(self, capsys, key):
         code, rep = run_cli(capsys, "verify", key)
         assert code == 2 and rep is None
+
+    @pytest.mark.parametrize("key", ["bk:40", "cyclic:1025"])
+    def test_catalog_key_over_bound_exit_2(self, capsys, key):
+        # refused before any structure constants are built
+        t0 = time.time()
+        code, rep = run_cli(capsys, "verify", key)
+        assert code == 2 and rep is None
+        assert time.time() - t0 < 5
 
 
 class TestRoundTrip:
@@ -296,3 +306,29 @@ class TestEntryPoint:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert json.loads(out.stdout)["results"]["valid"] is True
+
+    # runs `python -m hopfdy.cli ARGS` and prints, at exit, what it imported and
+    # the OPENBLAS_NUM_THREADS value in force
+    WRAPPER = ("import atexit, json, os, runpy, sys\n"
+               "atexit.register(lambda: print(json.dumps({\n"
+               "    'modules': sorted(m for m in sys.modules if m.startswith('hopfdy.')\n"
+               "                      or m in ('numpy', 'hashlib')),\n"
+               "    'blas': os.environ.get('OPENBLAS_NUM_THREADS')}), file=sys.stderr))\n"
+               "runpy.run_module('hopfdy.cli', run_name='__main__')\n")
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_dimension_formula_imports_only_what_it_runs(self, preset):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        lam = Path(__file__).parent / "data" / "lambda_37_41.json"
+        out = subprocess.run([sys.executable, "-c", self.WRAPPER, "crosscheck",
+                              "dimension-formula", "bk:1", "--lambda", str(lam)],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["results"]["consistent"] is True
+        seen = json.loads(out.stderr.splitlines()[-1])
+        assert "numpy" in seen["modules"] and "hopfdy.slotkernel" in seen["modules"]
+        for m in ("hopfdy.double", "hopfdy.relext", "hashlib"):
+            assert m not in seen["modules"]
+        assert seen["blas"] == (preset or "1")

@@ -200,12 +200,18 @@ def _delta_hh_block(H, u, block):
 
 class TestVectorCheckerFallback:
     def test_import_hopfdy_leaves_numpy_unimported(self):
-        # numpy and the kernel module load at the first kernel use only
+        # numpy and the kernel module load at the first kernel use only, and
+        # every other module at the first use of a name it exports
         import subprocess
         import sys
         code = ("import sys, hopfdy\n"
+                "for m in ('numpy', 'hopfdy.slotkernel', 'hopfdy.double', 'hopfdy.relext',\n"
+                "          'hopfdy.rmatrix'):\n"
+                "    assert m not in sys.modules, m\n"
+                "import hopfdy.cli\n"  # cli.main() sets the BLAS threads before numpy loads
                 "assert 'numpy' not in sys.modules\n"
-                "assert 'hopfdy.slotkernel' not in sys.modules\n")
+                "for name in hopfdy.__all__:\n"
+                "    getattr(hopfdy, name)\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
 

@@ -209,7 +209,7 @@ def test_insertion_order_keeps_kernel_and_rank(case, data):
         basis, markers = kernel_basis_marked(sparse, ncols, key=key)
         assert [densify_vec(v, ncols) for v in basis] == flip(want)
         assert markers == [c for c in range(ncols) if c not in pivots]
-        assert rank_of_rows(sparse, ncols) == dense_rank(rows)
+        assert rank_of_rows(sparse) == dense_rank(rows)
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(

@@ -41,6 +41,34 @@ class TestVerifyHopf:
         with pytest.raises(HopfError):
             bad.antipode_inverse()
 
+    def test_antipode_inverse_published_write_once(self):
+        """Two threads that invert one fresh antipode at the same time get
+        the very same matrix."""
+        import sys
+        import threading
+        H = build_bk(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                fresh = HopfAlgebra(H.algebra, H.comult, H.counit, H.antipode)
+                start = threading.Barrier(2)
+                results = []
+
+                def run():
+                    start.wait()
+                    results.append(fresh.antipode_inverse())
+
+                threads = [threading.Thread(target=run) for _ in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert len(results) == 2 and results[0] is results[1]
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestBk:
     @pytest.mark.parametrize("k", [1, 2, 3])
