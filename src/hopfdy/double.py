@@ -75,7 +75,8 @@ class DoubleAlgebra:
 
 def drinfeld_double(H: HopfAlgebra) -> DoubleAlgebra:
     """Build D(H) = (H*)^op ox H with full Hopf structure (cached on H);
-    H, the double and both embeddings are verified."""
+    H (once: `verify_hopf` caches its report), the double and both
+    embeddings are verified."""
     return _once(H._cache, "double", lambda: _double_build(H))
 
 
@@ -153,10 +154,9 @@ def _double_build(H: HopfAlgebra) -> DoubleAlgebra:
         for j, cj in H.algebra.unit.items():
             unit[i * n + j] = ci * cj
     gens = None
-    dual_gens = getattr(H, "dual_generator_hint", None)
-    if dual_gens is not None and H.algebra.generators is not None:
+    if H.dual_generator_hint is not None and H.algebra.generators is not None:
         gens = []
-        for g in dual_gens:
+        for g in H.dual_generator_hint:
             gens.append({i * n + j: ci * cj for i, ci in g.items()
                          for j, cj in H.algebra.unit.items()})
         for g in H.algebra.generators:

@@ -46,7 +46,7 @@ tests compare the kernel against.
 from __future__ import annotations
 
 from .exactlin import (SparseMatrix, TensorElement, _once, kernel_basis_marked,
-                       rank_of_vectors, unflatten_index)
+                       rank_of_rows, unflatten_index)
 from .hopfcore import HopfAlgebra, HopfError, iterated_coproduct
 from .algcore import AlgebraMap, check_elements
 
@@ -89,7 +89,7 @@ class DYComplex:
         if kind == "restriction":
             assert imap is not None and Hsub is not None
         self._basis = {}    # n -> (basis, free-column markers)
-        self._images = {}   # n -> raw delta^n of the basis
+        self._images = {}   # n -> (kernel, batch of the raw delta^n of the basis)
         self._conds = {}    # n -> condition pairs (L, R)
         self._mults = {}    # ("front"|"back", n) / ("middle", n, i) -> multiplier
         self._kernel = {}   # big -> the int64 (False) or Python-int (True) slot kernel
@@ -251,16 +251,22 @@ class DYComplex:
     def delta_raw(self, n: int, u: TensorElement) -> TensorElement:
         return self._delta(self._exact, n, [u])[0]
 
-    def differential_images(self, n: int) -> list:
-        """delta^n of every basis cochain, raw; containment is asserted."""
+    def _image_batch(self, n: int):
+        """(kernel, batch): delta^n of every basis cochain as one batch of the
+        kernel that computed it; containment is asserted."""
         def work(ops):
-            basis = self.cochain_basis(n)
-            x = self._delta(ops, n, ops.encode(basis, self.slots(n)))
+            x = self._delta(ops, n, ops.encode(self.cochain_basis(n), self.slots(n)))
             if not self._contained(ops, n + 1, x):
                 raise DYConsistencyError(
                     "differential image escapes the degree-%d cochain space" % (n + 1))
-            return ops.decode(x, len(basis))
+            return ops, x
         return _once(self._images, n, lambda: self._run("differential_images", work))
+
+    def differential_images(self, n: int) -> list:
+        """delta^n of every basis cochain, raw, decoded on each call from the
+        cached batch; containment is asserted."""
+        ops, x = self._image_batch(n)
+        return ops.decode(x, self.cochain_dim(n))
 
     def differential(self, n: int) -> SparseMatrix:
         """delta^n in cochain coordinates C^n -> C^{n+1}."""
@@ -289,10 +295,9 @@ class DYComplex:
 
     # -- cohomology ----------------------------------------------------------
     def rank_delta(self, n: int) -> int:
-        images = self.differential_images(n)
-        nd = self.H.dim
-        rows = [v.flat() for v in images if not v.is_zero()]
-        return rank_of_vectors(rows, nd ** self.slots(n + 1))
+        """The rank of the images' integer numerators, one row per flat index."""
+        ops, x = self._image_batch(n)
+        return rank_of_rows(ops.rows([x]))
 
     def cohomology_dim(self, n: int) -> int:
         """dim ker delta^n - rank delta^{n-1} (at n = 0: dim ker delta^0)."""

@@ -39,17 +39,20 @@ class HopfAlgebra:
 
     comult[i] is Delta(e_i) as a degree-2 TensorElement over the underlying
     algebra; counit is a list of Fractions; antipode a matrix whose columns
-    are the images S(e_i).
+    are the images S(e_i).  `dual_generator_hint`: generators of (H*)^op
+    in the dual basis, or None; D(H) certifies their span before use.
     """
 
     def __init__(self, algebra: Algebra, comult, counit, antipode: SparseMatrix,
-                 antipode_inv=None, name=""):
+                 antipode_inv=None, name="", dual_generator_hint=None):
         self.algebra = algebra
         self.comult = list(comult)
         self.counit = [fr(c) for c in counit]
         self.antipode = antipode
         self.name = name or algebra.name
-        # "double": D(H), filled by drinfeld_double; "antipode_inv": S^{-1}
+        self.dual_generator_hint = dual_generator_hint
+        # "double": D(H), filled by drinfeld_double; "antipode_inv": S^{-1};
+        # "report": the violations found by verify_hopf
         self._cache: dict = {} if antipode_inv is None else {"antipode_inv": antipode_inv}
 
     # convenience passthroughs
@@ -177,8 +180,13 @@ def verify_hopf(H: HopfAlgebra) -> list:
 
     Delta and eps are checked multiplicative on the pairs (a, e_j), a from
     `check_elements`: the a with Delta(a b) = Delta(a) Delta(b) (resp. the
-    same for eps) for all b form a subalgebra.
+    same for eps) for all b form a subalgebra.  Checked once per H (the
+    report is cached write-once); each call returns a copy.
     """
+    return list(_once(H._cache, "report", lambda: tuple(_hopf_violations(H))))
+
+
+def _hopf_violations(H: HopfAlgebra) -> list:
     A = H.algebra
     report = verify_algebra(A)
     # unit and counit normalizations
@@ -330,10 +338,9 @@ def build_bk(k: int) -> HopfAlgebra:
                 vec = A.mul_vec(vec, sx[i])
         ant_cols.append(vec)
     antipode = SparseMatrix.from_columns(dim, ant_cols)
-    H = HopfAlgebra(A, comult, counit, antipode, name="B_%d" % k)
     # generators of (H*)^op = {y_i, h}; used to certify checks on D(B_k)
-    H.dual_generator_hint = bk_dual_generators(k)
-    return H
+    return HopfAlgebra(A, comult, counit, antipode, name="B_%d" % k,
+                       dual_generator_hint=bk_dual_generators(k))
 
 
 def bk_monomial_index(k: int, xs, t: int) -> int:

@@ -10,13 +10,17 @@ A Hopf file looks like
       "comult":  [[i, j, k, "p/q"], ...],   # coeff of e_j ox e_k in Delta(e_i)
       "unit":    [[i, "p/q"], ...],
       "counit":  [[i, "p/q"], ...],
-      "antipode": [[i, j, "p/q"], ...]      # coeff of e_i in S(e_j)
+      "antipode": [[i, j, "p/q"], ...],     # coeff of e_i in S(e_j)
+      "generators": [[[i, "p/q"], ...], ...],       # optional
+      "dual_generators": [[[i, "p/q"], ...], ...]   # optional
     }
 
 Rationals travel as exact "p/q" strings (JSON integers are read too;
 floats are refused, since their binary value is not the decimal written).  Sparse tensor elements serialize
 as [[indices...], "p/q"] pairs sorted lexicographically.  Loading verifies
 every Hopf axiom and rejects the file with the violation report otherwise.
+The optional generators of H, and of (H*)^op in the dual basis, are hints:
+checks re-certify their span and use every basis element where it fails.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ def hopf_to_json(H: HopfAlgebra) -> dict:
     for i, de in enumerate(H.comult):
         for (j, k), v in sorted(de.coeffs.items()):
             comult.append([i, j, k, rational_str(v)])
-    return {
+    out = {
         "format_version": FORMAT_VERSION,
         "dim": H.dim,
         "basis_labels": list(H.algebra.labels),
@@ -103,6 +107,11 @@ def hopf_to_json(H: HopfAlgebra) -> dict:
         "counit": vector_to_json(H.counit_row()),
         "antipode": matrix_to_json(H.antipode),
     }
+    for field, vecs in (("generators", H.algebra.generators),
+                        ("dual_generators", H.dual_generator_hint)):
+        if vecs is not None:
+            out[field] = [vector_to_json(v) for v in vecs]
+    return out
 
 
 def _check_indices(idx, dim: int, field: str, entry):
@@ -113,12 +122,27 @@ def _check_indices(idx, dim: int, field: str, entry):
                                 % (field, entry, i, dim - 1))
 
 
-def _entries(data: dict, field: str, dim: int):
-    """The entries of one sparse field, each index checked against 0..dim-1."""
-    for entry in data[field]:
+def _entries(entries, field: str, dim: int, arity: int):
+    """The entries of one sparse field: `arity` indices in 0..dim-1, a value."""
+    if not isinstance(entries, list):
+        raise HopfFileError("%s %r is not a list of entries" % (field, entries))
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != arity + 1:
+            raise HopfFileError("%s entry %r is not [%d indices, value]"
+                                % (field, entry, arity))
         *idx, v = entry
         _check_indices(idx, dim, field, entry)
         yield (*idx, parse_rational(v, "%s entry %r" % (field, entry)))
+
+
+def _vectors(data: dict, field: str, dim: int):
+    """The optional list of sparse vectors in `field`; None when absent."""
+    vecs = data.get(field)
+    if vecs is None:
+        return None
+    if not isinstance(vecs, list):
+        raise HopfFileError("%s %r is not a list of sparse vectors" % (field, vecs))
+    return [{i: c for i, c in _entries(v, field, dim, 1) if c} for v in vecs]
 
 
 def hopf_from_json(data: dict, name="file") -> HopfAlgebra:
@@ -135,23 +159,25 @@ def hopf_from_json(data: dict, name="file") -> HopfAlgebra:
             raise HopfFileError("basis_labels %r is not a list of %d strings"
                                 % (labels, dim))
         mult: dict = {}
-        for i, j, k, v in _entries(data, "mult", dim):
+        for i, j, k, v in _entries(data["mult"], "mult", dim, 3):
             mult.setdefault((i, j), {})[k] = v
-        unit = {i: v for i, v in _entries(data, "unit", dim)}
-        A = Algebra(dim, labels, mult, unit, name=name)
+        unit = dict(_entries(data["unit"], "unit", dim, 1))
+        A = Algebra(dim, labels, mult, unit, generators=_vectors(data, "generators", dim),
+                    name=name)
         comult_entries = [dict() for _ in range(dim)]
-        for i, j, k, v in _entries(data, "comult", dim):
+        for i, j, k, v in _entries(data["comult"], "comult", dim, 3):
             comult_entries[i][(j, k)] = v
         comult = [TensorElement(A, 2, c) for c in comult_entries]
-        counit_map = {i: v for i, v in _entries(data, "counit", dim)}
+        counit_map = dict(_entries(data["counit"], "counit", dim, 1))
         counit = [counit_map.get(i, Fraction(0)) for i in range(dim)]
         antipode = SparseMatrix(dim, dim, {(r, c): v for r, c, v
-                                           in _entries(data, "antipode", dim)})
+                                           in _entries(data["antipode"], "antipode", dim, 2)})
+        dual_gens = _vectors(data, "dual_generators", dim)
     except HopfFileError:
         raise
     except Exception as exc:
         raise HopfFileError("unparseable Hopf file: %s" % exc)
-    H = HopfAlgebra(A, comult, counit, antipode, name=name)
+    H = HopfAlgebra(A, comult, counit, antipode, name=name, dual_generator_hint=dual_gens)
     report = verify_hopf(H)
     if report:
         raise HopfFileError("file does not define a Hopf algebra", report)

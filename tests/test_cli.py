@@ -45,10 +45,15 @@ class TestVerifyCommand:
         ("basis_labels", None, ["a"]),
         ("basis_labels", None, ["a", "b", "c", 4]),
         ("basis_labels", None, "abcd"),
+        ("generators", [[4, "1"]], None),
+        ("generators", [[0, 1.0]], None),
+        ("dual_generators", [[4, "1"]], None),
+        ("dual_generators", [[0, 1.0]], None),
     ], ids=["antipode-identity", "mult-i-neg", "mult-i-high", "mult-k-high",
             "comult-k-high", "unit-high", "counit-neg", "antipode-col-high",
             "counit-float", "dim-float", "dim-string", "dim-bool", "dim-zero", "labels-short",
-            "labels-non-string", "labels-not-list"])
+            "labels-non-string", "labels-not-list", "generators-high", "generators-float",
+            "dual-generators-high", "dual-generators-float"])
     def test_corrupted_file_exit_2_named_axiom(self, capsys, tmp_path, field, extra,
                                                value):
         path = tmp_path / "bad.json"
@@ -61,6 +66,24 @@ class TestVerifyCommand:
         code, rep = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert any(field in v for v in rep["results"]["violations"])
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "x-squared-one"])
+    def test_non_spanning_generators_same_report(self, capsys, tmp_path, corrupt):
+        # a generator hint that does not span (the unit alone) falls back to
+        # the full basis, so the report equals that of the file without it
+        data = hopf_to_json(build_bk(1))
+        if corrupt:
+            data["mult"].append([1, 1, 0, "1"])  # x x = 1 breaks associativity
+        del data["generators"]
+        reports = []
+        for hint in ({}, {"generators": [[[0, "1"]]]}):
+            data.update(hint)
+            path = tmp_path / "h.json"
+            path.write_text(json.dumps(data))
+            code, rep = run_cli(capsys, "verify", str(path))
+            reports.append((code, rep["results"]))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == (2 if corrupt else 0)
 
     def test_unparseable_exit_2(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
@@ -96,6 +119,8 @@ class TestRoundTrip:
         assert H2.dim == H.dim
         assert H2.algebra.mult == H.algebra.mult
         assert [c.coeffs for c in H2.comult] == [c.coeffs for c in H.comult]
+        assert H2.algebra.generators == H.algebra.generators
+        assert H2.dual_generator_hint == H.dual_generator_hint
 
     def test_permuted_basis_same_dimensions(self, tmp_path):
         # identity-complex and tangent dimensions are invariant under

@@ -294,3 +294,25 @@ def test_reloaded_algebra_releases_its_double(tmp_path):
         del H, D, p, k
         gc.collect()
         assert all(rd() is None and rp() is None for rd, rp in refs)
+
+
+def test_loaded_algebra_verified_once(tmp_path, monkeypatch):
+    """load_hopf, verify_hopf and drinfeld_double check the axioms of the
+    loaded H once; the double is checked on its own."""
+    from hopfdy import hopfcore
+    from hopfdy.hopffile import save_hopf
+
+    checked = []
+    verify_algebra = hopfcore.verify_algebra
+
+    def counting(A):
+        checked.append(A.name)
+        return verify_algebra(A)
+
+    monkeypatch.setattr(hopfcore, "verify_algebra", counting)
+    path = str(tmp_path / "bk1.json")
+    save_hopf(build_bk(1), path)
+    H = load_hopf(path)
+    assert verify_hopf(H) == []
+    D = drinfeld_double(H)
+    assert checked == [path, D.algebra.name]

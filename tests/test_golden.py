@@ -58,14 +58,22 @@ CASES = {
         "--degree", "2"],
 }
 
+# rational R_lambda on B_2, whose exact delta^2 rank takes seconds
+SLOW_CASES = {
+    "dy_tensor_bk_2_lambda_bk2_degree_2": ["dy", "tensor", "bk:2", "--lambda",
+                                           "data/lambda_bk2.json", "--degree", "2"],
+}
+ALL_CASES = {**CASES, **SLOW_CASES}
 
-@pytest.mark.parametrize("name", sorted(CASES))
+
+@pytest.mark.parametrize("name", sorted(CASES) + [
+    pytest.param(name, marks=pytest.mark.slow) for name in sorted(SLOW_CASES)])
 def test_report_matches_golden(capsys, monkeypatch, name):
     monkeypatch.chdir(TESTS)
-    code = main(CASES[name])
+    code = main(ALL_CASES[name])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / (name + ".json")).read_text()
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(ALL_CASES)

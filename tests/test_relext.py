@@ -7,7 +7,7 @@ import pytest
 from hopfdy.algcore import hom_space, module_from_character
 from hopfdy.double import coeff_restriction, drinfeld_double
 from hopfdy.exactlin import FR1, SparseMatrix
-from hopfdy.hopfcore import bk_inclusion, build_bk
+from hopfdy.hopfcore import HopfAlgebra, bk_inclusion, build_bk, verify_hopf
 from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
                            adjunction_crosscheck_restriction,
                            adjunction_crosscheck_tensor, get_resolution,
@@ -151,18 +151,22 @@ def test_owner_caches_publish_write_once(tmp_path):
     path = str(tmp_path / "bk1.json")
     save_hopf(build_bk(1), path)
 
-    def calls(H, ident):
+    def calls(H, ident, Hv):
         D = drinfeld_double(H)
         p = pair_from_double(D)
         W = coeff_restriction(D, ident, H).module
+        assert verify_hopf(Hv) == []
         return (D, p, trivial_module_over(D), tensor_pair(p, p), W,
-                W.action(1), H.algebra.fast_mult(), D.algebra.left_mult_matrix(1))
+                W.action(1), H.algebra.fast_mult(), D.algebra.left_mult_matrix(1),
+                Hv._cache["report"])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             H = load_hopf(path)
+            # the same structure, not yet verified
+            Hv = HopfAlgebra(H.algebra, H.comult, H.counit, H.antipode)
             ident = AlgebraMap(H.algebra, H.algebra, [{i: FR1} for i in range(H.dim)])
             start = threading.Barrier(2)
             results, errors = [], []
@@ -170,7 +174,7 @@ def test_owner_caches_publish_write_once(tmp_path):
             def run():
                 try:
                     start.wait()
-                    results.append(calls(H, ident))
+                    results.append(calls(H, ident, Hv))
                 except Exception as exc:
                     errors.append(exc)
 
