@@ -215,30 +215,12 @@ def _double_build(H: HopfAlgebra) -> DoubleAlgebra:
 
 def ell_plus(H: HopfAlgebra, R: TensorElement, alpha: dict) -> dict:
     """(id ox alpha)(R) for a dual functional alpha."""
-    out: dict = {}
-    for (a, b), c in R.coeffs.items():
-        f = alpha.get(b)
-        if f:
-            s = out.get(a, FR0) + c * f
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
-    return out
+    return {a: c for (a,), c in R.contract_at(1, alpha).coeffs.items()}
 
 
 def ell_minus(H: HopfAlgebra, Rinv: TensorElement, beta: dict) -> dict:
     """(beta ox id)(R^{-1})."""
-    out: dict = {}
-    for (a, b), c in Rinv.coeffs.items():
-        f = beta.get(a)
-        if f:
-            s = out.get(b, FR0) + c * f
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
-    return out
+    return {b: c for (b,), c in Rinv.contract_at(0, beta).coeffs.items()}
 
 
 def ell_maps(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement):

@@ -28,26 +28,25 @@ identities hold, so the degree <= 3 normalization projectors
 N^n = pi_0 ... pi_{n-1} with pi_i = id - d_i s_i are quasi-isomorphism
 idempotents.
 
-Arithmetic.  The three heavy stages -- the condition rows behind
-`cochain_basis`, the images of `differential_images` (all basis cochains
-of a degree in one batch) and the containment check of `in_cochain_space`
--- are written once against a small set of batch operations (insert the
-unit, coproduct at a slot, permute slots, slotwise product with a
-multiplier, signed sum), which `slotkernel.SlotKernel` runs on arrays for
-every Hopf algebra H, multi-term products included.  Its int64 kernel
-checks every product, rescaling and sum against a bound below 2^63; where
-a bound would be exceeded, the stage reruns on the same kernel over Python
-integers and its name is appended to `DYComplex.fallbacks`.  Both give the
-same exact results.  `coface` and `delta_raw` take `_ExactOps`, the same
-coface operations in `Fraction` arithmetic, and are the reference the
-tests compare the kernel against.
+Arithmetic.  Every stage -- the condition rows behind `cochain_basis`,
+the images of `differential_images` (all basis cochains of a degree in one
+batch), the containment check of `in_cochain_space`, and the single-cochain
+`coface` and `delta_raw` -- is written once against a small set of batch
+operations (insert the unit, coproduct at a slot, permute slots, slotwise
+product with a multiplier, signed sum), which `slotkernel.SlotKernel` runs
+on arrays for every Hopf algebra H, multi-term products included.  Its
+int64 kernel checks every product, rescaling and sum against a bound below
+2^63; where a bound would be exceeded, the stage reruns on the same kernel
+over Python integers and its name is appended to `DYComplex.fallbacks`.
+Both give the same exact results.  The tests compare them against the
+dense `Fraction` cofaces of `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from .exactlin import (SparseMatrix, TensorElement, _once, kernel_basis_marked,
                        rank_of_rows, unflatten_index)
-from .hopfcore import HopfAlgebra, HopfError, iterated_coproduct
+from .hopfcore import HopfAlgebra, HopfError
 from .algcore import AlgebraMap, check_elements
 
 
@@ -90,10 +89,7 @@ class DYComplex:
             assert imap is not None and Hsub is not None
         self._basis = {}    # n -> (basis, free-column markers)
         self._images = {}   # n -> (kernel, batch of the raw delta^n of the basis)
-        self._conds = {}    # n -> condition pairs (L, R)
-        self._mults = {}    # ("front"|"back", n) / ("middle", n, i) -> multiplier
         self._kernel = {}   # big -> the int64 (False) or Python-int (True) slot kernel
-        self._exact = _ExactOps(H)
         self.fallbacks = []  # stages that reran on the Python-int kernel
 
     # -- geometry ----------------------------------------------------------
@@ -125,8 +121,9 @@ class DYComplex:
             return [self.imap.apply(k) for k, _ in check_elements(self.Hsub.algebra)]
         return [h for h, _ in check_elements(self.H.algebra)]
 
-    def _condition_elements(self, n: int):
-        """Pairs (L, R) of tensor multipliers: cochains satisfy L u = u R."""
+    def _condition_elements(self, ops, n: int):
+        """Pairs (L, R) of multipliers encoded on the kernel `ops`: cochains
+        satisfy L u = u R."""
         def build():
             s = self.slots(n)
             if s == 0:
@@ -135,15 +132,15 @@ class DYComplex:
             out = []
             for vec in self._condition_vectors():
                 t = self.H.delta_power(vec, s)
-                out.append((t.permute_slots(perm) if perm else t, t))
+                out.append((ops.encode([t.permute_slots(perm) if perm else t], s),
+                            ops.encode([t], s)))
             return out
-        return _once(self._conds, n, build)
+        return _once(ops.compiled, ("conditions", n), build)
 
     def _condition_diffs(self, ops, n: int, x):
         """L x - x R for every condition pair, on every tensor of the batch x."""
-        for j, (L, R) in enumerate(self._condition_elements(n)):
-            yield ops.combine([(ops.mul(x, ops.prepare(("L", n, j), L), True), 1),
-                               (ops.mul(x, ops.prepare(("R", n, j), R), False), -1)])
+        for L, R in self._condition_elements(ops, n):
+            yield ops.combine([(ops.mul(x, L, True), 1), (ops.mul(x, R, False), -1)])
 
     def _contained(self, ops, n: int, x) -> bool:
         return all(ops.is_zero(d) for piece in ops.pieces(x)
@@ -176,29 +173,27 @@ class DYComplex:
         return len(self.cochain_basis(n))
 
     def coords(self, n: int, u: TensorElement) -> dict:
-        """Coordinates of u in the cochain basis; exact, verified."""
-        basis = self.cochain_basis(n)
-        markers = self._basis[n][1]
-        flat = u.flat()
-        out = {}
-        for j, f in enumerate(markers):
-            c = flat.get(f)
-            if c:
-                out[j] = c
-        # verify reconstruction
-        acc = TensorElement(self.H.algebra, u.degree, {})
-        for j, c in out.items():
-            acc = acc.add(basis[j].scale(c))
-        if acc != u:
+        """Coordinates of u in the cochain basis; exact, verified.  Basis
+        cochain j is 1 at its marker and 0 at the other markers, so a u that
+        lies in C^n is the sum of u[marker_j] basis_j."""
+        if not self.in_cochain_space(n, u):
             raise DYConsistencyError("vector does not lie in the cochain space")
-        return out
+        self.cochain_basis(n)
+        flat = u.flat()
+        return {j: flat[f] for j, f in enumerate(self._basis[n][1]) if f in flat}
 
     # -- coface and codegeneracy maps ---------------------------------------
     def coface(self, n: int, i: int, u: TensorElement) -> TensorElement:
         """d_i^n: C^n -> C^{n+1} on raw tensor elements, 0 <= i <= n+1."""
         if not (0 <= i <= n + 1):
             raise UnsupportedDegreeError("coface index %d out of range" % i)
-        return self._coface(self._exact, n, i, [u])[0]
+        return self._single(u, lambda ops, x: ops.combine([(self._coface(ops, n, i, x), 1)]))
+
+    def _single(self, u: TensorElement, work) -> TensorElement:
+        """work(ops, [u]) on the slot kernel, decoded to one tensor; work
+        ends in a `combine`, since `decode` keeps one value per key."""
+        return self._run("coface",
+                         lambda ops: ops.decode(work(ops, ops.encode([u], u.degree)), 1)[0])
 
     def _coface(self, ops, n: int, i: int, x):
         """d_i^n on every tensor of the batch x."""
@@ -225,31 +220,31 @@ class DYComplex:
         x = ops.permute(x, perm)                          # (x1, y1, x2, y2)
         return ops.mul(x, self._multiplier(ops, "middle", n, i), False)
 
-    def _multiplier(self, ops, *key):
-        return ops.prepare(key, _once(self._mults, key, lambda: self._build_multiplier(*key)))
-
-    def _build_multiplier(self, side: str, n: int, i: int = 0) -> TensorElement:
-        """The R-multipliers of the outer and middle tensor cofaces, in H^{ox 2n+2}:
+    def _multiplier(self, ops, side: str, n: int, i: int = 0):
+        """The R-multipliers of the outer and middle tensor cofaces, in H^{ox 2n+2},
+        encoded once on the kernel `ops`:
         front  1 ox R1 ox Delta^{(n-1)}(R2) in X_2..X_{n+1}, 1 in Y_2..Y_{n+1};
         back   Delta^{(n-1)}(R1) in Y_1..Y_n, R2 in X_{n+1}, 1 elsewhere;
         middle R1 in Y_i, R2 in X_{i+1}, 1 elsewhere."""
-        E, x = self._exact, [self.R]
-        if side == "middle":
-            units = list(range(2 * i - 1)) + list(range(2 * i + 1, 2 * n + 2))
-        else:
-            for _ in range(n - 1):
-                x = E.coproduct(x, 1 if side == "front" else 0)
-            units = ([0] + [2 * j + 1 for j in range(1, n + 1)] if side == "front"
-                     else [2 * j for j in range(n)] + [2 * n + 1])
-        for slot in units:
-            x = E.insert_unit(x, slot)
-        return x[0]
+        def build():
+            x = ops.encode([self.R], 2)
+            if side == "middle":
+                units = list(range(2 * i - 1)) + list(range(2 * i + 1, 2 * n + 2))
+            else:
+                for _ in range(n - 1):
+                    x = ops.coproduct(x, 1 if side == "front" else 0)
+                units = ([0] + [2 * j + 1 for j in range(1, n + 1)] if side == "front"
+                         else [2 * j for j in range(n)] + [2 * n + 1])
+            for slot in units:
+                x = ops.insert_unit(x, slot)
+            return ops.combine([(x, 1)])
+        return _once(ops.compiled, (side, n, i), build)
 
     def _delta(self, ops, n: int, x):
         return ops.combine([(self._coface(ops, n, i, x), (-1) ** i) for i in range(n + 2)])
 
     def delta_raw(self, n: int, u: TensorElement) -> TensorElement:
-        return self._delta(self._exact, n, [u])[0]
+        return self._single(u, lambda ops, x: self._delta(ops, n, x))
 
     def _image_batch(self, n: int):
         """(kernel, batch): delta^n of every basis cochain as one batch of the
@@ -320,41 +315,6 @@ class DYComplex:
         for i in reversed(range(n)):
             si = self.codegeneracy_raw(n, i, out)
             out = out.sub(self.coface(n - 1, i, si))
-        return out
-
-
-class _ExactOps:
-    """The coface operations of `slotkernel.SlotKernel` on lists of
-    TensorElements, in Fraction arithmetic (slotwise products through
-    `slotwise_mul_into`): the reference behind `coface`, `delta_raw` and
-    the tensor coface multipliers."""
-
-    def __init__(self, H: HopfAlgebra):
-        self.H = H
-
-    def prepare(self, key, T: TensorElement) -> TensorElement:
-        return T
-
-    def insert_unit(self, x: list, slot: int) -> list:
-        return [u.insert_vector_at(slot, self.H.unit) for u in x]
-
-    def coproduct(self, x: list, slot: int) -> list:
-        return [iterated_coproduct(self.H, u, slot) for u in x]
-
-    def permute(self, x: list, perm) -> list:
-        return [u.permute_slots(perm) for u in x]
-
-    def mul(self, x: list, M: TensorElement, left: bool) -> list:
-        return [M.mul(u) if left else u.mul(M) for u in x]
-
-    def combine(self, parts) -> list:
-        """sum of sign * x over the (x, sign) parts, tensor by tensor."""
-        out = []
-        for us in zip(*(x for x, _ in parts)):
-            acc = TensorElement(self.H.algebra, us[0].degree, {})
-            for u, (_, sign) in zip(us, parts):
-                acc = acc.add(u.scale(sign))
-            out.append(acc)
         return out
 
 

@@ -69,7 +69,10 @@ class SlotKernel:
         self.dkey, self.dcoef = self._padded(nd, comult, self.dden)
         self.uden = _lcm(c.denominator for c in H.unit.values())
         self.unit = [(i, self._scaled(c, self.uden)) for i, c in H.unit.items()]
-        self.compiled = {}  # multiplier key -> encoded batch, published write-once
+        # the encoded operands of a complex's stages, filled through `_once`:
+        # ("conditions", n) -> the (L, R) condition batches of degree n,
+        # (side, n, i) -> the R-multiplier of a tensor coface
+        self.compiled = {}
 
     def _padded(self, size: int, columns, den: int):
         """(key, coef) arrays of shape (width, size): column p holds the
@@ -108,13 +111,6 @@ class SlotKernel:
         self._bound(max(map(abs, nums), default=0))
         return Batch(np.array(rows, np.int64), np.array(flats, np.int64),
                      np.array(nums, self.dtype), den, s)
-
-    def prepare(self, key, T: TensorElement) -> Batch:
-        """T encoded once per key; published write-once like the caches of
-        `dycomplex.DYComplex`."""
-        enc = self.compiled.get(key)
-        return enc if enc is not None else self.compiled.setdefault(
-            key, self.encode([T], T.degree))
 
     def decode(self, x: Batch, count: int) -> list:
         out = [TensorElement(self.H.algebra, x.deg) for _ in range(count)]

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive: dense textbook Gauss-Jordan over
-Fractions and exhaustive loops, sharing no code with the package's sparse
-elimination, so the two sides of every comparison are independent.
+Fractions and exhaustive loops over the structure tables, sharing no code
+with the package's sparse elimination or its slot kernel, so the two sides
+of every comparison are independent.
 """
 
 from fractions import Fraction
@@ -112,6 +113,113 @@ def _add(out, key, c):
     out[key] = out.get(key, 0) + c
 
 
+# Tensors over H are dicts {index tuple: Fraction}; H's tables are read
+# directly: H.algebra.mult, H.algebra.unit, H.comult and H.counit.
+
+def prod(H, u, v):
+    """The slotwise product u v."""
+    mult = H.algebra.mult
+    out = {}
+    for ku, cu in u.items():
+        for kv, cv in v.items():
+            terms = {(): cu * cv}
+            for a, b in zip(ku, kv):
+                terms = {k + (p,): c * x for k, c in terms.items()
+                         for p, x in mult.get((a, b), {}).items()}
+            for k, c in terms.items():
+                _add(out, k, c)
+    return out
+
+
+def with_unit(H, u, slot):
+    """u with the unit inserted as a new slot at `slot`."""
+    return {k[:slot] + (i,) + k[slot:]: c * x for k, c in u.items()
+            for i, x in H.algebra.unit.items()}
+
+
+def coproduct(H, u, slot):
+    """Delta applied at `slot`; the degree grows by one."""
+    out = {}
+    for k, c in u.items():
+        for pq, x in H.comult[k[slot]].coeffs.items():
+            _add(out, k[:slot] + pq + k[slot + 1:], c * x)
+    return out
+
+
+def diff(*terms):
+    """sum of sign * u over the (sign, u) terms, zeros dropped."""
+    out = {}
+    for sign, u in terms:
+        for k, c in u.items():
+            _add(out, k, sign * c)
+    return {k: c for k, c in out.items() if c}
+
+
+def _delta_power(H, v, m):
+    """Delta^{(m-1)}(v) in H^{ox m} for a vector {i: c}; the counit at m = 0."""
+    if m == 0:
+        return {(): sum(c * H.counit[i] for i, c in v.items())}
+    u = {(i,): c for i, c in v.items()}
+    for slot in range(m - 1):
+        u = coproduct(H, u, slot)
+    return u
+
+
+def _r_multiplier(H, R, n, i):
+    """The R-multiplier of the tensor coface d_i^n in interleaved layout
+    (X1, Y1, ..., X_{n+1}, Y_{n+1}), 1 in every slot not named:
+        i = 0      R1 in Y1, Delta^{(n-1)}(R2) in X2..X_{n+1}
+        0 < i <= n R1 in Y_i, R2 in X_{i+1}
+        i = n + 1  Delta^{(n-1)}(R1) in Y1..Yn, R2 in X_{n+1}"""
+    out = {}
+    for (a, b), c in R.coeffs.items():
+        if i == 0:
+            placed = [({1: a} | {2 * j + 2: k[j] for j in range(n)}, x)
+                      for k, x in _delta_power(H, {b: 1}, n).items()]
+        elif i == n + 1:
+            placed = [({2 * n: b} | {2 * j + 1: k[j] for j in range(n)}, x)
+                      for k, x in _delta_power(H, {a: 1}, n).items()]
+        else:
+            placed = [({2 * i - 1: a, 2 * i: b}, 1)]
+        for fixed, x in placed:
+            terms = {(): c * x}
+            for slot in range(2 * n + 2):
+                choices = {fixed[slot]: 1} if slot in fixed else H.algebra.unit
+                terms = {k + (p,): t * y for k, t in terms.items() for p, y in choices.items()}
+            for k, t in terms.items():
+                _add(out, k, t)
+    return out
+
+
+def coface_dense(H, R, n, i, u):
+    """d_i^n(u) by the formulas of the `dycomplex` docstring, u a dict of
+    degree n (R is None: identity and restriction kinds) or of degree 2n
+    in the interleaved layout (the tensor kind, twisted by R)."""
+    if R is None:
+        if i == 0:
+            return diff((1, with_unit(H, u, 0)))
+        if i == n + 1:
+            return diff((1, with_unit(H, u, n)))
+        return diff((1, coproduct(H, u, i - 1)))
+    if i == 0:
+        return diff((1, prod(H, _r_multiplier(H, R, n, 0),
+                             with_unit(H, with_unit(H, u, 0), 0))))
+    if i == n + 1:
+        return diff((1, prod(H, _r_multiplier(H, R, n, n + 1),
+                             with_unit(H, with_unit(H, u, 2 * n), 2 * n))))
+    # Delta_{HoxH} on block i: (x, y) -> (x1, y1, x2, y2)
+    p = 2 * (i - 1)
+    expanded = {}
+    for k, c in coproduct(H, coproduct(H, u, p), p + 2).items():
+        _add(expanded, k[:p] + (k[p], k[p + 2], k[p + 1], k[p + 3]) + k[p + 4:], c)
+    return diff((1, prod(H, expanded, _r_multiplier(H, R, n, i))))
+
+
+def delta_dense(H, R, n, u):
+    """delta^n(u) = sum_i (-1)^i d_i^n(u)."""
+    return diff(*(((-1) ** i, coface_dense(H, R, n, i, u)) for i in range(n + 2)))
+
+
 def tangent_conditions_dense(H, R):
     """Dense rows of the linearized R-matrix conditions at R on T in H ox H,
     one column per e_a ox e_b (a * dim + b), by loops over the tables
@@ -120,53 +228,23 @@ def tangent_conditions_dense(H, R):
         T Delta(h) - Delta^op(h) T           for every basis element h
         (Delta ox id)(T) - T13 R23 - R13 T23
         (id ox Delta)(T) - T13 R12 - R13 T12
-
-    Tensors are dicts {index tuple: Fraction}.
     """
-    n, mult, unit = H.dim, H.algebra.mult, H.algebra.unit
+    n = H.dim
     comult = [H.comult[h].coeffs for h in range(n)]
-
-    def prod(u, v):
-        out = {}
-        for ku, cu in u.items():
-            for kv, cv in v.items():
-                terms = {(): cu * cv}
-                for a, b in zip(ku, kv):
-                    terms = {k + (p,): c * x for k, c in terms.items()
-                             for p, x in mult.get((a, b), {}).items()}
-                for k, c in terms.items():
-                    _add(out, k, c)
-        return out
-
-    def with_unit(u, slot):
-        return {k[:slot] + (i,) + k[slot:]: c * x for k, c in u.items() for i, x in unit.items()}
-
-    def coproduct(u, slot):
-        out = {}
-        for k, c in u.items():
-            for pq, x in comult[k[slot]].items():
-                _add(out, k[:slot] + pq + k[slot + 1:], c * x)
-        return out
-
-    def diff(*terms):
-        out = {}
-        for sign, u in terms:
-            for k, c in u.items():
-                _add(out, k, sign * c)
-        return out
-
     R = R.coeffs
-    r13, r23, r12 = with_unit(R, 1), with_unit(R, 0), with_unit(R, 2)
+    r13, r23, r12 = with_unit(H, R, 1), with_unit(H, R, 0), with_unit(H, R, 2)
     rows = {}  # (condition, index tuple) -> dense row
     for a in range(n):
         for b in range(n):
             T = {(a, b): Fraction(1)}
-            t13, t23, t12 = with_unit(T, 1), with_unit(T, 0), with_unit(T, 2)
-            conds = [diff((1, prod(T, comult[h])),
-                          (-1, prod({(q, p): c for (p, q), c in comult[h].items()}, T)))
+            t13, t23, t12 = with_unit(H, T, 1), with_unit(H, T, 0), with_unit(H, T, 2)
+            conds = [diff((1, prod(H, T, comult[h])),
+                          (-1, prod(H, {(q, p): c for (p, q), c in comult[h].items()}, T)))
                      for h in range(n)]
-            conds.append(diff((1, coproduct(T, 0)), (-1, prod(t13, r23)), (-1, prod(r13, t23))))
-            conds.append(diff((1, coproduct(T, 1)), (-1, prod(t13, r12)), (-1, prod(r13, t12))))
+            conds.append(diff((1, coproduct(H, T, 0)), (-1, prod(H, t13, r23)),
+                              (-1, prod(H, r13, t23))))
+            conds.append(diff((1, coproduct(H, T, 1)), (-1, prod(H, t13, r12)),
+                              (-1, prod(H, r13, t12))))
             for j, cond in enumerate(conds):
                 for k, c in cond.items():
                     rows.setdefault((j, k), [Fraction(0)] * (n * n))[a * n + b] += c

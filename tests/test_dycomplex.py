@@ -16,6 +16,7 @@ from hopfdy.hopfcore import (HopfAlgebra, build_bk, build_cyclic, bk_inclusion,
                              iterated_coproduct, verify_hopf)
 from hopfdy.rmatrix import bk_r0, bk_r_lambda, check_rmatrix, tangent_space
 from hopfdy.slotkernel import Fallback
+from oracles import coface_dense, delta_dense
 
 HALF = Fraction(1, 2)
 
@@ -543,6 +544,21 @@ def test_containment_falls_back_beyond_int64():
     assert cx.fallbacks == ["containment", "containment"]
 
 
+def test_coface_falls_back_beyond_int64():
+    H = build_bk(1)
+    cx = tensor_complex(H, bk_r0(1, H))
+    z = next(u for u in cx.cochain_basis(2) if not cx.delta_raw(2, u).is_zero())
+    assert cx.delta_raw(2, z.scale(2 ** 70)) == cx.delta_raw(2, z).scale(2 ** 70)
+    assert cx.fallbacks == ["coface"]
+
+
+def test_coords_rejects_non_cochains(txB1):
+    z = txB1.cochain_basis(2)[1]
+    assert txB1.coords(2, z) == {1: FR1}
+    with pytest.raises(DYConsistencyError, match="does not lie in the cochain space"):
+        txB1.coords(2, z.add(unit_tensor(txB1.H.algebra, 4)))
+
+
 def test_index_bound_is_refused_not_rerun():
     # 4^31 = 2^62 flat indices: both kernels refuse them, and the stage is
     # not rerun, since Python-int coefficients keep int64 flat indices
@@ -555,13 +571,44 @@ def test_index_bound_is_refused_not_rerun():
     assert cx.fallbacks == []
 
 
+def _check_images_against_delta_dense(cx, n):
+    """delta^n of the basis, batched and one cochain at a time, against the
+    dense oracle."""
+    want = [delta_dense(cx.H, cx.R, n, u.coeffs) for u in cx.cochain_basis(n)]
+    assert [v.coeffs for v in cx.differential_images(n)] == want
+    assert [cx.delta_raw(n, u).coeffs for u in cx.cochain_basis(n)] == want
+
+
 def test_kernel_images_match_delta_raw(idB1, txB1, resB2B1):
     lam = tensor_complex(build_bk(1), bk_r_lambda(1, [[Fraction(37, 41)]]))
     for cx, tops in ((idB1, 3), (txB1, 2), (resB2B1, 2), (lam, 2)):
         for n in range(tops + 1):
-            assert cx.differential_images(n) == \
-                [cx.delta_raw(n, u) for u in cx.cochain_basis(n)]
+            _check_images_against_delta_dense(cx, n)
         assert cx.fallbacks == []
+
+
+def _b1_complexes():
+    B1, B2 = build_bk(1), build_bk(2)
+    Z2 = build_cyclic(2)
+    g = AlgebraMap(Z2.algebra, B1.algebra, [{0: FR1}, {2: FR1}])  # Z/2 -> <g> in B_1
+    return {"id": identity_complex(B1), "r0": tensor_complex(B1, bk_r0(1, B1)),
+            "lambda": tensor_complex(B1, bk_r_lambda(1, [[Fraction(-5, 7)]], B1)),
+            "res": restriction_complex(B1, g, Z2),
+            "res2": restriction_complex(B2, bk_inclusion(1, 1), B1)}
+
+
+_COFACE_CX = _b1_complexes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.sampled_from(sorted(_COFACE_CX)), n=st.integers(0, 2))
+def test_coface_matches_dense_oracle(data, k, n):
+    # random rational tensors, cochains or not
+    cx = _COFACE_CX[k]
+    s = cx.slots(n)
+    u = TensorElement(cx.H.algebra, s, data.draw(_tensors(cx.H.dim, s, False)))
+    i = data.draw(st.integers(0, n + 1))
+    assert cx.coface(n, i, u).coeffs == coface_dense(cx.H, cx.R, n, i, u.coeffs)
 
 
 def test_kernel_on_multi_term_products():
@@ -578,8 +625,7 @@ def test_kernel_on_multi_term_products():
         assert txc.cohomology_dim(2) == 3
         for cx in (idc, txc):
             for n in (0, 1):
-                assert cx.differential_images(n) == \
-                    [cx.delta_raw(n, u) for u in cx.cochain_basis(n)]
+                _check_images_against_delta_dense(cx, n)
             assert cx.fallbacks == []
 
 
