@@ -408,63 +408,98 @@ def tensor_module(M: ModuleRep, N: ModuleRep, T: Algebra) -> ModuleRep:
                      name="%s(x)%s" % (M.name, N.name))
 
 
-class InducedModule(ModuleRep):
-    """A ox_B V as a left A-module on a canonical basis.
+class ColumnMap:
+    """A linear map read column by column: col(j) is the image of e_j, built
+    when a product asks for it."""
 
-    `gens[pos] = (u, v)` says that canonical basis vector `pos` is the
-    class [u ox e_v], u a sparse A-vector, and `pair_vec(a, v)` gives the
-    canonical coordinates of [e_a ox e_v].  `induced_module` chooses both,
-    from the quotient construction or from a verified free basis; every
-    consumer reads the module through `gens`, `class_of`, `act` and
-    `unit_section` alone.
+    def __init__(self, rows: int, col):
+        self.rows = rows
+        self.col = col
+
+    def apply(self, x: dict) -> dict:
+        out: dict = {}
+        for j, c in x.items():
+            vec_addmul(out, self.col(j), c)
+        return out
+
+
+def evaluation(M: ModuleRep) -> ColumnMap:
+    """E_M : A ox M -> M, e_a ox e_m -> rho_M(e_a) e_m (flat index a * dim M + m)."""
+    nm = M.dim
+    return ColumnMap(nm, lambda flat: M.action(flat // nm).columns()[flat % nm])
+
+
+class InducedModule(ModuleRep):
+    """Ind V = A ox_B V as a left A-module on a canonical basis, given by two
+    linear maps on A ox V (flat index a * dim V + v):
+
+      S = `section()` : Ind V -> A ox V, column pos = u ox e_v;
+      Q = `classes`   : A ox V -> Ind V, column (a, v) = the canonical
+                        coordinates of [e_a ox e_v] (a ColumnMap);
+
+    with Q S = 1.  The free and the quotient construction differ only in Q
+    (`induced_module`).  Every map built on the module is a product through
+    the two (`induced_map`): the action rho(e_a) = Q (L_a ox 1) S, the unit
+    v -> Q (1_A ox v) and the counit E_M S onto an A-module M.  Q is
+    column-lazy, so a product builds only the columns, and the action
+    matrices of V, that it reads.
     """
 
-    def __init__(self, imap: AlgebraMap, V: ModuleRep, gens: list, pair_vec, name=""):
-        self.imap = imap
+    def __init__(self, imap: AlgebraMap, V: ModuleRep, groups: list, class_col, name=""):
         self.source = V
-        self.gens = gens
-        self.pair_vec = pair_vec
-        super().__init__(imap.target, len(gens), action_fn=self._action_of, name=name)
+        self._groups = groups  # (u, start, vs): S e_{start + j} = u ox e_{vs[j]}
+        dim = sum(len(vs) for _, _, vs in groups)
+        self.classes = ColumnMap(dim, class_col)
+        super().__init__(imap.target, dim, action_fn=self._action_of, name=name)
 
-    def class_of(self, u: dict, v_idx: int) -> dict:
-        """Canonical coordinates of [u ox e_{v_idx}], u a sparse A-vector."""
-        out: dict = {}
-        for a_idx, c in u.items():
-            vec_addmul(out, self.pair_vec(a_idx, v_idx), c)
-        return out
+    def section(self) -> SparseMatrix:
+        """S as a matrix; products read its columns from the groups."""
+        nv = self.source.dim
+        return SparseMatrix(self.algebra.dim * nv, self.dim, {
+            (a * nv + v, pos): c for u, start, vs in self._groups
+            for pos, v in enumerate(vs, start) for a, c in u.items()})
 
-    def unit_section(self, v: dict) -> dict:
-        """eta(v) = class of 1_A ox v (the adjunction unit)."""
-        out: dict = {}
-        for v_idx, cv in v.items():
-            vec_addmul(out, self.class_of(self.imap.target.unit, v_idx), cv)
-        return out
-
-    def act_class(self, a_idx: int, pos: int) -> dict:
-        """a . (canonical basis vector `pos`) = [(e_a u) ox e_v]."""
-        u, v_idx = self.gens[pos]
-        return self.class_of(self.imap.target.mul_vec({a_idx: FR1}, u), v_idx)
+    def unit(self) -> SparseMatrix:
+        """eta : V -> Ind V, v -> Q (1_A ox v) (the adjunction unit)."""
+        nv = self.source.dim
+        return SparseMatrix.from_columns(self.dim, [self.classes.apply(
+            {a * nv + v: c for a, c in self.algebra.unit.items()}) for v in range(nv)])
 
     def _action_of(self, a_idx: int) -> SparseMatrix:
-        ent = {}
-        for pos in range(self.dim):
-            for r, c in self.act_class(a_idx, pos).items():
-                ent[(r, pos)] = c
-        return SparseMatrix(self.dim, self.dim, ent)
+        return induced_map(self.classes, self, L=self.algebra.left_mult_matrix(a_idx))
 
 
-def induced_module(imap: AlgebraMap, V: ModuleRep, free_basis=None, name="") -> InducedModule:
+def induced_map(left: ColumnMap, P: InducedModule, f: SparseMatrix = None,
+                L: SparseMatrix = None) -> SparseMatrix:
+    """left (L ox f) S_P for f : V -> V' (default 1), L a matrix on A (default
+    1) and `left` a map on A ox V' (flat index a * dim V' + q).  L ox f is
+    never formed: S's columns u ox e_v are taken by A-part u, L u once per u,
+    and column v of f gives the pure tensor (L u) ox f(e_v)."""
+    nq = P.source.dim if f is None else f.rows
+    fcols = None if f is None else f.columns()
+    cols = [None] * P.dim
+    for u, start, vs in P._groups:
+        x = u if L is None else L.mul_vec(u)
+        for pos, v in enumerate(vs, start):
+            y = {v: FR1} if fcols is None else fcols[v]
+            cols[pos] = left.apply({a * nq + q: ca * c for a, ca in x.items()
+                                    for q, c in y.items()})
+    return SparseMatrix.from_columns(left.rows, cols)
+
+
+def induced_module(imap: AlgebraMap, V: ModuleRep, free=None, name="") -> InducedModule:
     """Induction A ox_B V along an algebra map B -> A.
 
-    With `free_basis` elements u_alpha, A = direct-sum u_alpha * i(B)
-    (verified), the canonical basis is [u_alpha ox e_v] and `pair_vec`
-    rewrites e_a through the inverse of (alpha, b) -> u_alpha * i(b).
-    Otherwise the quotient of A ox V by the relations
-    {(a*i(b)) ox v - a ox (b.v)} is read from their canonical kernel
-    basis: the surviving pairs [e_a ox e_v] (the markers) are the basis,
-    and `pair_vec` is the class table.  It is enough to let b range over
-    a generating set of B (relations for products follow:
-    rel(a, b b', v) = rel(a*i(b), b', v) + rel(a, b, b'.v)), and over the
+    With `free` = free_rewrite(imap, [u_alpha]), A = direct-sum u_alpha i(B),
+    S sends canonical basis vector (alpha, v) to u_alpha ox e_v, and Q
+    rewrites e_a = sum c u_alpha i(e_b) by the table:
+    [e_a ox e_v] = sum c [u_alpha ox b.e_v].  Otherwise Ind V is the
+    quotient of A ox V by the relations {(a i(b)) ox v - a ox (b.v)}, read
+    from their canonical kernel basis: the surviving pairs [e_a ox e_v]
+    (the markers) are the basis, S sends each to e_a ox e_v, and Q is the
+    transpose of the kernel basis.  It is enough to let b range over a
+    generating set of B (relations for products follow:
+    rel(a, b b', v) = rel(a i(b), b', v) + rel(a, b, b'.v)), and over the
     full basis otherwise.  Dimensions and every derived invariant agree.
     """
     if V.algebra is not imap.source:
@@ -472,84 +507,59 @@ def induced_module(imap: AlgebraMap, V: ModuleRep, free_basis=None, name="") -> 
     A, B = imap.target, imap.source
     nv = V.dim
     name = name or "ind(%s)" % V.name
-    if free_basis is not None:
-        table = _free_rewrite_table(imap, free_basis)
+    if free is not None:
+        free_basis, table = free
 
-        def free_pair_vec(a_idx, v_idx):
+        def free_class(flat):
             out: dict = {}
-            for alpha, b_idx, c in table[a_idx]:
-                for w, cw in V.act_basis(b_idx, {v_idx: FR1}).items():
-                    flat = alpha * nv + w
-                    s = out.get(flat, FR0) + c * cw
-                    if s:
-                        out[flat] = s
-                    else:
-                        out.pop(flat, None)
+            for alpha, b_idx, c in table[flat // nv]:
+                col = V.action(b_idx).columns()[flat % nv]
+                vec_addmul(out, {alpha * nv + w: cw for w, cw in col.items()}, c)
             return out
 
-        gens = [(u, v_idx) for u in free_basis for v_idx in range(nv)]
-        return InducedModule(imap, V, gens, free_pair_vec, name=name)
+        groups = [(u, alpha * nv, range(nv)) for alpha, u in enumerate(free_basis)]
+        return InducedModule(imap, V, groups, free_class, name=name)
 
     ncols = A.dim * nv
     rows = []
     for b, _ in check_elements(B):
-        ib = imap.apply(b)
-        bact = [V.act(b, {v_idx: FR1}) for v_idx in range(nv)]
+        ib, bact = imap.apply(b), _act_matrix(V, b).columns()
         for a in range(A.dim):
-            prod: dict = {}
-            for i, ci in ib.items():
-                vec_addmul(prod, A.mul_basis(a, i), ci)
-            for v_idx in range(nv):
-                row: dict = {}
-                for p, c in prod.items():
-                    row[p * nv + v_idx] = c
-                for w, cw in bact[v_idx].items():
-                    s = row.get(a * nv + w, FR0) - cw
-                    if s:
-                        row[a * nv + w] = s
-                    else:
-                        row.pop(a * nv + w, None)
-                rows.append(row)
+            prod = A.mul_vec({a: FR1}, ib)
+            for v in range(nv):
+                row = {p * nv + v: c for p, c in prod.items()}
+                for w, cw in bact[v].items():
+                    row[a * nv + w] = row.get(a * nv + w, FR0) - cw
+                rows.append({f: c for f, c in row.items() if c})
     # pivots at high flat indices, so low-index columns survive as reps.
     # The relations vanish on every kernel vector, so the class of e_f is
     # sum_j vecs[j][f] * (rep j): the transpose of the kernel basis.
     vecs, markers = kernel_basis_marked(rows, ncols, key=lambda c: -c)
-    classes = {divmod(f, nv): {} for f in range(ncols)}
+    classes: list = [{} for _ in range(ncols)]
     for j, v in enumerate(vecs):
         for f, c in v.items():
-            classes[divmod(f, nv)][j] = c
-    gens = [({f // nv: FR1}, f % nv) for f in markers]
-    return InducedModule(imap, V, gens, lambda a_idx, v_idx: classes[(a_idx, v_idx)],
-                         name=name)
+            classes[f][j] = c
+    groups: dict = {}  # the markers ascend, so each a holds consecutive positions
+    for pos, f in enumerate(markers):
+        groups.setdefault(f // nv, (pos, []))[1].append(f % nv)
+    return InducedModule(imap, V, [({a: FR1}, start, vs) for a, (start, vs) in groups.items()],
+                         classes.__getitem__, name=name)
 
 
-def _free_rewrite_table(imap: AlgebraMap, free_basis: list) -> list:
-    """Invert Phi: (alpha, b) -> u_alpha * i(b) and tabulate per A-basis column.
-
-    Raises if A is not free over i(B) on the given elements.
-    """
-    A, B = imap.target, imap.source
-    nb = B.dim
+def free_rewrite(imap: AlgebraMap, free_basis: list) -> tuple:
+    """(free_basis, table) for `induced_module`: table[a] lists the
+    (alpha, b, c) with e_a = sum c u_alpha i(e_b), read from the inverse of
+    Phi : (alpha, b) -> u_alpha i(e_b).  Raises if A is not free over i(B)
+    on the given elements."""
+    A, nb = imap.target, imap.source.dim
     if len(free_basis) * nb != A.dim:
         raise AlgebraError("free basis has wrong cardinality")
-    cols = []
-    for u in free_basis:
-        for b in range(nb):
-            col: dict = {}
-            ib = imap.apply_basis(b)
-            for i, ci in u.items():
-                for j, cj in ib.items():
-                    vec_addmul(col, A.mul_basis(i, j), ci * cj)
-            cols.append(col)
-    phi = SparseMatrix.from_columns(A.dim, cols)
-    inv_cols = _invert_columns(phi)
+    inv_cols = _invert_columns(SparseMatrix.from_columns(A.dim, [
+        A.mul_vec(u, imap.apply_basis(b)) for u in free_basis for b in range(nb)]))
     if inv_cols is None:
         raise AlgebraError("claimed free basis does not give a module decomposition")
-    table = []
-    for a in range(A.dim):
-        entries = [(flat // nb, flat % nb, c) for flat, c in inv_cols[a].items()]
-        table.append(entries)
-    return table
+    return free_basis, [[(flat // nb, flat % nb, c) for flat, c in inv_cols[a].items()]
+                        for a in range(A.dim)]
 
 
 def _invert_columns(M: SparseMatrix):

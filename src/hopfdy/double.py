@@ -213,12 +213,12 @@ def _double_build(H: HopfAlgebra) -> DoubleAlgebra:
 # ---------------------------------------------------------------------------
 # the l+ / l- maps attached to an R-matrix
 
-def ell_plus(H: HopfAlgebra, R: TensorElement, alpha: dict) -> dict:
+def ell_plus(R: TensorElement, alpha: dict) -> dict:
     """(id ox alpha)(R) for a dual functional alpha."""
     return {a: c for (a,), c in R.contract_at(1, alpha).coeffs.items()}
 
 
-def ell_minus(H: HopfAlgebra, Rinv: TensorElement, beta: dict) -> dict:
+def ell_minus(Rinv: TensorElement, beta: dict) -> dict:
     """(beta ox id)(R^{-1})."""
     return {b: c for (b,), c in Rinv.contract_at(0, beta).coeffs.items()}
 
@@ -231,8 +231,8 @@ def ell_maps(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement):
     minus_cols = []
     for flat in range(D.dim):
         i, j = D.split_index(flat)
-        lp = ell_plus(H, R, {i: FR1})
-        lm = ell_minus(H, Rinv, {i: FR1})
+        lp = ell_plus(R, {i: FR1})
+        lm = ell_minus(Rinv, {i: FR1})
         plus_cols.append(H.mul_vec(lp, {j: FR1}))
         minus_cols.append(H.mul_vec(lm, {j: FR1}))
     pi_plus = AlgebraMap(D.algebra, H.algebra, plus_cols, name="ell+(D->H)")

@@ -8,13 +8,21 @@ resolutions of any A-module V:
   iterated-cover        K_0 = V, P_n = G(K_n) --eps--> K_n,
                         K_{n+1} = ker(eps), d_n = incl o eps
 
-Each term is an `algcore.InducedModule`, built on the pair's free basis
-when it has one and as a quotient otherwise; this module reads a term
-only through its `gens` ((u, v) with basis vector pos = [u ox e_v]),
-`class_of`, `act` and `unit_section`, so it never asks which it is.
-Both come with contracting homotopies h built from the adjunction unit
-x -> [1 ox x] (`Resolution.homotopies`), and so does the tensor product
-of two resolutions over a tensor pair (`TensorResolution`).
+Each term P = Ind X is an `algcore.InducedModule`, built on the pair's
+free basis when it has one and as a quotient otherwise.  Its section
+S : P -> A ox X and class map Q : A ox X -> P are the only access to it,
+so this module never asks which it is: every map on a term is one product
+`induced_map(left, P, f)` = left (1 ox f) S, with left = Q of another term
+or the evaluation E_M(a ox m) = a.m of a module M:
+
+  counit       eps_M = E_M S
+  bar          d_n = Q_{n-1} (1 ox d_{n-1}) S_n + (-1)^n E_{P_{n-1}} S_n
+  Ext cochain  E_W (1 ox g) S for a mate g : X -> Res W
+  unit         eta = Q (1 ox 1) : X -> P, x -> [1 ox x] (`InducedModule.unit`)
+
+Both kinds come with contracting homotopies h built from the adjunction
+unit (`Resolution.homotopies`), and so does the tensor product of two
+resolutions over a tensor pair (`TensorResolution`).
 `verify_resolution` certifies either kind exactly: d o d = 0, A-linear
 d, d h + h d = id and B-linear h.  A B-linear contracting homotopy proves
 exactness and B-splitness at once (Hochschild, "Relative homological
@@ -35,12 +43,12 @@ from __future__ import annotations
 
 import threading
 
-from .algcore import (Algebra, AlgebraMap, InducedModule, ModuleRep, _act_matrix,
-                      check_elements, hom_space, induced_module, restrict_module,
-                      module_from_character, submodule_on_basis, tensor_algebra,
-                      tensor_module, verify_module)
+from .algcore import (Algebra, AlgebraMap, ModuleRep, _act_matrix, check_elements,
+                      evaluation, free_rewrite, hom_space, induced_map, induced_module,
+                      module_from_character, restrict_module, submodule_on_basis,
+                      tensor_algebra, tensor_module, verify_module)
 from .exactlin import (FR1, BudgetExceededError, SparseMatrix, _once, kernel_basis_marked,
-                       kron_into, rank_of_vectors, vec_addmul)
+                       kron_into, rank_of_vectors)
 
 
 class RelextError(Exception):
@@ -59,11 +67,20 @@ class ResolventPair:
         self.free_basis = free_basis
         self.name = name or "(%s <= %s)" % (big.name, small.name)
         self._tensor: dict = {}       # tensor_pair(self, p2), keyed by p2
+        self._rewrite: dict = {}      # "table": free_rewrite(inclusion, free_basis)
         self._resolutions: dict = {}  # keyed by (V, kind)
         self._lock = threading.Lock()  # guards _resolutions and their growth
 
     def verify(self) -> list:
         return self.inclusion.verify()
+
+    def rewrite_table(self):
+        """The free basis with its rewrite table (`algcore.free_rewrite`),
+        built once; None when the pair has no free basis."""
+        if self.free_basis is None:
+            return None
+        return _once(self._rewrite, "table",
+                     lambda: free_rewrite(self.inclusion, self.free_basis))
 
     def __repr__(self):
         return "ResolventPair%s" % self.name
@@ -143,16 +160,6 @@ class Resolution:
     def res_small(self, M: ModuleRep) -> ModuleRep:
         return _once(self._res_small, M, lambda: restrict_module(self.pair.inclusion, M))
 
-    # counit epi of the comonad: P_n = Ind(X) -> target module over A
-    def counit_matrix(self, term: InducedModule, target: ModuleRep) -> SparseMatrix:
-        cols = [target.act(u, {v: FR1}) for u, v in term.gens]
-        return SparseMatrix.from_columns(target.dim, cols)
-
-    def unit_section_matrix(self, term: InducedModule) -> SparseMatrix:
-        """eta: X -> P_n = Ind(X), x -> [1 ox x]."""
-        cols = [term.unit_section({v: FR1}) for v in range(term.source.dim)]
-        return SparseMatrix.from_columns(term.dim, cols)
-
     def homotopies(self) -> list:
         """B-linear maps [h_{-1}, h_0, ..., h_{maxdeg-1}] with d h + h d = id,
         from the adjunction unit eta_n : X_n -> P_n = Ind(X_n):
@@ -162,23 +169,21 @@ class Resolution:
                K_{n+1}-component of p in kernel-basis coordinates.
         verify_resolution checks the identities and B-linearity exactly.
         """
-        out = [self.unit_section_matrix(self.terms[0])]   # V -> P_0
+        out = [self.terms[0].unit()]   # V -> P_0
         for n in range(self.maxdeg):
-            eta_next = self.unit_section_matrix(self.terms[n + 1])
+            eta_next = self.terms[n + 1].unit()
             if self.kind == "bar":
                 out.append(eta_next.scale(FR1 if n % 2 else -FR1))
                 continue
-            term, eps = self.terms[n], self.eps_matrices[n]
-            eta_here = self.unit_section_matrix(term)     # K_n -> P_n
-            cols = []
-            for p in range(term.dim):
-                proj = vec_addmul({p: FR1}, eta_here.mul_vec(eps.col(p)), -FR1)
-                col: dict = {}
-                for j, f in enumerate(self.kernel_markers[n + 1]):
-                    if f in proj:
-                        vec_addmul(col, eta_next.col(j), proj[f])
-                cols.append(col)
-            out.append(SparseMatrix.from_columns(self.terms[n + 1].dim, cols))
+            # p - eta_n eps_n p lies in K_{n+1}, and its kernel-basis
+            # coordinates are its entries at the markers
+            term = self.terms[n]
+            proj = SparseMatrix.identity(term.dim).add(
+                term.unit().matmul(self.eps_matrices[n]).scale(-FR1))
+            markers = self.kernel_markers[n + 1]
+            read = SparseMatrix(len(markers), term.dim,
+                                {(j, f): FR1 for j, f in enumerate(markers)})
+            out.append(eta_next.matmul(read.matmul(proj)))
         return out
 
 
@@ -188,26 +193,17 @@ def _extend_bar(res: Resolution, upto: int):
         n = res.maxdeg + 1
         base = res.target if n == 0 else res.terms[n - 1]
         X = res.res_small(base)
-        P = induced_module(pair.inclusion, X, free_basis=pair.free_basis,
-                           name="bar%d" % n)
+        P = induced_module(pair.inclusion, X, pair.rewrite_table(), name="bar%d" % n)
         res.terms.append(P)
         res.sources.append(X)
         if n == 0:
-            res.diffs.append(res.counit_matrix(P, res.target))
+            res.diffs.append(induced_map(evaluation(res.target), P))
             continue
+        # G(d_{n-1}) + (-1)^n eps_{P_{n-1}}
         prev = res.terms[n - 1]
-        dprev_cols = res.diffs[n - 1].columns()
-        sign = FR1 if n % 2 == 0 else -FR1
-        cols = []
-        for u, p_idx in P.gens:
-            col: dict = {}
-            # G(d_{n-1}): [u ox p] -> [u ox d_{n-1}(p)] in P_{n-1}
-            for q, c in dprev_cols[p_idx].items():
-                vec_addmul(col, prev.class_of(u, q), c)
-            # (-1)^n eps: u . p inside P_{n-1}
-            vec_addmul(col, prev.act(u, {p_idx: FR1}), sign)
-            cols.append(col)
-        res.diffs.append(SparseMatrix.from_columns(prev.dim, cols))
+        eps = induced_map(evaluation(prev), P)
+        res.diffs.append(induced_map(prev.classes, P, f=res.diffs[n - 1]).add(
+            eps if n % 2 == 0 else eps.scale(-FR1)))
 
 
 def _extend_cover(res: Resolution, upto: int):
@@ -216,11 +212,10 @@ def _extend_cover(res: Resolution, upto: int):
         n = res.maxdeg + 1
         K = res.kernel_modules[n]
         X = res.res_small(K)
-        P = induced_module(pair.inclusion, X, free_basis=pair.free_basis,
-                           name="cover%d" % n)
+        P = induced_module(pair.inclusion, X, pair.rewrite_table(), name="cover%d" % n)
         res.terms.append(P)
         res.sources.append(X)
-        eps = res.counit_matrix(P, K)
+        eps = induced_map(evaluation(K), P)
         res.eps_matrices.append(eps)
         if n == 0:
             res.diffs.append(eps)
@@ -315,27 +310,16 @@ class ExtComputation:
         self.res = res
         self.W = W
         self.resW = res.res_small(W)
-        self._cochains: dict = {}
+        self._cochains: dict = {}  # n -> cochain_basis(n), filled by `_once`
 
     def cochain_basis(self, n: int) -> list:
-        """Basis of Hom_A(P_n, W) as full W.dim x P_n.dim matrices."""
-        got = self._cochains.get(n)
-        if got is not None:
-            return got
-        res = self.res
-        X = res.sources[n]
-        mates = hom_space(X, self.resW)
-        term = res.terms[n]
-        out = []
-        for g in mates:
-            gcols = g.columns()
-            ent = {}
-            for pos, (u, v) in enumerate(term.gens):
-                for r, c in self.W.act(u, gcols[v]).items():
-                    ent[(r, pos)] = c
-            out.append(SparseMatrix(self.W.dim, term.dim, ent))
-        self._cochains[n] = out
-        return out
+        """Basis of Hom_A(P_n, W) as full W.dim x P_n.dim matrices: the
+        A-linear extensions E_W (1 ox g) S of the mates g : X_n -> Res W."""
+        def build():
+            left, term = evaluation(self.W), self.res.terms[n]
+            return [induced_map(left, term, f=g)
+                    for g in hom_space(self.res.sources[n], self.resW)]
+        return _once(self._cochains, n, build)
 
     def kernel_dim_top(self, n: int) -> int:
         """dim ker delta^n, at every degree and for both resolution kinds.
@@ -367,14 +351,10 @@ class ExtComputation:
         res = self.res
         if res.kind == "cover":
             return res.kernel_bases[n + 1]
-        term = res.terms[n]
-        sign = FR1 if (n + 1) % 2 == 0 else -FR1
-        gens = []
-        for p, dp in enumerate(res.diffs[n].columns()):
-            g = term.unit_section(dp)
-            vec_addmul(g, {p: FR1}, sign)
-            gens.append(g)
-        return gens
+        # eta d_n + (-1)^{n+1} on P_n
+        one = SparseMatrix.identity(res.terms[n].dim)
+        return res.terms[n].unit().matmul(res.diffs[n]).add(
+            one if (n + 1) % 2 == 0 else one.scale(-FR1)).columns()
 
     def rank_delta(self, n: int) -> int:
         """rank of delta^n : C^n -> C^{n+1}."""

@@ -113,6 +113,12 @@ class SlotKernel:
                      np.array(nums, self.dtype), den, s)
 
     def decode(self, x: Batch, count: int) -> list:
+        """The tensors of x, whose (row, flat index) keys must be distinct,
+        as `combine` leaves them; a batch with a repeated key is refused."""
+        amb = self.nd ** x.deg
+        _check((int(x.row.max()) + 1 if x.row.size else 0) * amb)
+        if np.unique(x.row * amb + x.flat).size != x.row.size:
+            raise ValueError("decode: repeated (row, flat index) keys; combine first")
         out = [TensorElement(self.H.algebra, x.deg) for _ in range(count)]
         digits = zip(*(d.tolist() for d in self._digits(x)))
         values: dict = {}  # numerator -> Fraction; few distinct values recur

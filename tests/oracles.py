@@ -83,6 +83,33 @@ def intertwiner_basis_dense(act_m, act_n):
     return out
 
 
+def induced_dense(mult, adim, incl_cols, v_actions):
+    """Class coordinates of A ox_B V = (A ox V) / span{(a i(b)) ox v - a ox (b.v)}.
+
+    `mult` is A's table {(i, j): {k: c}}, incl_cols[b] the image of e_b in A
+    and v_actions[b] the dense action matrix of e_b on V; b, a and v range
+    over full bases.  Returns a dense matrix whose rows span the functionals
+    that vanish on every relation, so its kernel is the relation span and
+    its product with x in A ox V (flat index a * dim V + v) is a coordinate
+    vector of the class [x].
+    """
+    nv = len(v_actions[0])
+    n = adim * nv
+    rows = []
+    for a in range(adim):
+        for b, ib in enumerate(incl_cols):
+            for v in range(nv):
+                row = [Fraction(0)] * n
+                for i, ci in ib.items():
+                    for k, c in mult.get((a, i), {}).items():
+                        row[k * nv + v] += ci * c
+                for w in range(nv):
+                    row[a * nv + w] -= v_actions[b][w][v]
+                if any(row):
+                    rows.append(row)
+    return dense_nullspace(rows, n)
+
+
 def antipode_dense(H):
     """The antipode of H as entries {(r, u): Fraction} (S(e_u) has e_r
     coefficient S[r, u]), solved from m(S ox id)Delta = eta eps by loops

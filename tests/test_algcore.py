@@ -1,15 +1,19 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfdy.algcore import (Algebra, AlgebraError, AlgebraMap, ModuleRep, check_elements,
-                            check_generators_span, hom_space, induced_module, is_intertwiner,
-                            module_from_character, module_map_kernel,
+                            check_generators_span, free_rewrite, hom_space, induced_module,
+                            is_intertwiner, left_span, module_from_character, module_map_kernel,
                             regular_module, submodule_on_basis, tensor_algebra,
                             tensor_module, verify_algebra, verify_module)
 from hopfdy.exactlin import FR1, SparseMatrix, rank
 from hopfdy.hopfcore import build_bk, build_cyclic, bk_inclusion, trivial_module
 from hopfdy.double import drinfeld_double
 
-from oracles import densify_matrix, intertwiner_basis_dense
+from oracles import dense_rank, densify_matrix, induced_dense, intertwiner_basis_dense
 
 
 def z2_algebra():
@@ -120,6 +124,11 @@ class TestHomSpace:
         assert len(hom_space(cm, W)) == 0
 
 
+def _classes(ind, M):
+    """Q M for the class map Q of an induced module."""
+    return SparseMatrix.from_columns(ind.dim, [ind.classes.apply(x) for x in M.columns()])
+
+
 class TestInducedModule:
     def test_from_scalars_is_regular(self):
         A = build_bk(1).algebra
@@ -129,8 +138,8 @@ class TestInducedModule:
         ind = induced_module(emb, triv)
         assert ind.dim == A.dim
         reg = regular_module(A)
-        # full-rank intertwiner exists: the map [u ox 1] -> u
-        f = SparseMatrix.from_columns(A.dim, [u for (u, _) in ind.gens])
+        # full-rank intertwiner exists: the section [u ox 1] -> u ox 1 = u
+        f = ind.section()
         assert is_intertwiner(f, ind, reg)
 
     def test_double_over_base_dimension(self):
@@ -154,19 +163,19 @@ class TestInducedModule:
         D = drinfeld_double(H)
         k = trivial_module(H)
         q = induced_module(D.inclusion_base, k)
-        f = induced_module(D.inclusion_base, k, free_basis=D.dual_part_basis())
+        f = induced_module(D.inclusion_base, k, free_rewrite(D.inclusion_base, D.dual_part_basis()))
         assert q.dim == f.dim == 4
         assert verify_module(q) == [] and verify_module(f) == []
         # the hom space to a common target has the same dimension either way
         triv_D = module_from_character(
             D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c})
         assert len(hom_space(q, triv_D)) == len(hom_space(f, triv_D))
-        # on the trivial and the regular B_1-module, the free position (u, v)
+        # on the trivial and the regular B_1-module, the free section u ox e_v
         # sent to its quotient class [u ox e_v] is an isomorphism
         for V in (k, regular_module(H.algebra)):
             q = induced_module(D.inclusion_base, V)
-            f = induced_module(D.inclusion_base, V, free_basis=D.dual_part_basis())
-            iso = SparseMatrix.from_columns(q.dim, [q.class_of(u, v) for u, v in f.gens])
+            f = induced_module(D.inclusion_base, V, free_rewrite(D.inclusion_base, D.dual_part_basis()))
+            iso = _classes(q, f.section())
             assert is_intertwiner(iso, f, q)
             assert rank(iso) == q.dim == f.dim == H.dim * V.dim
 
@@ -176,10 +185,73 @@ class TestInducedModule:
         reg = regular_module(A)
         ind = induced_module(ident, reg)
         assert ind.dim == reg.dim
-        cols = [ind.unit_section({v: FR1}) for v in range(reg.dim)]
-        f = SparseMatrix.from_columns(ind.dim, cols)
+        f = ind.unit()
         assert rank(f) == reg.dim
         assert is_intertwiner(f, reg, ind)
+
+
+def _dense_mul(X, Y):
+    cols = [{k: y for k, y in enumerate(col) if y} for col in zip(*Y)]
+    return [[sum((row[k] * y for k, y in col.items()), Fraction(0)) for col in cols]
+            for row in X]
+
+
+def _left_mult_dense(A, a, X, nv):
+    """(L_a ox 1) X for a dense matrix X with rows on A ox V (a * nv + v)."""
+    out = [[Fraction(0)] * len(X[0]) for _ in X]
+    for (i, j), prod in A.mult.items():
+        if i == a:
+            for k, c in prod.items():
+                for v in range(nv):
+                    out[k * nv + v] = [o + c * x for o, x in zip(out[k * nv + v], X[j * nv + v])]
+    return out
+
+
+# pairs B -> A with a free basis of A over i(B)
+_INDUCTION_PAIRS = {
+    "(D(B_1), B_1)": (drinfeld_double(build_bk(1)).inclusion_base,
+                      drinfeld_double(build_bk(1)).dual_part_basis()),
+    # 1 + x_1 and 2 x_1: the rewrite table then has coefficients other than 1
+    "(B_2, B_1)": (bk_inclusion(1, 1), [{0: FR1, 1: FR1}, {1: Fraction(2)}]),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), pair=st.sampled_from(sorted(_INDUCTION_PAIRS)))
+def test_induced_module_matches_dense_oracle(data, pair):
+    """Free and quotient induction of a random B-module V (a cyclic submodule
+    of the regular module, on a random basis of it) agree with the dense
+    quotient (A ox V) / relations: pi S is an isomorphism that intertwines the
+    actions, pi Q = pi S Q is the class map, the unit is [1 ox v], and Q S = 1."""
+    imap, free_basis = _INDUCTION_PAIRS[pair]
+    A, B = imap.target, imap.source
+    coef = st.integers(-3, 3).map(Fraction)
+    start = data.draw(st.dictionaries(st.integers(0, B.dim - 1), coef.filter(bool), min_size=1))
+    span = left_span(B, start, [{i: FR1} for i in range(B.dim)])
+    basis = [dict(v) for v in span]
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            x = data.draw(coef)
+            for k, c in span[j].items():
+                basis[i][k] = basis[i].get(k, 0) + x * c
+    basis = [{k: c for k, c in v.items() if c} for v in basis]
+    V = submodule_on_basis(B, basis, regular_module(B).act_basis)
+    nv = V.dim
+    pi = induced_dense(A.mult, A.dim, [imap.apply_basis(b) for b in range(B.dim)],
+                       [densify_matrix(V.action(b)) for b in range(B.dim)])
+    for ind in (induced_module(imap, V), induced_module(imap, V, free_rewrite(imap, free_basis))):
+        assert _classes(ind, ind.section()) == SparseMatrix.identity(ind.dim)
+        S = densify_matrix(ind.section())
+        T = _dense_mul(pi, S)
+        assert len(pi) == ind.dim == dense_rank(T)
+        Q = densify_matrix(_classes(ind, SparseMatrix.identity(A.dim * nv)))
+        assert _dense_mul(T, Q) == pi
+        one = [[A.unit.get(i // nv, 0) * (i % nv == v) for v in range(nv)]
+               for i in range(A.dim * nv)]
+        assert _dense_mul(T, densify_matrix(ind.unit())) == _dense_mul(pi, one)
+        for a in range(A.dim):
+            assert (_dense_mul(T, densify_matrix(ind.action(a)))
+                    == _dense_mul(pi, _left_mult_dense(A, a, S, nv)))
 
 
 class TestModuleMapKernel:
@@ -204,7 +276,7 @@ class TestModuleMapKernel:
         kD = module_from_character(
             D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c})
         eps_cols = []
-        for u, _ in ind.gens:
+        for u in ind.section().columns():  # u ox 1, flat index u
             e = D.hopf.counit_vec(u)
             eps_cols.append({0: e} if e else {})
         f = SparseMatrix.from_columns(1, eps_cols)

@@ -71,8 +71,8 @@ class TestEllMaps:
         H = D1.base
         R = bk_r0(1, H)
         eps_row = H.counit_row()
-        assert ell_plus(H, R, eps_row) == H.unit
-        assert ell_minus(H, R, eps_row) == H.unit
+        assert ell_plus(R, eps_row) == H.unit
+        assert ell_minus(R, eps_row) == H.unit
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_ell_on_dual_generators(self, k):
@@ -82,11 +82,11 @@ class TestEllMaps:
         R = bk_r0(k, H)
         gens = bk_dual_generators(k)
         g_idx = 1 << k
-        assert ell_plus(H, R, gens[-1]) == {g_idx: FR1}
-        assert ell_minus(H, R, gens[-1]) == {g_idx: FR1}
+        assert ell_plus(R, gens[-1]) == {g_idx: FR1}
+        assert ell_minus(R, gens[-1]) == {g_idx: FR1}
         for y in gens[:-1]:
-            assert ell_plus(H, R, y) == {}
-            assert ell_minus(H, R, y) == {}
+            assert ell_plus(R, y) == {}
+            assert ell_minus(R, y) == {}
 
     @staticmethod
     def _check_both_paths(D, k):

@@ -535,6 +535,17 @@ def test_kernel_products_match_slotwise_mul_into(data, k, s, left, big):
     assert _kernel_product(cx._slot_kernel(big=True), u, M, left) == want
 
 
+def test_decode_refuses_repeated_keys():
+    # (1 + g)(1 + g) in B_1: the products 1 g and g 1 both land on g (index 2),
+    # so the uncombined batch holds that key twice
+    K = _CX["bk:1"]._slot_kernel()
+    u = TensorElement(K.H.algebra, 1, {(0,): FR1, (2,): FR1})
+    x = K.mul(K.encode([u], 1), K.encode([u], 1), True)
+    with pytest.raises(ValueError, match="repeated"):
+        K.decode(x, 1)
+    assert K.decode(K.combine([(x, 1)]), 1)[0].coeffs == {(0,): 2, (2,): 2}
+
+
 def test_containment_falls_back_beyond_int64():
     H = build_bk(1)
     cx = tensor_complex(H, bk_r0(1, H))

@@ -102,15 +102,17 @@ class TestResolutions:
         dims_quot = relative_ext_dims(Q1, k1, k1, 2, kind="bar")
         assert dims_free == dims_quot
         res_q = get_resolution(Q1, k1, "bar", 2)
-        # quotient terms: every canonical position is a pair [e_a ox e_v]
-        assert all(len(u) == 1 and FR1 in u.values() for t in res_q.terms for u, _ in t.gens)
+        # quotient terms: the section sends every canonical basis vector to a
+        # pair e_a ox e_v
+        assert all(list(col.values()) == [FR1] for t in res_q.terms
+                   for col in t.section().columns())
         assert [t.dim for t in res_q.terms] == [4, 16, 64]
 
     def test_relatively_projective_target_truncates(self, P1, k1):
         # V = G(W) relatively projective: Ext^n(V, anything) = 0 for n >= 1
         from hopfdy.algcore import induced_module, restrict_module
         W = restrict_module(P1.inclusion, k1)
-        V = induced_module(P1.inclusion, W, free_basis=P1.free_basis)
+        V = induced_module(P1.inclusion, W, P1.rewrite_table())
         dims = relative_ext_dims(P1, V, k1, 2, kind="cover")
         assert dims[1] == 0 and dims[2] == 0
 
@@ -151,14 +153,14 @@ def test_owner_caches_publish_write_once(tmp_path):
     path = str(tmp_path / "bk1.json")
     save_hopf(build_bk(1), path)
 
-    def calls(H, ident, Hv):
+    def calls(H, ident, Hv, ext):
         D = drinfeld_double(H)
         p = pair_from_double(D)
         W = coeff_restriction(D, ident, H).module
         assert verify_hopf(Hv) == []
         return (D, p, trivial_module_over(D), tensor_pair(p, p), W,
                 W.action(1), H.algebra.fast_mult(), D.algebra.left_mult_matrix(1),
-                Hv._cache["report"])
+                Hv._cache["report"], p.rewrite_table(), ext.cochain_basis(1))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -168,13 +170,17 @@ def test_owner_caches_publish_write_once(tmp_path):
             # the same structure, not yet verified
             Hv = HopfAlgebra(H.algebra, H.comult, H.counit, H.antipode)
             ident = AlgebraMap(H.algebra, H.algebra, [{i: FR1} for i in range(H.dim)])
+            # a shared Ext computation over a second copy, its cochains not built yet
+            De = drinfeld_double(load_hopf(path))
+            ke = trivial_module_over(De)
+            ext = ExtComputation(get_resolution(pair_from_double(De), ke, "bar", 1), ke)
             start = threading.Barrier(2)
             results, errors = [], []
 
             def run():
                 try:
                     start.wait()
-                    results.append(calls(H, ident, Hv))
+                    results.append(calls(H, ident, Hv, ext))
                 except Exception as exc:
                     errors.append(exc)
 
