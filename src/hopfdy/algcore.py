@@ -490,7 +490,7 @@ def induced_map(left: ColumnMap, P: InducedModule, f: SparseMatrix = None,
 def induced_module(imap: AlgebraMap, V: ModuleRep, free=None, name="") -> InducedModule:
     """Induction A ox_B V along an algebra map B -> A.
 
-    With `free` = free_rewrite(imap, [u_alpha]), A = direct-sum u_alpha i(B),
+    With `free` = ([u_alpha], free_rewrite(imap, [u_alpha])), A = direct-sum u_alpha i(B),
     S sends canonical basis vector (alpha, v) to u_alpha ox e_v, and Q
     rewrites e_a = sum c u_alpha i(e_b) by the table:
     [e_a ox e_v] = sum c [u_alpha ox b.e_v].  Otherwise Ind V is the
@@ -546,8 +546,8 @@ def induced_module(imap: AlgebraMap, V: ModuleRep, free=None, name="") -> Induce
                          classes.__getitem__, name=name)
 
 
-def free_rewrite(imap: AlgebraMap, free_basis: list) -> tuple:
-    """(free_basis, table) for `induced_module`: table[a] lists the
+def free_rewrite(imap: AlgebraMap, free_basis: list) -> list:
+    """The rewrite table of `induced_module`: table[a] lists the
     (alpha, b, c) with e_a = sum c u_alpha i(e_b), read from the inverse of
     Phi : (alpha, b) -> u_alpha i(e_b).  Raises if A is not free over i(B)
     on the given elements."""
@@ -558,8 +558,8 @@ def free_rewrite(imap: AlgebraMap, free_basis: list) -> tuple:
         A.mul_vec(u, imap.apply_basis(b)) for u in free_basis for b in range(nb)]))
     if inv_cols is None:
         raise AlgebraError("claimed free basis does not give a module decomposition")
-    return free_basis, [[(flat // nb, flat % nb, c) for flat, c in inv_cols[a].items()]
-                        for a in range(A.dim)]
+    return [[(flat // nb, flat % nb, c) for flat, c in inv_cols[a].items()]
+            for a in range(A.dim)]
 
 
 def _invert_columns(M: SparseMatrix):

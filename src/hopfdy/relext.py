@@ -75,12 +75,13 @@ class ResolventPair:
         return self.inclusion.verify()
 
     def rewrite_table(self):
-        """The free basis with its rewrite table (`algcore.free_rewrite`),
-        built once; None when the pair has no free basis."""
+        """The free basis with its rewrite table (`algcore.free_rewrite`, the
+        table built once), as `induced_module` takes them; None when the pair
+        has no free basis."""
         if self.free_basis is None:
             return None
-        return _once(self._rewrite, "table",
-                     lambda: free_rewrite(self.inclusion, self.free_basis))
+        return self.free_basis, _once(self._rewrite, "table",
+                                      lambda: free_rewrite(self.inclusion, self.free_basis))
 
     def __repr__(self):
         return "ResolventPair%s" % self.name
@@ -178,12 +179,11 @@ class Resolution:
             # p - eta_n eps_n p lies in K_{n+1}, and its kernel-basis
             # coordinates are its entries at the markers
             term = self.terms[n]
-            proj = SparseMatrix.identity(term.dim).add(
-                term.unit().matmul(self.eps_matrices[n]).scale(-FR1))
             markers = self.kernel_markers[n + 1]
             read = SparseMatrix(len(markers), term.dim,
                                 {(j, f): FR1 for j, f in enumerate(markers)})
-            out.append(eta_next.matmul(read.matmul(proj)))
+            out.append(eta_next.matmul(read.add(
+                read.matmul(term.unit()).matmul(self.eps_matrices[n]).scale(-FR1))))
         return out
 
 

@@ -115,10 +115,6 @@ class SlotKernel:
     def decode(self, x: Batch, count: int) -> list:
         """The tensors of x, whose (row, flat index) keys must be distinct,
         as `combine` leaves them; a batch with a repeated key is refused."""
-        amb = self.nd ** x.deg
-        _check((int(x.row.max()) + 1 if x.row.size else 0) * amb)
-        if np.unique(x.row * amb + x.flat).size != x.row.size:
-            raise ValueError("decode: repeated (row, flat index) keys; combine first")
         out = [TensorElement(self.H.algebra, x.deg) for _ in range(count)]
         digits = zip(*(d.tolist() for d in self._digits(x)))
         values: dict = {}  # numerator -> Fraction; few distinct values recur
@@ -127,6 +123,8 @@ class SlotKernel:
             if v is None:
                 v = values[c] = Fraction(c, x.den)
             out[r].coeffs[k] = v
+        if sum(len(t.coeffs) for t in out) != x.row.size:  # a key was overwritten
+            raise ValueError("decode: repeated (row, flat index) keys; combine first")
         return out
 
     def all_basis(self, s: int) -> Batch:

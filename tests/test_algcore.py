@@ -124,6 +124,12 @@ class TestHomSpace:
         assert len(hom_space(cm, W)) == 0
 
 
+def _free(D):
+    """The dual free basis of D(H) over H with its rewrite table."""
+    basis = D.dual_part_basis()
+    return basis, free_rewrite(D.inclusion_base, basis)
+
+
 def _classes(ind, M):
     """Q M for the class map Q of an induced module."""
     return SparseMatrix.from_columns(ind.dim, [ind.classes.apply(x) for x in M.columns()])
@@ -163,7 +169,7 @@ class TestInducedModule:
         D = drinfeld_double(H)
         k = trivial_module(H)
         q = induced_module(D.inclusion_base, k)
-        f = induced_module(D.inclusion_base, k, free_rewrite(D.inclusion_base, D.dual_part_basis()))
+        f = induced_module(D.inclusion_base, k, _free(D))
         assert q.dim == f.dim == 4
         assert verify_module(q) == [] and verify_module(f) == []
         # the hom space to a common target has the same dimension either way
@@ -174,7 +180,7 @@ class TestInducedModule:
         # sent to its quotient class [u ox e_v] is an isomorphism
         for V in (k, regular_module(H.algebra)):
             q = induced_module(D.inclusion_base, V)
-            f = induced_module(D.inclusion_base, V, free_rewrite(D.inclusion_base, D.dual_part_basis()))
+            f = induced_module(D.inclusion_base, V, _free(D))
             iso = _classes(q, f.section())
             assert is_intertwiner(iso, f, q)
             assert rank(iso) == q.dim == f.dim == H.dim * V.dim
@@ -239,7 +245,8 @@ def test_induced_module_matches_dense_oracle(data, pair):
     nv = V.dim
     pi = induced_dense(A.mult, A.dim, [imap.apply_basis(b) for b in range(B.dim)],
                        [densify_matrix(V.action(b)) for b in range(B.dim)])
-    for ind in (induced_module(imap, V), induced_module(imap, V, free_rewrite(imap, free_basis))):
+    free = (free_basis, free_rewrite(imap, free_basis))
+    for ind in (induced_module(imap, V), induced_module(imap, V, free)):
         assert _classes(ind, ind.section()) == SparseMatrix.identity(ind.dim)
         S = densify_matrix(ind.section())
         T = _dense_mul(pi, S)

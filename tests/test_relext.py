@@ -160,7 +160,7 @@ def test_owner_caches_publish_write_once(tmp_path):
         assert verify_hopf(Hv) == []
         return (D, p, trivial_module_over(D), tensor_pair(p, p), W,
                 W.action(1), H.algebra.fast_mult(), D.algebra.left_mult_matrix(1),
-                Hv._cache["report"], p.rewrite_table(), ext.cochain_basis(1))
+                Hv._cache["report"], p.rewrite_table()[1], ext.cochain_basis(1))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
