@@ -9,7 +9,7 @@ empty report means the axioms hold.
 from __future__ import annotations
 
 from .exactlin import (FR0, FR1, Echelon, SparseMatrix, _once, fr, kernel_basis,
-                       kernel_basis_marked, kron_into, vec_addmul, vec_eq)
+                       kernel_basis_marked, kron_into, vec_addmul, vec_eq, vec_kron)
 
 
 class AlgebraError(Exception):
@@ -280,48 +280,21 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
     """Exact basis of intertwiners f: M -> N with f rho_M(a) = rho_N(a) f.
 
     The linear system is assembled for a in `check_elements(A)`: the a with
-    f rho_M(a) = rho_N(a) f form a subalgebra.  Unknowns are the entries of
-    f, flattened as r*dim(M) + c; the result is the canonical kernel basis,
-    returned as matrices.
+    f rho_M(a) = rho_N(a) f form a subalgebra.  The unknowns are the
+    entries of f, row-major (the a-major layout of N ox M*), so the
+    equations of a are the rows of (1 ox rho_M(a)^T) - (rho_N(a) ox 1);
+    the result is the canonical kernel basis, returned as matrices.
     """
     if M.algebra is not N.algebra:
         raise AlgebraError("hom_space requires modules over the same algebra")
-    A = M.algebra
     dm, dn = M.dim, N.dim
     rows = []
-    for a, _ in check_elements(A):
-        ma = _act_matrix(M, a)
-        na = _act_matrix(N, a)
-        ma_cols = ma.columns()
-        na_cols = na.columns()
-        # equation (r, j):  sum_c f[r,c] ma[c,j] - sum_c na[r,c] f[c,j] = 0
-        eq = {}
-        for j in range(dm):
-            for c, v in ma_cols[j].items():
-                for r in range(dn):
-                    d = eq.setdefault((r, j), {})
-                    s = d.get(r * dm + c, FR0) + v
-                    if s:
-                        d[r * dm + c] = s
-                    else:
-                        d.pop(r * dm + c, None)
-        for c in range(dn):
-            for r, v in na_cols[c].items():
-                for j in range(dm):
-                    d = eq.setdefault((r, j), {})
-                    s = d.get(c * dm + j, FR0) - v
-                    if s:
-                        d[c * dm + j] = s
-                    else:
-                        d.pop(c * dm + j, None)
-        rows.extend(v for v in eq.values() if v)
-    out = []
-    for v in kernel_basis(rows, dn * dm):
-        ent = {}
-        for flat, c in v.items():
-            ent[(flat // dm, flat % dm)] = c
-        out.append(SparseMatrix(dn, dm, ent))
-    return out
+    for a, _ in check_elements(M.algebra):
+        ent = kron_into({}, SparseMatrix.identity(dn), _act_matrix(M, a).transpose())
+        kron_into(ent, _act_matrix(N, a), SparseMatrix.identity(dm), scale=-FR1)
+        rows.extend(r for r in SparseMatrix(dn * dm, dn * dm, ent).row_dicts() if r)
+    return [SparseMatrix(dn, dm, {divmod(f, dm): c for f, c in v.items()})
+            for v in kernel_basis(rows, dn * dm)]
 
 
 def is_intertwiner(f: SparseMatrix, M: ModuleRep, N: ModuleRep) -> bool:
@@ -343,56 +316,58 @@ def module_map_kernel(f: SparseMatrix, M: ModuleRep, N: ModuleRep):
 
 
 def submodule_on_basis(A: Algebra, basis: list, act, name="") -> ModuleRep:
-    """The A-module on the span of `basis`, where act(i, v) is the ambient
-    image of v under e_i; its action matrices are built lazily and raise
-    AlgebraError when an image leaves the span."""
-    solver = Echelon(tracked=True)
+    """The A-module on the span of `basis` (any basis), where act(i, v) is
+    the ambient image of v under e_i; its action matrices are built lazily
+    and raise AlgebraError when an image leaves the span.
+
+    Coordinates are read at pivot columns P of the basis, where the basis
+    restricted to P is invertible: x = (B_P)^{-1} w_P, and w lies in the
+    span iff B x = w.  The pivots prefer high columns, so a kernel basis in
+    marker form (`kernel_basis_marked`) is read at its markers, B_P = 1.
+    """
+    ech = Echelon(key=lambda c: -c)
     for v in basis:
-        added = solver.add_row(v)
+        added = ech.add_row(v)
         assert added is not None, "submodule basis is dependent"
+    at = {p: r for r, p in enumerate(sorted(ech.pivot_rows))}
+    restricted = SparseMatrix.from_columns(
+        len(at), [{at[p]: c for p, c in v.items() if p in at} for v in basis])
+    inv = SparseMatrix.from_columns(len(basis), _invert_columns(restricted))
 
     def fn(i):
-        ent = {}
-        for j, v in enumerate(basis):
-            coords = solver.coordinates(act(i, v))
-            if coords is None:
+        cols = []
+        for v in basis:
+            w = act(i, v)
+            x = inv.mul_vec({at[p]: c for p, c in w.items() if p in at})
+            back: dict = {}
+            for j, c in x.items():
+                vec_addmul(back, basis[j], c)
+            if not vec_eq(back, w):
                 raise AlgebraError("subspace is not stable under e_%d" % i)
-            for r, c in coords.items():
-                ent[(r, j)] = c
-        return SparseMatrix(len(basis), len(basis), ent)
+            cols.append(x)
+        return SparseMatrix.from_columns(len(basis), cols)
 
     return ModuleRep(A, len(basis), action_fn=fn, name=name or "sub")
 
 
 def tensor_algebra(A: Algebra, B: Algebra) -> Algebra:
-    """Structure constants of A ox B on the product basis (a-major)."""
-    db = B.dim
-    dim = A.dim * db
-    labels = ["%s(x)%s" % (a, b) for a in A.labels for b in B.labels]
-    mult = {}
-    for (i1, j1), va in A.mult.items():
-        for (i2, j2), vb in B.mult.items():
-            acc = {}
-            for ka, ca in va.items():
-                for kb, cb in vb.items():
-                    acc[ka * db + kb] = ca * cb
-            mult[(i1 * db + i2, j1 * db + j2)] = acc
-    unit = {}
-    for ia, ca in A.unit.items():
-        for ib, cb in B.unit.items():
-            unit[ia * db + ib] = ca * cb
+    """A ox B on the product basis (a-major): e_a ox e_b multiplies on the
+    left by L_a ox L_b, the unit is 1 ox 1, and the generators are the
+    g ox 1 and 1 ox g."""
+    nb = B.dim
+    lefts = (kron_into({}, A.left_mult_matrix(a), B.left_mult_matrix(b))
+             for a in range(A.dim) for b in range(nb))
+    mult: dict = {}
+    for i, ent in enumerate(lefts):
+        for (k, j), c in ent.items():
+            mult.setdefault((i, j), {})[k] = c
     gens = None
     if A.generators is not None and B.generators is not None:
-        gens = []
-        for g in A.generators:
-            gens.append({ia * db + ib: ca * cb
-                         for ia, ca in g.items() for ib, cb in B.unit.items()})
-        for g in B.generators:
-            gens.append({ia * db + ib: ca * cb
-                         for ia, ca in A.unit.items() for ib, cb in g.items()})
-    T = Algebra(dim, labels, mult, unit, generators=gens,
-                name="%s(x)%s" % (A.name, B.name))
-    return T
+        gens = ([vec_kron(g, B.unit, nb) for g in A.generators]
+                + [vec_kron(A.unit, g, nb) for g in B.generators])
+    return Algebra(A.dim * nb, ["%s(x)%s" % (a, b) for a in A.labels for b in B.labels],
+                   mult, vec_kron(A.unit, B.unit, nb), generators=gens,
+                   name="%s(x)%s" % (A.name, B.name))
 
 
 def tensor_module(M: ModuleRep, N: ModuleRep, T: Algebra) -> ModuleRep:
@@ -455,15 +430,14 @@ class InducedModule(ModuleRep):
     def section(self) -> SparseMatrix:
         """S as a matrix; products read its columns from the groups."""
         nv = self.source.dim
-        return SparseMatrix(self.algebra.dim * nv, self.dim, {
-            (a * nv + v, pos): c for u, start, vs in self._groups
-            for pos, v in enumerate(vs, start) for a, c in u.items()})
+        return SparseMatrix.from_columns(self.algebra.dim * nv, [
+            vec_kron(u, {v: FR1}, nv) for u, _, vs in self._groups for v in vs])
 
     def unit(self) -> SparseMatrix:
         """eta : V -> Ind V, v -> Q (1_A ox v) (the adjunction unit)."""
         nv = self.source.dim
         return SparseMatrix.from_columns(self.dim, [self.classes.apply(
-            {a * nv + v: c for a, c in self.algebra.unit.items()}) for v in range(nv)])
+            vec_kron(self.algebra.unit, {v: FR1}, nv)) for v in range(nv)])
 
     def _action_of(self, a_idx: int) -> SparseMatrix:
         return induced_map(self.classes, self, L=self.algebra.left_mult_matrix(a_idx))
@@ -482,8 +456,7 @@ def induced_map(left: ColumnMap, P: InducedModule, f: SparseMatrix = None,
         x = u if L is None else L.mul_vec(u)
         for pos, v in enumerate(vs, start):
             y = {v: FR1} if fcols is None else fcols[v]
-            cols[pos] = left.apply({a * nq + q: ca * c for a, ca in x.items()
-                                    for q, c in y.items()})
+            cols[pos] = left.apply(vec_kron(x, y, nq))
     return SparseMatrix.from_columns(left.rows, cols)
 
 

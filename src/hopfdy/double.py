@@ -21,7 +21,7 @@ from __future__ import annotations
 from .algcore import (Algebra, AlgebraMap, ModuleRep, _act_matrix, check_elements,
                       left_span, submodule_on_basis, verify_module)
 from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, kernel_basis,
-                       vec_addmul)
+                       kron_into, vec_addmul, vec_kron)
 from .hopfcore import HopfAlgebra, HopfError, bk_dual_generators, dual_hopf, verify_hopf
 
 
@@ -53,21 +53,13 @@ class DoubleAlgebra:
     def dim(self) -> int:
         return self.hopf.dim
 
-    def pair_index(self, i_dual: int, j_h: int) -> int:
-        return i_dual * self.base.dim + j_h
-
     def split_index(self, flat: int):
         return divmod(flat, self.base.dim)
 
     def dual_part_basis(self) -> list:
-        """The elements phi^i ox 1_H of D(H); a free right-H-module basis."""
-        out = []
-        for i in range(self.base.dim):
-            vec: dict = {}
-            for j, c in self.base.unit.items():
-                vec[self.pair_index(i, j)] = c
-            out.append(vec)
-        return out
+        """The elements phi^i ox 1_H of D(H), the images of the dual basis
+        under the dual embedding; a free right-H-module basis."""
+        return list(self.inclusion_dual.columns)
 
     def __repr__(self):
         return "DoubleAlgebra(D(%s), dim=%d)" % (self.base.name, self.dim)
@@ -139,60 +131,27 @@ def _double_build(H: HopfAlgebra) -> DoubleAlgebra:
                         hprod = h_mult.get((b, l))
                         if not hprod:
                             continue
-                        for r, cr in dprod.items():
-                            for s, cs in hprod.items():
-                                flat = r * n + s
-                                val = acc.get(flat, FR0) + c * cr * cs
-                                if val:
-                                    acc[flat] = val
-                                else:
-                                    acc.pop(flat, None)
+                        vec_addmul(acc, vec_kron(dprod, hprod, n), c)
                     if acc:
                         mult[(i * n + j, k * n + l)] = acc
-    unit = {}
-    for i, ci in dual.algebra.unit.items():
-        for j, cj in H.algebra.unit.items():
-            unit[i * n + j] = ci * cj
+    eps, one = dual.algebra.unit, H.algebra.unit
     gens = None
     if H.dual_generator_hint is not None and H.algebra.generators is not None:
-        gens = []
-        for g in H.dual_generator_hint:
-            gens.append({i * n + j: ci * cj for i, ci in g.items()
-                         for j, cj in H.algebra.unit.items()})
-        for g in H.algebra.generators:
-            gens.append({i * n + j: ci * cj for i, ci in dual.algebra.unit.items()
-                         for j, cj in g.items()})
-    DAlg = Algebra(dim, labels, mult, unit, generators=gens, name="D(%s)" % H.name)
+        gens = ([vec_kron(g, one, n) for g in H.dual_generator_hint]
+                + [vec_kron(eps, g, n) for g in H.algebra.generators])
+    DAlg = Algebra(dim, labels, mult, vec_kron(eps, one, n), generators=gens,
+                   name="D(%s)" % H.name)
 
-    # coproduct: Delta_D(phi^i h_j) = sum m_{ab}^i Delta(h_j)_{(c,d)}
-    #            (phi^a h_c) ox (phi^b h_d)
-    comult = []
-    for i in range(n):
-        for j in range(n):
-            cc: dict = {}
-            for (a, b), vmap in H.algebra.mult.items():
-                ci = vmap.get(i)
-                if not ci:
-                    continue
-                for (c, d), cd in H.comult[j].coeffs.items():
-                    key = (a * n + c, b * n + d)
-                    s = cc.get(key, FR0) + ci * cd
-                    if s:
-                        cc[key] = s
-                    else:
-                        cc.pop(key, None)
-            comult.append(TensorElement(DAlg, 2, cc))
-    counit = []
-    for i in range(n):
-        for j in range(n):
-            counit.append(H.algebra.unit.get(i, FR0) * H.counit[j])
-
-    incl_base = AlgebraMap(H.algebra, DAlg,
-                           [{i * n + j: ci for i, ci in dual.algebra.unit.items()}
-                            for j in range(n)], name="H->D(H)")
-    incl_dual = AlgebraMap(dual.algebra, DAlg,
-                           [{i * n + j: cj for j, cj in H.algebra.unit.items()}
-                            for i in range(n)], name="H*op->D(H)")
+    # Delta_D(phi^i h_j) = Delta(phi^i) Delta(h_j) = sum m_{ab}^i Delta(h_j)_{(c,d)}
+    # (phi^a h_c) ox (phi^b h_d): the two coproducts taken as matrices, tensored
+    comult = [TensorElement(DAlg, 2, kron_into({}, SparseMatrix(n, n, dual.comult[i].coeffs),
+                                               SparseMatrix(n, n, H.comult[j].coeffs)))
+              for i in range(n) for j in range(n)]
+    counit = [a * b for a in dual.counit for b in H.counit]
+    incl_base = AlgebraMap(H.algebra, DAlg, [vec_kron(eps, {j: FR1}, n) for j in range(n)],
+                           name="H->D(H)")
+    incl_dual = AlgebraMap(dual.algebra, DAlg, [vec_kron({i: FR1}, one, n) for i in range(n)],
+                           name="H*op->D(H)")
     # S is an anti-algebra map and both embeddings are bialgebra maps
     s_base = [incl_base.apply(H.antipode_vec({j: FR1})) for j in range(n)]
     s_dual = [incl_dual.apply(dual.antipode_vec({i: FR1})) for i in range(n)]

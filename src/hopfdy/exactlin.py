@@ -4,18 +4,24 @@ Everything is computed over QQ with `fractions.Fraction`, so results are
 exact.  Vectors are dicts {index: Fraction} with no stored zeros, matrices
 are dicts {(row, col): Fraction}.
 
-All elimination over QQ runs through one loop, `_eliminate`.  It clears
-the pivot columns of an integer row fraction-free (cross-multiplication
-with gcd normalization, Bareiss flavour) and returns the scale it
-accumulated, so a caller that needs the exact rational remainder divides
-by it once at the end.  It can carry a combination of generators through
-the same steps.  `Echelon` builds ranks, residuals, tracked coordinates
-and the reduced row echelon form on it.  `kernel_basis_marked` is the one
-reader of that form: every exact solve of the package (matrix inverses,
-the quotient rewrites of induction, cochain and tangent spaces) is read
-from the canonical kernel basis of a list of rows.  RREF is unique, so
-every reported rank and kernel is deterministic regardless of the pivot
-order.
+Products are laid out a-major: e_a ox e_b of A ox B has flat index
+a * dim B + b, the order `flatten_index` uses for tensor powers.  The
+product structures built from two factors (tensor algebras and Hopf
+algebras, tensor pairs, the double's unit, embeddings and coproduct,
+intertwiner equations, the section, unit and maps of an induced module)
+take that index from `vec_kron` or `kron_into`.
+
+All elimination over QQ runs through one loop, `_eliminate`, with one
+job: it clears the pivot columns of an integer row fraction-free
+(cross-multiplication with gcd normalization, Bareiss flavour) and
+returns the scale it accumulated, so a caller that needs the exact
+rational remainder divides by it once at the end.  `Echelon` builds
+ranks, residuals and the reduced row echelon form on it.
+`kernel_basis_marked` is the one reader of that form: every exact solve
+of the package (matrix inverses, the quotient rewrites of induction,
+submodule coordinates, cochain and tangent spaces) is read from the
+canonical kernel basis of a list of rows.  RREF is unique, so every
+reported rank and kernel is deterministic regardless of the pivot order.
 """
 
 from __future__ import annotations
@@ -195,11 +201,13 @@ class SparseMatrix:
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
 
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self):
         return "SparseMatrix(%dx%d, %d entries)" % (self.rows, self.cols, len(self.entries))
+
+
+def vec_kron(u: dict, v: dict, n: int) -> dict:
+    """u ox v for v in a space of dimension n: entry (a, b) at a * n + b."""
+    return {a * n + b: x * y for a, x in u.items() for b, y in v.items()}
 
 
 def kron_into(ent: dict, A: SparseMatrix, B: SparseMatrix, row_off: int = 0,
@@ -250,7 +258,7 @@ def _int_row(row: dict):
     return out, Fraction(den, g or 1)
 
 
-def _eliminate(row: dict, pivots: dict, track: dict = None, comb: dict = None):
+def _eliminate(row: dict, pivots: dict):
     """Clear every pivot column of the integer row `row`, fraction-free.
 
     This is the module's one elimination loop over QQ.  Each step takes a
@@ -263,9 +271,7 @@ def _eliminate(row: dict, pivots: dict, track: dict = None, comb: dict = None):
         row == scale * (input - sum_c x_c * pivots[c])
 
     for some rationals x_c, and the returned row vanishes at every pivot
-    column.  When `track` (pivot column -> combination dict) is given, the
-    combination `comb` (Fraction values) goes through the same steps, so
-    comb == scale * (comb_in - sum_c x_c * track[c]) on return.
+    column.
     """
     num = den = 1
     hits = [c for c in row if c in pivots]
@@ -293,24 +299,11 @@ def _eliminate(row: dict, pivots: dict, track: dict = None, comb: dict = None):
                     pending.add(c)
             else:
                 row.pop(c, None)
-        if track is not None:
-            if ma != 1:
-                for k in comb:
-                    comb[k] *= ma
-            for k, v in track[hit].items():
-                s = comb.get(k, 0) - mb * v
-                if s:
-                    comb[k] = s
-                else:
-                    comb.pop(k, None)
         g = _content(row)
         if g > 1:
             den *= g
             for c in row:
                 row[c] //= g
-            if track is not None:
-                for k in comb:
-                    comb[k] /= g
     return row, Fraction(num, den)
 
 
@@ -327,18 +320,14 @@ class Echelon:
     that vanishes at every pivot column is unique.  `residual` returns that
     remainder, the returned row of `_eliminate` divided by its scale.
     `to_rref` runs the same loop against the pivots already finished; RREF
-    is unique, so it does not depend on the insertion order.
-
-    With `tracked=True` each pivot row also carries its combination of the
-    rows that enlarged the span, numbered 0, 1, ... in insertion order, and
-    `coordinates` expresses a member of the span in those rows.  Untracked
-    echelons, the rank hot path, skip that bookkeeping.
+    is unique, so it does not depend on the insertion order.  No row
+    combinations are tracked: a solve reads the kernel basis
+    (`kernel_basis_marked`).
     """
 
-    def __init__(self, key=None, tracked: bool = False):
+    def __init__(self, key=None):
         self.key = key if key is not None else (lambda c: c)
         self.pivot_rows: dict = {}   # pivot col -> primitive integer row
-        self.track = {} if tracked else None  # pivot col -> {row number: Fraction}
         self._rref_done = False
 
     @property
@@ -348,27 +337,22 @@ class Echelon:
     def add_row(self, row: dict):
         """Insert a row (Fraction or int dict); returns the new pivot column,
         or None when the row already lies in the span."""
-        row, s = _int_row(row)
+        row, _ = _int_row(row)
         if not row:
             return None
-        comb = None if self.track is None else {self.rank: s}
-        row, _ = _eliminate(row, self.pivot_rows, self.track, comb)
+        row, _ = _eliminate(row, self.pivot_rows)
         if not row:
             return None
         piv = min(row, key=self.key)
-        self._store(piv, row, comb)
+        self._store(piv, row)
         self._rref_done = False
         return piv
 
-    def _store(self, piv: int, row: dict, comb):
-        """Keep `row` (and its combination) under `piv`, pivot entry > 0."""
+    def _store(self, piv: int, row: dict):
+        """Keep `row` under `piv`, pivot entry > 0."""
         if row[piv] < 0:
             row = {c: -v for c, v in row.items()}
-            if comb is not None:
-                comb = {k: -v for k, v in comb.items()}
         self.pivot_rows[piv] = row
-        if comb is not None:
-            self.track[piv] = comb
 
     def residual(self, row: dict) -> dict:
         """Remainder of `row` modulo the row space that vanishes at every
@@ -378,30 +362,16 @@ class Echelon:
         scale *= s
         return {c: v / scale for c, v in row.items()}
 
-    def coordinates(self, row: dict):
-        """{j: c_j} with row == sum_j c_j * (j-th row that enlarged the span),
-        or None if `row` is not in the span.  Needs a tracked echelon."""
-        if self.track is None:
-            raise ExactlinError("coordinates need Echelon(..., tracked=True)")
-        row, s = _int_row(row)
-        comb: dict = {}
-        row, scale = _eliminate(row, self.pivot_rows, self.track, comb)
-        if row:
-            return None
-        scale *= -s
-        return {k: v / scale for k, v in comb.items()}
-
     def to_rref(self):
         """Back-substitute so every pivot row is supported on its pivot and
         non-pivot columns only.  Idempotent."""
         if self._rref_done:
             return
-        pivots, track = self.pivot_rows, self.track
+        pivots = self.pivot_rows
         done: dict = {}
         for piv in sorted(pivots, key=self.key, reverse=True):
-            comb = None if track is None else track[piv]
-            row, _ = _eliminate(pivots[piv], done, track, comb)
-            self._store(piv, row, comb)
+            row, _ = _eliminate(pivots[piv], done)
+            self._store(piv, row)
             done[piv] = pivots[piv]
         self._rref_done = True
 
@@ -591,9 +561,6 @@ class TensorElement:
             return NotImplemented
         return (self.ambient is other.ambient and self.degree == other.degree
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return id(self)
 
     def add(self, other: "TensorElement") -> "TensorElement":
         self._assert_compatible(other)

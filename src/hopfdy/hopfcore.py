@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .algcore import (Algebra, AlgebraMap, ModuleRep, check_elements, module_from_character,
                       verify_algebra)
-from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, fr,
+from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, fr, kron_into,
                        unit_tensor, vec_eq)
 
 FRH = Fraction(1, 2)
@@ -384,24 +384,16 @@ def dual_hopf(H: HopfAlgebra, opposite_product: bool) -> HopfAlgebra:
 
 
 def tensor_hopf(H1: HopfAlgebra, H2: HopfAlgebra) -> HopfAlgebra:
-    """Tensor product Hopf algebra with componentwise structure."""
+    """Tensor product Hopf algebra with componentwise structure (a-major):
+    Delta(e_i ox e_j) is Delta(e_i) ox Delta(e_j) with both coproducts
+    taken as matrices, and S = S_1 ox S_2."""
     from .algcore import tensor_algebra
     A = tensor_algebra(H1.algebra, H2.algebra)
-    d2 = H2.dim
-    comult = []
-    for i in range(H1.dim):
-        for j in range(H2.dim):
-            cc = {}
-            for (a1, b1), c1 in H1.comult[i].coeffs.items():
-                for (a2, b2), c2 in H2.comult[j].coeffs.items():
-                    cc[(a1 * d2 + a2, b1 * d2 + b2)] = c1 * c2
-            comult.append(TensorElement(A, 2, cc))
-    counit = [H1.counit[i] * H2.counit[j] for i in range(H1.dim) for j in range(H2.dim)]
-    ent = {}
-    for (r1, c1), v1 in H1.antipode.entries.items():
-        for (r2, c2), v2 in H2.antipode.entries.items():
-            ent[(r1 * d2 + r2, c1 * d2 + c2)] = v1 * v2
-    antipode = SparseMatrix(A.dim, A.dim, ent)
+    comult = [TensorElement(A, 2, kron_into({}, SparseMatrix(H1.dim, H1.dim, d1.coeffs),
+                                            SparseMatrix(H2.dim, H2.dim, d2.coeffs)))
+              for d1 in H1.comult for d2 in H2.comult]
+    counit = [a * b for a in H1.counit for b in H2.counit]
+    antipode = SparseMatrix(A.dim, A.dim, kron_into({}, H1.antipode, H2.antipode))
     return HopfAlgebra(A, comult, counit, antipode,
                        name="%s(x)%s" % (H1.name, H2.name))
 
@@ -421,16 +413,13 @@ def bk_inclusion(l: int, k: int) -> AlgebraMap:
 def is_hopf_map(imap: AlgebraMap, Hs: HopfAlgebra, Ht: HopfAlgebra) -> list:
     """Check an algebra map also preserves Delta, eps and S."""
     report = imap.verify()
+    incl = SparseMatrix.from_columns(Ht.dim, imap.columns)
+    incl_t = incl.transpose()
     for i in range(Hs.dim):
         img = imap.apply_basis(i)
-        lhs = Ht.comult_vec(img)
-        rhs = TensorElement(Ht.algebra, 2, {})
-        for (a, b), c in Hs.comult[i].coeffs.items():
-            va, vb = imap.apply_basis(a), imap.apply_basis(b)
-            for p, cp in va.items():
-                for q, cq in vb.items():
-                    rhs = rhs.add(TensorElement(Ht.algebra, 2, {(p, q): c * cp * cq}))
-        if lhs != rhs:
+        # (i ox i) Delta(e_i) = I C I^T, C = Delta(e_i) taken as a matrix
+        rhs = incl.matmul(SparseMatrix(Hs.dim, Hs.dim, Hs.comult[i].coeffs)).matmul(incl_t)
+        if Ht.comult_vec(img) != TensorElement(Ht.algebra, 2, rhs.entries):
             report.append("coproduct not preserved at %s" % Hs.algebra.labels[i])
         if Ht.counit_vec(img) != Hs.counit[i]:
             report.append("counit not preserved at %s" % Hs.algebra.labels[i])

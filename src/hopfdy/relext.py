@@ -48,7 +48,7 @@ from .algcore import (Algebra, AlgebraMap, ModuleRep, _act_matrix, check_element
                       module_from_character, restrict_module, submodule_on_basis,
                       tensor_algebra, tensor_module, verify_module)
 from .exactlin import (FR1, BudgetExceededError, SparseMatrix, _once, kernel_basis_marked,
-                       kron_into, rank_of_vectors)
+                       kron_into, rank_of_vectors, vec_kron)
 
 
 class RelextError(Exception):
@@ -109,25 +109,12 @@ def tensor_pair(p1: ResolventPair, p2: ResolventPair) -> ResolventPair:
 def _tensor_pair_build(p1: ResolventPair, p2: ResolventPair) -> ResolventPair:
     big = tensor_algebra(p1.big, p2.big)
     small = tensor_algebra(p1.small, p2.small)
-    db2 = p2.big.dim
-    cols = []
-    for i in range(p1.small.dim):
-        ci = p1.inclusion.apply_basis(i)
-        for j in range(p2.small.dim):
-            cj = p2.inclusion.apply_basis(j)
-            col = {}
-            for a, ca in ci.items():
-                for b, cb in cj.items():
-                    col[a * db2 + b] = ca * cb
-            cols.append(col)
+    i1, i2 = (SparseMatrix.from_columns(p.big.dim, p.inclusion.columns) for p in (p1, p2))
+    cols = SparseMatrix(big.dim, small.dim, kron_into({}, i1, i2)).columns()
     incl = AlgebraMap(small, big, cols, name="incl(x)incl")
     free = None
     if p1.free_basis is not None and p2.free_basis is not None:
-        free = []
-        for u in p1.free_basis:
-            for v in p2.free_basis:
-                free.append({a * db2 + b: ca * cb
-                             for a, ca in u.items() for b, cb in v.items()})
+        free = [vec_kron(u, v, p2.big.dim) for u in p1.free_basis for v in p2.free_basis]
     return ResolventPair(big, small, incl, free_basis=free,
                          name="(%s)(x)(%s)" % (p1.name, p2.name))
 
@@ -396,23 +383,11 @@ def adjunction_crosscheck_tensor(D, R, Rinv, n: int, kind: str = "cover") -> dic
     p = pair_from_double(D)
     psq = tensor_pair(p, p)
     W = coeff_tensor_product(D, R, Rinv, psq.big).module
+    eps = D.hopf.counit_row()
     V = _once(D._cache, "trivial_sq", lambda: module_from_character(
-        psq.big, _double_sq_counit(D, psq.big), name="k"))
+        psq.big, vec_kron(eps, eps, D.dim), name="k"))
     rhs = relative_ext_dims(psq, V, W, n, kind=kind)[n]
     return {"degree": n, "dy_dim": lhs, "ext_dim": rhs, "equal": lhs == rhs}
-
-
-def _double_sq_counit(D, E: Algebra) -> dict:
-    nd = D.dim
-    eps = D.hopf.counit
-    out = {}
-    for i in range(nd):
-        if not eps[i]:
-            continue
-        for j in range(nd):
-            if eps[j]:
-                out[i * nd + j] = eps[i] * eps[j]
-    return out
 
 
 def adjunction_crosscheck_restriction(D, imap, Hsub, n: int, kind: str = "bar") -> dict:

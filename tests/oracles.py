@@ -291,3 +291,22 @@ def densify_vec(v, n):
     for i, c in v.items():
         out[i] = c
     return out
+
+
+def dense_kron(A, B):
+    """Kronecker product of two dense matrices (lists of rows), a-major:
+    entry A[r1][c1] * B[r2][c2] sits at row r1 * len(B) + r2 and column
+    c1 * len(B[0]) + c2.  A vector is a one-column matrix."""
+    nr, nc = len(B), len(B[0])
+    out = [[Fraction(0)] * (len(A[0]) * nc) for _ in range(len(A) * nr)]
+    for r1, arow in enumerate(A):
+        for c1, a in enumerate(arow):
+            for r2, brow in enumerate(B):
+                for c2, b in enumerate(brow):
+                    out[r1 * nr + r2][c1 * nc + c2] = a * b
+    return out
+
+
+def dense_column(v, n):
+    """A sparse vector {index: c} as a dense n x 1 matrix."""
+    return [[Fraction(v.get(i, 0))] for i in range(n)]

@@ -13,7 +13,8 @@ from hopfdy.exactlin import FR1, SparseMatrix, rank
 from hopfdy.hopfcore import build_bk, build_cyclic, bk_inclusion, trivial_module
 from hopfdy.double import drinfeld_double
 
-from oracles import dense_rank, densify_matrix, induced_dense, intertwiner_basis_dense
+from oracles import (dense_column, dense_kron, dense_rank, densify_matrix, induced_dense,
+                     intertwiner_basis_dense)
 
 
 def z2_algebra():
@@ -202,6 +203,12 @@ def _dense_mul(X, Y):
             for row in X]
 
 
+def dense_left(A, i):
+    """The dense matrix of x -> e_i x, read from A's structure constants."""
+    return [[A.mult.get((i, j), {}).get(k, Fraction(0)) for j in range(A.dim)]
+            for k in range(A.dim)]
+
+
 def _left_mult_dense(A, a, X, nv):
     """(L_a ox 1) X for a dense matrix X with rows on A ox V (a * nv + v)."""
     out = [[Fraction(0)] * len(X[0]) for _ in X]
@@ -228,7 +235,8 @@ def test_induced_module_matches_dense_oracle(data, pair):
     """Free and quotient induction of a random B-module V (a cyclic submodule
     of the regular module, on a random basis of it) agree with the dense
     quotient (A ox V) / relations: pi S is an isomorphism that intertwines the
-    actions, pi Q = pi S Q is the class map, the unit is [1 ox v], and Q S = 1."""
+    actions, pi Q = pi S Q is the class map, the unit is [1 ox v], and Q S = 1.
+    V itself is checked first: B rho_V(e_b) = rho_reg(e_b) B for its basis B."""
     imap, free_basis = _INDUCTION_PAIRS[pair]
     A, B = imap.target, imap.source
     coef = st.integers(-3, 3).map(Fraction)
@@ -243,6 +251,10 @@ def test_induced_module_matches_dense_oracle(data, pair):
     basis = [{k: c for k, c in v.items() if c} for v in basis]
     V = submodule_on_basis(B, basis, regular_module(B).act_basis)
     nv = V.dim
+    # V's coordinates, read at the pivots of a basis not in marker form
+    Bmat = densify_matrix(SparseMatrix.from_columns(B.dim, basis))
+    for b in range(B.dim):
+        assert _dense_mul(Bmat, densify_matrix(V.action(b))) == _dense_mul(dense_left(B, b), Bmat)
     pi = induced_dense(A.mult, A.dim, [imap.apply_basis(b) for b in range(B.dim)],
                        [densify_matrix(V.action(b)) for b in range(B.dim)])
     free = (free_basis, free_rewrite(imap, free_basis))
@@ -316,6 +328,24 @@ class TestModuleMapKernel:
         K, incl = module_map_kernel(f, ind, kD)
         assert K.dim + rank(f) == ind.dim
         assert f.matmul(incl).is_zero()
+
+
+def test_tensor_algebra_layout_matches_dense_kron():
+    """e_a ox e_b of B_1 ox QQ[Z/3] sits at a * 3 + b and multiplies by
+    L_a ox L_b; the unit is 1 ox 1 and the generators are g ox 1, 1 ox g.
+    The factors differ in dimension, so a b-major layout fails."""
+    A, B = build_bk(1).algebra, build_cyclic(3).algebra
+    T = tensor_algebra(A, B)
+    for a in range(A.dim):
+        for b in range(B.dim):
+            assert dense_left(T, a * B.dim + b) == dense_kron(dense_left(A, a), dense_left(B, b))
+    assert dense_column(T.unit, T.dim) == dense_kron(dense_column(A.unit, A.dim),
+                                                     dense_column(B.unit, B.dim))
+    want = ([dense_kron(dense_column(g, A.dim), dense_column(B.unit, B.dim))
+             for g in A.generators]
+            + [dense_kron(dense_column(A.unit, A.dim), dense_column(g, B.dim))
+               for g in B.generators])
+    assert [dense_column(g, T.dim) for g in T.generators] == want
 
 
 class TestTensorAlgebra:

@@ -8,13 +8,13 @@ from hopfdy.algcore import (Algebra, AlgebraMap, _act_matrix, check_generators_s
 from hopfdy.double import (TwistNotSupportedError, build_c_pm, center_module_from_rmatrix,
                            coeff_restriction, coeff_tensor_product,
                            drinfeld_double, ell_maps, ell_minus, ell_plus)
-from hopfdy.exactlin import FR1, TensorElement, unit_tensor, vec_eq, vec_scale
+from hopfdy.exactlin import FR1, SparseMatrix, TensorElement, unit_tensor, vec_eq, vec_scale
 from hopfdy.hopfcore import (bk_dual_generators, bk_inclusion, build_bk, build_cyclic,
                              trivial_module, verify_hopf)
 from hopfdy.hopffile import load_hopf
 from hopfdy.rmatrix import bk_r0, check_rmatrix
 
-from oracles import antipode_dense
+from oracles import antipode_dense, dense_column, dense_kron, densify_matrix
 
 HALF = Fraction(1, 2)
 
@@ -56,6 +56,39 @@ class TestDrinfeldDouble:
         for D in (D1, D2):
             assert D.inclusion_base.verify() == []
             assert D.inclusion_dual.verify() == []
+
+    def test_layout_matches_dense_kron(self, D1):
+        """phi^i h_j sits at i * dim H + j: the unit is eps ox 1, the
+        embeddings are eps ox 1_H and 1_H* ox 1, the generators g ox 1 and
+        eps ox g, the dual part basis is phi^i ox 1, and Delta(phi^i h_j) is
+        Delta(phi^i) ox Delta(h_j) as matrices, Delta(phi^i)_{ab} being the
+        coefficient of e_i in e_a e_b."""
+        H, n = D1.base, D1.base.dim
+        eps = {i: c for i, c in enumerate(H.counit) if c}
+        ident = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+
+        def cols(vectors):
+            return densify_matrix(SparseMatrix.from_columns(D1.dim, vectors))
+
+        assert dense_column(D1.algebra.unit, D1.dim) == dense_kron(
+            dense_column(eps, n), dense_column(H.unit, n))
+        assert cols(D1.inclusion_base.columns) == dense_kron(dense_column(eps, n), ident)
+        assert cols(D1.inclusion_dual.columns) == dense_kron(ident, dense_column(H.unit, n))
+        assert cols(D1.dual_part_basis()) == dense_kron(ident, dense_column(H.unit, n))
+        want = ([dense_kron(dense_column(g, n), dense_column(H.unit, n))
+                 for g in H.dual_generator_hint]
+                + [dense_kron(dense_column(eps, n), dense_column(g, n))
+                   for g in H.algebra.generators])
+        assert [dense_column(g, D1.dim) for g in D1.algebra.generators] == want
+        for i in range(n):
+            dphi = [[H.algebra.mult.get((a, b), {}).get(i, Fraction(0)) for b in range(n)]
+                    for a in range(n)]
+            for j in range(n):
+                dh = [[H.comult[j].coeffs.get((a, b), Fraction(0)) for b in range(n)]
+                      for a in range(n)]
+                got = [[D1.hopf.comult[i * n + j].coeffs.get((r, c), Fraction(0))
+                        for c in range(D1.dim)] for r in range(D1.dim)]
+                assert got == dense_kron(dphi, dh)
 
     def test_straightening_closes(self, D2):
         # h y_i products close inside D and the axioms hold (checked above);

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from hopfdy.algcore import _invert_columns
 from hopfdy.exactlin import (Echelon, ExactlinError, SparseMatrix, TensorElement,
-                             kernel_basis, kernel_basis_marked, rank, rank_of_rows,
-                             rank_of_vectors, span_equal, unit_tensor)
+                             kernel_basis, kernel_basis_marked, kron_into, rank, rank_of_rows,
+                             rank_of_vectors, span_equal, unit_tensor, vec_kron)
 from hopfdy.hopfcore import build_bk
 
-from oracles import dense_nullspace, dense_rank, dense_rref, densify_vec
+from oracles import (dense_column, dense_kron, dense_nullspace, dense_rank, dense_rref,
+                     densify_matrix, densify_vec)
 
 
 def sm(rows):
@@ -92,6 +93,27 @@ class TestKernel:
             kernel_basis_marked([{0: 1}, {col: 1}], 3)
 
 
+def test_value_types_are_unhashable():
+    """SparseMatrix and TensorElement compare by value, so they take no
+    identity hash that would let equal objects hash differently."""
+    with pytest.raises(TypeError):
+        hash(SparseMatrix.identity(2))
+    with pytest.raises(TypeError):
+        hash(unit_tensor(build_bk(1).algebra, 2))
+
+
+def test_vec_kron_and_kron_into_are_a_major():
+    """vec_kron and kron_into put (a, b) at a * dim B + b, as the dense
+    Kronecker oracle does, for factors of unequal shapes."""
+    A = sm([[1, 0, 2], [0, -3, 0]])
+    B = sm([[0, 5], [7, 0], [1, 1], [0, 2]])
+    got = SparseMatrix(8, 6, kron_into({}, A, B))
+    assert densify_matrix(got) == dense_kron(densify_matrix(A), densify_matrix(B))
+    u, v = {0: Fraction(2), 2: Fraction(-1)}, {1: Fraction(3), 3: Fraction(1, 2)}
+    assert (dense_column(vec_kron(u, v, 4), 12)
+            == dense_kron(dense_column(u, 3), dense_column(v, 4)))
+
+
 class TestSpanEqual:
     def test_scaling(self):
         assert span_equal([{0: Fraction(1)}], [{0: Fraction(2)}], 3)
@@ -144,45 +166,30 @@ def _sparse(dense):
     return {c: Fraction(v) for c, v in enumerate(dense) if v}
 
 
-def _combine(coords, gens):
-    out = {}
-    for j, c in coords.items():
-        for col, x in gens[j].items():
-            out[col] = out.get(col, 0) + c * x
-    return {k: x for k, x in out.items() if x}
-
-
 @given(rational_rows())
 @settings(max_examples=80, deadline=None)
 def test_echelon_matches_dense_oracles(case):
-    """Each row is probed, then added, to a tracked Echelon: coordinates,
-    residual and add_row see the rank grow exactly when the dense oracle
-    does, coordinates rebuild the row, and RREF matches the oracle's."""
+    """Each row is probed, then added, to an Echelon: residual and add_row
+    see the rank grow exactly when the dense oracle does, the residual
+    differs from the row by a member of the span, and RREF matches the
+    oracle's."""
     rows, reverse = case
     ncols = len(rows[0])
-    ech = Echelon(key=(lambda c: -c) if reverse else None, tracked=True)
-    added, gens = [], []
+    ech = Echelon(key=(lambda c: -c) if reverse else None)
+    added = []
     for dense in rows:
         v = _sparse(dense)
         grows = dense_rank(added + [dense]) > dense_rank(added)
-        coords = ech.coordinates(v)
         res = ech.residual(v)
-        assert (coords is None) == grows
         assert bool(res) == grows
         assert not any(c in ech.pivot_rows for c in res)
         if added:
             rest = [dense[c] - res.get(c, 0) for c in range(ncols)]
             assert dense_rank(added + [rest]) == dense_rank(added)
-        if coords is not None:
-            assert _combine(coords, gens) == v
         assert (ech.add_row(v) is not None) == grows
-        if grows:
-            gens.append(v)
         added.append(dense)
     assert ech.rank == dense_rank(rows)
     ech.to_rref()
-    for dense in rows:
-        assert _combine(ech.coordinates(_sparse(dense)), gens) == _sparse(dense)
     if not reverse:
         m, pivots = dense_rref(rows)
         assert sorted(ech.pivot_rows) == pivots

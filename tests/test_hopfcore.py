@@ -10,6 +10,8 @@ from hopfdy.hopfcore import (HopfAlgebra, HopfError, apply_antipode_at, apply_co
                              tensor_hopf, verify_hopf)
 from hopfdy.exactlin import SparseMatrix
 
+from oracles import dense_kron, densify_matrix
+
 HALF = Fraction(1, 2)
 
 
@@ -141,6 +143,23 @@ class TestTensorHopf:
         T = tensor_hopf(build_bk(1), build_bk(1))
         assert T.dim == 16
         assert verify_hopf(T) == []
+
+    def test_layout_matches_dense_kron(self):
+        """On B_1 ox QQ[Z/3] (unequal factors, so a b-major layout fails):
+        Delta(e_i ox e_j) is Delta(e_i) ox Delta(e_j) as matrices, the counit
+        eps_1 ox eps_2 and the antipode S_1 ox S_2."""
+        H1, H2 = build_bk(1), build_cyclic(3)
+        T = tensor_hopf(H1, H2)
+        assert verify_hopf(T) == []
+        for i in range(H1.dim):
+            for j in range(H2.dim):
+                got = densify_matrix(SparseMatrix(T.dim, T.dim, T.comult[i * H2.dim + j].coeffs))
+                assert got == dense_kron(
+                    densify_matrix(SparseMatrix(H1.dim, H1.dim, H1.comult[i].coeffs)),
+                    densify_matrix(SparseMatrix(H2.dim, H2.dim, H2.comult[j].coeffs)))
+        assert [T.counit] == dense_kron([H1.counit], [H2.counit])
+        assert densify_matrix(T.antipode) == dense_kron(densify_matrix(H1.antipode),
+                                                        densify_matrix(H2.antipode))
 
 
 class TestCoproductCalculus:

@@ -15,7 +15,7 @@ from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
                            tensor_pair, trivial_module_over, verify_resolution)
 from hopfdy.rmatrix import bk_r0, check_rmatrix
 
-from oracles import dense_rank
+from oracles import dense_column, dense_kron, dense_rank, densify_matrix
 
 
 def trivial_over(D):
@@ -47,6 +47,24 @@ def quotient_pair(pair):
 @pytest.fixture(scope="module")
 def k1(D1):
     return trivial_over(D1)
+
+
+def test_tensor_pair_layout_matches_dense_kron(P1):
+    """(D(B_1), B_1) ox (B_2, B_1): the inclusion is i_1 ox i_2 and the free
+    basis the u ox v, a-major; the big factors differ in dimension, so a
+    b-major layout fails."""
+    p2 = ResolventPair(build_bk(2).algebra, build_bk(1).algebra, bk_inclusion(1, 1),
+                       free_basis=[{0: FR1, 1: FR1}, {1: 2 * FR1}])
+    pt = tensor_pair(P1, p2)
+
+    def dense(vectors, n):
+        return densify_matrix(SparseMatrix.from_columns(n, vectors))
+
+    assert dense(pt.inclusion.columns, pt.big.dim) == dense_kron(
+        dense(P1.inclusion.columns, P1.big.dim), dense(p2.inclusion.columns, p2.big.dim))
+    assert [dense_column(f, pt.big.dim) for f in pt.free_basis] == [
+        dense_kron(dense_column(u, P1.big.dim), dense_column(v, p2.big.dim))
+        for u in P1.free_basis for v in p2.free_basis]
 
 
 class TestResolutions:
