@@ -405,33 +405,41 @@ def evaluation(M: ModuleRep) -> ColumnMap:
 
 
 class InducedModule(ModuleRep):
-    """Ind V = A ox_B V as a left A-module on a canonical basis, given by two
-    linear maps on A ox V (flat index a * dim V + v):
+    """Ind V = A ox_B V as a left A-module on the free basis u_alpha of A
+    over i(B), given by two linear maps on A ox V (flat index a * dim V + v):
 
-      S = `section()` : Ind V -> A ox V, column pos = u ox e_v;
-      Q = `classes`   : A ox V -> Ind V, column (a, v) = the canonical
-                        coordinates of [e_a ox e_v] (a ColumnMap);
+      S = `section()` : Ind V -> A ox V, column (alpha, v) = u_alpha ox e_v;
+      Q = `classes`   : A ox V -> Ind V, column (a, v) = the coordinates of
+                        [e_a ox e_v] = sum c [u_alpha ox b.e_v], read from
+                        the rewrite table e_a = sum c u_alpha i(e_b);
 
-    with Q S = 1.  The free and the quotient construction differ only in Q
-    (`induced_module`).  Every map built on the module is a product through
-    the two (`induced_map`): the action rho(e_a) = Q (L_a ox 1) S, the unit
-    v -> Q (1_A ox v) and the counit E_M S onto an A-module M.  Q is
-    column-lazy, so a product builds only the columns, and the action
-    matrices of V, that it reads.
+    with (alpha, v) at alpha * dim V + v and Q S = 1.  Every map built on
+    the module is a product through the two (`induced_map`): the action
+    rho(e_a) = Q (L_a ox 1) S, the unit v -> Q (1_A ox v) and the counit
+    E_M S onto an A-module M.  Q is column-lazy, so a product builds only
+    the columns, and the action matrices of V, that it reads.
     """
 
-    def __init__(self, imap: AlgebraMap, V: ModuleRep, groups: list, class_col, name=""):
+    def __init__(self, imap: AlgebraMap, V: ModuleRep, free, name=""):
         self.source = V
-        self._groups = groups  # (u, start, vs): S e_{start + j} = u ox e_{vs[j]}
-        dim = sum(len(vs) for _, _, vs in groups)
-        self.classes = ColumnMap(dim, class_col)
-        super().__init__(imap.target, dim, action_fn=self._action_of, name=name)
+        self.free_basis, self._table = free
+        super().__init__(imap.target, len(self.free_basis) * V.dim,
+                         action_fn=self._action_of, name=name)
+        self.classes = ColumnMap(self.dim, self._class)
+
+    def _class(self, flat: int) -> dict:
+        nv = self.source.dim
+        out: dict = {}
+        for alpha, b_idx, c in self._table[flat // nv]:
+            col = self.source.action(b_idx).columns()[flat % nv]
+            vec_addmul(out, {alpha * nv + w: cw for w, cw in col.items()}, c)
+        return out
 
     def section(self) -> SparseMatrix:
-        """S as a matrix; products read its columns from the groups."""
+        """S as a matrix; products read its columns from the free basis."""
         nv = self.source.dim
         return SparseMatrix.from_columns(self.algebra.dim * nv, [
-            vec_kron(u, {v: FR1}, nv) for u, _, vs in self._groups for v in vs])
+            vec_kron(u, {v: FR1}, nv) for u in self.free_basis for v in range(nv)])
 
     def unit(self) -> SparseMatrix:
         """eta : V -> Ind V, v -> Q (1_A ox v) (the adjunction unit)."""
@@ -447,76 +455,27 @@ def induced_map(left: ColumnMap, P: InducedModule, f: SparseMatrix = None,
                 L: SparseMatrix = None) -> SparseMatrix:
     """left (L ox f) S_P for f : V -> V' (default 1), L a matrix on A (default
     1) and `left` a map on A ox V' (flat index a * dim V' + q).  L ox f is
-    never formed: S's columns u ox e_v are taken by A-part u, L u once per u,
-    and column v of f gives the pure tensor (L u) ox f(e_v)."""
-    nq = P.source.dim if f is None else f.rows
+    never formed: S's columns u ox e_v are taken by free basis element u,
+    L u once per u, and column v of f gives the pure tensor (L u) ox f(e_v)."""
+    nv = P.source.dim
+    nq = nv if f is None else f.rows
     fcols = None if f is None else f.columns()
-    cols = [None] * P.dim
-    for u, start, vs in P._groups:
+    cols = []
+    for u in P.free_basis:
         x = u if L is None else L.mul_vec(u)
-        for pos, v in enumerate(vs, start):
+        for v in range(nv):
             y = {v: FR1} if fcols is None else fcols[v]
-            cols[pos] = left.apply(vec_kron(x, y, nq))
+            cols.append(left.apply(vec_kron(x, y, nq)))
     return SparseMatrix.from_columns(left.rows, cols)
 
 
-def induced_module(imap: AlgebraMap, V: ModuleRep, free=None, name="") -> InducedModule:
-    """Induction A ox_B V along an algebra map B -> A.
-
-    With `free` = ([u_alpha], free_rewrite(imap, [u_alpha])), A = direct-sum u_alpha i(B),
-    S sends canonical basis vector (alpha, v) to u_alpha ox e_v, and Q
-    rewrites e_a = sum c u_alpha i(e_b) by the table:
-    [e_a ox e_v] = sum c [u_alpha ox b.e_v].  Otherwise Ind V is the
-    quotient of A ox V by the relations {(a i(b)) ox v - a ox (b.v)}, read
-    from their canonical kernel basis: the surviving pairs [e_a ox e_v]
-    (the markers) are the basis, S sends each to e_a ox e_v, and Q is the
-    transpose of the kernel basis.  It is enough to let b range over a
-    generating set of B (relations for products follow:
-    rel(a, b b', v) = rel(a i(b), b', v) + rel(a, b, b'.v)), and over the
-    full basis otherwise.  Dimensions and every derived invariant agree.
-    """
+def induced_module(imap: AlgebraMap, V: ModuleRep, free, name="") -> InducedModule:
+    """Induction A ox_B V along an algebra map B -> A, on
+    `free` = ([u_alpha], free_rewrite(imap, [u_alpha])): A is the direct sum
+    of the u_alpha i(B), so Ind V is the direct sum of the u_alpha ox V."""
     if V.algebra is not imap.source:
         raise AlgebraError("induced_module: V is not a module over the map source")
-    A, B = imap.target, imap.source
-    nv = V.dim
-    name = name or "ind(%s)" % V.name
-    if free is not None:
-        free_basis, table = free
-
-        def free_class(flat):
-            out: dict = {}
-            for alpha, b_idx, c in table[flat // nv]:
-                col = V.action(b_idx).columns()[flat % nv]
-                vec_addmul(out, {alpha * nv + w: cw for w, cw in col.items()}, c)
-            return out
-
-        groups = [(u, alpha * nv, range(nv)) for alpha, u in enumerate(free_basis)]
-        return InducedModule(imap, V, groups, free_class, name=name)
-
-    ncols = A.dim * nv
-    rows = []
-    for b, _ in check_elements(B):
-        ib, bact = imap.apply(b), _act_matrix(V, b).columns()
-        for a in range(A.dim):
-            prod = A.mul_vec({a: FR1}, ib)
-            for v in range(nv):
-                row = {p * nv + v: c for p, c in prod.items()}
-                for w, cw in bact[v].items():
-                    row[a * nv + w] = row.get(a * nv + w, FR0) - cw
-                rows.append({f: c for f, c in row.items() if c})
-    # pivots at high flat indices, so low-index columns survive as reps.
-    # The relations vanish on every kernel vector, so the class of e_f is
-    # sum_j vecs[j][f] * (rep j): the transpose of the kernel basis.
-    vecs, markers = kernel_basis_marked(rows, ncols, key=lambda c: -c)
-    classes: list = [{} for _ in range(ncols)]
-    for j, v in enumerate(vecs):
-        for f, c in v.items():
-            classes[f][j] = c
-    groups: dict = {}  # the markers ascend, so each a holds consecutive positions
-    for pos, f in enumerate(markers):
-        groups.setdefault(f // nv, (pos, []))[1].append(f % nv)
-    return InducedModule(imap, V, [({a: FR1}, start, vs) for a, (start, vs) in groups.items()],
-                         classes.__getitem__, name=name)
+    return InducedModule(imap, V, free, name=name or "ind(%s)" % V.name)
 
 
 def free_rewrite(imap: AlgebraMap, free_basis: list) -> list:
@@ -526,11 +485,12 @@ def free_rewrite(imap: AlgebraMap, free_basis: list) -> list:
     on the given elements."""
     A, nb = imap.target, imap.source.dim
     if len(free_basis) * nb != A.dim:
-        raise AlgebraError("free basis has wrong cardinality")
+        raise AlgebraError("%s: free basis has wrong cardinality" % imap.name)
     inv_cols = _invert_columns(SparseMatrix.from_columns(A.dim, [
         A.mul_vec(u, imap.apply_basis(b)) for u in free_basis for b in range(nb)]))
     if inv_cols is None:
-        raise AlgebraError("claimed free basis does not give a module decomposition")
+        raise AlgebraError("%s: claimed free basis does not give a module decomposition"
+                           % imap.name)
     return [[(flat // nb, flat % nb, c) for flat, c in inv_cols[a].items()]
             for a in range(A.dim)]
 

@@ -18,7 +18,7 @@ returns the scale it accumulated, so a caller that needs the exact
 rational remainder divides by it once at the end.  `Echelon` builds
 ranks, residuals and the reduced row echelon form on it.
 `kernel_basis_marked` is the one reader of that form: every exact solve
-of the package (matrix inverses, the quotient rewrites of induction,
+of the package (matrix inverses, the rewrite table of induction,
 submodule coordinates, cochain and tangent spaces) is read from the
 canonical kernel basis of a list of rows.  RREF is unique, so every
 reported rank and kernel is deterministic regardless of the pivot order.
@@ -314,8 +314,8 @@ class Echelon:
     entries and a positive pivot entry.  `add_row` reduces the new row with
     `_eliminate` against the rows already present and takes as pivot the
     column with the smallest `key(col)`.  The default key is the column
-    index; quotient constructions pass a reversed key so that low-index
-    columns survive as representatives.  Each pivot row thus vanishes at
+    index; `submodule_on_basis` passes a reversed key so that the pivots
+    sit at high columns.  Each pivot row thus vanishes at
     the pivot columns of the rows before it, so the remainder of any row
     that vanishes at every pivot column is unique.  `residual` returns that
     remainder, the returned row of `_eliminate` divided by its scale.
@@ -383,11 +383,11 @@ def _check_columns(rows: list, ncols: int):
                 raise ExactlinError("column %d out of range for %d columns" % (c, ncols))
 
 
-def _sparse_first(rows: list, key=None) -> Echelon:
+def _sparse_first(rows: list) -> Echelon:
     """An Echelon of `rows`, inserted sparsest first (ties in list order):
     far less elimination fill-in, and the pivots and RREF are the same in
     any order."""
-    ech = Echelon(key)
+    ech = Echelon()
     for row in sorted(rows, key=len):
         ech.add_row(row)
     return ech
@@ -417,20 +417,18 @@ def rank_of_vectors(vecs: list, ambient: int) -> int:
     return rank_of_rows(list(byidx.values()))
 
 
-def kernel_basis_marked(rows: list, ncols: int, key=None):
+def kernel_basis_marked(rows: list, ncols: int):
     """Exact basis of the solutions x in QQ^ncols of row . x = 0 for every
     row (an int or Fraction dict), as vectors {index: Fraction}, plus the
     free-column marker of each basis vector.
 
     Canonical: one vector per free column f, markers ascending, normalized
     with entry 1 at f and RREF-determined entries at the pivot columns.
-    `key` is the Echelon pivot preference; a reversed key puts the pivots
-    at high columns, so low columns are free.  Coordinates of any v in the
-    kernel span are read off at the markers:
+    Coordinates of any v in the kernel span are read off at the markers:
     v = sum_j v[free_cols[j]] * basis[j].
     """
     _check_columns(rows, ncols)
-    ech = _sparse_first(rows, key)
+    ech = _sparse_first(rows)
     ech.to_rref()
     free = [c for c in range(ncols) if c not in ech.pivot_rows]
     vecs = {f: {f: FR1} for f in free}

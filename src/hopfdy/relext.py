@@ -8,10 +8,9 @@ resolutions of any A-module V:
   iterated-cover        K_0 = V, P_n = G(K_n) --eps--> K_n,
                         K_{n+1} = ker(eps), d_n = incl o eps
 
-Each term P = Ind X is an `algcore.InducedModule`, built on the pair's
-free basis when it has one and as a quotient otherwise.  Its section
-S : P -> A ox X and class map Q : A ox X -> P are the only access to it,
-so this module never asks which it is: every map on a term is one product
+Each term P = Ind X is an `algcore.InducedModule` on the pair's free
+A-basis over B.  Its section S : P -> A ox X and class map Q : A ox X -> P
+are the only access to it: every map on a term is one product
 `induced_map(left, P, f)` = left (1 ox f) S, with left = Q of another term
 or the evaluation E_M(a ox m) = a.m of a module M:
 
@@ -56,10 +55,14 @@ class RelextError(Exception):
 
 
 class ResolventPair:
-    """A verified algebra inclusion B -> A with optional free A-basis over B."""
+    """An algebra inclusion B -> A with a free A-basis over B.  The basis is
+    certified when its rewrite table is first built (`rewrite_table` raises
+    AlgebraError unless A is free over B on it).  Nothing here verifies the
+    inclusion: `drinfeld_double` verifies the embedding that
+    `pair_from_double` takes, and `tensor_pair` takes i_1 ox i_2."""
 
     def __init__(self, big: Algebra, small: Algebra, inclusion: AlgebraMap,
-                 free_basis=None, name=""):
+                 free_basis: list, name=""):
         assert inclusion.source is small and inclusion.target is big
         self.big = big
         self.small = small
@@ -71,15 +74,9 @@ class ResolventPair:
         self._resolutions: dict = {}  # keyed by (V, kind)
         self._lock = threading.Lock()  # guards _resolutions and their growth
 
-    def verify(self) -> list:
-        return self.inclusion.verify()
-
     def rewrite_table(self):
         """The free basis with its rewrite table (`algcore.free_rewrite`, the
-        table built once), as `induced_module` takes them; None when the pair
-        has no free basis."""
-        if self.free_basis is None:
-            return None
+        table built once), as `induced_module` takes them."""
         return self.free_basis, _once(self._rewrite, "table",
                                       lambda: free_rewrite(self.inclusion, self.free_basis))
 
@@ -112,10 +109,8 @@ def _tensor_pair_build(p1: ResolventPair, p2: ResolventPair) -> ResolventPair:
     i1, i2 = (SparseMatrix.from_columns(p.big.dim, p.inclusion.columns) for p in (p1, p2))
     cols = SparseMatrix(big.dim, small.dim, kron_into({}, i1, i2)).columns()
     incl = AlgebraMap(small, big, cols, name="incl(x)incl")
-    free = None
-    if p1.free_basis is not None and p2.free_basis is not None:
-        free = [vec_kron(u, v, p2.big.dim) for u in p1.free_basis for v in p2.free_basis]
-    return ResolventPair(big, small, incl, free_basis=free,
+    free = [vec_kron(u, v, p2.big.dim) for u in p1.free_basis for v in p2.free_basis]
+    return ResolventPair(big, small, incl, free,
                          name="(%s)(x)(%s)" % (p1.name, p2.name))
 
 
@@ -221,8 +216,7 @@ def get_resolution(pair: ResolventPair, V: ModuleRep, kind: str, maxdeg: int) ->
     """The `kind` ("bar" or "cover") resolution of V up to maxdeg, cached
     on the pair and extended on demand under the pair's lock, so that two
     threads never grow one resolution at the same time.  Its terms are
-    induced on the pair's free basis when it has one, and as quotients
-    otherwise."""
+    induced on the pair's free basis."""
     if kind not in ("bar", "cover"):
         raise RelextError("unknown resolution kind %r" % kind)
     extend = _extend_bar if kind == "bar" else _extend_cover

@@ -13,6 +13,7 @@ from hopfdy.exactlin import FR1, SparseMatrix, rank
 from hopfdy.hopfcore import build_bk, build_cyclic, bk_inclusion, trivial_module
 from hopfdy.double import drinfeld_double
 
+from freebases import rebased
 from oracles import (dense_column, dense_kron, dense_rank, densify_matrix, induced_dense,
                      intertwiner_basis_dense)
 
@@ -125,10 +126,14 @@ class TestHomSpace:
         assert len(hom_space(cm, W)) == 0
 
 
-def _free(D):
+def _free(imap, basis):
+    """A free basis of imap.target over imap.source with its rewrite table."""
+    return basis, free_rewrite(imap, basis)
+
+
+def _dual_free(D):
     """The dual free basis of D(H) over H with its rewrite table."""
-    basis = D.dual_part_basis()
-    return basis, free_rewrite(D.inclusion_base, basis)
+    return _free(D.inclusion_base, D.dual_part_basis())
 
 
 def _classes(ind, M):
@@ -142,7 +147,7 @@ class TestInducedModule:
         k = Algebra(1, ["1"], {(0, 0): {0: FR1}}, {0: FR1})
         emb = AlgebraMap(k, A, [dict(A.unit)])
         triv = ModuleRep(k, 1, action=[SparseMatrix.identity(1)])
-        ind = induced_module(emb, triv)
+        ind = induced_module(emb, triv, _free(emb, [{i: FR1} for i in range(A.dim)]))
         assert ind.dim == A.dim
         reg = regular_module(A)
         # full-rank intertwiner exists: the section [u ox 1] -> u ox 1 = u
@@ -155,22 +160,26 @@ class TestInducedModule:
         D = drinfeld_double(H)
         emb = D.inclusion_base
         k = trivial_module(H)
-        ind = induced_module(emb, k)
+        ind = induced_module(emb, k, _dual_free(D))
         assert ind.dim == H.dim
 
     def test_b2_over_b1_dimension(self):
         imap = bk_inclusion(1, 1)
         k = trivial_module(build_bk(1))
-        ind = induced_module(imap, k)
+        ind = induced_module(imap, k, _free(imap, [{0: FR1}, {1: FR1}]))
         assert ind.dim == 2
         assert verify_module(ind) == []
 
     def test_free_path_agrees_with_quotient(self):
+        """Induction on the dual free basis and on its rebasing (q, whose
+        rewrite table has non-unit coefficients) give isomorphic modules."""
         H = build_bk(1)
         D = drinfeld_double(H)
         k = trivial_module(H)
-        q = induced_module(D.inclusion_base, k)
-        f = induced_module(D.inclusion_base, k, _free(D))
+        emb = D.inclusion_base
+        rebased_free = _free(emb, rebased(D.dual_part_basis()))
+        q = induced_module(emb, k, rebased_free)
+        f = induced_module(emb, k, _dual_free(D))
         assert q.dim == f.dim == 4
         assert verify_module(q) == [] and verify_module(f) == []
         # the hom space to a common target has the same dimension either way
@@ -178,10 +187,11 @@ class TestInducedModule:
             D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c})
         assert len(hom_space(q, triv_D)) == len(hom_space(f, triv_D))
         # on the trivial and the regular B_1-module, the free section u ox e_v
-        # sent to its quotient class [u ox e_v] is an isomorphism
+        # sent to its class [u ox e_v] in the rebased coordinates, Q_q S_f,
+        # is an isomorphism
         for V in (k, regular_module(H.algebra)):
-            q = induced_module(D.inclusion_base, V)
-            f = induced_module(D.inclusion_base, V, _free(D))
+            q = induced_module(emb, V, rebased_free)
+            f = induced_module(emb, V, _dual_free(D))
             iso = _classes(q, f.section())
             assert is_intertwiner(iso, f, q)
             assert rank(iso) == q.dim == f.dim == H.dim * V.dim
@@ -190,7 +200,7 @@ class TestInducedModule:
         A = build_bk(1).algebra
         ident = AlgebraMap(A, A, [{i: FR1} for i in range(A.dim)])
         reg = regular_module(A)
-        ind = induced_module(ident, reg)
+        ind = induced_module(ident, reg, _free(ident, [dict(A.unit)]))
         assert ind.dim == reg.dim
         f = ind.unit()
         assert rank(f) == reg.dim
@@ -232,9 +242,10 @@ _INDUCTION_PAIRS = {
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), pair=st.sampled_from(sorted(_INDUCTION_PAIRS)))
 def test_induced_module_matches_dense_oracle(data, pair):
-    """Free and quotient induction of a random B-module V (a cyclic submodule
-    of the regular module, on a random basis of it) agree with the dense
-    quotient (A ox V) / relations: pi S is an isomorphism that intertwines the
+    """Induction of a random B-module V (a cyclic submodule of the regular
+    module, on a random basis of it) on the given free basis and on its
+    rebasing agrees with the dense quotient (A ox V) / relations of
+    `induced_dense`: pi S is an isomorphism that intertwines the
     actions, pi Q = pi S Q is the class map, the unit is [1 ox v], and Q S = 1.
     V itself is checked first: B rho_V(e_b) = rho_reg(e_b) B for its basis B."""
     imap, free_basis = _INDUCTION_PAIRS[pair]
@@ -257,8 +268,8 @@ def test_induced_module_matches_dense_oracle(data, pair):
         assert _dense_mul(Bmat, densify_matrix(V.action(b))) == _dense_mul(dense_left(B, b), Bmat)
     pi = induced_dense(A.mult, A.dim, [imap.apply_basis(b) for b in range(B.dim)],
                        [densify_matrix(V.action(b)) for b in range(B.dim)])
-    free = (free_basis, free_rewrite(imap, free_basis))
-    for ind in (induced_module(imap, V), induced_module(imap, V, free)):
+    for u_basis in (free_basis, rebased(free_basis)):
+        ind = induced_module(imap, V, _free(imap, u_basis))
         assert _classes(ind, ind.section()) == SparseMatrix.identity(ind.dim)
         S = densify_matrix(ind.section())
         T = _dense_mul(pi, S)
@@ -291,7 +302,7 @@ class TestModuleMapKernel:
         H = build_bk(1)
         D = drinfeld_double(H)
         k = trivial_module(H)
-        ind = induced_module(D.inclusion_base, k)
+        ind = induced_module(D.inclusion_base, k, _dual_free(D))
         kD = module_from_character(
             D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c})
         eps_cols = []
@@ -321,7 +332,7 @@ class TestModuleMapKernel:
         H = build_bk(1)
         D = drinfeld_double(H)
         k = trivial_module(H)
-        ind = induced_module(D.inclusion_base, k)
+        ind = induced_module(D.inclusion_base, k, _dual_free(D))
         kD = module_from_character(
             D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c})
         (f,) = hom_space(ind, kD) and hom_space(ind, kD)[:1]

@@ -1,12 +1,13 @@
 import copy
+import re
 import sys
 import threading
 
 import pytest
 
-from hopfdy.algcore import hom_space, module_from_character
+from hopfdy.algcore import AlgebraError, hom_space, module_from_character
 from hopfdy.double import coeff_restriction, drinfeld_double
-from hopfdy.exactlin import FR1, SparseMatrix
+from hopfdy.exactlin import FR1, SparseMatrix, vec_kron
 from hopfdy.hopfcore import HopfAlgebra, bk_inclusion, build_bk, verify_hopf
 from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
                            adjunction_crosscheck_restriction,
@@ -15,6 +16,7 @@ from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
                            tensor_pair, trivial_module_over, verify_resolution)
 from hopfdy.rmatrix import bk_r0, check_rmatrix
 
+from freebases import rebased_pair
 from oracles import dense_column, dense_kron, dense_rank, densify_matrix
 
 
@@ -35,13 +37,9 @@ def P1(D1):
 
 @pytest.fixture(scope="module")
 def Q1(P1):
-    return quotient_pair(P1)
-
-
-def quotient_pair(pair):
-    """The same inclusion without its free basis, so induction builds
-    quotient terms."""
-    return ResolventPair(pair.big, pair.small, pair.inclusion)
+    """P1 on the rebased free basis: a rewrite table with non-unit,
+    mixed coefficients."""
+    return rebased_pair(P1)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +75,8 @@ class TestResolutions:
         assert [t.dim for t in res.terms] == [4, 12, 36]
         assert res.kernel_modules[1].dim == 3  # ker(counit) inside P_0
 
+    # "quotient": the rebased pair Q1, whose class map Q rewrites through a
+    # table with non-unit coefficients
     @pytest.mark.parametrize("use_free", [True, False], ids=["free", "quotient"])
     def test_bar_verifies(self, P1, Q1, k1, use_free):
         assert verify_resolution(get_resolution(P1 if use_free else Q1, k1, "bar", 2)) == []
@@ -116,15 +116,30 @@ class TestResolutions:
         assert res.diffs[0].matmul(res.diffs[1]).is_zero()
 
     def test_quotient_mode_matches_free_mode(self, P1, Q1, k1):
+        """The rebased pair gives the same Ext dimensions and term dimensions
+        as the dual free basis; its sections are the u'_alpha ox e_v, and its
+        rewrite table has coefficients other than 0 and +-1."""
         dims_free = relative_ext_dims(P1, k1, k1, 2, kind="bar")
         dims_quot = relative_ext_dims(Q1, k1, k1, 2, kind="bar")
         assert dims_free == dims_quot
         res_q = get_resolution(Q1, k1, "bar", 2)
-        # quotient terms: the section sends every canonical basis vector to a
-        # pair e_a ox e_v
-        assert all(list(col.values()) == [FR1] for t in res_q.terms
-                   for col in t.section().columns())
+        for t in res_q.terms:
+            nv = t.source.dim
+            assert t.section().columns() == [vec_kron(u, {v: FR1}, nv)
+                                             for u in Q1.free_basis for v in range(nv)]
         assert [t.dim for t in res_q.terms] == [4, 16, 64]
+        assert any(abs(c) not in (0, 1) for row in Q1.rewrite_table()[1] for *_, c in row)
+
+    @pytest.mark.parametrize("case", ["wrong-cardinality", "not-free"])
+    def test_pair_without_a_free_basis_raises(self, P1, k1, case):
+        """A basis of the wrong size, or of the right size with u_1 twice,
+        is refused when the first term is induced, naming the inclusion."""
+        u = P1.free_basis
+        basis = u[:-1] if case == "wrong-cardinality" else [u[0], u[1], u[1]] + u[3:]
+        pair = ResolventPair(P1.big, P1.small, P1.inclusion, basis)
+        for kind in ("bar", "cover"):
+            with pytest.raises(AlgebraError, match="^" + re.escape(P1.inclusion.name + ": ")):
+                get_resolution(pair, k1, kind, 1)
 
     def test_relatively_projective_target_truncates(self, P1, k1):
         # V = G(W) relatively projective: Ext^n(V, anything) = 0 for n >= 1
@@ -244,6 +259,7 @@ class TestExtDims:
                 assert is_intertwiner(f, res.terms[n], k1)
 
 
+# "quotient": the pair on the rebased free basis
 @pytest.mark.parametrize("use_free", [True, False], ids=["free", "quotient"])
 @pytest.mark.parametrize("kind", ["bar", "cover"])
 @pytest.mark.parametrize("k,coeff", [(1, "trivial"), (2, "trivial"), (2, "restriction")],
@@ -252,7 +268,7 @@ def test_kernel_dim_top_against_composites_on_next_term(k, coeff, kind, use_free
     """dim ker delta^n from image generators in P_n equals dim C^n minus the
     dense rank of {f o d_{n+1}} on the materialized P_{n+1}."""
     D = drinfeld_double(build_bk(k))
-    p = pair_from_double(D) if use_free else quotient_pair(pair_from_double(D))
+    p = pair_from_double(D) if use_free else rebased_pair(pair_from_double(D))
     V = trivial_module_over(D)
     W = V if coeff == "trivial" else coeff_restriction(D, bk_inclusion(1, 1),
                                                        build_bk(1)).module
