@@ -456,17 +456,21 @@ def induced_map(left: ColumnMap, P: InducedModule, f: SparseMatrix = None,
     """left (L ox f) S_P for f : V -> V' (default 1), L a matrix on A (default
     1) and `left` a map on A ox V' (flat index a * dim V' + q).  L ox f is
     never formed: S's columns u ox e_v are taken by free basis element u,
-    L u once per u, and column v of f gives the pure tensor (L u) ox f(e_v)."""
+    L u once per u, and each nonzero column v of f gives the pure tensor
+    (L u) ox f(e_v); the zero columns of f are skipped, and the entries go
+    straight into the P.dim-column result."""
     nv = P.source.dim
-    nq = nv if f is None else f.rows
-    fcols = None if f is None else f.columns()
-    cols = []
-    for u in P.free_basis:
+    f = SparseMatrix.identity(nv) if f is None else f
+    fcols: dict = {}   # the nonzero columns of f
+    for (q, v), c in f.entries.items():
+        fcols.setdefault(v, {})[q] = c
+    out = SparseMatrix(left.rows, P.dim)
+    for alpha, u in enumerate(P.free_basis):
         x = u if L is None else L.mul_vec(u)
-        for v in range(nv):
-            y = {v: FR1} if fcols is None else fcols[v]
-            cols.append(left.apply(vec_kron(x, y, nq)))
-    return SparseMatrix.from_columns(left.rows, cols)
+        for v, y in fcols.items():
+            for r, c in left.apply(vec_kron(x, y, f.rows)).items():
+                out.entries[(r, alpha * nv + v)] = c
+    return out
 
 
 def induced_module(imap: AlgebraMap, V: ModuleRep, free, name="") -> InducedModule:

@@ -135,6 +135,7 @@ class Resolution:
         self.kernel_bases: list = [None]      # cover: K_n basis vectors in P_{n-1}
         self.kernel_markers: list = [None]    # free coordinates of those bases
         self._res_small: dict = {}
+        self._generators: dict = {}   # n -> image_generators(n)
 
     @property
     def maxdeg(self) -> int:
@@ -142,6 +143,20 @@ class Resolution:
 
     def res_small(self, M: ModuleRep) -> ModuleRep:
         return _once(self._res_small, M, lambda: restrict_module(self.pair.inclusion, M))
+
+    def image_generators(self, n: int) -> SparseMatrix:
+        """G^T, row k the k-th A-module generator g_k of im d_{n+1} in P_n,
+        built once per degree: the K_{n+1} basis (cover), or the images
+        d_{n+1}[1 ox p] = [1 ox d_n(p)] + (-1)^{n+1} p, one per basis vector
+        p of P_n, since the [1 ox p] generate P_{n+1} = Ind(Res P_n) (bar)."""
+        def build():
+            if self.kind == "cover":
+                return SparseMatrix.from_columns(self.terms[n].dim,
+                                                 self.kernel_bases[n + 1]).transpose()
+            one = SparseMatrix.identity(self.terms[n].dim)   # eta d_n + (-1)^{n+1}
+            return self.terms[n].unit().matmul(self.diffs[n]).add(
+                one if n % 2 else one.scale(-FR1)).transpose()
+        return _once(self._generators, n, build)
 
     def homotopies(self) -> list:
         """B-linear maps [h_{-1}, h_0, ..., h_{maxdeg-1}] with d h + h d = id,
@@ -295,7 +310,9 @@ class ExtComputation:
 
     def cochain_basis(self, n: int) -> list:
         """Basis of Hom_A(P_n, W) as full W.dim x P_n.dim matrices: the
-        A-linear extensions E_W (1 ox g) S of the mates g : X_n -> Res W."""
+        A-linear extensions E_W (1 ox g) S of the mates g : X_n -> Res W.
+        The bases stay with this computation, not with the resolution:
+        keyed by W there, they would outlive every query that used them."""
         def build():
             left, term = evaluation(self.W), self.res.terms[n]
             return [induced_map(left, term, f=g)
@@ -306,36 +323,18 @@ class ExtComputation:
         """dim ker delta^n, at every degree and for both resolution kinds.
 
         f in Hom_A(P_n, W) is a cocycle iff it vanishes on im d_{n+1}, and
-        being A-linear it does so iff it vanishes on A-module generators of
-        im d_{n+1} inside P_n, so P_{n+1} is never needed:
-          cover: the K_{n+1} basis;
-          bar:   d_{n+1}[1 ox p] = [1 ox d_n(p)] + (-1)^{n+1} p, one per
-                 basis vector p of P_n, since the [1 ox p] generate
-                 P_{n+1} = Ind(Res P_n).
+        being A-linear it does so iff it vanishes on the A-module generators
+        g_k of im d_{n+1} inside P_n (`Resolution.image_generators`), so
+        P_{n+1} is never needed.  Each cochain is evaluated by walking its
+        nonzeros: the (k, w) entry of G^T f^T is f(g_k)_w.
         """
         basis = self.cochain_basis(n)
         if not basis:
             return 0
-        gens = self._image_generators(n)
-        nw = self.W.dim
-        vecs = []
-        for f in basis:
-            vec = {}
-            for k, g in enumerate(gens):
-                for w, c in f.mul_vec(g).items():
-                    vec[k * nw + w] = c
-            vecs.append(vec)
-        return len(basis) - rank_of_vectors(vecs, len(gens) * nw)
-
-    def _image_generators(self, n: int) -> list:
-        """A-module generators of im d_{n+1} as vectors in P_n."""
-        res = self.res
-        if res.kind == "cover":
-            return res.kernel_bases[n + 1]
-        # eta d_n + (-1)^{n+1} on P_n
-        one = SparseMatrix.identity(res.terms[n].dim)
-        return res.terms[n].unit().matmul(res.diffs[n]).add(
-            one if (n + 1) % 2 == 0 else one.scale(-FR1)).columns()
+        gt, nw = self.res.image_generators(n), self.W.dim
+        vecs = [{k * nw + w: c for (k, w), c in gt.matmul(f.transpose()).entries.items()}
+                for f in basis]
+        return len(basis) - rank_of_vectors(vecs, gt.rows * nw)
 
     def rank_delta(self, n: int) -> int:
         """rank of delta^n : C^n -> C^{n+1}."""

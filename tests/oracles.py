@@ -83,6 +83,20 @@ def intertwiner_basis_dense(act_m, act_n):
     return out
 
 
+def cocycle_count_dense(cochains, generators):
+    """How many of the cochains, independently, vanish on every generator.
+
+    Each cochain is a dense matrix (rows over W, columns over P) and each
+    generator a dense vector over P.  Row f of the evaluation matrix is
+    (f(g_0), f(g_1), ...); the count is the number of cochains minus its
+    rank."""
+    supports = [[(p, x) for p, x in enumerate(g) if x] for g in generators]
+    rows = [[sum((frow[p] * x for p, x in support), Fraction(0))
+             for support in supports for frow in f]
+            for f in cochains]
+    return len(cochains) - dense_rank(rows)
+
+
 def induced_dense(mult, adim, incl_cols, v_actions):
     """Class coordinates of A ox_B V = (A ox V) / span{(a i(b)) ox v - a ox (b.v)}.
 

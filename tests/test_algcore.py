@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfdy.algcore import (Algebra, AlgebraError, AlgebraMap, ModuleRep, check_elements,
-                            check_generators_span, free_rewrite, hom_space, induced_module,
+                            check_generators_span, evaluation, free_rewrite, hom_space,
+                            induced_map, induced_module,
                             is_intertwiner, left_span, module_from_character, module_map_kernel,
                             regular_module, submodule_on_basis, tensor_algebra,
                             tensor_module, verify_algebra, verify_module)
@@ -282,6 +283,44 @@ def test_induced_module_matches_dense_oracle(data, pair):
         for a in range(A.dim):
             assert (_dense_mul(T, densify_matrix(ind.action(a)))
                     == _dense_mul(pi, _left_mult_dense(A, a, S, nv)))
+
+
+@pytest.mark.parametrize("pair", sorted(_INDUCTION_PAIRS))
+def test_induced_map_matches_dense_oracle(pair):
+    """induced_map(left, P, f, L) = left (L ox f) S for an f whose columns 1
+    and last are zero and a matrix L on A that is no multiplication.  With
+    left = Q of P = Ind V (f : V -> V), read through the dense quotient pi
+    of `induced_dense`: T M = pi (L ox f) S for T = pi S.  With left = E_A,
+    the evaluation of the regular A-module (f : V -> A), read from A's
+    structure constants.  Either result keeps all P.dim columns."""
+    imap, free_basis = _INDUCTION_PAIRS[pair]
+    A, B = imap.target, imap.source
+    V = regular_module(B)
+    nv = V.dim
+    L = SparseMatrix(A.dim, A.dim, {(i, j): Fraction((3 * i + 5 * j) % 7 - 3)
+                                    for i in range(A.dim) for j in range(A.dim)})
+    dL = densify_matrix(L)
+
+    def with_zero_columns(rows):
+        return SparseMatrix(rows, nv, {(i, j): Fraction(i + j + 1) * (-1) ** i
+                                       for i in range(rows) for j in range(nv)
+                                       if j not in (1, nv - 1)})
+
+    E = [[A.mult.get((a, m), {}).get(k, 0) for a in range(A.dim) for m in range(A.dim)]
+         for k in range(A.dim)]
+    pi = induced_dense(A.mult, A.dim, [imap.apply_basis(b) for b in range(B.dim)],
+                       [densify_matrix(V.action(b)) for b in range(B.dim)])
+    for u_basis in (free_basis, rebased(free_basis)):
+        P = induced_module(imap, V, _free(imap, u_basis))
+        S = densify_matrix(P.section())
+        f = with_zero_columns(nv)
+        M = induced_map(P.classes, P, f=f, L=L)
+        lhs = _dense_mul(_dense_mul(pi, S), densify_matrix(M))
+        assert lhs == _dense_mul(pi, _dense_mul(dense_kron(dL, densify_matrix(f)), S))
+        f = with_zero_columns(A.dim)
+        M = induced_map(evaluation(regular_module(A)), P, f=f, L=L)
+        assert densify_matrix(M) == _dense_mul(E, _dense_mul(dense_kron(dL, densify_matrix(f)),
+                                                             S))
 
 
 class TestModuleMapKernel:

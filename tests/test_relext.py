@@ -5,9 +5,10 @@ import threading
 
 import pytest
 
-from hopfdy.algcore import AlgebraError, hom_space, module_from_character
+from hopfdy.algcore import (Algebra, AlgebraError, AlgebraMap, hom_space,
+                            module_from_character)
 from hopfdy.double import coeff_restriction, drinfeld_double
-from hopfdy.exactlin import FR1, SparseMatrix, vec_kron
+from hopfdy.exactlin import FR1, SparseMatrix, TensorElement, vec_kron
 from hopfdy.hopfcore import HopfAlgebra, bk_inclusion, build_bk, verify_hopf
 from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
                            adjunction_crosscheck_restriction,
@@ -17,7 +18,8 @@ from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
 from hopfdy.rmatrix import bk_r0, check_rmatrix
 
 from freebases import rebased_pair
-from oracles import dense_column, dense_kron, dense_rank, densify_matrix
+from oracles import (cocycle_count_dense, dense_column, dense_kron, dense_rank,
+                     densify_matrix)
 
 
 def trivial_over(D):
@@ -177,23 +179,35 @@ def test_get_resolution_is_thread_safe(P1, k1):
         sys.setswitchinterval(interval)
 
 
-def test_owner_caches_publish_write_once(tmp_path):
+def test_owner_caches_publish_write_once(tmp_path, monkeypatch):
     """Two threads that fill the caches of one freshly loaded bk:1 at the
-    same time get the very same objects from every call."""
-    from hopfdy.algcore import AlgebraMap
+    same time get the very same objects from every call.  Each thread also
+    runs kernel_dim_top on one fresh bar resolution through its own
+    ExtComputation, and both must read the same image generators."""
     from hopfdy.hopffile import load_hopf, save_hopf
+    from hopfdy.relext import Resolution
 
     path = str(tmp_path / "bk1.json")
     save_hopf(build_bk(1), path)
+    read = {}   # thread -> the generators its kernel_dim_top read
+    image_generators = Resolution.image_generators
+
+    def spy(res, n):
+        read[threading.get_ident()] = gens = image_generators(res, n)
+        return gens
+
+    monkeypatch.setattr(Resolution, "image_generators", spy)
 
     def calls(H, ident, Hv, ext):
+        ExtComputation(ext.res, ext.W).kernel_dim_top(1)
         D = drinfeld_double(H)
         p = pair_from_double(D)
         W = coeff_restriction(D, ident, H).module
         assert verify_hopf(Hv) == []
         return (D, p, trivial_module_over(D), tensor_pair(p, p), W,
                 W.action(1), H.algebra.fast_mult(), D.algebra.left_mult_matrix(1),
-                Hv._cache["report"], p.rewrite_table()[1], ext.cochain_basis(1))
+                Hv._cache["report"], p.rewrite_table()[1], ext.cochain_basis(1),
+                read[threading.get_ident()])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -282,6 +296,43 @@ def test_kernel_dim_top_against_composites_on_next_term(k, coeff, kind, use_free
         assert ext.kernel_dim_top(n) == len(ext.cochain_basis(n)) - rk
 
 
+def _restriction_coefficients(D, k):
+    """Hom_K(H, k) over D(B_k): K = B_1 inside B_2, and K = k inside B_1,
+    where it is the whole dual H*."""
+    if k == 2:
+        return coeff_restriction(D, bk_inclusion(1, 1), build_bk(1)).module
+    H = D.base
+    scalars = Algebra(1, ["1"], {(0, 0): {0: FR1}}, {0: FR1})
+    kh = HopfAlgebra(scalars, [TensorElement(scalars, 2, {(0, 0): FR1})], [FR1],
+                     SparseMatrix.identity(1))
+    emb = AlgebraMap(scalars, H.algebra, [dict(H.algebra.unit)])
+    return coeff_restriction(D, emb, kh).module
+
+
+@pytest.mark.parametrize("kind", ["bar", "cover"])
+@pytest.mark.parametrize("coeff", ["trivial", "restriction"])
+@pytest.mark.parametrize("k,top", [(1, 3), (2, 2)], ids=["B1", "B2"])
+def test_kernel_dim_top_matches_dense_cocycle_count(k, top, coeff, kind):
+    """kernel_dim_top(n) equals the dense count of cochains that vanish on
+    the generators d_{n+1} eta_{n+1}(p) = d_{n+1}[1 ox p] of im d_{n+1},
+    one per basis vector p of the source of P_{n+1}, read from the next
+    term (for the cover eps eta = 1, so they are the K_{n+1} basis).
+    The resolution's own generators, built without P_{n+1}, must be these
+    in this order: the count alone cannot see a dropped generator when the
+    others still generate im d_{n+1} as an A-module."""
+    D = drinfeld_double(build_bk(k))
+    V = trivial_module_over(D)
+    W = V if coeff == "trivial" else _restriction_coefficients(D, k)
+    res = get_resolution(pair_from_double(D), V, kind, top + 1)
+    ext = ExtComputation(res, W)
+    for n in range(top + 1):
+        gens = res.diffs[n + 1].matmul(res.terms[n + 1].unit())
+        assert res.image_generators(n) == gens.transpose()
+        dense_gens = [list(col) for col in zip(*densify_matrix(gens))]
+        cochains = [densify_matrix(f) for f in ext.cochain_basis(n)]
+        assert ext.kernel_dim_top(n) == cocycle_count_dense(cochains, dense_gens)
+
+
 class TestCrosschecks:
     def test_adjunction_tensor_b1(self, D1):
         H = D1.base
@@ -305,7 +356,6 @@ class TestCrosschecks:
             assert out["equal"] and out["dy_dim"] == want
 
     def test_restriction_identity_pair_reduces_to_identity_complex(self, D1):
-        from hopfdy.algcore import AlgebraMap
         H = D1.base
         ident = AlgebraMap(H.algebra, H.algebra, [{i: FR1} for i in range(H.dim)])
         out = adjunction_crosscheck_restriction(D1, ident, H, 2)
