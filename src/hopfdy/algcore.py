@@ -38,7 +38,8 @@ class Algebra:
         self.unit = {i: fr(c) for i, c in unit.items() if fr(c)}
         self.generators = generators
         self.name = name or "algebra(dim=%d)" % dim
-        # "fast_mult", "gen_span_ok" and ("left_mult", i), filled by `_once`
+        # "fast_mult", "gen_span_ok", ("left_mult", i) and ("right_mult", i),
+        # filled by `_once`
         self._cache: dict = {}
 
     def mul_basis(self, i: int, j: int) -> dict:
@@ -69,14 +70,14 @@ class Algebra:
         return out
 
     def left_mult_matrix(self, i: int) -> SparseMatrix:
-        """Matrix of x -> e_i * x."""
-        def build():
-            ent = {}
-            for j in range(self.dim):
-                for k, c in self.mul_basis(i, j).items():
-                    ent[(k, j)] = c
-            return SparseMatrix(self.dim, self.dim, ent)
-        return _once(self._cache, ("left_mult", i), build)
+        """L_i, the matrix of x -> e_i * x."""
+        return _once(self._cache, ("left_mult", i), lambda: SparseMatrix.from_columns(
+            self.dim, [self.mul_basis(i, j) for j in range(self.dim)]))
+
+    def right_mult_matrix(self, i: int) -> SparseMatrix:
+        """R_i, the matrix of x -> x * e_i."""
+        return _once(self._cache, ("right_mult", i), lambda: SparseMatrix.from_columns(
+            self.dim, [self.mul_basis(j, i) for j in range(self.dim)]))
 
     def label_of(self, i: int) -> str:
         return self.labels[i]
@@ -247,13 +248,21 @@ def verify_module(M: ModuleRep) -> list:
 
 
 def _act_matrix(M: ModuleRep, a: dict) -> SparseMatrix:
-    """rho(a): the cached action of a basis element, else one summing pass."""
+    """rho(a) = sum a_i rho(e_i)."""
+    return matrix_sum(M.action, a, M.dim)
+
+
+def matrix_sum(matrix_of, a: dict, n: int) -> SparseMatrix:
+    """sum a_i matrix_of(i), n x n: the matrix of an element under a linear
+    map given on the basis (a module's action, `Algebra.left_mult_matrix`
+    or `right_mult_matrix`); the cached matrix of a basis element, else one
+    summing pass."""
     if len(a) == 1 and next(iter(a.values())) == 1:
-        return M.action(next(iter(a)))
+        return matrix_of(next(iter(a)))
     ent: dict = {}
     for i, c in a.items():
-        vec_addmul(ent, M.action(i).entries, c)
-    return SparseMatrix(M.dim, M.dim, ent)
+        vec_addmul(ent, matrix_of(i).entries, c)
+    return SparseMatrix(n, n, ent)
 
 
 def module_from_character(A: Algebra, chi: dict, name="") -> ModuleRep:

@@ -339,8 +339,7 @@ def cmd_crosscheck(args) -> int:
         if not rm.verified:
             raise CliError("R-matrix fails axioms", EXIT_INVALID_RMATRIX)
         D = drinfeld_double(H)
-        out = adjunction_crosscheck_tensor(D, R, rm.inverse, args.degree,
-                                           kind=args.resolution)
+        out = adjunction_crosscheck_tensor(D, R, args.degree, kind=args.resolution)
         rep["results"] = out
         return emit(args, rep, EXIT_OK if out["equal"] else 1)
     if args.which == "adjunction-res":
@@ -371,8 +370,7 @@ def cmd_crosscheck(args) -> int:
 def cmd_catalog(args) -> int:
     rep = {"command": "catalog", "results": {
         "keys": ["cyclic:n (group algebra QQ[Z/n])",
-                 "bk:k (Lambda(QQ^k) x| QQ[Z/2], dim 2^{k+1})",
-                 "cplus:k / cminus:k (D(B_k)-modules C_+/C_-)"],
+                 "bk:k (Lambda(QQ^k) x| QQ[Z/2], dim 2^{k+1})"],
         "flags": ["--r0", "--trivial-r", "--lambda FILE", "--rmatrix FILE",
                   "--sub KEY", "--degree N", "--resolution bar|cover",
                   "--json-out PATH", "--max-seconds N"]}}

@@ -1,32 +1,32 @@
 """Drinfeld double D(H) = (H*)^op ox H and the attached coefficient modules.
 
 The double's basis is the set of pairs phi^i h_j, ordered dual-major
-(flat = i*dim(H) + j).  Products are computed from the straightening
-relation
+(flat = i*dim(H) + j).  Products come from the straightening relation
 
     h phi = (h(3) |> phi <| S(h(1))) h(2)
 
-with the coregular actions (h |> f)(x) = f(x h), (f <| h)(x) = f(h x).
+with the coregular actions (h |> f)(x) = f(x h), (f <| h)(x) = f(h x),
+which on dual coordinates are R_h^T and L_h^T, the transposed right and
+left multiplication matrices of H.  Every Hopf-side action here is a
+product of such matrices: the left multiplications of D(H), the tensor
+and restriction coefficient modules and the l+/l- maps.
 The coproduct is Delta(phi h) = phi(1) h(1) ox phi(2) h(2) where
 phi(1)(x) phi(2)(y) = phi(xy).  The antipode is S(phi h) = S(h) S(phi),
 the product of the images of the antipodes of H and (H*)^op under the two
 embeddings; `verify_hopf` checks both antipode axioms on every basis
 element, and antipodes are unique, so the check is a proof.  Only the
 untwisted setting is supported: coefficient modules for restriction
-functors insist on J = 1 ox 1.
+functors use J = 1 ox 1.
 """
 
 from __future__ import annotations
 
 from .algcore import (Algebra, AlgebraMap, ModuleRep, _act_matrix, check_elements,
-                      left_span, submodule_on_basis, verify_module)
+                      left_span, matrix_sum, submodule_on_basis, verify_module)
 from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, kernel_basis,
                        kron_into, vec_addmul, vec_kron)
 from .hopfcore import HopfAlgebra, HopfError, bk_dual_generators, dual_hopf, verify_hopf
-
-
-class TwistNotSupportedError(HopfError):
-    """Raised for Drinfeld twists other than 1 ox 1."""
+from .rmatrix import RMatrixError, check_rmatrix
 
 
 class DoubleAlgebra:
@@ -80,67 +80,14 @@ def _double_build(H: HopfAlgebra) -> DoubleAlgebra:
     dual = dual_hopf(H, opposite_product=True)
     H.antipode_inverse()  # force existence; S of a f.d. Hopf algebra is bijective
 
-    # Delta^{(2)} of every basis element of H, as (a, b, c) -> coeff
-    delta2 = [H.delta_power({j: FR1}, 3) for j in range(n)]
-
-    # straighten[j][k] = h_j phi^k expanded as {(m_dual, b_h): coeff}
-    # using (h(3) |> phi^k <| S(h(1)))(e_m) = phi^k(S(h(1)) e_m h(3))
-    straighten = [dict() for _ in range(n)]
-    for j in range(n):
-        acc: dict = {}
-        for (a, b, c), coef in delta2[j].coeffs.items():
-            sa = H.antipode_vec({a: FR1})
-            for m in range(n):
-                right = H.mul_basis(m, c)
-                if not right:
-                    continue
-                vec: dict = {}
-                for p, cp in right.items():
-                    for i, ci in sa.items():
-                        vec_addmul(vec, H.mul_basis(i, p), ci * cp)
-                for kk, ck in vec.items():
-                    key = (kk, m, b)
-                    acc[key] = acc.get(key, FR0) + coef * ck
-        byk: dict = {}
-        for (kk, m, b), v in acc.items():
-            if v:
-                byk.setdefault(kk, []).append((m, b, v))
-        straighten[j] = byk
-
-    dim = n * n
-    labels = []
-    for i in range(n):
-        for j in range(n):
-            labels.append("%s.%s" % (dual.algebra.labels[i], H.algebra.labels[j]))
-    mult = {}
-    dual_mult = dual.algebra.mult
-    h_mult = H.algebra.mult
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                terms = straighten[j].get(k)
-                if not terms:
-                    continue
-                for l in range(n):
-                    # (phi^i h_j)(phi^k h_l) = phi^i (h_j phi^k) h_l
-                    acc: dict = {}
-                    for (m, b, c) in terms:
-                        dprod = dual_mult.get((i, m))
-                        if not dprod:
-                            continue
-                        hprod = h_mult.get((b, l))
-                        if not hprod:
-                            continue
-                        vec_addmul(acc, vec_kron(dprod, hprod, n), c)
-                    if acc:
-                        mult[(i * n + j, k * n + l)] = acc
+    labels = ["%s.%s" % (di, hj) for di in dual.algebra.labels for hj in H.algebra.labels]
     eps, one = dual.algebra.unit, H.algebra.unit
     gens = None
     if H.dual_generator_hint is not None and H.algebra.generators is not None:
         gens = ([vec_kron(g, one, n) for g in H.dual_generator_hint]
                 + [vec_kron(eps, g, n) for g in H.algebra.generators])
-    DAlg = Algebra(dim, labels, mult, vec_kron(eps, one, n), generators=gens,
-                   name="D(%s)" % H.name)
+    DAlg = Algebra(n * n, labels, _double_mult(H, dual), vec_kron(eps, one, n),
+                   generators=gens, name="D(%s)" % H.name)
 
     # Delta_D(phi^i h_j) = Delta(phi^i) Delta(h_j) = sum m_{ab}^i Delta(h_j)_{(c,d)}
     # (phi^a h_c) ox (phi^b h_d): the two coproducts taken as matrices, tensored
@@ -155,8 +102,8 @@ def _double_build(H: HopfAlgebra) -> DoubleAlgebra:
     # S is an anti-algebra map and both embeddings are bialgebra maps
     s_base = [incl_base.apply(H.antipode_vec({j: FR1})) for j in range(n)]
     s_dual = [incl_dual.apply(dual.antipode_vec({i: FR1})) for i in range(n)]
-    antipode = SparseMatrix.from_columns(dim, [DAlg.mul_vec(s_base[j], s_dual[i])
-                                               for i in range(n) for j in range(n)])
+    antipode = SparseMatrix.from_columns(n * n, [DAlg.mul_vec(s_base[j], s_dual[i])
+                                                 for i in range(n) for j in range(n)])
     Dhopf = HopfAlgebra(DAlg, comult, counit, antipode, name=DAlg.name)
     D = DoubleAlgebra(Dhopf, H, dual, incl_base, incl_dual)
     rep = verify_hopf(Dhopf)
@@ -167,6 +114,34 @@ def _double_build(H: HopfAlgebra) -> DoubleAlgebra:
         if rep:
             raise HopfError("embedding %s fails: %s" % (emb.name, rep[:3]))
     return D
+
+
+def _double_mult(H: HopfAlgebra, dual: HopfAlgebra) -> dict:
+    """Structure constants of D(H), read from the left multiplications
+
+        L_{phi^i h_j} = (L*_i ox 1) M_j,
+        M_j = sum_{(a,b,c) in Delta^(2)(h_j)} c (L_{S(e_a)} R_{e_c})^T ox L_{e_b},
+
+    with L* the multiplication of (H*)^op.  M_j is the straightening
+    h_j phi^k = sum phi^m h_b: the coefficient of phi^m in
+    h(3) |> phi^k <| S(h(1)) is phi^k(S(h(1)) e_m h(3)) = (L_{S(e_a)} R_{e_c})[k, m].
+    """
+    n, A = H.dim, H.algebra
+    left_s = [matrix_sum(A.left_mult_matrix, H.antipode_vec({a: FR1}), n) for a in range(n)]
+    one = SparseMatrix.identity(n)
+    mult: dict = {}
+    for j in range(n):
+        ent: dict = {}
+        for (a, b, c), coef in H.delta_power({j: FR1}, 3).coeffs.items():
+            kron_into(ent, left_s[a].matmul(A.right_mult_matrix(c)).transpose(),
+                      A.left_mult_matrix(b), scale=coef)
+        straighten = SparseMatrix(n * n, n * n, ent)
+        for i in range(n):
+            dual_left = SparseMatrix(n * n, n * n,
+                                     kron_into({}, dual.algebra.left_mult_matrix(i), one))
+            for (r, col), c in dual_left.matmul(straighten).entries.items():
+                mult.setdefault((i * n + j, col), {})[r] = c
+    return mult
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +157,26 @@ def ell_minus(Rinv: TensorElement, beta: dict) -> dict:
     return {b: c for (b,), c in Rinv.contract_at(0, beta).coeffs.items()}
 
 
-def ell_maps(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement):
-    """The algebra maps D(H) -> H, phi h -> l+(phi) h and phi h -> l-(phi) h."""
+def ell_maps(D: DoubleAlgebra, R: TensorElement):
+    """The algebra maps D(H) -> H, phi h -> l+(phi) h and phi h -> l-(phi) h.
+
+    R^{-1} is the inverse that `check_rmatrix` certifies; an unverified R
+    raises RMatrixError.  The images of phi^i h_j, j = 0..dim H - 1, are
+    the columns of L_{l(phi^i)}.
+    """
     H = D.base
-    n = H.dim
-    plus_cols = []
-    minus_cols = []
-    for flat in range(D.dim):
-        i, j = D.split_index(flat)
-        lp = ell_plus(R, {i: FR1})
-        lm = ell_minus(Rinv, {i: FR1})
-        plus_cols.append(H.mul_vec(lp, {j: FR1}))
-        minus_cols.append(H.mul_vec(lm, {j: FR1}))
-    pi_plus = AlgebraMap(D.algebra, H.algebra, plus_cols, name="ell+(D->H)")
-    pi_minus = AlgebraMap(D.algebra, H.algebra, minus_cols, name="ell-(D->H)")
-    return pi_plus, pi_minus
+    rep = check_rmatrix(H, R)
+    if not rep.verified:
+        raise RMatrixError("ell maps need a verified R-matrix: %s" % rep.witnesses[:3])
+    n, A = H.dim, H.algebra
+
+    def as_map(ell, name):
+        return AlgebraMap(D.algebra, A, [
+            col for i in range(n)
+            for col in matrix_sum(A.left_mult_matrix, ell({i: FR1}), n).columns()], name=name)
+
+    return (as_map(lambda a: ell_plus(R, a), "ell+(D->H)"),
+            as_map(lambda b: ell_minus(rep.inverse, b), "ell-(D->H)"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,44 +193,30 @@ class CoefficientModule:
         return "CoefficientModule(%s, dim=%d)" % (self.provenance, self.module.dim)
 
 
-def coeff_tensor_product(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement,
-                         E: Algebra) -> CoefficientModule:
+def coeff_tensor_product(D: DoubleAlgebra, R: TensorElement, E: Algebra) -> CoefficientModule:
     """H* as a module over E = D(H) ox D(H):
 
-        (alpha a ox beta b) . psi = l-(beta) b |> psi <| S(l+(alpha) a).
+        (alpha a ox beta b) . psi = l-(beta) b |> psi <| S(l+(alpha) a),
+
+    that is psi -> psi(v . u) with v = S(l+(alpha) a), u = l-(beta) b: the
+    matrix (L_v R_u)^T.
     """
     return _once(D._cache, ("tensor", E, tuple(sorted(R.flat().items()))),
-                 lambda: _coeff_tensor_build(D, R, Rinv, E))
+                 lambda: _coeff_tensor_build(D, R, E))
 
 
-def _coeff_tensor_build(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement,
-                        E: Algebra) -> CoefficientModule:
+def _coeff_tensor_build(D: DoubleAlgebra, R: TensorElement, E: Algebra) -> CoefficientModule:
     H = D.base
-    n = H.dim
-    nd = D.dim
+    n, nd, A = H.dim, D.dim, H.algebra
     assert E.dim == nd * nd
-
-    # precompute, per D-basis element, the H-elements l+(phi)h and l-(phi)h
-    pi_plus, pi_minus = ell_maps(D, R, Rinv)
-    s_plus = [H.antipode_vec(pi_plus.apply_basis(t)) for t in range(nd)]
-    m_minus = [pi_minus.apply_basis(t) for t in range(nd)]
+    pi_plus, pi_minus = ell_maps(D, R)
+    lefts = [matrix_sum(A.left_mult_matrix, H.antipode_vec(pi_plus.apply_basis(t)), n)
+             for t in range(nd)]
+    rights = [matrix_sum(A.right_mult_matrix, pi_minus.apply_basis(t), n) for t in range(nd)]
 
     def action(flat):
         t1, t2 = divmod(flat, nd)
-        u = m_minus[t2]       # acts by |>
-        v = s_plus[t1]        # acts by <|
-        ent = {}
-        # new psi'_m = (u |> psi <| v)(e_m) = psi(v e_m u) = sum_r [v e_m u]_r psi_r
-        for m in range(n):
-            vec: dict = {}
-            for i, ci in v.items():
-                mid = H.mul_basis(i, m)
-                for p, cp in mid.items():
-                    for j, cj in u.items():
-                        vec_addmul(vec, H.mul_basis(p, j), ci * cp * cj)
-            for r, c in vec.items():
-                ent[(m, r)] = c
-        return SparseMatrix(n, n, ent)
+        return lefts[t1].matmul(rights[t2]).transpose()
 
     mod = ModuleRep(E, n, action_fn=action, name="H*-coeff(ox)")
     rep = verify_module(mod)
@@ -259,19 +225,14 @@ def _coeff_tensor_build(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement,
     return CoefficientModule(mod, "tensor_product_coeff")
 
 
-def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra,
-                      twist=None) -> CoefficientModule:
+def coeff_restriction(D: DoubleAlgebra, imap: AlgebraMap, Hs: HopfAlgebra) -> CoefficientModule:
     """Hom_K(H, k) = {f in H*: f <| i(k) = eps(k) f} as a D(H)-module:
 
         <(phi h).f, x> = phi(S(x(1)) x(3)) f(x(2) h).
 
-    Only the trivial twist is supported; the Hopf-inclusion property of
-    `imap` is verified.
+    Only the trivial twist J = 1 ox 1 is implemented; the Hopf-inclusion
+    property of `imap` is verified.
     """
-    if twist is not None:
-        H = D.base
-        if twist != _unit_twist(H):
-            raise TwistNotSupportedError("only the trivial twist 1 ox 1 is supported")
     return _once(D._cache, ("restriction", imap), lambda: _coeff_restriction_build(D, imap, Hs))
 
 
@@ -279,7 +240,7 @@ def _coeff_restriction_build(D: DoubleAlgebra, imap: AlgebraMap,
                              Hs: HopfAlgebra) -> CoefficientModule:
     from .hopfcore import is_hopf_map
     H = D.base
-    n = H.dim
+    n, A = H.dim, H.algebra
     rep = is_hopf_map(imap, Hs, H)
     if rep:
         raise HopfError("restriction inclusion is not a Hopf map: %s" % rep[:3])
@@ -293,47 +254,30 @@ def _coeff_restriction_build(D: DoubleAlgebra, imap: AlgebraMap,
         for m in range(n):
             rows.append(vec_addmul(H.mul_vec(ik, {m: FR1}), {m: FR1}, -epsk))
     basis = kernel_basis(rows, n)
-    delta2 = [H.delta_power({m: FR1}, 3) for m in range(n)]
 
-    def act_row(flat, f):
-        """(phi^i h_j) . f evaluated as a new functional on H."""
+    # phi^i h_j acts on H* by T_i R_{h_j}^T: f -> f(- h_j), then
+    # T_i[m, b] = sum_{(a,b,c) in Delta^(2)(e_m)} c [S(e_a) e_c]_i
+    tabs = [dict() for _ in range(n)]
+    for m in range(n):
+        for (a, b, c), coef in H.delta_power({m: FR1}, 3).coeffs.items():
+            for i, x in A.right_mult_matrix(c).mul_vec(H.antipode_vec({a: FR1})).items():
+                tabs[i][(m, b)] = tabs[i].get((m, b), FR0) + coef * x
+    T = [SparseMatrix(n, n, t) for t in tabs]
+
+    def action(flat):
         i, j = D.split_index(flat)
-        out: dict = {}
-        for m in range(n):
-            s = FR0
-            for (a, b, c), coef in delta2[m].coeffs.items():
-                # phi^i(S(e_a) e_c) f(e_b h_j)
-                sa = H.antipode_vec({a: FR1})
-                w: dict = {}
-                for p, cp in sa.items():
-                    vec_addmul(w, H.mul_basis(p, c), cp)
-                phi_val = w.get(i)
-                if not phi_val:
-                    continue
-                fv = FR0
-                for q, cq in H.mul_basis(b, j).items():
-                    fq = f.get(q)
-                    if fq is not None:
-                        fv += cq * fq
-                s += coef * phi_val * fv
-            if s:
-                out[m] = s
-        return out
+        return T[i].matmul(A.right_mult_matrix(j).transpose())
 
-    mod = submodule_on_basis(D.algebra, basis, act_row, name="Hom_K(H,k)")
+    hstar = ModuleRep(D.algebra, n, action_fn=action, name="H*")
+    mod = submodule_on_basis(D.algebra, basis, hstar.act_basis, name="Hom_K(H,k)")
     rep = verify_module(mod)
     if rep:
         raise HopfError("restriction coefficient module fails axioms: %s" % rep[:3])
     return CoefficientModule(mod, "restriction_coeff")
 
 
-def _unit_twist(H: HopfAlgebra) -> TensorElement:
-    from .exactlin import unit_tensor
-    return unit_tensor(H.algebra, 2)
-
-
-def center_module_from_rmatrix(D: DoubleAlgebra, R: TensorElement, Rinv: TensorElement,
-                               M: ModuleRep, variant: str) -> ModuleRep:
+def center_module_from_rmatrix(D: DoubleAlgebra, R: TensorElement, M: ModuleRep,
+                               variant: str) -> ModuleRep:
     """Promote an H-module to a D(H)-module along an R-matrix.
 
     variant "braiding":         pullback along phi h -> l+(phi) h
@@ -343,7 +287,7 @@ def center_module_from_rmatrix(D: DoubleAlgebra, R: TensorElement, Rinv: TensorE
     H = D.base
     if M.algebra is not H.algebra:
         raise HopfError("module is not over the base Hopf algebra")
-    pi_plus, pi_minus = ell_maps(D, R, Rinv)
+    pi_plus, pi_minus = ell_maps(D, R)
     if variant == "braiding":
         pi = pi_plus
     elif variant == "inverse_braiding":

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algcore import (Algebra, AlgebraMap, ModuleRep, check_elements, module_from_character,
-                      verify_algebra)
+from .algcore import (Algebra, AlgebraMap, ModuleRep, check_elements, matrix_sum,
+                      module_from_character, verify_algebra)
 from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, fr, kron_into,
                        unit_tensor, vec_eq)
 
@@ -144,35 +144,13 @@ def apply_antipode_at(H: HopfAlgebra, u: TensorElement, slot: int) -> TensorElem
 
 
 def coreg_left(H: HopfAlgebra, h: dict, f: dict) -> dict:
-    """h |> f with (h |> f)(h') = f(h' h); f is a dual row {index: coeff}."""
-    out: dict = {}
-    for j in range(H.dim):
-        s = FR0
-        for i, ci in h.items():
-            prod = H.mul_basis(j, i)
-            for m, cm in prod.items():
-                fm = f.get(m)
-                if fm is not None:
-                    s += ci * cm * fm
-        if s:
-            out[j] = s
-    return out
+    """h |> f with (h |> f)(h') = f(h' h): R_h^T f, f a dual row {index: coeff}."""
+    return matrix_sum(H.algebra.right_mult_matrix, h, H.dim).transpose().mul_vec(f)
 
 
 def coreg_right(H: HopfAlgebra, f: dict, h: dict) -> dict:
-    """f <| h with (f <| h)(h') = f(h h')."""
-    out: dict = {}
-    for j in range(H.dim):
-        s = FR0
-        for i, ci in h.items():
-            prod = H.mul_basis(i, j)
-            for m, cm in prod.items():
-                fm = f.get(m)
-                if fm is not None:
-                    s += ci * cm * fm
-        if s:
-            out[j] = s
-    return out
+    """f <| h with (f <| h)(h') = f(h h'): L_h^T f."""
+    return matrix_sum(H.algebra.left_mult_matrix, h, H.dim).transpose().mul_vec(f)
 
 
 def verify_hopf(H: HopfAlgebra) -> list:
@@ -445,40 +423,20 @@ def bk_dual_generators(k: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# catalog keys: "cyclic:n", "bk:k" (Hopf algebras), "cplus:k", "cminus:k"
-# (D(B_k)-modules)
-
-def _catalog_key(key: str):
-    """(family, integer parameter) of a catalog key such as "bk:2"."""
-    fam, _, arg = key.partition(":")
-    try:
-        return fam, int(arg)
-    except ValueError:
-        raise HopfError("catalog key %r needs an integer parameter, e.g. bk:2" % key)
-
+# catalog keys: "cyclic:n", "bk:k"
 
 # largest parameters, both dimension 1024: structure constants cost ~dim^2 (B_9: 3 s)
 CATALOG_MAX = {"cyclic": 1024, "bk": 9}
 
 def catalog_hopf(key: str) -> HopfAlgebra:
-    fam, n = _catalog_key(key)
+    fam, _, arg = key.partition(":")
+    try:
+        n = int(arg)
+    except ValueError:
+        raise HopfError("catalog key %r needs an integer parameter, e.g. bk:2" % key)
     if fam not in CATALOG_MAX:
         raise HopfError("unknown catalog key %r" % key)
     if n > CATALOG_MAX[fam]:
         raise HopfError("%s is over the catalog bound %s:%d" % (key, fam, CATALOG_MAX[fam]))
     return build_cyclic(n) if fam == "cyclic" else build_bk(n)
 
-
-def catalog_module(key: str) -> ModuleRep:
-    fam, k = _catalog_key(key)
-    if fam == "cplus":
-        return build_c_pm(k, +1)
-    if fam == "cminus":
-        return build_c_pm(k, -1)
-    raise HopfError("unknown module catalog key %r" % key)
-
-
-def build_c_pm(k: int, sign: int) -> ModuleRep:
-    """C_+ / C_- over D(B_k); thin wrapper to keep the catalog in one place."""
-    from .double import build_c_pm as _impl, drinfeld_double
-    return _impl(drinfeld_double(build_bk(k)), sign)

@@ -362,8 +362,9 @@ def relative_ext_dims(pair: ResolventPair, V: ModuleRep, W: ModuleRep,
 
 TENSOR_SQUARE_MAXDEG = 2   # highest degree of the tensor-square crosscheck
 
-def adjunction_crosscheck_tensor(D, R, Rinv, n: int, kind: str = "cover") -> dict:
-    """H^n of the R-twisted tensor complex against Ext over the square pair."""
+def adjunction_crosscheck_tensor(D, R, n: int, kind: str = "cover") -> dict:
+    """H^n of the R-twisted tensor complex against Ext over the square pair;
+    an unverified R raises RMatrixError."""
     from .double import coeff_tensor_product
     from .dycomplex import tensor_complex
     if n > TENSOR_SQUARE_MAXDEG:
@@ -375,7 +376,7 @@ def adjunction_crosscheck_tensor(D, R, Rinv, n: int, kind: str = "cover") -> dic
     lhs = cx.cohomology_dim(n)
     p = pair_from_double(D)
     psq = tensor_pair(p, p)
-    W = coeff_tensor_product(D, R, Rinv, psq.big).module
+    W = coeff_tensor_product(D, R, psq.big).module
     eps = D.hopf.counit_row()
     V = _once(D._cache, "trivial_sq", lambda: module_from_character(
         psq.big, vec_kron(eps, eps, D.dim), name="k"))

@@ -206,6 +206,57 @@ def _delta_power(H, v, m):
     return u
 
 
+def double_mult_dense(H):
+    """Structure constants of D(H) = (H*)^op ox H, phi^i h_j at i * n + j,
+    as {(x, y): {z: Fraction}} without zeros, by loops over the tables
+    H.algebra.mult, H.comult and H.antipode.entries.  The straightening
+
+        h phi = (h(3) |> phi <| S(h(1))) h(2),   (h |> f <| g)(x) = f(g x h),
+
+    puts phi^m h_b with coefficient c phi^k(S(e_a) e_m e_c) into h_j phi^k
+    for each term c e_a ox e_b ox e_c of Delta^(2)(h_j); then
+    (phi^i h_j)(phi^k h_l) = phi^i (h_j phi^k) h_l, where phi^i phi^m has
+    phi^z coefficient Delta(e_z)[m, i] in (H*)^op."""
+    n, mult = H.dim, H.algebra.mult
+
+    def times(u, v):
+        out = [Fraction(0)] * n
+        for a, x in enumerate(u):
+            for b, y in enumerate(v):
+                if x and y:
+                    for z, c in mult.get((a, b), {}).items():
+                        out[z] += x * y * c
+        return out
+
+    basis = [[Fraction(int(r == c)) for r in range(n)] for c in range(n)]
+    antipode = [[H.antipode.entries.get((p, a), Fraction(0)) for p in range(n)]
+                for a in range(n)]
+    straighten = [[{} for _ in range(n)] for _ in range(n)]  # [j][k] -> {(m, b): c}
+    for j in range(n):
+        for (a, b, c), x in _delta_power(H, {j: 1}, 3).items():
+            for m in range(n):
+                w = times(times(antipode[a], basis[m]), basis[c])
+                for k in range(n):
+                    if w[k]:
+                        _add(straighten[j][k], (m, b), x * w[k])
+    dual = {}  # (i, m) -> {z: coefficient of phi^z in phi^i phi^m}
+    for z in range(n):
+        for (m, i), c in H.comult[z].coeffs.items():
+            _add(dual.setdefault((i, m), {}), z, c)
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    prod_ = out.setdefault((i * n + j, k * n + l), {})
+                    for (m, b), c in straighten[j][k].items():
+                        for z, d in dual.get((i, m), {}).items():
+                            for s, e in mult.get((b, l), {}).items():
+                                _add(prod_, z * n + s, c * d * e)
+    out = {key: {z: c for z, c in v.items() if c} for key, v in out.items()}
+    return {key: v for key, v in out.items() if v}
+
+
 def _r_multiplier(H, R, n, i):
     """The R-multiplier of the tensor coface d_i^n in interleaved layout
     (X1, Y1, ..., X_{n+1}, Y_{n+1}), 1 in every slot not named:

@@ -169,8 +169,8 @@ def test_criterion_09_adjunction_braiding_side(D1, B1, R1, tensor_cx_b1):
     """Ext^2 over (D(B_1) ox D(B_1), B_1 ox B_1) with the twisted dual
     coefficient equals dim H^2 = 3, and 3 - 2 Ext^2_{D,H}(k,k) = 1 recovers
     the tangent dimension (iterated-cover resolution)."""
-    R, Rinv = R1
-    out = adjunction_crosscheck_tensor(D1, R, Rinv, 2, kind="cover")
+    R, _ = R1
+    out = adjunction_crosscheck_tensor(D1, R, 2, kind="cover")
     assert out["equal"] and out["ext_dim"] == 3
     p = pair_from_double(D1)
     k = trivial_module_over(D1)
@@ -295,11 +295,11 @@ def test_criterion_15_resolution_independence(D1, D2, R1, W_res_b2_b1):
             assert verify_resolution(res) == [], (kind, pair.name)
 
     # criterion 9 instance: the tensor-square pair with the H* coefficient
-    R, Rinv = R1
+    R, _ = R1
     p1 = pair_from_double(D1)
     psq = tensor_pair(p1, p1)
     E = psq.big
-    W9 = coeff_tensor_product(D1, R, Rinv, E).module
+    W9 = coeff_tensor_product(D1, R, E).module
     ksq = module_from_character(E, _sq_counit(D1), name="k")
     bar9 = relative_ext_dims(psq, ksq, W9, 2, kind="bar")
     cov9 = relative_ext_dims(psq, ksq, W9, 2, kind="cover")

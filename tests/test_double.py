@@ -5,16 +5,17 @@ import pytest
 
 from hopfdy.algcore import (Algebra, AlgebraMap, _act_matrix, check_generators_span,
                             tensor_algebra, verify_module)
-from hopfdy.double import (TwistNotSupportedError, build_c_pm, center_module_from_rmatrix,
+from hopfdy.double import (build_c_pm, center_module_from_rmatrix,
                            coeff_restriction, coeff_tensor_product,
                            drinfeld_double, ell_maps, ell_minus, ell_plus)
 from hopfdy.exactlin import FR1, SparseMatrix, TensorElement, unit_tensor, vec_eq, vec_scale
 from hopfdy.hopfcore import (bk_dual_generators, bk_inclusion, build_bk, build_cyclic,
                              trivial_module, verify_hopf)
 from hopfdy.hopffile import load_hopf
-from hopfdy.rmatrix import bk_r0, check_rmatrix
+from hopfdy.relext import adjunction_crosscheck_tensor
+from hopfdy.rmatrix import RMatrixError, bk_r0, bk_r_lambda, check_rmatrix
 
-from oracles import antipode_dense, dense_column, dense_kron, densify_matrix
+from oracles import antipode_dense, dense_column, dense_kron, densify_matrix, double_mult_dense
 
 HALF = Fraction(1, 2)
 
@@ -90,6 +91,17 @@ class TestDrinfeldDouble:
                         for c in range(D1.dim)] for r in range(D1.dim)]
                 assert got == dense_kron(dphi, dh)
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_bk(1), lambda: build_bk(2),
+        lambda: load_hopf(str(Path(__file__).parent / "data" / "bk_1_basis_f3.json"))],
+        ids=["bk_1", "bk_2", "bk_1_basis_f3"])
+    def test_product_matches_dense_straightening(self, make):
+        """Every structure constant of D(H) against h phi = (h(3) |> phi <|
+        S(h(1))) h(2) written out over H's tables; a double with hphi = phih
+        is the tensor-product Hopf algebra, which verify_hopf accepts."""
+        D = drinfeld_double(make())
+        assert D.algebra.mult == double_mult_dense(D.base)
+
     def test_straightening_closes(self, D2):
         # h y_i products close inside D and the axioms hold (checked above);
         # spot-check that x1 and y1 do not commute
@@ -127,11 +139,10 @@ class TestEllMaps:
         copy of D(B_k) without generators, which checks every basis pair."""
         H = D.base
         R = bk_r0(k, H)
-        rep = check_rmatrix(H, R)
         A = D.algebra
         plain = Algebra(A.dim, A.labels, A.mult, A.unit)
         assert check_generators_span(A)
-        for pi in ell_maps(D, R, rep.inverse):
+        for pi in ell_maps(D, R):
             assert pi.verify() == []
             assert AlgebraMap(plain, pi.target, pi.columns).verify() == []
 
@@ -142,13 +153,39 @@ class TestEllMaps:
         self._check_both_paths(D2, 2)
 
 
+def test_non_involutive_r_tells_r_from_its_inverse(D1):
+    """R_{3/7} on B_1 has R^{-1} != R (R_0 squares to 1): both ell maps are
+    algebra maps, l-(beta) = (beta ox id)(R^{-1}) on every dual basis
+    element, and the tensor crosscheck holds with either resolution."""
+    H = D1.base
+    R = bk_r_lambda(1, [[Fraction(3, 7)]], H)
+    inverse = check_rmatrix(H, R).inverse
+    assert inverse != R
+    pi_plus, pi_minus = ell_maps(D1, R)
+    assert pi_plus.verify() == [] and pi_minus.verify() == []
+    for i, phi in enumerate(D1.dual_part_basis()):
+        want = {b: c for (b,), c in inverse.contract_at(0, {i: FR1}).coeffs.items()}
+        assert pi_minus.apply(phi) == want
+    for kind in ("cover", "bar"):
+        out = adjunction_crosscheck_tensor(D1, R, 2, kind=kind)
+        assert out["dy_dim"] == out["ext_dim"] == 3
+
+
+def test_unverified_r_is_refused(D1):
+    H = D1.base
+    R = unit_tensor(H.algebra, 2)  # B_1 is not cocommutative
+    with pytest.raises(RMatrixError):
+        ell_maps(D1, R)
+    with pytest.raises(RMatrixError):
+        coeff_tensor_product(D1, R, tensor_algebra(D1.algebra, D1.algebra))
+
+
 @pytest.fixture(scope="module")
 def W1(D1):
     H = D1.base
     R = bk_r0(1, H)
-    rep = check_rmatrix(H, R)
     E = tensor_algebra(D1.algebra, D1.algebra)
-    return coeff_tensor_product(D1, R, rep.inverse, E)
+    return coeff_tensor_product(D1, R, E)
 
 
 class TestCoeffTensorProduct:
@@ -225,25 +262,12 @@ class TestCoeffRestriction:
             y = bk_dual_generators(2)[i]
             assert _act_matrix(M, D2.inclusion_dual.apply(y)).is_zero()
 
-    def test_twist_rejected(self, D2):
-        H = D2.base
-        J = TensorElement(H.algebra, 2, {(0, 0): FR1, (1, 2): FR1})
-        with pytest.raises(TwistNotSupportedError):
-            coeff_restriction(D2, bk_inclusion(1, 1), build_bk(1), twist=J)
-
-    def test_trivial_twist_accepted(self, D2):
-        J = unit_tensor(D2.base.algebra, 2)
-        W = coeff_restriction(D2, bk_inclusion(1, 1), build_bk(1), twist=J)
-        assert W.module.dim == 2
-
 
 class TestCenterModules:
     def test_trivial_module_inverse_braiding(self, D1):
         H = D1.base
         R = bk_r0(1, H)
-        rep = check_rmatrix(H, R)
-        M = center_module_from_rmatrix(D1, R, rep.inverse, trivial_module(H),
-                                       "inverse_braiding")
+        M = center_module_from_rmatrix(D1, R, trivial_module(H), "inverse_braiding")
         # trivial D-module: counit action
         for flat in range(D1.dim):
             assert M.action(flat).entries.get((0, 0), Fraction(0)) == \
@@ -253,9 +277,7 @@ class TestCenterModules:
         from hopfdy.algcore import regular_module
         H = D1.base
         R = bk_r0(1, H)
-        rep = check_rmatrix(H, R)
-        M = center_module_from_rmatrix(D1, R, rep.inverse, regular_module(H.algebra),
-                                       "inverse_braiding")
+        M = center_module_from_rmatrix(D1, R, regular_module(H.algebra), "inverse_braiding")
         y = D1.inclusion_dual.apply(bk_dual_generators(1)[0])
         assert _act_matrix(M, y).is_zero()
 
@@ -263,10 +285,8 @@ class TestCenterModules:
         from hopfdy.algcore import regular_module
         H = D1.base
         R = bk_r0(1, H)
-        rep = check_rmatrix(H, R)
         for variant in ("braiding", "inverse_braiding"):
-            M = center_module_from_rmatrix(D1, R, rep.inverse,
-                                           regular_module(H.algebra), variant)
+            M = center_module_from_rmatrix(D1, R, regular_module(H.algebra), variant)
             for j in range(H.dim):
                 emb = D1.inclusion_base.apply_basis(j)
                 assert _act_matrix(M, emb) == H.algebra.left_mult_matrix(j)
@@ -275,9 +295,7 @@ class TestCenterModules:
         from hopfdy.algcore import regular_module
         H = D1.base
         R = bk_r0(1, H)
-        rep = check_rmatrix(H, R)
-        M = center_module_from_rmatrix(D1, R, rep.inverse,
-                                       regular_module(H.algebra), "dual_braiding")
+        M = center_module_from_rmatrix(D1, R, regular_module(H.algebra), "dual_braiding")
         assert verify_module(M) == []
 
 

@@ -262,16 +262,3 @@ class TestCatalog:
         assert H.dim == 1
         assert verify_hopf(H) == []
 
-    def test_module_keys(self):
-        from hopfdy.hopfcore import catalog_module
-        assert catalog_module("cplus:1").dim == 2
-        assert catalog_module("cminus:2").dim == 4
-        with pytest.raises(Exception):
-            catalog_module("bk:1")
-
-    def test_c_pm_via_catalog(self):
-        from hopfdy.hopfcore import build_c_pm
-        for k in (1, 2):
-            cp = build_c_pm(k, +1)
-            cm = build_c_pm(k, -1)
-            assert cp.dim == 2 ** k and cm.dim == 2 ** k

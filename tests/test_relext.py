@@ -337,16 +337,14 @@ class TestCrosschecks:
     def test_adjunction_tensor_b1(self, D1):
         H = D1.base
         R = bk_r0(1, H)
-        rep = check_rmatrix(H, R)
-        out = adjunction_crosscheck_tensor(D1, R, rep.inverse, 2, kind="cover")
+        out = adjunction_crosscheck_tensor(D1, R, 2, kind="cover")
         assert out["equal"] and out["dy_dim"] == 3
 
     def test_adjunction_tensor_budget(self, D1):
         H = D1.base
         R = bk_r0(1, H)
-        rep = check_rmatrix(H, R)
         with pytest.raises(BudgetExceededError):
-            adjunction_crosscheck_tensor(D1, R, rep.inverse, 3)
+            adjunction_crosscheck_tensor(D1, R, 3)
 
     def test_adjunction_restriction_b2_b1(self):
         D2 = drinfeld_double(build_bk(2))
