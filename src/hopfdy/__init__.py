@@ -15,9 +15,9 @@ _EXPORTS = {
     "algcore": "Algebra AlgebraMap ModuleRep hom_space induced_module "
                "module_from_character module_map_kernel regular_module restrict_module "
                "tensor_algebra tensor_module verify_algebra verify_module",
-    "hopfcore": "HopfAlgebra apply_antipode_at apply_counit_at bk_inclusion build_bk "
-                "build_cyclic catalog_hopf coreg_left coreg_right dual_hopf is_hopf_map "
-                "iterated_coproduct tensor_hopf trivial_module verify_hopf",
+    "hopfcore": "HopfAlgebra bk_inclusion build_bk build_cyclic catalog_hopf coreg_left "
+                "coreg_right dual_hopf is_hopf_map iterated_coproduct tensor_hopf "
+                "trivial_module verify_hopf",
     "double": "CoefficientModule DoubleAlgebra build_c_pm center_module_from_rmatrix "
               "coeff_restriction coeff_tensor_product drinfeld_double ell_minus ell_plus",
     "dycomplex": "DYComplex cocycle_from_tangent decompose_h2_tensor identity_complex "

@@ -79,9 +79,6 @@ class Algebra:
         return _once(self._cache, ("right_mult", i), lambda: SparseMatrix.from_columns(
             self.dim, [self.mul_basis(j, i) for j in range(self.dim)]))
 
-    def label_of(self, i: int) -> str:
-        return self.labels[i]
-
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.name, self.dim)
 
@@ -124,10 +121,24 @@ def check_elements(A: Algebra) -> list:
     return [({i: FR1}, A.labels[i]) for i in range(A.dim)]
 
 
+def multiplicative_failures(A: Algebra, f, mul):
+    """Yield (name of a, j, f(a e_j), mul(f(a), f(e_j))) where the two
+    differ, a from `check_elements(A)`: the a with f(a b) = f(a) f(b) for
+    all b form a subalgebra.  The one loop of every multiplicative check."""
+    images = [f({j: FR1}) for j in range(A.dim)]
+    for a, aname in check_elements(A):
+        fa = f(a)
+        for j in range(A.dim):
+            lhs, rhs = f(A.mul_vec(a, {j: FR1})), mul(fa, images[j])
+            if lhs != rhs:
+                yield aname, j, lhs, rhs
+
+
 def verify_algebra(A: Algebra) -> list:
-    """Check the unit laws on every basis element and associativity on the
-    triples (a, e_j, e_k), a from `check_elements(A)`: the a with
-    (a b) c = a (b c) for all b, c form a subalgebra."""
+    """Check the unit laws on every basis element and associativity,
+    L_{a e_j} = L_a L_j on the cached left multiplications, through
+    `multiplicative_failures`; a failing column k names the triple
+    (a, e_j, e_k)."""
     report = []
     for i in range(A.dim):
         e = {i: FR1}
@@ -135,15 +146,11 @@ def verify_algebra(A: Algebra) -> list:
             report.append("unit law fails: 1*e_%d != e_%d (%s)" % (i, i, A.labels[i]))
         if not vec_eq(A.mul_vec(e, A.unit), e):
             report.append("unit law fails: e_%d*1 != e_%d (%s)" % (i, i, A.labels[i]))
-    for a, aname in check_elements(A):
-        for j in range(A.dim):
-            prod_aj = A.mul_vec(a, {j: FR1})
-            for k in range(A.dim):
-                lhs = A.mul_vec(prod_aj, {k: FR1})
-                rhs = A.mul_vec(a, A.mul_basis(j, k))
-                if not vec_eq(lhs, rhs):
-                    report.append("associativity fails on triple (%s, %s, %s)"
-                                  % (aname, A.labels[j], A.labels[k]))
+    for aname, j, lhs, rhs in multiplicative_failures(
+            A, lambda x: matrix_sum(A.left_mult_matrix, x, A.dim), SparseMatrix.matmul):
+        lc, rc = lhs.columns(), rhs.columns()
+        report.extend("associativity fails on triple (%s, %s, %s)"
+                      % (aname, A.labels[j], A.labels[k]) for k in range(A.dim) if lc[k] != rc[k])
     return report
 
 
@@ -167,20 +174,15 @@ class AlgebraMap:
         return out
 
     def verify(self) -> list:
-        """Check that the unit is preserved and f(a e_j) = f(a) f(e_j) for a
-        from `check_elements(source)`: the a with f(a b) = f(a) f(b) for
-        all b form a subalgebra."""
+        """Check that the unit is preserved and f(a e_j) = f(a) f(e_j)
+        through `multiplicative_failures`."""
         report = []
         if not vec_eq(self.apply(self.source.unit), self.target.unit):
             report.append("unit not preserved")
-        for a, aname in check_elements(self.source):
-            fa = self.apply(a)
-            for j in range(self.source.dim):
-                lhs = self.apply(self.source.mul_vec(a, {j: FR1}))
-                rhs = self.target.mul_vec(fa, self.columns[j])
-                if not vec_eq(lhs, rhs):
-                    report.append("product not preserved on (%s, %s)"
-                                  % (aname, self.source.labels[j]))
+        for aname, j, _, _ in multiplicative_failures(self.source, self.apply,
+                                                      self.target.mul_vec):
+            report.append("product not preserved on (%s, %s)"
+                          % (aname, self.source.labels[j]))
         return report
 
 
@@ -218,32 +220,21 @@ class ModuleRep:
     def act_basis(self, i: int, v: dict) -> dict:
         return self.action(i).mul_vec(v)
 
-    def act(self, a: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, c in a.items():
-            vec_addmul(out, self.act_basis(i, v), c)
-        return out
-
     def __repr__(self):
         return "ModuleRep(%s over %s)" % (self.name, self.algebra.name)
 
 
 def verify_module(M: ModuleRep) -> list:
-    """Check rho(1) = id and rho(a) rho(e_j) = rho(a e_j) for a from
-    `check_elements(M.algebra)`: the a with rho(a b) = rho(a) rho(b) for
-    all b form a subalgebra."""
+    """Check rho(1) = id and rho(a e_j) = rho(a) rho(e_j) through
+    `multiplicative_failures`."""
     A = M.algebra
     report = []
     if _act_matrix(M, A.unit) != SparseMatrix.identity(M.dim):
         report.append("rho(1) != id")
-    for a, aname in check_elements(A):
-        ma = _act_matrix(M, a)
-        for j in range(A.dim):
-            lhs = ma.matmul(M.action(j))
-            rhs = _act_matrix(M, A.mul_vec(a, {j: FR1}))
-            if lhs != rhs:
-                report.append("action violates structure constants on (%s, %s)"
-                              % (aname, A.labels[j]))
+    for aname, j, _, _ in multiplicative_failures(A, lambda a: _act_matrix(M, a),
+                                                  SparseMatrix.matmul):
+        report.append("action violates structure constants on (%s, %s)"
+                      % (aname, A.labels[j]))
     return report
 
 
@@ -259,10 +250,10 @@ def matrix_sum(matrix_of, a: dict, n: int) -> SparseMatrix:
     summing pass."""
     if len(a) == 1 and next(iter(a.values())) == 1:
         return matrix_of(next(iter(a)))
-    ent: dict = {}
+    out = SparseMatrix(n, n)
     for i, c in a.items():
-        vec_addmul(ent, matrix_of(i).entries, c)
-    return SparseMatrix(n, n, ent)
+        vec_addmul(out.entries, matrix_of(i).entries, c)
+    return out
 
 
 def module_from_character(A: Algebra, chi: dict, name="") -> ModuleRep:

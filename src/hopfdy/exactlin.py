@@ -147,8 +147,9 @@ class SparseMatrix:
         return rows
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
+        out = SparseMatrix(self.cols, self.rows)
+        out.entries = {(c, r): v for (r, c), v in self.entries.items()}
+        return out
 
     def mul_vec(self, v: dict) -> dict:
         """Matrix times column vector (vector indexed by columns)."""
@@ -166,7 +167,8 @@ class SparseMatrix:
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         assert self.cols == other.rows, (self.cols, other.rows)
         cols_self = self.columns()
-        ent: dict = {}
+        out = SparseMatrix(self.rows, other.cols)
+        ent = out.entries
         other_cols = other.columns()
         for j, col in enumerate(other_cols):
             acc: dict = {}
@@ -179,23 +181,25 @@ class SparseMatrix:
                         acc.pop(r, None)
             for r, v in acc.items():
                 ent[(r, j)] = v
-        return SparseMatrix(self.rows, other.cols, ent)
+        return out
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        ent = dict(self.entries)
+        out = SparseMatrix(self.rows, self.cols)
+        out.entries = ent = dict(self.entries)
         for k, v in other.entries.items():
             s = ent.get(k, FR0) + v
             if s:
                 ent[k] = s
             else:
                 ent.pop(k, None)
-        return SparseMatrix(self.rows, self.cols, ent)
+        return out
 
     def scale(self, c) -> "SparseMatrix":
         c = fr(c)
-        return SparseMatrix(self.rows, self.cols,
-                            {k: c * v for k, v in self.entries.items()})
+        out = SparseMatrix(self.rows, self.cols)
+        out.entries = {k: c * v for k, v in self.entries.items()} if c else {}
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.rows == other.rows

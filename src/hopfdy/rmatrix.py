@@ -84,10 +84,6 @@ def embed12(u: TensorElement, H: HopfAlgebra) -> TensorElement:
     return u.insert_vector_at(2, H.unit)
 
 
-def delta_at(H: HopfAlgebra, u: TensorElement, slot: int) -> TensorElement:
-    return iterated_coproduct(H, u, slot)
-
-
 def check_rmatrix(H: HopfAlgebra, R: TensorElement) -> RMatrixReport:
     """Check every axiom on every basis element; failures carry witnesses."""
     if R.degree != 2 or R.ambient is not H.algebra:
@@ -99,14 +95,14 @@ def check_rmatrix(H: HopfAlgebra, R: TensorElement) -> RMatrixReport:
         dop = dh.permute_slots([1, 0])
         if R.mul(dh) != dop.mul(R):
             qc = False
-            witnesses.append("quasi-cocommutativity fails at %s" % H.label_of(h))
+            witnesses.append("quasi-cocommutativity fails at %s" % H.algebra.labels[h])
     r13 = embed13(R, H)
     r23 = embed23(R, H)
     r12 = embed12(R, H)
-    hex1 = delta_at(H, R, 0) == r13.mul(r23)
+    hex1 = iterated_coproduct(H, R, 0) == r13.mul(r23)
     if not hex1:
         witnesses.append("(Delta ox id)(R) != R13 R23")
-    hex2 = delta_at(H, R, 1) == r13.mul(r12)
+    hex2 = iterated_coproduct(H, R, 1) == r13.mul(r12)
     if not hex2:
         witnesses.append("(id ox Delta)(R) != R13 R12")
     one = unit_tensor(H.algebra, 1)

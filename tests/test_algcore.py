@@ -23,6 +23,14 @@ def z2_algebra():
     return build_cyclic(2).algebra
 
 
+def b1_algebra(gens, mult=None, unit=None):
+    """The algebra of B_1 (basis 1, x1, g, x1g), optionally with corrupted
+    products or unit, its generators "kept" or "stripped"."""
+    A = build_bk(1).algebra
+    return Algebra(A.dim, A.labels, mult or A.mult, unit or A.unit,
+                   generators=A.generators if gens == "kept" else None)
+
+
 class TestVerifyAlgebra:
     def test_group_algebra_clean(self):
         assert verify_algebra(z2_algebra()) == []
@@ -32,16 +40,48 @@ class TestVerifyAlgebra:
 
     @pytest.mark.parametrize("gens", ["kept", "stripped"])
     def test_corrupted_mult_named(self, gens):
-        A = build_bk(1).algebra
-        bad_mult = dict(A.mult)
+        bad_mult = dict(build_bk(1).algebra.mult)
         bad_mult[(1, 1)] = {0: FR1}  # x*x = 1 breaks associativity
-        B = Algebra(A.dim, A.labels, bad_mult, A.unit,
-                    generators=A.generators if gens == "kept" else None)
+        B = b1_algebra(gens, mult=bad_mult)
         assert check_generators_span(B) == (gens == "kept")
-        rep = verify_algebra(B)
-        assert rep and any("associativity" in line for line in rep)
         # the witness names a generator on the generator path, a label otherwise
-        assert any("(gen" in line for line in rep) == (gens == "kept")
+        a, b = ("gen0", "gen1") if gens == "kept" else ("x1", "g")
+        want = ["(%s, g, x1g)" % a, "(%s, x1, g)" % a, "(%s, x1, x1g)" % a,
+                "(%s, x1g, g)" % a, "(%s, x1, x1)" % b, "(%s, x1g, x1)" % b]
+        if gens == "stripped":
+            want += ["(x1g, g, x1)", "(x1g, x1, x1)"]
+        assert sorted(verify_algebra(B)) == sorted(
+            "associativity fails on triple " + w for w in want)
+
+    @pytest.mark.parametrize("gens", ["kept", "stripped"])
+    def test_corrupted_unit_named(self, gens):
+        B = b1_algebra(gens, unit={0: FR1, 2: FR1})  # 1 + g is no unit
+        assert sorted(verify_algebra(B)) == sorted(
+            line % (i, i, label) for i, label in enumerate(B.labels)
+            for line in ("unit law fails: 1*e_%d != e_%d (%s)",
+                         "unit law fails: e_%d*1 != e_%d (%s)"))
+
+    @pytest.mark.parametrize("gens", ["kept", "stripped"])
+    def test_corrupted_map_column_named(self, gens):
+        # B_1 -> B_2 with x -> x2 g (index 6) in place of x -> x2
+        f = bk_inclusion(1, 1)
+        cols = list(f.columns)
+        cols[1] = {6: FR1}
+        rep = AlgebraMap(b1_algebra(gens), f.target, cols).verify()
+        want = (["(gen0, g)", "(gen1, x1)", "(gen1, x1g)"] if gens == "kept" else
+                ["(g, x1)", "(g, x1g)", "(x1, g)", "(x1g, g)"])
+        assert sorted(rep) == ["product not preserved on " + w for w in want]
+
+    @pytest.mark.parametrize("gens", ["kept", "stripped"])
+    def test_corrupted_action_named(self, gens):
+        # the regular module of B_1 with rho(x1) = L_x1 + E_00
+        B = b1_algebra(gens)
+        mats = [B.left_mult_matrix(i) for i in range(B.dim)]
+        mats[1] = mats[1].add(SparseMatrix(4, 4, {(0, 0): FR1}))
+        rep = verify_module(ModuleRep(B, 4, action=mats))
+        want = (["(gen0, g)", "(gen0, x1)", "(gen1, x1)", "(gen1, x1g)"] if gens == "kept"
+                else ["(g, x1)", "(g, x1g)", "(x1, g)", "(x1, x1)", "(x1g, g)", "(x1g, x1)"])
+        assert sorted(rep) == ["action violates structure constants on " + w for w in want]
 
     def test_gens_level_matches_full(self):
         A = build_bk(2).algebra

@@ -144,6 +144,24 @@ def test_rank_nullity_property(M):
     assert rank(M) + len(kernel_basis(M.row_dicts(), M.cols)) == M.cols
 
 
+@given(small_matrices(), st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_matrix_arithmetic_matches_dense_and_stores_no_zeros(M, c):
+    """transpose, scale, add and matmul fill their results' entries
+    directly: each equals the dense computation and stores only nonzero
+    Fractions (c = 0 scales to zero, c = -1 cancels in M + cM)."""
+    d = densify_matrix(M)
+    dt = [list(col) for col in zip(*d)]
+    cases = [(M.transpose(), dt),
+             (M.scale(c), [[c * v for v in row] for row in d]),
+             (M.add(M.scale(c)), [[(1 + c) * v for v in row] for row in d]),
+             (M.matmul(M.transpose()),
+              [[sum(x * y for x, y in zip(r1, r2)) for r2 in d] for r1 in d])]
+    for got, want in cases:
+        assert densify_matrix(got) == want
+        assert all(type(v) is Fraction and v for v in got.entries.values())
+
+
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_dense_oracle(M):

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from hopfdy.exactlin import FR1, TensorElement
-from hopfdy.hopfcore import (HopfAlgebra, HopfError, apply_antipode_at, apply_counit_at,
-                             bk_dual_generators, bk_inclusion, bk_monomial_index,
-                             build_bk, build_cyclic, catalog_hopf, coreg_left,
+from hopfdy.algcore import Algebra
+from hopfdy.hopfcore import (HopfAlgebra, HopfError, bk_dual_generators, bk_inclusion,
+                             bk_monomial_index, build_bk, build_cyclic, catalog_hopf, coreg_left,
                              coreg_right, dual_hopf, is_hopf_map, iterated_coproduct,
                              tensor_hopf, verify_hopf)
 from hopfdy.exactlin import SparseMatrix
@@ -13,6 +13,17 @@ from hopfdy.exactlin import SparseMatrix
 from oracles import dense_kron, densify_matrix
 
 HALF = Fraction(1, 2)
+
+
+def b1_violations(gens, comult=None, counit=None, antipode=None):
+    """verify_hopf of B_1 (basis 1, x1, g, x1g) with one structure map
+    replaced, its generators "kept" or "stripped"."""
+    H = build_bk(1)
+    A = H.algebra
+    B = Algebra(A.dim, A.labels, A.mult, A.unit,
+                generators=A.generators if gens == "kept" else None)
+    return verify_hopf(HopfAlgebra(B, [TensorElement(B, 2, d.coeffs) for d in comult or H.comult],
+                                   counit or H.counit, antipode or H.antipode))
 
 
 class TestVerifyHopf:
@@ -26,14 +37,41 @@ class TestVerifyHopf:
 
     def test_fault_injection_names_antipode(self):
         H = build_bk(1)
-        bad = SparseMatrix(H.dim, H.dim, dict(H.antipode.entries))
-        ent = dict(bad.entries)
+        ent = dict(H.antipode.entries)
         # replace S(x) = gx by x
         ent.pop((3, 1), None)
         ent[(1, 1)] = FR1
         bad = SparseMatrix(H.dim, H.dim, ent)
-        rep = verify_hopf(HopfAlgebra(H.algebra, H.comult, H.counit, bad))
-        assert any("antipode" in line for line in rep)
+        # S(g) = g + 1 breaks the two sides at different basis elements
+        lopsided = SparseMatrix(H.dim, H.dim, {**H.antipode.entries, (0, 2): FR1})
+        for gens in ("kept", "stripped"):
+            assert sorted(b1_violations(gens, antipode=bad)) == [
+                "antipode axiom (S ox id) fails at x1", "antipode axiom (id ox S) fails at x1"]
+            assert sorted(b1_violations(gens, antipode=lopsided)) == [
+                "antipode axiom (S ox id) fails at g", "antipode axiom (S ox id) fails at x1g",
+                "antipode axiom (id ox S) fails at g", "antipode axiom (id ox S) fails at x1"]
+
+    @pytest.mark.parametrize("gens", ["kept", "stripped"])
+    def test_fault_injection_coproduct_entry(self, gens):
+        H = build_bk(1)
+        comult = list(H.comult)
+        comult[1] = TensorElement(H.algebra, 2, {(0, 1): Fraction(2), (1, 2): FR1})  # 2 ox x
+        want = (["(gen0, g)", "(gen0, x1g)", "(gen1, x1)", "(gen1, x1g)"] if gens == "kept"
+                else ["(g, x1)", "(g, x1g)", "(x1, g)", "(x1, x1g)", "(x1g, g)", "(x1g, x1)"])
+        assert sorted(b1_violations(gens, comult=comult)) == sorted(
+            ["Delta not multiplicative on " + w for w in want]
+            + ["antipode axiom (S ox id) fails at x1", "antipode axiom (id ox S) fails at x1",
+               "coassociativity fails at x1", "counit axiom fails at x1"])
+
+    @pytest.mark.parametrize("gens", ["kept", "stripped"])
+    def test_fault_injection_counit_entry(self, gens):
+        H = build_bk(1)
+        counit = list(H.counit)
+        counit[2] = Fraction(2)  # eps(g) = 2
+        assert sorted(b1_violations(gens, counit=counit)) == [
+            "antipode axiom (S ox id) fails at g", "antipode axiom (id ox S) fails at g",
+            "counit axiom fails at g", "counit axiom fails at x1", "counit axiom fails at x1g",
+            "eps not multiplicative on (%s, g)" % ("gen1" if gens == "kept" else "g")]
 
     def test_singular_antipode_has_no_inverse(self):
         H = build_bk(1)
@@ -185,19 +223,19 @@ class TestCoproductCalculus:
             for i in range(H.dim):
                 d = H.comult[i]
                 e = H.element({i: FR1})
-                assert apply_counit_at(H, d, 0) == e
-                assert apply_counit_at(H, d, 1) == e
+                assert d.contract_at(0, H.counit) == e
+                assert d.contract_at(1, H.counit) == e
 
     def test_counit_kills_x(self):
         H = build_bk(1)
         u = TensorElement(H.algebra, 2, {(0, 1): FR1})  # 1 ox x
-        assert apply_counit_at(H, u, 1).is_zero()
+        assert u.contract_at(1, H.counit).is_zero()
 
     def test_counit_squared_on_r0(self):
         from hopfdy.rmatrix import bk_r0
         H = build_bk(1)
         R = bk_r0(1, H)
-        scalar = apply_counit_at(H, apply_counit_at(H, R, 0), 0)
+        scalar = R.contract_at(0, H.counit).contract_at(0, H.counit)
         assert scalar.coeffs == {(): FR1}
 
     def test_antipode_at_slot(self):
@@ -205,7 +243,7 @@ class TestCoproductCalculus:
         g = 1 << 1
         u = TensorElement(H.algebra, 2, {(1, 0): FR1})  # x ox 1
         # S(x) = g x = -(x g) in the normal-ordered monomial basis
-        assert apply_antipode_at(H, u, 0).coeffs == {(1 | g, 0): Fraction(-1)}
+        assert u.apply_matrix_at(0, H.antipode).coeffs == {(1 | g, 0): Fraction(-1)}
 
 
 class TestCoregular:
