@@ -8,7 +8,7 @@ empty report means the axioms hold.
 
 from __future__ import annotations
 
-from .exactlin import (FR0, FR1, Echelon, SparseMatrix, _once, fr, kernel_basis,
+from .exactlin import (FR0, FR1, Echelon, SparseMatrix, _once, fr_vec, kernel_basis,
                        kernel_basis_marked, kron_into, vec_addmul, vec_eq, vec_kron)
 
 
@@ -32,10 +32,10 @@ class Algebra:
         assert len(self.labels) == dim
         self.mult = {}
         for (i, j), v in mult.items():
-            vv = {k: fr(c) for k, c in v.items() if fr(c)}
+            vv = fr_vec(v)
             if vv:
                 self.mult[(i, j)] = vv
-        self.unit = {i: fr(c) for i, c in unit.items() if fr(c)}
+        self.unit = fr_vec(unit)
         self.generators = generators
         self.name = name or "algebra(dim=%d)" % dim
         # "fast_mult", "gen_span_ok", ("left_mult", i) and ("right_mult", i),
@@ -160,7 +160,7 @@ class AlgebraMap:
     def __init__(self, source: Algebra, target: Algebra, columns, name=""):
         self.source = source
         self.target = target
-        self.columns = [({i: fr(c) for i, c in col.items() if fr(c)}) for col in columns]
+        self.columns = [fr_vec(col) for col in columns]
         assert len(self.columns) == source.dim
         self.name = name or "map(%s->%s)" % (source.name, target.name)
 

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .algcore import AlgebraMap
 from .dycomplex import (UnsupportedDegreeError, identity_complex,
@@ -240,7 +239,7 @@ def _inclusion_for(args, H, Hsub):
         return bk_inclusion(kb - ks, ks)
     if H.dim == Hsub.dim:
         ident = AlgebraMap(Hsub.algebra, H.algebra,
-                           [{i: Fraction(1)} for i in range(H.dim)])
+                           [{i: 1} for i in range(H.dim)])
         if not is_hopf_map(ident, Hsub, H):
             return ident
     raise CliError("no canonical inclusion from %s into %s" % (args.sub, args.source),

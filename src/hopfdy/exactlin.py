@@ -1,8 +1,9 @@
 """Exact rational sparse linear algebra and sparse tensor-element arithmetic.
 
-Everything is computed over QQ with `fractions.Fraction`, so results are
-exact.  Vectors are dicts {index: Fraction} with no stored zeros, matrices
-are dicts {(row, col): Fraction}.
+Everything is computed over QQ in exact rationals, so results are exact:
+an integral value is an `int` and any other a `fractions.Fraction`, the
+form `fr` returns.  Vectors are dicts {index: scalar} with no stored zeros,
+matrices are dicts {(row, col): scalar}.
 
 Products are laid out a-major: e_a ox e_b of A ox B has flat index
 a * dim B + b, the order `flatten_index` uses for tensor powers.  The
@@ -29,8 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-FR0 = Fraction(0)
-FR1 = Fraction(1)
+FR0 = 0
+FR1 = 1
 
 
 class ExactlinError(Exception):
@@ -50,17 +51,23 @@ def _once(cache: dict, key, build):
         return cache.setdefault(key, build())
 
 
-def fr(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def fr(x):
+    """The canonical exact scalar of an int, a 'p/q' string or a Fraction:
+    an `int` when the value is integral, else a Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def fr_vec(v: dict) -> dict:
+    """The sparse vector v with `fr` scalars and no stored zeros."""
+    return {i: c for i, c in ((i, fr(c)) for i, c in v.items()) if c}
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors: dict {index: Fraction}, zero entries never stored
+# sparse vectors: dict {index: scalar}, zero entries never stored
 
 def vec_sub(u: dict, v: dict) -> dict:
     w = dict(u)
@@ -73,7 +80,7 @@ def vec_sub(u: dict, v: dict) -> dict:
     return w
 
 
-def vec_scale(u: dict, c: Fraction) -> dict:
+def vec_scale(u: dict, c) -> dict:
     if not c:
         return {}
     return {i: c * x for i, x in u.items()}
@@ -360,11 +367,12 @@ class Echelon:
 
     def residual(self, row: dict) -> dict:
         """Remainder of `row` modulo the row space that vanishes at every
-        pivot column, with Fraction values; {} iff `row` is in the span."""
+        pivot column, with exact scalar values; {} iff `row` is in the span."""
         row, s = _int_row(row)
         row, scale = _eliminate(row, self.pivot_rows)
         scale *= s
-        return {c: v / scale for c, v in row.items()}
+        return {c: fr(Fraction(v * scale.denominator, scale.numerator))
+                for c, v in row.items()}
 
     def to_rref(self):
         """Back-substitute so every pivot row is supported on its pivot and
@@ -423,7 +431,7 @@ def rank_of_vectors(vecs: list, ambient: int) -> int:
 
 def kernel_basis_marked(rows: list, ncols: int):
     """Exact basis of the solutions x in QQ^ncols of row . x = 0 for every
-    row (an int or Fraction dict), as vectors {index: Fraction}, plus the
+    row (a dict of exact scalars), as vectors {index: scalar}, plus the
     free-column marker of each basis vector.
 
     Canonical: one vector per free column f, markers ascending, normalized
@@ -440,7 +448,7 @@ def kernel_basis_marked(rows: list, ncols: int):
         lead = row[p]
         for f, v in row.items():
             if f != p:
-                vecs[f][p] = Fraction(-v, lead)
+                vecs[f][p] = fr(Fraction(-v, lead))
     return [vecs[f] for f in free], free
 
 
@@ -631,7 +639,7 @@ class TensorElement:
         return TensorElement(self.ambient, self.degree, out)
 
     def contract_at(self, slot: int, functional) -> "TensorElement":
-        """Apply a functional {basis index: Fraction} to one slot; degree drops."""
+        """Apply a functional {basis index: scalar} to one slot; degree drops."""
         out: dict = {}
         for k, v in self.coeffs.items():
             c = functional.get(k[slot]) if isinstance(functional, dict) else functional[k[slot]]

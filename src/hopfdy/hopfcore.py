@@ -20,7 +20,6 @@ on the monomial basis x_1^{e_1} ... x_k^{e_k} g^{e_{k+1}}.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
 from .algcore import (Algebra, AlgebraMap, ModuleRep, matrix_sum, module_from_character,
@@ -37,9 +36,10 @@ class HopfAlgebra:
     """Finite-dimensional Hopf algebra over QQ with explicit structure maps.
 
     comult[i] is Delta(e_i) as a degree-2 TensorElement over the underlying
-    algebra; counit is a list of Fractions; antipode a matrix whose columns
-    are the images S(e_i).  `dual_generator_hint`: generators of (H*)^op
-    in the dual basis, or None; D(H) certifies their span before use.
+    algebra; counit is a list of exact rationals (an integral value is an
+    `int`, as `fr` gives it); antipode a matrix whose columns are the images
+    S(e_i).  `dual_generator_hint`: generators of (H*)^op in the dual basis,
+    or None; D(H) certifies their span before use.
     """
 
     def __init__(self, algebra: Algebra, comult, counit, antipode: SparseMatrix,
@@ -78,7 +78,7 @@ class HopfAlgebra:
             vec_addmul(out, self.comult[i].coeffs, c)
         return TensorElement(self.algebra, 2, out)
 
-    def counit_vec(self, v: dict) -> Fraction:
+    def counit_vec(self, v: dict):
         s = FR0
         for i, c in v.items():
             s += self.counit[i] * c
@@ -381,8 +381,8 @@ def bk_dual_generators(k: int) -> list:
     g_bit = 1 << k
     gens = []
     for i in range(k):
-        gens.append({(1 << i): FR1, (1 << i) | g_bit: Fraction(-1)})
-    gens.append({0: FR1, g_bit: Fraction(-1)})
+        gens.append({(1 << i): FR1, (1 << i) | g_bit: -1})
+    gens.append({0: FR1, g_bit: -1})
     return gens
 
 

@@ -26,7 +26,6 @@ checks re-certify their span and use every basis element where it fails.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .algcore import Algebra
 from .exactlin import SparseMatrix, TensorElement, fr
@@ -41,21 +40,18 @@ class HopfFileError(Exception):
         self.report = report or []
 
 
-def rational_str(x: Fraction) -> str:
-    x = fr(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+def rational_str(x) -> str:
+    return str(fr(x))
 
 
 def tensor_to_json(u: TensorElement) -> list:
     return [[list(k), rational_str(v)] for k, v in sorted(u.coeffs.items())]
 
 
-def parse_rational(value, where: str) -> Fraction:
-    """A JSON integer or "p/q" string as a Fraction; HopfFileError naming
-    `where` when it is neither (a float, whose binary value is not the
-    decimal it was written as, included)."""
+def parse_rational(value, where: str):
+    """A JSON integer or "p/q" string as an exact scalar (`fr`);
+    HopfFileError naming `where` when it is neither (a float, whose binary
+    value is not the decimal it was written as, included)."""
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
         try:
             return fr(value)
@@ -169,7 +165,7 @@ def hopf_from_json(data: dict, name="file") -> HopfAlgebra:
             comult_entries[i][(j, k)] = v
         comult = [TensorElement(A, 2, c) for c in comult_entries]
         counit_map = dict(_entries(data["counit"], "counit", dim, 1))
-        counit = [counit_map.get(i, Fraction(0)) for i in range(dim)]
+        counit = [counit_map.get(i, 0) for i in range(dim)]
         antipode = SparseMatrix(dim, dim, {(r, c): v for r, c, v
                                            in _entries(data["antipode"], "antipode", dim, 2)})
         dual_gens = _vectors(data, "dual_generators", dim)

@@ -46,8 +46,8 @@ from .algcore import (Algebra, AlgebraMap, ModuleRep, _act_matrix, check_element
                       evaluation, free_rewrite, hom_space, induced_map, induced_module,
                       module_from_character, restrict_module, submodule_on_basis,
                       tensor_algebra, tensor_module, verify_module)
-from .exactlin import (FR1, BudgetExceededError, SparseMatrix, _once, kernel_basis_marked,
-                       kron_into, rank_of_vectors, vec_kron)
+from .exactlin import (FR1, BudgetExceededError, SparseMatrix, _once, fr_vec,
+                       kernel_basis_marked, kron_into, rank_of_vectors, vec_kron)
 
 
 class RelextError(Exception):
@@ -67,7 +67,7 @@ class ResolventPair:
         self.big = big
         self.small = small
         self.inclusion = inclusion
-        self.free_basis = free_basis
+        self.free_basis = [fr_vec(u) for u in free_basis]
         self.name = name or "(%s <= %s)" % (big.name, small.name)
         self._tensor: dict = {}       # tensor_pair(self, p2), keyed by p2
         self._rewrite: dict = {}      # "table": free_rewrite(inclusion, free_basis)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dycomplex import UnsupportedDegreeError
-from .exactlin import TensorElement, flatten_index
+from .exactlin import TensorElement, flatten_index, fr
 
 
 class Fallback(Exception):
@@ -87,7 +87,7 @@ class SlotKernel:
                 coef[j, p] = self._scaled(c, den)
         return key, coef
 
-    def _scaled(self, c: Fraction, den: int) -> int:
+    def _scaled(self, c, den: int) -> int:
         v = int(c * den)
         self._bound(abs(v))
         return v
@@ -117,11 +117,11 @@ class SlotKernel:
         as `combine` leaves them; a batch with a repeated key is refused."""
         out = [TensorElement(self.H.algebra, x.deg) for _ in range(count)]
         digits = zip(*(d.tolist() for d in self._digits(x)))
-        values: dict = {}  # numerator -> Fraction; few distinct values recur
+        values: dict = {}  # numerator -> scalar; few distinct values recur
         for r, k, c in zip(x.row.tolist(), digits, x.coef.tolist()):
             v = values.get(c)
             if v is None:
-                v = values[c] = Fraction(c, x.den)
+                v = values[c] = fr(Fraction(c, x.den))
             out[r].coeffs[k] = v
         if sum(len(t.coeffs) for t in out) != x.row.size:  # a key was overwritten
             raise ValueError("decode: repeated (row, flat index) keys; combine first")

@@ -367,3 +367,20 @@ def test_loaded_algebra_verified_once(tmp_path, monkeypatch):
     assert verify_hopf(H) == []
     D = drinfeld_double(H)
     assert checked == [path, D.algebra.name]
+
+
+def test_integral_hopf_data_stays_int(tmp_path):
+    """B_2 and D(B_2) have integer structure: after a save/load round trip
+    and the double's build, every structure constant, unit, coproduct,
+    counit and antipode entry is an `int`, never an integral Fraction."""
+    from hopfdy.hopffile import save_hopf
+
+    path = str(tmp_path / "bk2.json")
+    save_hopf(build_bk(2), path)
+    H = load_hopf(path)
+    for K in (H, drinfeld_double(H).hopf):
+        values = [c for v in K.algebra.mult.values() for c in v.values()]
+        values += list(K.algebra.unit.values()) + list(K.counit)
+        values += [c for t in K.comult for c in t.coeffs.values()]
+        values += list(K.antipode.entries.values())
+        assert values and all(type(c) is int for c in values), K.name

@@ -1,13 +1,17 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfdy
 from hopfdy.algcore import _invert_columns
-from hopfdy.exactlin import (Echelon, ExactlinError, SparseMatrix, TensorElement,
+from hopfdy.exactlin import (Echelon, ExactlinError, SparseMatrix, TensorElement, fr,
                              kernel_basis, kernel_basis_marked, kron_into, rank, rank_of_rows,
-                             rank_of_vectors, span_equal, unit_tensor, vec_kron)
+                             rank_of_vectors, span_equal, unit_tensor, vec_addmul, vec_kron,
+                             vec_scale, vec_sub)
 from hopfdy.hopfcore import build_bk
 
 from oracles import (dense_column, dense_kron, dense_nullspace, dense_rank, dense_rref,
@@ -93,6 +97,17 @@ class TestKernel:
             kernel_basis_marked([{0: 1}, {col: 1}], 3)
 
 
+def test_package_has_no_true_division():
+    """An int / int is a float, so no source file of the package uses the
+    true-division operator (`/` or `/=`); exact quotients go through `fr`."""
+    found = []
+    for path in sorted(Path(hopfdy.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
 def test_value_types_are_unhashable():
     """SparseMatrix and TensorElement compare by value, so they take no
     identity hash that would let equal objects hash differently."""
@@ -149,7 +164,8 @@ def test_rank_nullity_property(M):
 def test_matrix_arithmetic_matches_dense_and_stores_no_zeros(M, c):
     """transpose, scale, add and matmul fill their results' entries
     directly: each equals the dense computation and stores only nonzero
-    Fractions (c = 0 scales to zero, c = -1 cancels in M + cM)."""
+    entries (c = 0 scales to zero, c = -1 cancels in M + cM), all of them
+    `int` on these integral inputs: no float, bool or integral Fraction."""
     d = densify_matrix(M)
     dt = [list(col) for col in zip(*d)]
     cases = [(M.transpose(), dt),
@@ -159,7 +175,76 @@ def test_matrix_arithmetic_matches_dense_and_stores_no_zeros(M, c):
               [[sum(x * y for x, y in zip(r1, r2)) for r2 in d] for r1 in d])]
     for got, want in cases:
         assert densify_matrix(got) == want
-        assert all(type(v) is Fraction and v for v in got.entries.values())
+        assert all(type(v) is int and v for v in got.entries.values())
+
+
+# exact scalars: ints, integral Fractions and Fractions with denominator > 1
+SCALARS = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(Fraction),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _exact(v):
+    """A nonzero exact scalar: an int or a Fraction, never a float or bool."""
+    return type(v) in (int, Fraction) and v != 0
+
+
+def _canonical(v):
+    """The form `fr` gives: an int exactly when the denominator is 1."""
+    return type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+@given(st.one_of(SCALARS, SCALARS.map(str)))
+@settings(max_examples=100, deadline=None)
+def test_fr_returns_int_exactly_when_integral(x):
+    assert fr(x) == Fraction(x) and _canonical(fr(x))
+
+
+@st.composite
+def mixed_operands(draw):
+    """(A, B, u, v, c): A is n x m and B is m x k with mixed scalar
+    entries, u and v sparse vectors of length m, c a scalar."""
+    n, m, k = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        keys = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        return SparseMatrix(rows, cols, draw(st.dictionaries(keys, SCALARS, max_size=8)))
+
+    def vector():
+        return {i: c for i, c in draw(st.dictionaries(st.integers(0, m - 1), SCALARS,
+                                                      max_size=m)).items() if c}
+    return matrix(n, m), matrix(m, k), vector(), vector(), draw(SCALARS)
+
+
+@given(mixed_operands())
+@settings(max_examples=100, deadline=None)
+def test_mixed_scalar_arithmetic_matches_dense_fractions(ops):
+    """Vector and matrix operations on mixed int/Fraction inputs equal the
+    dense Fraction computation, store only nonzero ints and Fractions (no
+    float appears), and whatever passes through `fr` (the SparseMatrix
+    constructor) is canonical."""
+    A, B, u, v, c = ops
+    m = A.cols
+    c = Fraction(c)
+    dA = [[Fraction(x) for x in row] for row in densify_matrix(A)]
+    dB = [[Fraction(x) for x in row] for row in densify_matrix(B)]
+    du, dv = densify_vec(u, m), densify_vec(v, m)
+    assert all(_canonical(x) for M in (A, B) for x in M.entries.values())
+    mat_cases = [(A.matmul(B), [[sum(a * b for a, b in zip(row, col)) for col in zip(*dB)]
+                                for row in dA]),
+                 (A.add(A.scale(c)), [[(1 + c) * a for a in row] for row in dA]),
+                 (SparseMatrix(A.rows * B.rows, A.cols * B.cols, kron_into({}, A, B, scale=c)),
+                  [[c * x for x in row] for row in dense_kron(dA, dB)])]
+    for got, want in mat_cases:
+        assert densify_matrix(got) == want
+        assert all(_exact(x) for x in got.entries.values())
+    vec_cases = [(A.mul_vec(u), A.rows, [sum(a * x for a, x in zip(row, du)) for row in dA]),
+                 (vec_addmul(dict(v), u, c), m, [y + c * x for x, y in zip(du, dv)]),
+                 (vec_sub(u, v), m, [x - y for x, y in zip(du, dv)]),
+                 (vec_scale(u, c), m, [c * x for x in du]),
+                 (vec_kron(u, v, m), m * m, [x * y for x in du for y in dv])]
+    for got, n, want in vec_cases:
+        assert densify_vec(got, n) == want
+        assert all(_exact(x) for x in got.values())
 
 
 @given(small_matrices())
@@ -200,6 +285,7 @@ def test_echelon_matches_dense_oracles(case):
         grows = dense_rank(added + [dense]) > dense_rank(added)
         res = ech.residual(v)
         assert bool(res) == grows
+        assert all(_canonical(x) for x in res.values())
         assert not any(c in ech.pivot_rows for c in res)
         if added:
             rest = [dense[c] - res.get(c, 0) for c in range(ncols)]
@@ -229,6 +315,7 @@ def test_insertion_order_keeps_kernel_and_rank(case, data):
         sparse = [_sparse(r) for r in order]
         basis, markers = kernel_basis_marked(sparse, ncols)
         assert [densify_vec(v, ncols) for v in basis] == want
+        assert all(_canonical(x) for v in basis for x in v.values())
         assert markers == [c for c in range(ncols) if c not in pivots]
         assert rank_of_rows(sparse) == dense_rank(rows)
 
