@@ -72,7 +72,9 @@ class DYComplex:
 
     Every cache is a dict declared here and filled through `_once`, so each
     entry is published write-once and threads sharing a complex see the
-    same objects.
+    same objects.  `fallbacks` is per complex too: an identity or
+    restriction complex is owned by H and shared by all its callers, and
+    so are the stages it lists.
     """
 
     def __init__(self, kind: str, H: HopfAlgebra, R: TensorElement = None,
@@ -89,6 +91,7 @@ class DYComplex:
             assert imap is not None and Hsub is not None
         self._basis = {}    # n -> (basis, free-column markers)
         self._images = {}   # n -> (kernel, batch of the raw delta^n of the basis)
+        self._ranks = {}    # n -> rank_delta(n)
         self._kernel = {}   # big -> the int64 (False) or Python-int (True) slot kernel
         self.fallbacks = []  # stages that reran on the Python-int kernel
 
@@ -291,8 +294,10 @@ class DYComplex:
     # -- cohomology ----------------------------------------------------------
     def rank_delta(self, n: int) -> int:
         """The rank of the images' integer numerators, one row per flat index."""
-        ops, x = self._image_batch(n)
-        return rank_of_rows(ops.rows([x]))
+        def build():
+            ops, x = self._image_batch(n)
+            return rank_of_rows(ops.rows([x]))
+        return _once(self._ranks, n, build)
 
     def cohomology_dim(self, n: int) -> int:
         """dim ker delta^n - rank delta^{n-1} (at n = 0: dim ker delta^0)."""
@@ -319,18 +324,26 @@ class DYComplex:
 
 
 def identity_complex(H: HopfAlgebra) -> DYComplex:
-    return DYComplex("identity", H)
+    """The identity complex of H, cached on H: every caller shares its
+    bases, images and ranks, which are released with H."""
+    return _once(H._cache, "identity_complex", lambda: DYComplex("identity", H))
 
 
 def tensor_complex(H: HopfAlgebra, R: TensorElement, Rinv=None) -> DYComplex:
-    """The R-twisted tensor complex.  `Rinv` is ignored: the complex never
+    """The R-twisted tensor complex, built anew on each call (unlike the
+    identity and restriction complexes, it is not cached on H, since R
+    changes from call to call).  `Rinv` is ignored: the complex never
     uses the inverse R-matrix, and the parameter stays only so that calls
     passing it keep working."""
     return DYComplex("tensor", H, R=R)
 
 
 def restriction_complex(H: HopfAlgebra, imap: AlgebraMap, Hsub: HopfAlgebra) -> DYComplex:
-    return DYComplex("restriction", H, imap=imap, Hsub=Hsub)
+    """The restriction complex of i = `imap` : Hsub -> H, cached on H under
+    (imap, Hsub), as `coeff_restriction` caches its module on D(H) under
+    imap."""
+    return _once(H._cache, ("restriction_complex", imap, Hsub),
+                 lambda: DYComplex("restriction", H, imap=imap, Hsub=Hsub))
 
 
 # ---------------------------------------------------------------------------

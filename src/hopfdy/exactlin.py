@@ -15,9 +15,9 @@ take that index from `vec_kron` or `kron_into`.
 All elimination over QQ runs through one loop, `_eliminate`, with one
 job: it clears the pivot columns of an integer row fraction-free
 (cross-multiplication with gcd normalization, Bareiss flavour) and
-returns the scale it accumulated, so a caller that needs the exact
-rational remainder divides by it once at the end.  `Echelon` builds
-ranks, residuals and the reduced row echelon form on it.
+returns the scale it accumulated as an integer pair, so a caller that
+needs the exact rational remainder divides by it once at the end.
+`Echelon` builds ranks, residuals and the reduced row echelon form on it.
 `kernel_basis_marked` is the one reader of that form: every exact solve
 of the package (matrix inverses, the rewrite table of induction,
 submodule coordinates, cochain and tangent spaces) is read from the
@@ -257,7 +257,8 @@ def _content(row: dict) -> int:
 
 
 def _int_row(row: dict):
-    """(r, s): `row` scaled by s > 0 to coprime integers, so r == s * row."""
+    """(r, (p, q)): `row` scaled by p/q > 0 to coprime integers, so
+    q * r == p * row."""
     den = 1
     for v in row.values():
         d = v.denominator
@@ -266,7 +267,7 @@ def _int_row(row: dict):
     g = _content(out)
     if g > 1:
         out = {i: v // g for i, v in out.items()}
-    return out, Fraction(den, g or 1)
+    return out, (den, g or 1)
 
 
 def _eliminate(row: dict, pivots: dict):
@@ -277,9 +278,9 @@ def _eliminate(row: dict, pivots: dict):
     ma*row - mb*pivots[c] with ma/mb = pivots[c][c]/row[c] in lowest terms,
     and divides it by the gcd of its entries; fill-in on another pivot
     column joins the worklist.  `row` is updated in place.  Returns
-    (row, scale) with
+    (row, (num, den)) with integers num, den > 0 and
 
-        row == scale * (input - sum_c x_c * pivots[c])
+        den * row == num * (input - sum_c x_c * pivots[c])
 
     for some rationals x_c, and the returned row vanishes at every pivot
     column.
@@ -315,7 +316,7 @@ def _eliminate(row: dict, pivots: dict):
             den *= g
             for c in row:
                 row[c] //= g
-    return row, Fraction(num, den)
+    return row, (num, den)
 
 
 class Echelon:
@@ -329,7 +330,9 @@ class Echelon:
     sit at high columns.  Each pivot row thus vanishes at
     the pivot columns of the rows before it, so the remainder of any row
     that vanishes at every pivot column is unique.  `residual` returns that
-    remainder, the returned row of `_eliminate` divided by its scale.
+    remainder, the returned row of `_eliminate` divided by its scale: the
+    only `Fraction` the class builds, so `add_row` and `to_rref` build none
+    on integer rows.
     `to_rref` runs the same loop against the pivots already finished; RREF
     is unique, so it does not depend on the insertion order.  No row
     combinations are tracked: a solve reads the kernel basis
@@ -368,11 +371,9 @@ class Echelon:
     def residual(self, row: dict) -> dict:
         """Remainder of `row` modulo the row space that vanishes at every
         pivot column, with exact scalar values; {} iff `row` is in the span."""
-        row, s = _int_row(row)
-        row, scale = _eliminate(row, self.pivot_rows)
-        scale *= s
-        return {c: fr(Fraction(v * scale.denominator, scale.numerator))
-                for c, v in row.items()}
+        row, (p1, q1) = _int_row(row)
+        row, (p2, q2) = _eliminate(row, self.pivot_rows)
+        return {c: fr(Fraction(v * q1 * q2, p1 * p2)) for c, v in row.items()}
 
     def to_rref(self):
         """Back-substitute so every pivot row is supported on its pivot and

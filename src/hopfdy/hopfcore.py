@@ -51,7 +51,8 @@ class HopfAlgebra:
         self.name = name or algebra.name
         self.dual_generator_hint = dual_generator_hint
         # "double": D(H), filled by drinfeld_double; "antipode_inv": S^{-1};
-        # "report": the violations found by verify_hopf
+        # "report": the violations found by verify_hopf; the identity and
+        # restriction DY complexes of H
         self._cache: dict = {} if antipode_inv is None else {"antipode_inv": antipode_inv}
 
     # convenience passthroughs

@@ -136,6 +136,8 @@ class Resolution:
         self.kernel_markers: list = [None]    # free coordinates of those bases
         self._res_small: dict = {}
         self._generators: dict = {}   # n -> image_generators(n)
+        # (W, n) -> Hom_A(P_n, W) basis, (W, n, "ker") -> kernel_dim_top(n)
+        self._ext: dict = {}
 
     @property
     def maxdeg(self) -> int:
@@ -299,25 +301,26 @@ def verify_resolution(res) -> list:
 # relative Ext
 
 class ExtComputation:
-    """Hom_A(P_*, W) with mate-computed cochain bases."""
+    """Hom_A(P_*, W) with mate-computed cochain bases: a view onto the
+    cochain data that the resolution keeps for W, so every computation on
+    one (res, W) shares it."""
 
     def __init__(self, res: Resolution, W: ModuleRep):
         assert W.algebra is res.pair.big
         self.res = res
         self.W = W
         self.resW = res.res_small(W)
-        self._cochains: dict = {}  # n -> cochain_basis(n), filled by `_once`
 
     def cochain_basis(self, n: int) -> list:
         """Basis of Hom_A(P_n, W) as full W.dim x P_n.dim matrices: the
         A-linear extensions E_W (1 ox g) S of the mates g : X_n -> Res W.
-        The bases stay with this computation, not with the resolution:
-        keyed by W there, they would outlive every query that used them."""
+        Built once per (W, n) and kept on the resolution, keyed by W, so it
+        lives as long as the resolution (and so the pair) does."""
         def build():
             left, term = evaluation(self.W), self.res.terms[n]
             return [induced_map(left, term, f=g)
                     for g in hom_space(self.res.sources[n], self.resW)]
-        return _once(self._cochains, n, build)
+        return _once(self.res._ext, (self.W, n), build)
 
     def kernel_dim_top(self, n: int) -> int:
         """dim ker delta^n, at every degree and for both resolution kinds.
@@ -326,15 +329,18 @@ class ExtComputation:
         being A-linear it does so iff it vanishes on the A-module generators
         g_k of im d_{n+1} inside P_n (`Resolution.image_generators`), so
         P_{n+1} is never needed.  Each cochain is evaluated by walking its
-        nonzeros: the (k, w) entry of G^T f^T is f(g_k)_w.
+        nonzeros: the (k, w) entry of G^T f^T is f(g_k)_w.  Kept on the
+        resolution beside the basis.
         """
-        basis = self.cochain_basis(n)
-        if not basis:
-            return 0
-        gt, nw = self.res.image_generators(n), self.W.dim
-        vecs = [{k * nw + w: c for (k, w), c in gt.matmul(f.transpose()).entries.items()}
-                for f in basis]
-        return len(basis) - rank_of_vectors(vecs, gt.rows * nw)
+        def build():
+            basis = self.cochain_basis(n)
+            if not basis:
+                return 0
+            gt, nw = self.res.image_generators(n), self.W.dim
+            vecs = [{k * nw + w: c for (k, w), c in gt.matmul(f.transpose()).entries.items()}
+                    for f in basis]
+            return len(basis) - rank_of_vectors(vecs, gt.rows * nw)
+        return _once(self.res._ext, (self.W, n, "ker"), build)
 
     def rank_delta(self, n: int) -> int:
         """rank of delta^n : C^n -> C^{n+1}."""

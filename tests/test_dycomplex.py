@@ -663,3 +663,17 @@ def test_shared_complex_is_thread_safe():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and results == [3, 3]
+
+
+def test_identity_and_restriction_complexes_are_owned_by_h():
+    """identity_complex and restriction_complex return the complex cached on
+    H, one per (imap, Hsub); tensor_complex builds a new one per call."""
+    B1, B2 = build_bk(1), build_bk(2)
+    assert identity_complex(B2) is identity_complex(B2)
+    assert identity_complex(B1) is not identity_complex(B2)
+    imap = bk_inclusion(1, 1)
+    assert restriction_complex(B2, imap, B1) is restriction_complex(B2, imap, B1)
+    other = AlgebraMap(imap.source, imap.target, imap.columns)
+    assert restriction_complex(B2, other, B1) is not restriction_complex(B2, imap, B1)
+    R = bk_r0(1, B1)
+    assert tensor_complex(B1, R) is not tensor_complex(B1, R)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfdy
+from hopfdy import exactlin
 from hopfdy.algcore import _invert_columns
 from hopfdy.exactlin import (Echelon, ExactlinError, SparseMatrix, TensorElement, fr,
                              kernel_basis, kernel_basis_marked, kron_into, rank, rank_of_rows,
@@ -318,6 +319,30 @@ def test_insertion_order_keeps_kernel_and_rank(case, data):
         assert all(_canonical(x) for v in basis for x in v.values())
         assert markers == [c for c in range(ncols) if c not in pivots]
         assert rank_of_rows(sparse) == dense_rank(rows)
+
+
+def test_echelon_builds_no_fraction_on_integer_rows(monkeypatch):
+    """add_row and to_rref keep their scales as integers: on integer rows
+    only residual builds a Fraction, and it matches the dense remainder."""
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(exactlin, "Fraction", Counted)
+    ech = Echelon()
+    rows = [{0: 2, 1: 4, 3: -6}, {1: 3, 2: 9}, {0: 4, 2: 1, 3: 5},
+            {0: 2, 1: 7, 2: 9, 3: -6}]   # the last is the sum of the first two
+    for row in rows:
+        ech.add_row(row)
+    ech.to_rref()
+    assert made == [] and ech.rank == 3
+    # the RREF rows are (1, 0, 0, 27/25), (0, 1, 0, -51/25), (0, 0, 1, 17/25),
+    # so (1, 1, 1, 1) leaves 1 - 27/25 + 51/25 - 17/25 at column 3
+    assert ech.residual({0: 1, 1: 1, 2: 1, 3: 1}) == {3: Fraction(32, 25)}
+    assert made
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(

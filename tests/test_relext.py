@@ -1,13 +1,16 @@
 import copy
+import gc
 import re
 import sys
 import threading
+import weakref
 
 import pytest
 
 from hopfdy.algcore import (Algebra, AlgebraError, AlgebraMap, hom_space,
                             module_from_character)
 from hopfdy.double import coeff_restriction, drinfeld_double
+from hopfdy.dycomplex import identity_complex, restriction_complex
 from hopfdy.exactlin import FR1, SparseMatrix, TensorElement, vec_kron
 from hopfdy.hopfcore import HopfAlgebra, bk_inclusion, build_bk, verify_hopf
 from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
@@ -181,25 +184,29 @@ def test_get_resolution_is_thread_safe(P1, k1):
 
 def test_owner_caches_publish_write_once(tmp_path, monkeypatch):
     """Two threads that fill the caches of one freshly loaded bk:1 at the
-    same time get the very same objects from every call.  Each thread also
-    runs kernel_dim_top on one fresh bar resolution through its own
-    ExtComputation, and both must read the same image generators."""
+    same time get the very same objects from every call: the doubles, pairs,
+    modules, DY complexes and their ranks.  Each thread also runs
+    cochain_basis and kernel_dim_top on one fresh bar resolution through its
+    own ExtComputation: every build of kernel_dim_top must read the same
+    image generators, and both threads get the same cochain basis."""
     from hopfdy.hopffile import load_hopf, save_hopf
     from hopfdy.relext import Resolution
 
     path = str(tmp_path / "bk1.json")
     save_hopf(build_bk(1), path)
-    read = {}   # thread -> the generators its kernel_dim_top read
+    read = []   # the generators each build of kernel_dim_top read
     image_generators = Resolution.image_generators
 
     def spy(res, n):
-        read[threading.get_ident()] = gens = image_generators(res, n)
-        return gens
+        read.append(image_generators(res, n))
+        return read[-1]
 
     monkeypatch.setattr(Resolution, "image_generators", spy)
 
     def calls(H, ident, Hv, ext):
-        ExtComputation(ext.res, ext.W).kernel_dim_top(1)
+        mine = ExtComputation(ext.res, ext.W)   # a view of its own per thread
+        basis, kdim = mine.cochain_basis(1), mine.kernel_dim_top(1)
+        cx = restriction_complex(H, ident, H)
         D = drinfeld_double(H)
         p = pair_from_double(D)
         W = coeff_restriction(D, ident, H).module
@@ -207,7 +214,7 @@ def test_owner_caches_publish_write_once(tmp_path, monkeypatch):
         return (D, p, trivial_module_over(D), tensor_pair(p, p), W,
                 W.action(1), H.algebra.fast_mult(), D.algebra.left_mult_matrix(1),
                 Hv._cache["report"], p.rewrite_table()[1], ext.cochain_basis(1),
-                read[threading.get_ident()])
+                basis, kdim, identity_complex(H), cx, cx.rank_delta(2), cx.cochain_basis(2))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -223,6 +230,7 @@ def test_owner_caches_publish_write_once(tmp_path, monkeypatch):
             ext = ExtComputation(get_resolution(pair_from_double(De), ke, "bar", 1), ke)
             start = threading.Barrier(2)
             results, errors = [], []
+            read.clear()
 
             def run():
                 try:
@@ -239,8 +247,71 @@ def test_owner_caches_publish_write_once(tmp_path, monkeypatch):
                 assert not t.is_alive()
             assert errors == [] and len(results) == 2
             assert all(a is b for a, b in zip(*results))
+            assert read and all(g is read[0] for g in read)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _loaded_bk1(tmp_path):
+    """A copy of bk:1 read from a Hopf file: unlike build_bk(1), it is not
+    shared with other tests, and nothing keeps it alive."""
+    from hopfdy.hopffile import load_hopf, save_hopf
+    path = str(tmp_path / "bk1.json")
+    save_hopf(build_bk(1), path)
+    return load_hopf(path)
+
+
+def test_cohomology_is_not_recomputed(tmp_path, monkeypatch):
+    """A second identity_complex(H).cohomology_dim(3), and a second
+    relative_ext_dims on the same (pair, V, W), run no elimination: the
+    complex lives on H, its ranks on the complex and the Ext cochain data on
+    the resolution."""
+    from hopfdy import algcore, dycomplex, relext
+    H = _loaded_bk1(tmp_path)
+    D = drinfeld_double(H)
+    pair, V = pair_from_double(D), trivial_module_over(D)
+    W = coeff_restriction(D, _identity_map(H), H).module
+
+    def dims():
+        return ([identity_complex(H).cohomology_dim(3)]
+                + [relative_ext_dims(pair, V, M, 2) for M in (V, W)])
+
+    first, calls = dims(), []
+
+    def spy(mod, name):
+        real = getattr(mod, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(mod, name, counted)
+
+    spy(dycomplex, "rank_of_rows")
+    spy(dycomplex, "kernel_basis_marked")
+    spy(algcore, "hom_space")
+    spy(relext, "hom_space")
+    spy(relext, "rank_of_vectors")
+    assert dims() == first and calls == []
+
+
+def _identity_map(H):
+    return AlgebraMap(H.algebra, H.algebra, [{i: FR1} for i in range(H.dim)])
+
+
+def test_cohomology_caches_die_with_their_algebra(tmp_path):
+    """DY complexes, their ranks, the double, its resolutions and their Ext
+    cochain data all hang off H: once the caller drops H, gc frees it."""
+    H = _loaded_bk1(tmp_path)
+    ident = _identity_map(H)
+    assert identity_complex(H).cohomology_dim(3) == 0
+    assert restriction_complex(H, ident, H).cohomology_dim(2) == 1
+    D = drinfeld_double(H)
+    W = coeff_restriction(D, ident, H).module
+    assert relative_ext_dims(pair_from_double(D), trivial_module_over(D), W, 2) == [1, 0, 1]
+    ref = weakref.ref(H)
+    del H, ident, D, W
+    gc.collect()
+    assert ref() is None
 
 
 class TestExtDims:
@@ -361,7 +432,7 @@ class TestCrosschecks:
 
     def test_dimension_formula_b1(self, D1):
         # tangent dim = H^2(tensor) - 2 H^2(identity) = 3 - 2 = 1
-        from hopfdy.dycomplex import identity_complex, tensor_complex
+        from hopfdy.dycomplex import tensor_complex
         from hopfdy.rmatrix import tangent_space
         H = D1.base
         R = bk_r0(1, H)
