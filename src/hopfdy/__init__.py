@@ -11,15 +11,14 @@ import importlib
 
 # module -> its exported names; __getattr__ (PEP 562) imports a module at first use
 _EXPORTS = {
-    "exactlin": "SparseMatrix TensorElement kernel_basis rank span_equal unit_tensor",
+    "exactlin": "SparseMatrix TensorElement kernel_basis span_equal unit_tensor",
     "algcore": "Algebra AlgebraMap ModuleRep hom_space induced_module "
-               "module_from_character module_map_kernel regular_module restrict_module "
-               "tensor_algebra tensor_module verify_algebra verify_module",
-    "hopfcore": "HopfAlgebra bk_inclusion build_bk build_cyclic catalog_hopf coreg_left "
-                "coreg_right dual_hopf is_hopf_map iterated_coproduct tensor_hopf "
-                "trivial_module verify_hopf",
-    "double": "CoefficientModule DoubleAlgebra build_c_pm center_module_from_rmatrix "
-              "coeff_restriction coeff_tensor_product drinfeld_double ell_minus ell_plus",
+               "module_from_character restrict_module tensor_algebra tensor_module "
+               "verify_algebra verify_module",
+    "hopfcore": "HopfAlgebra bk_inclusion build_bk build_cyclic catalog_hopf dual_hopf "
+                "is_hopf_map iterated_coproduct tensor_hopf trivial_module verify_hopf",
+    "double": "CoefficientModule DoubleAlgebra coeff_restriction coeff_tensor_product "
+              "drinfeld_double ell_minus ell_plus",
     "dycomplex": "DYComplex cocycle_from_tangent decompose_h2_tensor identity_complex "
                  "restriction_complex tensor_complex",
     "rmatrix": "RMatrixReport TangentBasis bk_standard_tangent_basis bk_r0 bk_r_lambda "

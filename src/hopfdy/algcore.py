@@ -262,11 +262,6 @@ def module_from_character(A: Algebra, chi: dict, name="") -> ModuleRep:
     return ModuleRep(A, 1, action=mats, name=name or "character")
 
 
-def regular_module(A: Algebra) -> ModuleRep:
-    return ModuleRep(A, A.dim, action_fn=lambda i: A.left_mult_matrix(i),
-                     name="regular(%s)" % A.name)
-
-
 def restrict_module(imap: AlgebraMap, M: ModuleRep, name="") -> ModuleRep:
     """Pull an imap.target-module back to imap.source along the algebra map."""
     assert M.algebra is imap.target
@@ -295,24 +290,6 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
         rows.extend(r for r in SparseMatrix(dn * dm, dn * dm, ent).row_dicts() if r)
     return [SparseMatrix(dn, dm, {divmod(f, dm): c for f, c in v.items()})
             for v in kernel_basis(rows, dn * dm)]
-
-
-def is_intertwiner(f: SparseMatrix, M: ModuleRep, N: ModuleRep) -> bool:
-    """f rho_M(a) = rho_N(a) f for a in `check_elements`, as in `hom_space`."""
-    for a, _ in check_elements(M.algebra):
-        if f.matmul(_act_matrix(M, a)) != _act_matrix(N, a).matmul(f):
-            return False
-    return True
-
-
-def module_map_kernel(f: SparseMatrix, M: ModuleRep, N: ModuleRep):
-    """Kernel of an intertwiner as a module, with its inclusion matrix."""
-    if not is_intertwiner(f, M, N):
-        raise AlgebraError("module_map_kernel: map is not an intertwiner")
-    basis = kernel_basis(f.row_dicts(), f.cols)
-    incl = SparseMatrix.from_columns(M.dim, basis)
-    K = submodule_on_basis(M.algebra, basis, M.act_basis, name="ker(%s)" % M.name)
-    return K, incl
 
 
 def submodule_on_basis(A: Algebra, basis: list, act, name="") -> ModuleRep:

@@ -21,11 +21,11 @@ functors use J = 1 ox 1.
 
 from __future__ import annotations
 
-from .algcore import (Algebra, AlgebraMap, ModuleRep, _act_matrix, check_elements,
-                      left_span, matrix_sum, submodule_on_basis, verify_module)
+from .algcore import (Algebra, AlgebraMap, ModuleRep, check_elements, matrix_sum,
+                      submodule_on_basis, verify_module)
 from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, kernel_basis,
                        kron_into, vec_addmul, vec_kron)
-from .hopfcore import HopfAlgebra, HopfError, bk_dual_generators, dual_hopf, verify_hopf
+from .hopfcore import HopfAlgebra, HopfError, dual_hopf, verify_hopf
 from .rmatrix import RMatrixError, check_rmatrix
 
 
@@ -275,72 +275,3 @@ def _coeff_restriction_build(D: DoubleAlgebra, imap: AlgebraMap,
         raise HopfError("restriction coefficient module fails axioms: %s" % rep[:3])
     return CoefficientModule(mod, "restriction_coeff")
 
-
-def center_module_from_rmatrix(D: DoubleAlgebra, R: TensorElement, M: ModuleRep,
-                               variant: str) -> ModuleRep:
-    """Promote an H-module to a D(H)-module along an R-matrix.
-
-    variant "braiding":         pullback along phi h -> l+(phi) h
-    variant "inverse_braiding": pullback along phi h -> l-(phi) h
-    variant "dual_braiding":    on M*, <(phi h).f, x> = <f, S(l+(phi) h) x>
-    """
-    H = D.base
-    if M.algebra is not H.algebra:
-        raise HopfError("module is not over the base Hopf algebra")
-    pi_plus, pi_minus = ell_maps(D, R)
-    if variant == "braiding":
-        pi = pi_plus
-    elif variant == "inverse_braiding":
-        pi = pi_minus
-    elif variant == "dual_braiding":
-        pi = pi_plus
-    else:
-        raise HopfError("unknown variant %r" % variant)
-
-    if variant in ("braiding", "inverse_braiding"):
-        mod = ModuleRep(D.algebra, M.dim,
-                        action_fn=lambda flat: _act_matrix(M, pi.apply_basis(flat)),
-                        name="center(%s,%s)" % (M.name, variant))
-    else:
-        def action(flat):
-            return _act_matrix(M, H.antipode_vec(pi.apply_basis(flat))).transpose()
-        mod = ModuleRep(D.algebra, M.dim, action_fn=action,
-                        name="center(%s,dual)" % M.name)
-    rep = verify_module(mod)
-    if rep:
-        raise HopfError("center module fails axioms: %s" % rep[:3])
-    return mod
-
-
-def build_c_pm(D: DoubleAlgebra, sign: int) -> ModuleRep:
-    """The D(B_k)-modules C_+ / C_-: free cyclic duals with x_i acting by 0
-    and g acting as h = 1* - g*."""
-    H = D.base
-    n = H.dim
-    k = n.bit_length() - 2  # dim = 2^{k+1}
-    assert (1 << (k + 1)) == n, "C_pm requires a B_k base"
-    g_bit = 1 << k
-    assert sign in (1, -1)
-    # f_+ = 1*, f_- = g* as dual coordinates
-    f0 = {0: FR1} if sign == 1 else {g_bit: FR1}
-    dual = D.dual
-
-    # closure of f0 under left multiplication in (B_k*)^op
-    basis = left_span(dual.algebra, f0, [{i: FR1} for i in range(n)])
-    h_vec = bk_dual_generators(k)[-1]  # h = 1* - g*
-
-    def act(flat, b):
-        i, j = D.split_index(flat)
-        # rho(phi^i h_j) = rho_dual(phi^i) rho_H(h_j); x-letters kill, g acts as h
-        mask, t = j & ((1 << k) - 1), j >> k
-        if mask:
-            return {}
-        mult_elt = dual.algebra.mul_vec({i: FR1}, h_vec) if t else {i: FR1}
-        return dual.algebra.mul_vec(mult_elt, b)
-
-    mod = submodule_on_basis(D.algebra, basis, act,
-                             name="C%s(B_%d)" % ("+" if sign == 1 else "-", k))
-    rep = verify_module(mod)
-    if rep:
-        raise HopfError("C_pm fails module axioms: %s" % rep[:3])
-    return mod

@@ -14,10 +14,8 @@ take that index from `vec_kron` or `kron_into`.
 
 All elimination over QQ runs through one loop, `_eliminate`, with one
 job: it clears the pivot columns of an integer row fraction-free
-(cross-multiplication with gcd normalization, Bareiss flavour) and
-returns the scale it accumulated as an integer pair, so a caller that
-needs the exact rational remainder divides by it once at the end.
-`Echelon` builds ranks, residuals and the reduced row echelon form on it.
+(cross-multiplication with gcd normalization, Bareiss flavour).
+`Echelon` builds ranks and the reduced row echelon form on it.
 `kernel_basis_marked` is the one reader of that form: every exact solve
 of the package (matrix inverses, the rewrite table of induction,
 submodule coordinates, cochain and tangent spaces) is read from the
@@ -80,12 +78,6 @@ def vec_sub(u: dict, v: dict) -> dict:
     return w
 
 
-def vec_scale(u: dict, c) -> dict:
-    if not c:
-        return {}
-    return {i: c * x for i, x in u.items()}
-
-
 def vec_addmul(w: dict, u: dict, c) -> dict:
     """w += c*u in place; returns w."""
     if not c:
@@ -135,9 +127,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def col(self, j: int) -> dict:
-        return dict(self.columns()[j])
 
     def columns(self) -> list:
         if self._cols is None:
@@ -256,9 +245,8 @@ def _content(row: dict) -> int:
     return g
 
 
-def _int_row(row: dict):
-    """(r, (p, q)): `row` scaled by p/q > 0 to coprime integers, so
-    q * r == p * row."""
+def _int_row(row: dict) -> dict:
+    """`row` scaled by a positive rational to coprime integers."""
     den = 1
     for v in row.values():
         d = v.denominator
@@ -267,7 +255,7 @@ def _int_row(row: dict):
     g = _content(out)
     if g > 1:
         out = {i: v // g for i, v in out.items()}
-    return out, (den, g or 1)
+    return out
 
 
 def _eliminate(row: dict, pivots: dict):
@@ -277,15 +265,10 @@ def _eliminate(row: dict, pivots: dict):
     pivot column c still nonzero in the row, replaces the row by
     ma*row - mb*pivots[c] with ma/mb = pivots[c][c]/row[c] in lowest terms,
     and divides it by the gcd of its entries; fill-in on another pivot
-    column joins the worklist.  `row` is updated in place.  Returns
-    (row, (num, den)) with integers num, den > 0 and
-
-        den * row == num * (input - sum_c x_c * pivots[c])
-
-    for some rationals x_c, and the returned row vanishes at every pivot
-    column.
+    column joins the worklist.  `row` is updated in place and returned: a
+    positive rational multiple of input - sum_c x_c * pivots[c] for some
+    rationals x_c, vanishing at every pivot column.
     """
-    num = den = 1
     hits = [c for c in row if c in pivots]
     pending = set(hits)
     while hits:
@@ -299,7 +282,6 @@ def _eliminate(row: dict, pivots: dict):
         g = gcd(a, b)
         ma, mb = a // g, b // g
         if ma != 1:
-            num *= ma
             for c in row:
                 row[c] *= ma
         for c, v in prow.items():
@@ -313,10 +295,9 @@ def _eliminate(row: dict, pivots: dict):
                 row.pop(c, None)
         g = _content(row)
         if g > 1:
-            den *= g
             for c in row:
                 row[c] //= g
-    return row, (num, den)
+    return row
 
 
 class Echelon:
@@ -327,12 +308,9 @@ class Echelon:
     `_eliminate` against the rows already present and takes as pivot the
     column with the smallest `key(col)`.  The default key is the column
     index; `submodule_on_basis` passes a reversed key so that the pivots
-    sit at high columns.  Each pivot row thus vanishes at
-    the pivot columns of the rows before it, so the remainder of any row
-    that vanishes at every pivot column is unique.  `residual` returns that
-    remainder, the returned row of `_eliminate` divided by its scale: the
-    only `Fraction` the class builds, so `add_row` and `to_rref` build none
-    on integer rows.
+    sit at high columns.  Each pivot row thus vanishes at the pivot columns
+    of the rows before it.  All arithmetic is on integers, so `add_row` and
+    `to_rref` build no `Fraction` on integer rows.
     `to_rref` runs the same loop against the pivots already finished; RREF
     is unique, so it does not depend on the insertion order.  No row
     combinations are tracked: a solve reads the kernel basis
@@ -351,10 +329,10 @@ class Echelon:
     def add_row(self, row: dict):
         """Insert a row (Fraction or int dict); returns the new pivot column,
         or None when the row already lies in the span."""
-        row, _ = _int_row(row)
+        row = _int_row(row)
         if not row:
             return None
-        row, _ = _eliminate(row, self.pivot_rows)
+        row = _eliminate(row, self.pivot_rows)
         if not row:
             return None
         piv = min(row, key=self.key)
@@ -368,13 +346,6 @@ class Echelon:
             row = {c: -v for c, v in row.items()}
         self.pivot_rows[piv] = row
 
-    def residual(self, row: dict) -> dict:
-        """Remainder of `row` modulo the row space that vanishes at every
-        pivot column, with exact scalar values; {} iff `row` is in the span."""
-        row, (p1, q1) = _int_row(row)
-        row, (p2, q2) = _eliminate(row, self.pivot_rows)
-        return {c: fr(Fraction(v * q1 * q2, p1 * p2)) for c, v in row.items()}
-
     def to_rref(self):
         """Back-substitute so every pivot row is supported on its pivot and
         non-pivot columns only.  Idempotent."""
@@ -383,7 +354,7 @@ class Echelon:
         pivots = self.pivot_rows
         done: dict = {}
         for piv in sorted(pivots, key=self.key, reverse=True):
-            row, _ = _eliminate(pivots[piv], done)
+            row = _eliminate(pivots[piv], done)
             self._store(piv, row)
             done[piv] = pivots[piv]
         self._rref_done = True
@@ -408,11 +379,6 @@ def _sparse_first(rows: list) -> Echelon:
 
 def rank_of_rows(rows: list) -> int:
     return _sparse_first(rows).rank
-
-
-def rank(M: SparseMatrix) -> int:
-    """Exact rank over QQ."""
-    return rank_of_rows(M.row_dicts())
 
 
 def rank_of_vectors(vecs: list, ambient: int) -> int:
@@ -615,16 +581,6 @@ class TensorElement:
             out[tuple(nk)] = v
         return TensorElement(self.ambient, d, out)
 
-    def concat(self, other: "TensorElement") -> "TensorElement":
-        """Juxtaposition u ox v of degree deg(u)+deg(v)."""
-        if self.ambient is not other.ambient:
-            raise ExactlinError("tensor elements live over different ambient algebras")
-        out = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                out[ka + kb] = va * vb
-        return TensorElement(self.ambient, self.degree + other.degree, out)
-
     def apply_matrix_at(self, slot: int, matrix: SparseMatrix) -> "TensorElement":
         """Apply a linear map (columns = images of basis vectors) in one slot."""
         cols = matrix.columns()
@@ -667,11 +623,8 @@ class TensorElement:
         n = self.ambient.dim
         return {flatten_index(k, n): v for k, v in self.coeffs.items()}
 
-    def to_sorted_items(self):
-        return sorted(self.coeffs.items())
-
     def __repr__(self):
-        items = self.to_sorted_items()[:6]
+        items = sorted(self.coeffs.items())[:6]
         body = ", ".join("%s: %s" % (k, v) for k, v in items)
         more = "" if len(self.coeffs) <= 6 else ", ..."
         return "TensorElement(deg=%d, {%s%s})" % (self.degree, body, more)

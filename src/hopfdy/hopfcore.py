@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .algcore import (Algebra, AlgebraMap, ModuleRep, matrix_sum, module_from_character,
+from .algcore import (Algebra, AlgebraMap, ModuleRep, module_from_character,
                       multiplicative_failures, verify_algebra)
 from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, fr, kron_into,
                        unit_tensor, vec_addmul, vec_eq)
@@ -63,9 +63,6 @@ class HopfAlgebra:
     @property
     def unit(self):
         return self.algebra.unit
-
-    def mul_basis(self, i, j):
-        return self.algebra.mul_basis(i, j)
 
     def mul_vec(self, u, v):
         return self.algebra.mul_vec(u, v)
@@ -129,16 +126,6 @@ def iterated_coproduct(H: HopfAlgebra, u: TensorElement, slot: int) -> TensorEle
             else:
                 out_coeffs.pop(nk, None)
     return TensorElement(H.algebra, u.degree + 1, out_coeffs)
-
-
-def coreg_left(H: HopfAlgebra, h: dict, f: dict) -> dict:
-    """h |> f with (h |> f)(h') = f(h' h): R_h^T f, f a dual row {index: coeff}."""
-    return matrix_sum(H.algebra.right_mult_matrix, h, H.dim).transpose().mul_vec(f)
-
-
-def coreg_right(H: HopfAlgebra, f: dict, h: dict) -> dict:
-    """f <| h with (f <| h)(h') = f(h h'): L_h^T f."""
-    return matrix_sum(H.algebra.left_mult_matrix, h, H.dim).transpose().mul_vec(f)
 
 
 def verify_hopf(H: HopfAlgebra) -> list:
@@ -284,14 +271,6 @@ def build_bk(k: int) -> HopfAlgebra:
     # generators of (H*)^op = {y_i, h}; used to certify checks on D(B_k)
     return HopfAlgebra(A, comult, counit, antipode, name="B_%d" % k,
                        dual_generator_hint=bk_dual_generators(k))
-
-
-def bk_monomial_index(k: int, xs, t: int) -> int:
-    """Basis index of x_{i} monomial (1-based letters in `xs`) times g^t."""
-    mask = 0
-    for i in xs:
-        mask |= 1 << (i - 1)
-    return mask | (t << k)
 
 
 def dual_hopf(H: HopfAlgebra, opposite_product: bool) -> HopfAlgebra:

@@ -70,6 +70,7 @@ class ResolventPair:
         self.free_basis = [fr_vec(u) for u in free_basis]
         self.name = name or "(%s <= %s)" % (big.name, small.name)
         self._tensor: dict = {}       # tensor_pair(self, p2), keyed by p2
+        self._products: dict = {}     # product_module(V, V'), keyed by (V, V')
         self._rewrite: dict = {}      # "table": free_rewrite(inclusion, free_basis)
         self._resolutions: dict = {}  # keyed by (V, kind)
         self._lock = threading.Lock()  # guards _resolutions and their growth
@@ -79,6 +80,11 @@ class ResolventPair:
         table built once), as `induced_module` takes them."""
         return self.free_basis, _once(self._rewrite, "table",
                                       lambda: free_rewrite(self.inclusion, self.free_basis))
+
+    def product_module(self, V: ModuleRep, Vp: ModuleRep) -> ModuleRep:
+        """V ox V' over `big` = A1 ox A2 of a tensor pair, built once per
+        (V, V'), so that its resolutions and Ext data are found again."""
+        return _once(self._products, (V, Vp), lambda: tensor_module(V, Vp, self.big))
 
     def __repr__(self):
         return "ResolventPair%s" % self.name
@@ -415,9 +421,8 @@ def kunneth_check(pairA: ResolventPair, pairB: ResolventPair,
     extA = relative_ext_dims(pairA, V, W, n, kind=kind)
     extB = relative_ext_dims(pairB, Vp, Wp, n, kind=kind)
     expected = sum(extA[i] * extB[n - i] for i in range(n + 1))
-    VT = tensor_module(V, Vp, pt.big)
-    WT = tensor_module(W, Wp, pt.big)
-    got = relative_ext_dims(pt, VT, WT, n, kind=kind)[n]
+    got = relative_ext_dims(pt, pt.product_module(V, Vp), pt.product_module(W, Wp), n,
+                            kind=kind)[n]
     out = {"degree": n, "product_ext": got, "kunneth_sum": expected,
            "factor_ext_a": extA, "factor_ext_b": extB, "equal": got == expected}
     if verify_product:
@@ -445,7 +450,7 @@ class TensorResolution:
         self.pair = pair
         self.maxdeg = maxdeg
         self.factors = (resA, resB)
-        self.target = tensor_module(resA.target, resB.target, pair.big)
+        self.target = pair.product_module(resA.target, resB.target)
         self.offsets = []  # per level: {(i, j): offset of the block P_i ox P'_j}
         self.terms = []
         for n in range(maxdeg + 1):

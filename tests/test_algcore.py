@@ -6,17 +6,26 @@ from hypothesis import strategies as st
 
 from hopfdy.algcore import (Algebra, AlgebraError, AlgebraMap, ModuleRep, check_elements,
                             check_generators_span, evaluation, free_rewrite, hom_space,
-                            induced_map, induced_module,
-                            is_intertwiner, left_span, module_from_character, module_map_kernel,
-                            regular_module, submodule_on_basis, tensor_algebra,
-                            tensor_module, verify_algebra, verify_module)
-from hopfdy.exactlin import FR1, SparseMatrix, rank
+                            induced_map, induced_module, left_span, module_from_character,
+                            submodule_on_basis, tensor_algebra, tensor_module, verify_algebra,
+                            verify_module)
+from hopfdy.exactlin import FR1, SparseMatrix, rank_of_rows
 from hopfdy.hopfcore import build_bk, build_cyclic, bk_inclusion, trivial_module
 from hopfdy.double import drinfeld_double
 
 from freebases import rebased
 from oracles import (dense_column, dense_kron, dense_rank, densify_matrix, induced_dense,
                      intertwiner_basis_dense)
+
+
+def regular_module(A):
+    """The left regular A-module."""
+    return ModuleRep(A, A.dim, action_fn=A.left_mult_matrix, name="regular(%s)" % A.name)
+
+
+def is_intertwiner(f, M, N):
+    """f rho_M(e_a) = rho_N(e_a) f for every basis element e_a."""
+    return all(f.matmul(M.action(a)) == N.action(a).matmul(f) for a in range(M.algebra.dim))
 
 
 def z2_algebra():
@@ -127,20 +136,10 @@ class TestHomSpace:
                 [densify_matrix(N.action(i)) for i in range(H.dim)])
             assert [densify_matrix(f) for f in hom_space(M, N)] == want
 
-    @pytest.mark.parametrize("good, bad", [(2, 1), (1, 2)], ids=["g", "x1"])
-    def test_is_intertwiner_checks_every_generator(self, good, bad):
-        # on regular B_1, left multiplication by g (index 2) or x1 (index 1)
-        # commutes with its own action and anticommutes with the other's
-        reg = regular_module(build_bk(1).algebra)
-        f = reg.action(good)
-        assert f.matmul(reg.action(good)) == reg.action(good).matmul(f)
-        assert f.matmul(reg.action(bad)) != reg.action(bad).matmul(f)
-        assert not is_intertwiner(f, reg, reg)
-
     def test_hom_from_zero_module(self):
         H = build_bk(1)
         k = trivial_module(H)
-        Z, _ = module_map_kernel(SparseMatrix.identity(1), k, k)
+        Z = submodule_on_basis(H.algebra, [], k.act_basis, name="zero")
         assert Z.dim == 0
         assert hom_space(Z, k) == []
 
@@ -155,16 +154,6 @@ class TestHomSpace:
             name="permuted")
         assert len(hom_space(reg, reg)) == len(hom_space(permuted, permuted)) \
             == len(hom_space(reg, permuted))
-
-    def test_c_plus_to_restriction_coeff(self):
-        # Hom over D(B_2) from C_+ is one-dimensional, from C_- it vanishes
-        from hopfdy.double import build_c_pm, coeff_restriction
-        D = drinfeld_double(build_bk(2))
-        W = coeff_restriction(D, bk_inclusion(1, 1), build_bk(1)).module
-        cp = build_c_pm(D, +1)
-        cm = build_c_pm(D, -1)
-        assert len(hom_space(cp, W)) == 1
-        assert len(hom_space(cm, W)) == 0
 
 
 def _free(imap, basis):
@@ -235,7 +224,7 @@ class TestInducedModule:
             f = induced_module(emb, V, _dual_free(D))
             iso = _classes(q, f.section())
             assert is_intertwiner(iso, f, q)
-            assert rank(iso) == q.dim == f.dim == H.dim * V.dim
+            assert rank_of_rows(iso.row_dicts()) == q.dim == f.dim == H.dim * V.dim
 
     def test_induced_along_identity_keeps_dimension(self):
         A = build_bk(1).algebra
@@ -244,7 +233,7 @@ class TestInducedModule:
         ind = induced_module(ident, reg, _free(ident, [dict(A.unit)]))
         assert ind.dim == reg.dim
         f = ind.unit()
-        assert rank(f) == reg.dim
+        assert rank_of_rows(f.row_dicts()) == reg.dim
         assert is_intertwiner(f, reg, ind)
 
 
@@ -364,60 +353,12 @@ def test_induced_map_matches_dense_oracle(pair):
 
 
 class TestModuleMapKernel:
-    def test_identity_map_zero_kernel(self):
-        H = build_bk(1)
-        k = trivial_module(H)
-        K, incl = module_map_kernel(SparseMatrix.identity(1), k, k)
-        assert K.dim == 0
-
-    def test_zero_map_full_kernel(self):
-        H = build_bk(1)
-        reg = regular_module(H.algebra)
-        K, incl = module_map_kernel(SparseMatrix(H.dim, H.dim, {}), reg, reg)
-        assert K.dim == H.dim
-
-    def test_counit_kernel_of_induced(self):
-        # ker(eps: D(B_1) ox_{B_1} k -> k) has dimension 3
-        H = build_bk(1)
-        D = drinfeld_double(H)
-        k = trivial_module(H)
-        ind = induced_module(D.inclusion_base, k, _dual_free(D))
-        kD = module_from_character(
-            D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c})
-        eps_cols = []
-        for u in ind.section().columns():  # u ox 1, flat index u
-            e = D.hopf.counit_vec(u)
-            eps_cols.append({0: e} if e else {})
-        f = SparseMatrix.from_columns(1, eps_cols)
-        K, incl = module_map_kernel(f, ind, kD)
-        assert K.dim == 3
-        assert f.matmul(incl).is_zero()
-
     def test_submodule_on_unstable_subspace_raises(self):
         # span{1} in the regular B_1-module: x . 1 = x leaves it
         A = build_bk(1).algebra
         sub = submodule_on_basis(A, [dict(A.unit)], regular_module(A).act_basis)
         with pytest.raises(AlgebraError, match="not stable"):
             [sub.action(i) for i in range(A.dim)]
-
-    def test_rejects_non_intertwiner(self):
-        H = build_bk(1)
-        reg = regular_module(H.algebra)
-        bad = SparseMatrix(H.dim, H.dim, {(0, 1): FR1})
-        with pytest.raises(Exception):
-            module_map_kernel(bad, reg, reg)
-
-    def test_rank_nullity_of_intertwiner(self):
-        H = build_bk(1)
-        D = drinfeld_double(H)
-        k = trivial_module(H)
-        ind = induced_module(D.inclusion_base, k, _dual_free(D))
-        kD = module_from_character(
-            D.algebra, {i: c for i, c in enumerate(D.hopf.counit) if c})
-        (f,) = hom_space(ind, kD) and hom_space(ind, kD)[:1]
-        K, incl = module_map_kernel(f, ind, kD)
-        assert K.dim + rank(f) == ind.dim
-        assert f.matmul(incl).is_zero()
 
 
 def test_tensor_algebra_layout_matches_dense_kron():

@@ -3,14 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from hopfdy.algcore import (Algebra, AlgebraMap, _act_matrix, check_generators_span,
-                            tensor_algebra, verify_module)
-from hopfdy.double import (build_c_pm, center_module_from_rmatrix,
-                           coeff_restriction, coeff_tensor_product,
-                           drinfeld_double, ell_maps, ell_minus, ell_plus)
-from hopfdy.exactlin import FR1, SparseMatrix, TensorElement, unit_tensor, vec_eq, vec_scale
-from hopfdy.hopfcore import (bk_dual_generators, bk_inclusion, build_bk, build_cyclic,
-                             trivial_module, verify_hopf)
+from hopfdy.algcore import Algebra, AlgebraMap, _act_matrix, check_generators_span, tensor_algebra
+from hopfdy.double import (coeff_restriction, coeff_tensor_product, drinfeld_double, ell_maps,
+                           ell_minus, ell_plus)
+from hopfdy.exactlin import FR1, SparseMatrix, TensorElement, unit_tensor, vec_eq
+from hopfdy.hopfcore import bk_dual_generators, bk_inclusion, build_bk, build_cyclic, verify_hopf
 from hopfdy.hopffile import load_hopf
 from hopfdy.relext import adjunction_crosscheck_tensor
 from hopfdy.rmatrix import RMatrixError, bk_r0, bk_r_lambda, check_rmatrix
@@ -217,13 +214,13 @@ class TestCoeffTensorProduct:
         act = lambda e, v: _act_matrix(W1.module, e).mul_vec(v)
         gD = embH.apply_basis(g)
         assert act(embE(one_D, gD), wp) == wp
-        assert vec_eq(act(embE(one_D, gD), wm), vec_scale(wm, Fraction(-1)))
+        assert vec_eq(act(embE(one_D, gD), wm), {i: -c for i, c in wm.items()})
         y = embD.apply(bk_dual_generators(k)[0])
         assert act(embE(y, one_D), wp) == {}
         assert act(embE(one_D, y), wm) == {}
         xD = embH.apply_basis(1)
-        from hopfdy.hopfcore import coreg_left
-        want = vec_scale(coreg_left(H, {1: FR1}, wm), Fraction(-1))
+        # x |> w_- = R_x^T w_-
+        want = {i: -c for i, c in H.algebra.right_mult_matrix(1).transpose().mul_vec(wm).items()}
         assert vec_eq(act(embE(xD, one_D), wp), want)
 
 
@@ -261,65 +258,6 @@ class TestCoeffRestriction:
         for i in range(2):
             y = bk_dual_generators(2)[i]
             assert _act_matrix(M, D2.inclusion_dual.apply(y)).is_zero()
-
-
-class TestCenterModules:
-    def test_trivial_module_inverse_braiding(self, D1):
-        H = D1.base
-        R = bk_r0(1, H)
-        M = center_module_from_rmatrix(D1, R, trivial_module(H), "inverse_braiding")
-        # trivial D-module: counit action
-        for flat in range(D1.dim):
-            assert M.action(flat).entries.get((0, 0), Fraction(0)) == \
-                D1.hopf.counit[flat]
-
-    def test_y_kills_regular_pullback(self, D1):
-        from hopfdy.algcore import regular_module
-        H = D1.base
-        R = bk_r0(1, H)
-        M = center_module_from_rmatrix(D1, R, regular_module(H.algebra), "inverse_braiding")
-        y = D1.inclusion_dual.apply(bk_dual_generators(1)[0])
-        assert _act_matrix(M, y).is_zero()
-
-    def test_restriction_back_to_h_is_original(self, D1):
-        from hopfdy.algcore import regular_module
-        H = D1.base
-        R = bk_r0(1, H)
-        for variant in ("braiding", "inverse_braiding"):
-            M = center_module_from_rmatrix(D1, R, regular_module(H.algebra), variant)
-            for j in range(H.dim):
-                emb = D1.inclusion_base.apply_basis(j)
-                assert _act_matrix(M, emb) == H.algebra.left_mult_matrix(j)
-
-    def test_dual_braiding_module_axioms(self, D1):
-        from hopfdy.algcore import regular_module
-        H = D1.base
-        R = bk_r0(1, H)
-        M = center_module_from_rmatrix(D1, R, regular_module(H.algebra), "dual_braiding")
-        assert verify_module(M) == []
-
-
-class TestCPM:
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_dimensions(self, k):
-        D = drinfeld_double(build_bk(k))
-        assert build_c_pm(D, +1).dim == 2 ** k
-        assert build_c_pm(D, -1).dim == 2 ** k
-
-    def test_x_acts_by_zero(self, D2):
-        cp = build_c_pm(D2, +1)
-        for i in range(2):
-            x = D2.inclusion_base.apply_basis(1 << i)
-            assert _act_matrix(cp, x).is_zero()
-
-    def test_h_eigenvector(self, D2):
-        g = 1 << 2
-        h_vec = {0: FR1, g: Fraction(-1)}
-        for sign in (+1, -1):
-            c = build_c_pm(D2, sign)
-            mh = _act_matrix(c, D2.inclusion_dual.apply(h_vec))
-            # f_pm is basis vector 0 and an h-eigenvector of eigenvalue pm 1
-            assert mh.col(0) == {0: Fraction(sign)}
 
 
 def test_reloaded_algebra_releases_its_double(tmp_path):
