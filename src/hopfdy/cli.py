@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
 
@@ -39,18 +40,6 @@ class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
-
-
-class Budget:
-    def __init__(self, max_seconds):
-        self.t0 = time.time()
-        self.max_seconds = max_seconds
-
-    def check(self, stage=""):
-        if self.max_seconds and time.time() - self.t0 > self.max_seconds:
-            raise CliError("budget of %ss exceeded%s"
-                           % (self.max_seconds, " at " + stage if stage else ""),
-                           EXIT_BUDGET)
 
 
 def log(msg):
@@ -127,8 +116,22 @@ def load_rmatrix(H, args) -> TensorElement:
                    EXIT_INVALID_RMATRIX)
 
 
+def verified_rmatrix(H, args):
+    """(R, its check report) for the R-matrix that args name; an R that
+    fails the axioms is a CliError (exit 3)."""
+    R = load_rmatrix(H, args)
+    report = check_rmatrix(H, R)
+    if not report.verified:
+        raise CliError("R-matrix fails axioms: %s" % report.witnesses[:2],
+                       EXIT_INVALID_RMATRIX)
+    return R, report
+
+
 def emit(args, report: dict, exit_code: int) -> int:
-    """Deterministic JSON on stdout; timing only on stderr."""
+    """Deterministic JSON on stdout; timing only on stderr.  The budget ends
+    here, so a report is written whole or not at all."""
+    if getattr(args, "max_seconds", 0):
+        signal.setitimer(signal.ITIMER_REAL, 0)
     payload = json.dumps(report, sort_keys=True, indent=1)
     print(payload)
     if getattr(args, "json_out", None):
@@ -173,10 +176,8 @@ def cmd_double(args) -> int:
     from .double import drinfeld_double
     rep = base_report(args, "double")
     H = load_algebra(args.source)
-    budget = Budget(args.max_seconds)
     log("building D(%s)..." % H.name)
     D = drinfeld_double(H)
-    budget.check("double")
     rep["results"]["dim"] = D.dim
     rep["results"]["base_dim"] = H.dim
     rep["results"]["hopf_axioms"] = "verified"
@@ -187,7 +188,6 @@ def cmd_rmatrix(args) -> int:
     rep = base_report(args, "rmatrix " + args.action)
     H = load_algebra(args.source)
     R = load_rmatrix(H, args)
-    budget = Budget(args.max_seconds)
     report = check_rmatrix(H, R)
     rep["results"]["check"] = report.to_dict()
     if args.action == "check":
@@ -195,7 +195,6 @@ def cmd_rmatrix(args) -> int:
     if not report.verified:
         return emit(args, rep, EXIT_INVALID_RMATRIX)
     if args.action == "tangent":
-        budget.check("tangent")
         tb = tangent_space(H, R, report)
         rep["results"]["dim"] = tb.dim
         rep["results"]["basis"] = [tensor_to_json(v) for v in tb.vectors]
@@ -204,44 +203,34 @@ def cmd_rmatrix(args) -> int:
             rep["results"]["span_matches_standard_basis"] = tangent_span_matches(
                 H, tb, bk_standard_tangent_basis(k, H))
         return emit(args, rep, EXIT_OK)
-    if args.action == "family":
-        k = parse_bk_k(args.source)
-        if k is None:
-            raise CliError("family requires bk:k", EXIT_INVALID_RMATRIX)
-        rep["results"]["r_lambda"] = tensor_to_json(R)
-        return emit(args, rep, EXIT_OK)
-    raise CliError("unknown rmatrix action", EXIT_INVALID_RMATRIX)
+    if parse_bk_k(args.source) is None:   # family
+        raise CliError("family requires bk:k", EXIT_INVALID_RMATRIX)
+    rep["results"]["r_lambda"] = tensor_to_json(R)
+    return emit(args, rep, EXIT_OK)
 
 
 def _dy_complex(args, H):
     if args.kind == "id":
         return identity_complex(H)
     if args.kind == "tensor":
-        R = load_rmatrix(H, args)
-        report = check_rmatrix(H, R)
-        if not report.verified:
-            raise CliError("R-matrix fails axioms: %s" % report.witnesses[:2],
-                           EXIT_INVALID_RMATRIX)
+        R, _ = verified_rmatrix(H, args)
         return tensor_complex(H, R)
-    if args.kind == "res":
-        if not args.sub:
-            raise CliError("dy res needs --sub", EXIT_INVALID_ALGEBRA)
-        Hsub = load_algebra(args.sub)
-        imap = _inclusion_for(args, H, Hsub)
-        return restriction_complex(H, imap, Hsub)
-    raise CliError("unknown dy kind", EXIT_UNSUPPORTED_DEGREE)
+    return restriction_complex(H, *_sub_inclusion(args, H))   # res
 
 
-def _inclusion_for(args, H, Hsub):
-    kb = parse_bk_k(args.source)
-    ks = parse_bk_k(args.sub)
+def _sub_inclusion(args, H):
+    """(imap, Hsub): the --sub algebra Hsub and its canonical inclusion into H."""
+    if not args.sub:
+        raise CliError("this command needs --sub", EXIT_INVALID_ALGEBRA)
+    Hsub = load_algebra(args.sub)
+    kb, ks = parse_bk_k(args.source), parse_bk_k(args.sub)
     if kb is not None and ks is not None and kb > ks:
-        return bk_inclusion(kb - ks, ks)
+        return bk_inclusion(kb - ks, ks), Hsub
     if H.dim == Hsub.dim:
         ident = AlgebraMap(Hsub.algebra, H.algebra,
                            [{i: 1} for i in range(H.dim)])
         if not is_hopf_map(ident, Hsub, H):
-            return ident
+            return ident, Hsub
     raise CliError("no canonical inclusion from %s into %s" % (args.sub, args.source),
                    EXIT_INVALID_ALGEBRA)
 
@@ -259,7 +248,6 @@ def cmd_dy(args) -> int:
         raise CliError("degree %d outside the supported range 0..%d"
                        % (args.degree, DEGREE_BUDGET), EXIT_UNSUPPORTED_DEGREE)
     H = load_algebra(args.source)
-    budget = Budget(args.max_seconds)
     cx = _dy_complex(args, H)
     n = args.degree
     if cx.ambient_dim(n + 1) > MAX_AMBIENT:
@@ -267,12 +255,9 @@ def cmd_dy(args) -> int:
                        % (n, cx.ambient_dim(n + 1), MAX_AMBIENT), EXIT_BUDGET)
     log("cochain bases...")
     dims = [cx.cochain_dim(m) for m in range(n + 1)]
-    budget.check("cochains")
     log("differentials...")
     rank_below = cx.rank_delta(n - 1) if n >= 1 else 0
-    budget.check("differential below")
     rank_here = cx.rank_delta(n)
-    budget.check("differential here")
     hdim = dims[n] - rank_here - rank_below
     rep["results"]["cochain_dims"] = dims
     rep["results"]["rank_delta"] = {"below": rank_below, "here": rank_here}
@@ -288,24 +273,12 @@ def cmd_relext(args) -> int:
         raise CliError("degree %d outside the supported range 0..%d"
                        % (args.degree, DEGREE_BUDGET), EXIT_UNSUPPORTED_DEGREE)
     H = load_algebra(args.source)
-    budget = Budget(args.max_seconds)
     D = drinfeld_double(H)
-    budget.check("double")
     pair = pair_from_double(D)
     V = trivial_module_over(D)
-    if args.coeff == "trivial":
-        W = V
-    elif args.coeff == "restriction":
-        if not args.sub:
-            raise CliError("relext --coeff restriction needs --sub",
-                           EXIT_INVALID_ALGEBRA)
-        Hsub = load_algebra(args.sub)
-        imap = _inclusion_for(args, H, Hsub)
-        W = coeff_restriction(D, imap, Hsub).module
-    else:
-        raise CliError("unknown coefficient %r" % args.coeff, EXIT_INVALID_ALGEBRA)
+    W = V if args.coeff == "trivial" else coeff_restriction(
+        D, *_sub_inclusion(args, H)).module
     dims = relative_ext_dims(pair, V, W, args.degree, kind=args.resolution)
-    budget.check("ext")
     rep["results"]["ext_dims"] = dims
     rep["results"]["resolution"] = args.resolution
     return emit(args, rep, EXIT_OK)
@@ -314,14 +287,9 @@ def cmd_relext(args) -> int:
 def cmd_crosscheck(args) -> int:
     rep = base_report(args, "crosscheck " + args.which)
     H = load_algebra(args.source)
-    budget = Budget(args.max_seconds)
     if args.which == "dimension-formula":
-        R = load_rmatrix(H, args)
-        rm = check_rmatrix(H, R)
-        if not rm.verified:
-            raise CliError("R-matrix fails axioms", EXIT_INVALID_RMATRIX)
+        R, rm = verified_rmatrix(H, args)
         h2t = tensor_complex(H, R).cohomology_dim(2)
-        budget.check("tensor complex")
         h2i = identity_complex(H).cohomology_dim(2)
         tdim = tangent_space(H, R, rm).dim
         out = {"h2_tensor": h2t, "h2_id": h2i, "tangent_dim": tdim,
@@ -333,37 +301,29 @@ def cmd_crosscheck(args) -> int:
     from .relext import (adjunction_crosscheck_restriction, adjunction_crosscheck_tensor,
                          kunneth_check, pair_from_double, trivial_module_over)
     if args.which == "adjunction-tensor":
-        R = load_rmatrix(H, args)
-        rm = check_rmatrix(H, R)
-        if not rm.verified:
-            raise CliError("R-matrix fails axioms", EXIT_INVALID_RMATRIX)
+        R, _ = verified_rmatrix(H, args)
         D = drinfeld_double(H)
         out = adjunction_crosscheck_tensor(D, R, args.degree, kind=args.resolution)
         rep["results"] = out
         return emit(args, rep, EXIT_OK if out["equal"] else 1)
     if args.which == "adjunction-res":
-        if not args.sub:
-            raise CliError("adjunction-res needs --sub", EXIT_INVALID_ALGEBRA)
-        Hsub = load_algebra(args.sub)
-        imap = _inclusion_for(args, H, Hsub)
+        imap, Hsub = _sub_inclusion(args, H)
         D = drinfeld_double(H)
         out = adjunction_crosscheck_restriction(D, imap, Hsub, args.degree,
                                                 kind=args.resolution)
         rep["results"] = out
         return emit(args, rep, EXIT_OK if out["equal"] else 1)
-    if args.which == "kunneth":
-        D = drinfeld_double(H)
-        pair = pair_from_double(D)
-        V = trivial_module_over(D)
-        out = kunneth_check(pair, pair, V, V, V, V, args.degree,
-                            kind=args.resolution,
-                            verify_product=not args.skip_product_verify)
-        rep["results"] = {k: v for k, v in out.items()
-                          if k != "product_resolution_report"}
-        rep["results"]["product_resolution_violations"] = \
-            out.get("product_resolution_report", [])
-        return emit(args, rep, EXIT_OK if out["equal"] else 1)
-    raise CliError("unknown crosscheck %r" % args.which, EXIT_INVALID_ALGEBRA)
+    D = drinfeld_double(H)   # kunneth
+    pair = pair_from_double(D)
+    V = trivial_module_over(D)
+    out = kunneth_check(pair, pair, V, V, V, V, args.degree,
+                        kind=args.resolution,
+                        verify_product=not args.skip_product_verify)
+    rep["results"] = {k: v for k, v in out.items()
+                      if k != "product_resolution_report"}
+    rep["results"]["product_resolution_violations"] = \
+        out.get("product_resolution_report", [])
+    return emit(args, rep, EXIT_OK if out["equal"] else 1)
 
 
 def cmd_catalog(args) -> int:
@@ -372,9 +332,34 @@ def cmd_catalog(args) -> int:
                  "bk:k (Lambda(QQ^k) x| QQ[Z/2], dim 2^{k+1})"],
         "flags": ["--r0", "--trivial-r", "--lambda FILE", "--rmatrix FILE",
                   "--sub KEY", "--degree N", "--resolution bar|cover",
+                  "--coeff trivial|restriction", "--skip-product-verify",
                   "--json-out PATH", "--max-seconds N"]}}
-    print(json.dumps(rep, sort_keys=True, indent=1))
-    return EXIT_OK
+    return emit(args, rep, EXIT_OK)
+
+
+# below 2^31 s, so that any platform's time_t holds the timer
+MAX_BUDGET_SECONDS = 1e9
+
+
+def budget_seconds(text: str) -> float:
+    """--max-seconds: a finite number of seconds in 0..MAX_BUDGET_SECONDS;
+    argparse turns the ValueError of a non-number into a usage error."""
+    seconds = float(text)
+    if not 0 <= seconds <= MAX_BUDGET_SECONDS:   # also refuses nan and inf
+        raise argparse.ArgumentTypeError(
+            "%r is not a number of seconds in 0..%g" % (text, MAX_BUDGET_SECONDS))
+    return seconds
+
+
+def _expire(signum, frame):
+    # raised inside an import, the error would leave a half-initialised
+    # module, or come out of a C extension as an ImportError: retry in 10 ms
+    while frame is not None:
+        if frame.f_code.co_filename.startswith("<frozen importlib"):
+            signal.setitimer(signal.ITIMER_REAL, 0.01)
+            return
+        frame = frame.f_back
+    raise BudgetExceededError("the budget of --max-seconds ran out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("source", help="catalog key (bk:k, cyclic:n) or Hopf file")
         p.add_argument("--sub", help="subalgebra catalog key or file")
         p.add_argument("--json-out", dest="json_out")
-        p.add_argument("--max-seconds", dest="max_seconds", type=float, default=0)
+        p.add_argument("--max-seconds", dest="max_seconds", type=budget_seconds, default=0)
         if with_r:
             p.add_argument("--r0", action="store_true",
                            help="use the triangular R0 of bk:k")
@@ -440,8 +425,18 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     t0 = time.time()
+    max_seconds = getattr(args, "max_seconds", 0)
+    # one deadline for the whole command: SIGALRM raises wherever it lands
+    previous = signal.signal(signal.SIGALRM, _expire) if max_seconds else None
     try:
-        code = args.fn(args)
+        try:
+            if max_seconds:
+                signal.setitimer(signal.ITIMER_REAL, max_seconds)
+            code = args.fn(args)
+        finally:
+            if max_seconds:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
     except CliError as exc:
         log("error: %s" % exc)
         return exc.code

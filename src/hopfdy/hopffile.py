@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .algcore import Algebra
-from .exactlin import SparseMatrix, TensorElement, fr
+from .exactlin import BudgetExceededError, SparseMatrix, TensorElement, fr
 from .hopfcore import HopfAlgebra, verify_hopf
 
 FORMAT_VERSION = 1
@@ -169,7 +169,7 @@ def hopf_from_json(data: dict, name="file") -> HopfAlgebra:
         antipode = SparseMatrix(dim, dim, {(r, c): v for r, c, v
                                            in _entries(data["antipode"], "antipode", dim, 2)})
         dual_gens = _vectors(data, "dual_generators", dim)
-    except HopfFileError:
+    except (HopfFileError, BudgetExceededError):
         raise
     except Exception as exc:
         raise HopfFileError("unparseable Hopf file: %s" % exc)

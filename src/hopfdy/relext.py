@@ -199,16 +199,16 @@ def _extend_bar(res: Resolution, upto: int):
         base = res.target if n == 0 else res.terms[n - 1]
         X = res.res_small(base)
         P = induced_module(pair.inclusion, X, pair.rewrite_table(), name="bar%d" % n)
-        res.terms.append(P)
-        res.sources.append(X)
+        eps = induced_map(evaluation(base), P)
         if n == 0:
-            res.diffs.append(induced_map(evaluation(res.target), P))
-            continue
-        # G(d_{n-1}) + (-1)^n eps_{P_{n-1}}
-        prev = res.terms[n - 1]
-        eps = induced_map(evaluation(prev), P)
-        res.diffs.append(induced_map(prev.classes, P, f=res.diffs[n - 1]).add(
-            eps if n % 2 == 0 else eps.scale(-FR1)))
+            d = eps
+        else:   # G(d_{n-1}) + (-1)^n eps_{P_{n-1}}
+            d = induced_map(base.classes, P, f=res.diffs[n - 1]).add(
+                eps if n % 2 == 0 else eps.scale(-FR1))
+        # a degree is published whole, so an exception above leaves res as it was
+        res.sources.append(X)
+        res.diffs.append(d)
+        res.terms.append(P)
 
 
 def _extend_cover(res: Resolution, upto: int):
@@ -218,21 +218,19 @@ def _extend_cover(res: Resolution, upto: int):
         K = res.kernel_modules[n]
         X = res.res_small(K)
         P = induced_module(pair.inclusion, X, pair.rewrite_table(), name="cover%d" % n)
-        res.terms.append(P)
-        res.sources.append(X)
         eps = induced_map(evaluation(K), P)
-        res.eps_matrices.append(eps)
-        if n == 0:
-            res.diffs.append(eps)
-        else:
-            incl = SparseMatrix.from_columns(res.terms[n - 1].dim,
-                                             res.kernel_bases[n])
-            res.diffs.append(incl.matmul(eps))
+        d = eps if n == 0 else SparseMatrix.from_columns(
+            res.terms[n - 1].dim, res.kernel_bases[n]).matmul(eps)
         kbasis, kmarkers = kernel_basis_marked(eps.row_dicts(), eps.cols)
+        Knext = submodule_on_basis(pair.big, kbasis, P.act_basis, name="K%d" % (n + 1))
+        # a degree is published whole, so an exception above leaves res as it was
+        res.sources.append(X)
+        res.eps_matrices.append(eps)
+        res.diffs.append(d)
         res.kernel_bases.append(kbasis)
         res.kernel_markers.append(kmarkers)
-        res.kernel_modules.append(submodule_on_basis(pair.big, kbasis, P.act_basis,
-                                                     name="K%d" % (n + 1)))
+        res.kernel_modules.append(Knext)
+        res.terms.append(P)
 
 
 def get_resolution(pair: ResolventPair, V: ModuleRep, kind: str, maxdeg: int) -> Resolution:

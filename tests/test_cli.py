@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from hopfdy.cli import main
+from hopfdy.cli import _expire, main
+from hopfdy.exactlin import BudgetExceededError
 from hopfdy.hopfcore import build_bk
 from hopfdy.hopffile import hopf_from_json, hopf_to_json, load_hopf, save_hopf
 
@@ -93,6 +95,16 @@ class TestVerifyCommand:
             code, rep = run_cli(capsys, "verify", str(path))
             assert code == 2
             assert named in rep["results"]["violations"][0]
+
+    def test_deadline_while_parsing_is_not_a_malformed_file(self, monkeypatch):
+        import hopfdy.hopffile as hopffile
+
+        def expire(*args):
+            raise BudgetExceededError("deadline")
+
+        monkeypatch.setattr(hopffile, "_entries", expire)
+        with pytest.raises(BudgetExceededError):
+            hopf_from_json(hopf_to_json(build_bk(1)))
 
     @pytest.mark.parametrize("key", ["bk:x", "cyclic:x", "bk:"])
     def test_malformed_catalog_key_exit_2(self, capsys, key):
@@ -296,10 +308,63 @@ class TestCrosscheckCommand:
                      "--degree", "3"])
         assert code == 5
 
-    def test_max_seconds_exit_5(self, capsys):
-        code = main(["dy", "tensor", "bk:2", "--r0", "--degree", "2",
-                     "--max-seconds", "0.001"])
-        assert code == 5
+
+class TestMaxSeconds:
+    """--max-seconds stops a command wherever it is.  The budgeted runs go in
+    a subprocess, so that an expiry cannot leave half-built state in the
+    catalog algebras that the other tests share."""
+
+    @pytest.mark.parametrize("argv,budget", [
+        ("dy tensor bk:2 --lambda {data}/lambda_bk2.json --degree 2", 1),
+        ("crosscheck kunneth bk:1 --degree 2", 0.1),
+        ("dy tensor bk:2 --r0 --degree 2", 0.001),
+    ], ids=["dy-lambda-bk2", "kunneth-bk1", "dy-r0-bk2"])
+    def test_max_seconds_exit_5(self, argv, budget):
+        t0 = time.monotonic()
+        data = Path(__file__).parent / "data"
+        out = subprocess.run([sys.executable, "-m", "hopfdy.cli",
+                              *argv.format(data=data).split(), "--max-seconds", str(budget)],
+                             capture_output=True, text=True)
+        assert out.returncode == 5, out.stderr
+        assert out.stdout == ""
+        assert time.monotonic() - t0 < budget + 1.5
+
+    def test_timer_disarmed_and_handler_restored(self, capsys):
+        previous = signal.getsignal(signal.SIGALRM)
+        assert main(["verify", "bk:1", "--max-seconds", "60"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["valid"] is True
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is previous
+
+    def test_expiry_waits_for_an_import_to_finish(self, tmp_path, monkeypatch):
+        # raised inside an import, the error would leave the module half-run
+        (tmp_path / "slow_budget_module.py").write_text(
+            "import time\ntime.sleep(0.2)\nDONE = True\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "slow_budget_module", raising=False)
+        previous = signal.signal(signal.SIGALRM, _expire)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(BudgetExceededError):
+                import slow_budget_module  # noqa: F401
+                time.sleep(5)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert sys.modules.pop("slow_budget_module").DONE
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "1e300", "soon"])
+    def test_invalid_budget_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "bk:1", "--max-seconds", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_zero_means_no_budget(self, capsys):
+        previous = signal.getsignal(signal.SIGALRM)
+        code, rep = run_cli(capsys, "verify", "bk:1", "--max-seconds", "0")
+        assert code == 0 and rep["results"]["valid"] is True
+        assert signal.getsignal(signal.SIGALRM) is previous
 
 
 class TestDeterminism:

@@ -182,6 +182,31 @@ def test_get_resolution_is_thread_safe(P1, k1):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("kind,step", [("cover", "kernel_basis_marked"),
+                                       ("bar", "induced_map")])
+def test_interrupted_extension_leaves_the_resolution_usable(P1, k1, monkeypatch,
+                                                              kind, step):
+    """An exception in the middle of degree 1 (a deadline, Ctrl-C or an
+    AlgebraError) publishes no piece of it: the same pair then gives the
+    right Ext dimensions, and its resolution verifies."""
+    import hopfdy.relext as relext
+    pair = ResolventPair(P1.big, P1.small, P1.inclusion, P1.free_basis)
+    real, calls = getattr(relext, step), []
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise BudgetExceededError("deadline")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relext, step, second_call_fails)
+    with pytest.raises(BudgetExceededError):
+        get_resolution(pair, k1, kind, 2)
+    monkeypatch.setattr(relext, step, real)
+    assert relative_ext_dims(pair, k1, k1, 2, kind=kind) == [1, 0, 1]
+    assert verify_resolution(get_resolution(pair, k1, kind, 2)) == []
+
+
 def test_owner_caches_publish_write_once(tmp_path, monkeypatch):
     """Two threads that fill the caches of one freshly loaded bk:1 at the
     same time get the very same objects from every call: the doubles, pairs,
