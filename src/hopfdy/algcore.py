@@ -292,30 +292,29 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
             for v in kernel_basis(rows, dn * dm)]
 
 
-def submodule_on_basis(A: Algebra, basis: list, act, name="") -> ModuleRep:
-    """The A-module on the span of `basis` (any basis), where act(i, v) is
-    the ambient image of v under e_i; its action matrices are built lazily
-    and raise AlgebraError when an image leaves the span.
+def submodule_on_basis(A: Algebra, basis: list, markers: list, act, name="") -> ModuleRep:
+    """The A-module on the span of `basis`, where act(i, v) is the ambient
+    image of v under e_i; its action matrices are built lazily and raise
+    AlgebraError when an image leaves the span.
 
-    Coordinates are read at pivot columns P of the basis, where the basis
-    restricted to P is invertible: x = (B_P)^{-1} w_P, and w lies in the
-    span iff B x = w.  The pivots prefer high columns, so a kernel basis in
-    marker form (`kernel_basis_marked`) is read at its markers, B_P = 1.
+    The basis is in marker form (as `kernel_basis_marked` returns it):
+    basis[j] has entry 1 at markers[j] and 0 at every other marker, so the
+    coordinates of w in the span are its entries at the markers, and w lies
+    in the span iff it is rebuilt from them.
     """
-    ech = Echelon(key=lambda c: -c)
-    for v in basis:
-        added = ech.add_row(v)
-        assert added is not None, "submodule basis is dependent"
-    at = {p: r for r, p in enumerate(sorted(ech.pivot_rows))}
-    restricted = SparseMatrix.from_columns(
-        len(at), [{at[p]: c for p, c in v.items() if p in at} for v in basis])
-    inv = SparseMatrix.from_columns(len(basis), _invert_columns(restricted))
+    pos = {m: j for j, m in enumerate(markers)}
+
+    def coords(w):
+        return {pos[c]: x for c, x in w.items() if c in pos}
+
+    if len(pos) != len(basis) or any(coords(v) != {j: 1} for j, v in enumerate(basis)):
+        raise AlgebraError("submodule basis is not in marker form")
 
     def fn(i):
         cols = []
         for v in basis:
             w = act(i, v)
-            x = inv.mul_vec({at[p]: c for p, c in w.items() if p in at})
+            x = coords(w)
             back: dict = {}
             for j, c in x.items():
                 vec_addmul(back, basis[j], c)

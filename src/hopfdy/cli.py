@@ -235,24 +235,29 @@ def _sub_inclusion(args, H):
                    EXIT_INVALID_ALGEBRA)
 
 
+# `dy`, `relext` and `crosscheck` refuse a degree outside 0..DEGREE_BUDGET
+# (exit 4) in `main`, before any work
 DEGREE_BUDGET = 4
-# `dy` refuses a degree n whose differential lands in an ambient H^{ox s},
-# s = slots(n + 1), of dimension above this (exit 5): 2^18 still admits the
-# tensor complex of B_1 at degree 3 (4^8) and of B_2 at degree 2 (8^6).
+# a DY side refuses a degree n whose differential lands in an ambient
+# H^{ox s}, s = slots(n + 1), of dimension above this (exit 5): 2^18 still
+# admits the tensor complex of B_1 at degree 3 (4^8) and of B_2 at degree 2 (8^6).
 MAX_AMBIENT = 1 << 18
+
+
+def _check_ambient(cx, n: int):
+    """Refuse (exit 5) degree n of the DY complex cx, before any basis work,
+    when its differential lands in an ambient above MAX_AMBIENT."""
+    if cx.ambient_dim(n + 1) > MAX_AMBIENT:
+        raise CliError("degree %d needs an ambient of dimension %d, over the bound %d"
+                       % (n, cx.ambient_dim(n + 1), MAX_AMBIENT), EXIT_BUDGET)
 
 
 def cmd_dy(args) -> int:
     rep = base_report(args, "dy " + args.kind)
-    if args.degree < 0 or args.degree > DEGREE_BUDGET:
-        raise CliError("degree %d outside the supported range 0..%d"
-                       % (args.degree, DEGREE_BUDGET), EXIT_UNSUPPORTED_DEGREE)
     H = load_algebra(args.source)
     cx = _dy_complex(args, H)
     n = args.degree
-    if cx.ambient_dim(n + 1) > MAX_AMBIENT:
-        raise CliError("degree %d needs an ambient of dimension %d, over the bound %d"
-                       % (n, cx.ambient_dim(n + 1), MAX_AMBIENT), EXIT_BUDGET)
+    _check_ambient(cx, n)
     log("cochain bases...")
     dims = [cx.cochain_dim(m) for m in range(n + 1)]
     log("differentials...")
@@ -269,9 +274,6 @@ def cmd_relext(args) -> int:
     from .double import coeff_restriction, drinfeld_double
     from .relext import pair_from_double, relative_ext_dims, trivial_module_over
     rep = base_report(args, "relext")
-    if args.degree < 0 or args.degree > DEGREE_BUDGET:
-        raise CliError("degree %d outside the supported range 0..%d"
-                       % (args.degree, DEGREE_BUDGET), EXIT_UNSUPPORTED_DEGREE)
     H = load_algebra(args.source)
     D = drinfeld_double(H)
     pair = pair_from_double(D)
@@ -308,6 +310,7 @@ def cmd_crosscheck(args) -> int:
         return emit(args, rep, EXIT_OK if out["equal"] else 1)
     if args.which == "adjunction-res":
         imap, Hsub = _sub_inclusion(args, H)
+        _check_ambient(restriction_complex(H, imap, Hsub), args.degree)
         D = drinfeld_double(H)
         out = adjunction_crosscheck_restriction(D, imap, Hsub, args.degree,
                                                 kind=args.resolution)
@@ -316,13 +319,8 @@ def cmd_crosscheck(args) -> int:
     D = drinfeld_double(H)   # kunneth
     pair = pair_from_double(D)
     V = trivial_module_over(D)
-    out = kunneth_check(pair, pair, V, V, V, V, args.degree,
-                        kind=args.resolution,
-                        verify_product=not args.skip_product_verify)
-    rep["results"] = {k: v for k, v in out.items()
-                      if k != "product_resolution_report"}
-    rep["results"]["product_resolution_violations"] = \
-        out.get("product_resolution_report", [])
+    out = kunneth_check(pair, pair, V, V, V, V, args.degree, kind=args.resolution)
+    rep["results"] = out
     return emit(args, rep, EXIT_OK if out["equal"] else 1)
 
 
@@ -332,8 +330,7 @@ def cmd_catalog(args) -> int:
                  "bk:k (Lambda(QQ^k) x| QQ[Z/2], dim 2^{k+1})"],
         "flags": ["--r0", "--trivial-r", "--lambda FILE", "--rmatrix FILE",
                   "--sub KEY", "--degree N", "--resolution bar|cover",
-                  "--coeff trivial|restriction", "--skip-product-verify",
-                  "--json-out PATH", "--max-seconds N"]}}
+                  "--coeff trivial|restriction", "--json-out PATH", "--max-seconds N"]}}
     return emit(args, rep, EXIT_OK)
 
 
@@ -412,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["adjunction-tensor", "adjunction-res",
                                      "dimension-formula", "kunneth"])
     common(p, with_r=True, with_degree=True)
-    p.add_argument("--skip-product-verify", action="store_true")
     p.set_defaults(fn=cmd_crosscheck)
 
     p = sub.add_parser("catalog", help="list built-in algebras and flags")
@@ -432,6 +428,10 @@ def main(argv=None) -> int:
         try:
             if max_seconds:
                 signal.setitimer(signal.ITIMER_REAL, max_seconds)
+            degree = getattr(args, "degree", 0)
+            if not 0 <= degree <= DEGREE_BUDGET:
+                raise CliError("degree %d outside the supported range 0..%d"
+                               % (degree, DEGREE_BUDGET), EXIT_UNSUPPORTED_DEGREE)
             code = args.fn(args)
         finally:
             if max_seconds:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .algcore import (Algebra, AlgebraMap, ModuleRep, check_elements, matrix_sum,
                       submodule_on_basis, verify_module)
-from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, kernel_basis,
+from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, kernel_basis_marked,
                        kron_into, vec_addmul, vec_kron)
 from .hopfcore import HopfAlgebra, HopfError, dual_hopf, verify_hopf
 from .rmatrix import RMatrixError, check_rmatrix
@@ -253,7 +253,7 @@ def _coeff_restriction_build(D: DoubleAlgebra, imap: AlgebraMap,
         epsk = Hs.counit_vec(k)
         for m in range(n):
             rows.append(vec_addmul(H.mul_vec(ik, {m: FR1}), {m: FR1}, -epsk))
-    basis = kernel_basis(rows, n)
+    basis, markers = kernel_basis_marked(rows, n)
 
     # phi^i h_j acts on H* by T_i R_{h_j}^T: f -> f(- h_j), then
     # T_i[m, b] = sum_{(a,b,c) in Delta^(2)(e_m)} c [S(e_a) e_c]_i
@@ -269,7 +269,7 @@ def _coeff_restriction_build(D: DoubleAlgebra, imap: AlgebraMap,
         return T[i].matmul(A.right_mult_matrix(j).transpose())
 
     hstar = ModuleRep(D.algebra, n, action_fn=action, name="H*")
-    mod = submodule_on_basis(D.algebra, basis, hstar.act_basis, name="Hom_K(H,k)")
+    mod = submodule_on_basis(D.algebra, basis, markers, hstar.act_basis, name="Hom_K(H,k)")
     rep = verify_module(mod)
     if rep:
         raise HopfError("restriction coefficient module fails axioms: %s" % rep[:3])

@@ -305,11 +305,9 @@ class Echelon:
 
     `pivot_rows` maps each pivot column to an integer row with coprime
     entries and a positive pivot entry.  `add_row` reduces the new row with
-    `_eliminate` against the rows already present and takes as pivot the
-    column with the smallest `key(col)`.  The default key is the column
-    index; `submodule_on_basis` passes a reversed key so that the pivots
-    sit at high columns.  Each pivot row thus vanishes at the pivot columns
-    of the rows before it.  All arithmetic is on integers, so `add_row` and
+    `_eliminate` against the rows already present and takes as pivot its
+    lowest column, so each pivot row vanishes at the pivot columns of the
+    rows before it.  All arithmetic is on integers, so `add_row` and
     `to_rref` build no `Fraction` on integer rows.
     `to_rref` runs the same loop against the pivots already finished; RREF
     is unique, so it does not depend on the insertion order.  No row
@@ -317,8 +315,7 @@ class Echelon:
     (`kernel_basis_marked`).
     """
 
-    def __init__(self, key=None):
-        self.key = key if key is not None else (lambda c: c)
+    def __init__(self):
         self.pivot_rows: dict = {}   # pivot col -> primitive integer row
         self._rref_done = False
 
@@ -335,7 +332,7 @@ class Echelon:
         row = _eliminate(row, self.pivot_rows)
         if not row:
             return None
-        piv = min(row, key=self.key)
+        piv = min(row)
         self._store(piv, row)
         self._rref_done = False
         return piv
@@ -353,7 +350,7 @@ class Echelon:
             return
         pivots = self.pivot_rows
         done: dict = {}
-        for piv in sorted(pivots, key=self.key, reverse=True):
+        for piv in sorted(pivots, reverse=True):
             row = _eliminate(pivots[piv], done)
             self._store(piv, row)
             done[piv] = pivots[piv]

@@ -43,7 +43,7 @@ class HopfAlgebra:
     """
 
     def __init__(self, algebra: Algebra, comult, counit, antipode: SparseMatrix,
-                 antipode_inv=None, name="", dual_generator_hint=None):
+                 name="", dual_generator_hint=None):
         self.algebra = algebra
         self.comult = list(comult)
         self.counit = [fr(c) for c in counit]
@@ -53,7 +53,7 @@ class HopfAlgebra:
         # "double": D(H), filled by drinfeld_double; "antipode_inv": S^{-1};
         # "report": the violations found by verify_hopf; the identity and
         # restriction DY complexes of H
-        self._cache: dict = {} if antipode_inv is None else {"antipode_inv": antipode_inv}
+        self._cache: dict = {}
 
     # convenience passthroughs
     @property
@@ -190,8 +190,7 @@ def build_cyclic(n: int) -> HopfAlgebra:
     comult = [TensorElement(A, 2, {(i, i): FR1}) for i in range(n)]
     counit = [FR1] * n
     antipode = SparseMatrix(n, n, {((-i) % n, i): FR1 for i in range(n)})
-    return HopfAlgebra(A, comult, counit, antipode, antipode_inv=antipode,
-                       name="QQ[Z/%d]" % n)
+    return HopfAlgebra(A, comult, counit, antipode, name="QQ[Z/%d]" % n)
 
 
 def _bk_mul_masks(mask1: int, t1: int, mask2: int, t2: int, k: int):

@@ -14,8 +14,8 @@ from hopfdy.hopfcore import build_bk, build_cyclic, bk_inclusion, trivial_module
 from hopfdy.double import drinfeld_double
 
 from freebases import rebased
-from oracles import (dense_column, dense_kron, dense_rank, densify_matrix, induced_dense,
-                     intertwiner_basis_dense)
+from oracles import (dense_column, dense_kron, dense_rank, dense_rref, densify_matrix,
+                     induced_dense, intertwiner_basis_dense)
 
 
 def regular_module(A):
@@ -139,7 +139,7 @@ class TestHomSpace:
     def test_hom_from_zero_module(self):
         H = build_bk(1)
         k = trivial_module(H)
-        Z = submodule_on_basis(H.algebra, [], k.act_basis, name="zero")
+        Z = submodule_on_basis(H.algebra, [], [], k.act_basis, name="zero")
         assert Z.dim == 0
         assert hom_space(Z, k) == []
 
@@ -273,26 +273,22 @@ _INDUCTION_PAIRS = {
 @given(data=st.data(), pair=st.sampled_from(sorted(_INDUCTION_PAIRS)))
 def test_induced_module_matches_dense_oracle(data, pair):
     """Induction of a random B-module V (a cyclic submodule of the regular
-    module, on a random basis of it) on the given free basis and on its
-    rebasing agrees with the dense quotient (A ox V) / relations of
-    `induced_dense`: pi S is an isomorphism that intertwines the
-    actions, pi Q = pi S Q is the class map, the unit is [1 ox v], and Q S = 1.
+    module, on its RREF basis, which is in marker form) on the given free
+    basis and on its rebasing agrees with the dense quotient
+    (A ox V) / relations of `induced_dense`: pi S is an isomorphism that
+    intertwines the actions, pi Q = pi S Q is the class map, the unit is
+    [1 ox v], and Q S = 1.
     V itself is checked first: B rho_V(e_b) = rho_reg(e_b) B for its basis B."""
     imap, free_basis = _INDUCTION_PAIRS[pair]
     A, B = imap.target, imap.source
     coef = st.integers(-3, 3).map(Fraction)
     start = data.draw(st.dictionaries(st.integers(0, B.dim - 1), coef.filter(bool), min_size=1))
     span = left_span(B, start, [{i: FR1} for i in range(B.dim)])
-    basis = [dict(v) for v in span]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            x = data.draw(coef)
-            for k, c in span[j].items():
-                basis[i][k] = basis[i].get(k, 0) + x * c
-    basis = [{k: c for k, c in v.items() if c} for v in basis]
-    V = submodule_on_basis(B, basis, regular_module(B).act_basis)
+    rref, markers = dense_rref([[v.get(i, 0) for i in range(B.dim)] for v in span])
+    basis = [{k: c for k, c in enumerate(row) if c} for row in rref[:len(markers)]]
+    V = submodule_on_basis(B, basis, markers, regular_module(B).act_basis)
     nv = V.dim
-    # V's coordinates, read at the pivots of a basis not in marker form
+    # V's coordinates, read at the markers
     Bmat = densify_matrix(SparseMatrix.from_columns(B.dim, basis))
     for b in range(B.dim):
         assert _dense_mul(Bmat, densify_matrix(V.action(b))) == _dense_mul(dense_left(B, b), Bmat)
@@ -356,9 +352,20 @@ class TestModuleMapKernel:
     def test_submodule_on_unstable_subspace_raises(self):
         # span{1} in the regular B_1-module: x . 1 = x leaves it
         A = build_bk(1).algebra
-        sub = submodule_on_basis(A, [dict(A.unit)], regular_module(A).act_basis)
+        sub = submodule_on_basis(A, [dict(A.unit)], [0], regular_module(A).act_basis)
         with pytest.raises(AlgebraError, match="not stable"):
             [sub.action(i) for i in range(A.dim)]
+
+    @pytest.mark.parametrize("basis,markers", [
+        ([{0: FR1, 1: FR1}, {1: FR1}], [0, 1]),   # basis[0] is nonzero at marker 1
+        ([{0: 2 * FR1}], [0]),                      # entry 2 at its own marker
+        ([{0: FR1}, {1: FR1}], [0, 0]),             # a repeated marker
+        ([{0: FR1}], [0, 1]),                       # more markers than vectors
+    ])
+    def test_submodule_refuses_a_basis_not_in_marker_form(self, basis, markers):
+        A = build_bk(1).algebra
+        with pytest.raises(AlgebraError, match="marker form"):
+            submodule_on_basis(A, basis, markers, regular_module(A).act_basis)
 
 
 def test_tensor_algebra_layout_matches_dense_kron():

@@ -298,10 +298,31 @@ class TestCrosscheckCommand:
         assert rep["results"]["equal"] and rep["results"]["ext_dim"] == 3
 
     def test_kunneth_cli(self, capsys):
-        code, rep = run_cli(capsys, "crosscheck", "kunneth", "bk:1",
-                            "--degree", "2", "--skip-product-verify")
+        code, rep = run_cli(capsys, "crosscheck", "kunneth", "bk:1", "--degree", "2")
         assert code == 0
         assert rep["results"]["equal"] and rep["results"]["product_ext"] == 2
+        assert rep["results"]["product_resolution_ok"] is True
+        assert rep["results"]["product_resolution_violations"] == []
+
+    @pytest.mark.parametrize("argv", [
+        "crosscheck kunneth bk:1 --degree -1",
+        "crosscheck adjunction-res bk:2 --sub bk:1 --degree 9",
+        "relext bk:1 --degree 5",
+        "dy id bk:1 --degree -1",
+    ])
+    def test_degree_outside_budget_exit_4(self, capsys, argv):
+        assert main(argv.split()) == 4
+        assert capsys.readouterr().out == ""
+
+    def test_adjunction_res_oversized_ambient_exit_5_before_basis_work(self, capsys,
+                                                                       monkeypatch):
+        # delta^4 of the restriction complex of B_3 lands in H^{ox 5}, dim 16^5
+        import hopfdy.double
+        monkeypatch.setattr(hopfdy.double, "drinfeld_double", None)
+        code = main(["crosscheck", "adjunction-res", "bk:3", "--sub", "bk:1",
+                     "--degree", "4"])
+        assert code == 5
+        assert capsys.readouterr().out == ""
 
     def test_budget_exceeded_exit_5(self, capsys):
         code = main(["crosscheck", "adjunction-tensor", "bk:1", "--r0",

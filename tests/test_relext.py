@@ -14,7 +14,7 @@ from hopfdy.dycomplex import identity_complex, restriction_complex
 from hopfdy.exactlin import FR1, SparseMatrix, TensorElement, vec_kron
 from hopfdy.hopfcore import HopfAlgebra, bk_inclusion, build_bk, verify_hopf
 from hopfdy.relext import (BudgetExceededError, ExtComputation, ResolventPair,
-                           adjunction_crosscheck_restriction,
+                           TensorResolution, adjunction_crosscheck_restriction,
                            adjunction_crosscheck_tensor, get_resolution,
                            kunneth_check, pair_from_double, relative_ext_dims,
                            tensor_pair, trivial_module_over, verify_resolution)
@@ -115,6 +115,23 @@ class TestResolutions:
         bad.homotopies = lambda: bad_h
         report = verify_resolution(bad)
         assert report and all("not B-linear" in line for line in report), report
+
+    def test_tensor_certificate_checks_the_factor_terms(self, P1, k1):
+        """verify_resolution on a tensor product certifies each factor: with
+        the action of the second factor's P_1 doubled (rho(1) = 2), the
+        report names that factor's term, and no line blames the first."""
+        res = get_resolution(P1, k1, "cover", 2)
+        good = res.terms[1]
+        term = copy.copy(good)
+        term._matrices = {}
+        term._action_fn = lambda i: good.action(i).scale(2 * FR1)
+        bad = copy.copy(res)
+        bad.terms = list(res.terms)
+        bad.terms[1] = term
+        report = verify_resolution(TensorResolution(res, bad, tensor_pair(P1, P1), 2))
+        assert "factor 2: term P_1 fails module axioms: rho(1) != id" in report
+        assert not any(line.startswith("factor 1") for line in report), report
+        assert verify_resolution(TensorResolution(res, res, tensor_pair(P1, P1), 2)) == []
 
     def test_augmentation_composes_to_zero(self, P1, k1):
         res = get_resolution(P1, k1, "bar", 2)
