@@ -118,6 +118,11 @@ def check_elements(A: Algebra) -> list:
     the generators holds all their products, which span A."""
     if check_generators_span(A):
         return [(g, "gen%d" % k) for k, g in enumerate(A.generators)]
+    return basis_elements(A)
+
+
+def basis_elements(A: Algebra) -> list:
+    """Every basis element of A as a (vector, label) pair."""
     return [({i: FR1}, A.labels[i]) for i in range(A.dim)]
 
 
@@ -217,9 +222,6 @@ class ModuleRep:
         m = self._action_fn(i)
         return m if isinstance(m, SparseMatrix) else SparseMatrix(self.dim, self.dim, m)
 
-    def act_basis(self, i: int, v: dict) -> dict:
-        return self.action(i).mul_vec(v)
-
     def __repr__(self):
         return "ModuleRep(%s over %s)" % (self.name, self.algebra.name)
 
@@ -292,15 +294,15 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
             for v in kernel_basis(rows, dn * dm)]
 
 
-def submodule_on_basis(A: Algebra, basis: list, markers: list, act, name="") -> ModuleRep:
-    """The A-module on the span of `basis`, where act(i, v) is the ambient
-    image of v under e_i; its action matrices are built lazily and raise
-    AlgebraError when an image leaves the span.
+def submodule_on_basis(M: ModuleRep, basis: list, markers: list, name="") -> ModuleRep:
+    """The submodule of M on the span of `basis`; its action matrices are
+    built lazily and raise AlgebraError when an image leaves the span.
 
     The basis is in marker form (as `kernel_basis_marked` returns it):
     basis[j] has entry 1 at markers[j] and 0 at every other marker, so the
-    coordinates of w in the span are its entries at the markers, and w lies
-    in the span iff it is rebuilt from them.
+    coordinates of w in the span are its entries at the markers.  With B
+    the basis as a matrix, the action of e_i is X = rho_M(e_i) B read at
+    the markers, and the span is stable under e_i iff rho_M(e_i) B = B X.
     """
     pos = {m: j for j, m in enumerate(markers)}
 
@@ -311,19 +313,17 @@ def submodule_on_basis(A: Algebra, basis: list, markers: list, act, name="") -> 
         raise AlgebraError("submodule basis is not in marker form")
 
     def fn(i):
-        cols = []
-        for v in basis:
-            w = act(i, v)
-            x = coords(w)
-            back: dict = {}
-            for j, c in x.items():
-                vec_addmul(back, basis[j], c)
-            if not vec_eq(back, w):
-                raise AlgebraError("subspace is not stable under e_%d" % i)
-            cols.append(x)
-        return SparseMatrix.from_columns(len(basis), cols)
+        B = SparseMatrix(M.dim, len(basis))  # built per call: the module keeps only `basis`
+        B.entries = {(r, j): c for j, v in enumerate(basis) for r, c in v.items()}
+        image = M.action(i).matmul(B)
+        X = SparseMatrix(len(basis), len(basis))
+        X.entries = {(pos[r], c): x for (r, c), x in image.entries.items() if r in pos}
+        if B.matmul(X) != image:
+            raise AlgebraError("subspace is not stable under e_%d" % i)
+        X._cols = None  # the module keeps X, not the column cache the check filled
+        return X
 
-    return ModuleRep(A, len(basis), action_fn=fn, name=name or "sub")
+    return ModuleRep(M.algebra, len(basis), action_fn=fn, name=name or "sub")
 
 
 def tensor_algebra(A: Algebra, B: Algebra) -> Algebra:

@@ -92,7 +92,10 @@ class DYComplex:
         self._basis = {}    # n -> (basis, free-column markers)
         self._images = {}   # n -> (kernel, batch of the raw delta^n of the basis)
         self._ranks = {}    # n -> rank_delta(n)
-        self._kernel = {}   # big -> the int64 (False) or Python-int (True) slot kernel
+        # the operands encoded on a slot kernel, filled through `_once`:
+        # (big, "conditions", n) -> the (L, R) condition batches of degree n,
+        # (big, side, n, i) -> the R-multiplier of a tensor coface
+        self._compiled = {}
         self.fallbacks = []  # stages that reran on the Python-int kernel
 
     # -- geometry ----------------------------------------------------------
@@ -104,10 +107,10 @@ class DYComplex:
 
     # -- the slot kernel ----------------------------------------------------
     def _slot_kernel(self, big: bool = False):
-        """The slot kernel over H, int64 or (`big`) Python-int; its module,
+        """The slot kernel of H, int64 or (`big`) Python-int; its module,
         and numpy with it, is imported here at first use."""
-        from .slotkernel import SlotKernel
-        return _once(self._kernel, big, lambda: SlotKernel(self.H, big))
+        from .slotkernel import slot_kernel
+        return slot_kernel(self.H, big)
 
     def _run(self, stage: str, work):
         """work(kernel) on the int64 kernel, rerun on the Python-int kernel
@@ -138,7 +141,7 @@ class DYComplex:
                 out.append((ops.encode([t.permute_slots(perm) if perm else t], s),
                             ops.encode([t], s)))
             return out
-        return _once(ops.compiled, ("conditions", n), build)
+        return _once(self._compiled, (ops.big, "conditions", n), build)
 
     def _condition_diffs(self, ops, n: int, x):
         """L x - x R for every condition pair, on every tensor of the batch x."""
@@ -241,7 +244,7 @@ class DYComplex:
             for slot in units:
                 x = ops.insert_unit(x, slot)
             return ops.combine([(x, 1)])
-        return _once(ops.compiled, (side, n, i), build)
+        return _once(self._compiled, (ops.big, side, n, i), build)
 
     def _delta(self, ops, n: int, x):
         return ops.combine([(self._coface(ops, n, i, x), (-1) ** i) for i in range(n + 2)])

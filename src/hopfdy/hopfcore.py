@@ -22,8 +22,8 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .algcore import (Algebra, AlgebraMap, ModuleRep, module_from_character,
-                      multiplicative_failures, verify_algebra)
+from .algcore import (Algebra, AlgebraMap, ModuleRep, basis_elements, check_elements,
+                      module_from_character, multiplicative_failures, verify_algebra)
 from .exactlin import (FR0, FR1, SparseMatrix, TensorElement, _once, fr, kron_into,
                        unit_tensor, vec_addmul, vec_eq)
 
@@ -52,7 +52,8 @@ class HopfAlgebra:
         self.dual_generator_hint = dual_generator_hint
         # "double": D(H), filled by drinfeld_double; "antipode_inv": S^{-1};
         # "report": the violations found by verify_hopf; the identity and
-        # restriction DY complexes of H
+        # restriction DY complexes of H; ("slot_kernel", big): the slot
+        # kernel of H; ("tangent", big): the tangent batches without R
         self._cache: dict = {}
 
     # convenience passthroughs
@@ -129,10 +130,13 @@ def iterated_coproduct(H: HopfAlgebra, u: TensorElement, slot: int) -> TensorEle
 
 
 def verify_hopf(H: HopfAlgebra) -> list:
-    """All bialgebra and antipode axioms, witnessed per basis element.
+    """All bialgebra and antipode axioms, witnessed per generator or basis
+    element.
 
     Delta and eps are checked multiplicative through
     `multiplicative_failures`, the loop that checks associativity too.
+    Coassociativity and the counit axiom then run on `check_elements` (both
+    sides of each are algebra maps), or on the basis if a check failed.
     Checked once per H (the report is cached write-once); each call returns
     a copy.
     """
@@ -147,19 +151,30 @@ def _hopf_violations(H: HopfAlgebra) -> list:
         report.append("Delta(1) != 1 ox 1")
     if H.counit_vec(A.unit) != FR1:
         report.append("eps(1) != 1")
+    # Delta and eps are algebra maps
+    for aname, j, _, _ in multiplicative_failures(A, H.comult_vec, TensorElement.mul):
+        report.append("Delta not multiplicative on (%s, %s)" % (aname, A.labels[j]))
+    for aname, j, _, _ in multiplicative_failures(A, H.counit_vec, operator.mul):
+        report.append("eps not multiplicative on (%s, %s)" % (aname, A.labels[j]))
+    for x, name in basis_elements(A) if report else check_elements(A):
+        de = H.comult_vec(x)
+        if iterated_coproduct(H, de, 0) != iterated_coproduct(H, de, 1):
+            report.append("coassociativity fails at %s" % name)
+        ex = H.element(x)
+        if de.contract_at(0, H.counit) != ex or de.contract_at(1, H.counit) != ex:
+            report.append("counit axiom fails at %s" % name)
+    return report + antipode_violations(H)
+
+
+def antipode_violations(H: HopfAlgebra) -> list:
+    """Both antipode axioms, sum c S(e_x) e_y = eps(e_i) 1 = sum c e_x S(e_y)
+    over Delta(e_i), on every basis element e_i."""
+    A = H.algebra
+    report = []
     s_cols = H.antipode.columns()
     for i in range(A.dim):
-        de = H.comult[i]
-        # coassociativity
-        if iterated_coproduct(H, de, 0) != iterated_coproduct(H, de, 1):
-            report.append("coassociativity fails at %s" % A.labels[i])
-        # counit axiom
-        ei = H.element({i: FR1})
-        if de.contract_at(0, H.counit) != ei or de.contract_at(1, H.counit) != ei:
-            report.append("counit axiom fails at %s" % A.labels[i])
-        # antipode axiom: sum c S(e_x) e_y = eps(e_i) 1 = sum c e_x S(e_y) over Delta(e_i)
         s_left, s_right = {}, {}
-        for (x, y), c in de.coeffs.items():
+        for (x, y), c in H.comult[i].coeffs.items():
             vec_addmul(s_left, A.mul_vec(s_cols[x], {y: FR1}), c)
             vec_addmul(s_right, A.mul_vec({x: FR1}, s_cols[y]), c)
         eps1 = vec_addmul({}, A.unit, H.counit[i])
@@ -167,11 +182,6 @@ def _hopf_violations(H: HopfAlgebra) -> list:
             report.append("antipode axiom (S ox id) fails at %s" % A.labels[i])
         if s_right != eps1:
             report.append("antipode axiom (id ox S) fails at %s" % A.labels[i])
-    # Delta and eps are algebra maps
-    for aname, j, _, _ in multiplicative_failures(A, H.comult_vec, TensorElement.mul):
-        report.append("Delta not multiplicative on (%s, %s)" % (aname, A.labels[j]))
-    for aname, j, _, _ in multiplicative_failures(A, H.counit_vec, operator.mul):
-        report.append("eps not multiplicative on (%s, %s)" % (aname, A.labels[j]))
     return report
 
 

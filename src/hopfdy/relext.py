@@ -223,8 +223,7 @@ def _extend_cover(res: Resolution, upto: int):
         d = eps if n == 0 else SparseMatrix.from_columns(
             res.terms[n - 1].dim, res.kernel_bases[n]).matmul(eps)
         kbasis, kmarkers = kernel_basis_marked(eps.row_dicts(), eps.cols)
-        Knext = submodule_on_basis(pair.big, kbasis, kmarkers, P.act_basis,
-                                   name="K%d" % (n + 1))
+        Knext = submodule_on_basis(P, kbasis, kmarkers, name="K%d" % (n + 1))
         # a degree is published whole, so an exception above leaves res as it was
         res.sources.append(X)
         res.eps_matrices.append(eps)

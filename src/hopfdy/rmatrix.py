@@ -22,12 +22,11 @@ asserted on every basis vector rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algcore import check_elements
-from .exactlin import FR1, TensorElement, fr, kernel_basis, span_equal, unit_tensor
-from .hopfcore import HopfAlgebra, HopfError, build_bk, iterated_coproduct
+from .exactlin import FR1, TensorElement, _once, fr, kernel_basis, span_equal, unit_tensor
+from .hopfcore import HopfAlgebra, HopfError, build_bk, iterated_coproduct, verify_hopf
 
 FRH = Fraction(1, 2)
 
@@ -36,14 +35,15 @@ class RMatrixError(HopfError):
     """Raised when an operation requires a verified R-matrix."""
 
 
-@dataclass
 class RMatrixReport:
-    quasi_cocommutative: bool
-    hexagon1: bool
-    hexagon2: bool
-    counit_normalized: bool
-    witnesses: list = field(default_factory=list)
-    inverse: TensorElement = None
+    def __init__(self, quasi_cocommutative: bool, hexagon1: bool, hexagon2: bool,
+                 counit_normalized: bool, witnesses=None, inverse: TensorElement = None):
+        self.quasi_cocommutative = quasi_cocommutative
+        self.hexagon1 = hexagon1
+        self.hexagon2 = hexagon2
+        self.counit_normalized = counit_normalized
+        self.witnesses = [] if witnesses is None else witnesses
+        self.inverse = inverse
 
     @property
     def verified(self) -> bool:
@@ -61,10 +61,10 @@ class RMatrixReport:
         }
 
 
-@dataclass
 class TangentBasis:
-    base: TensorElement
-    vectors: list
+    def __init__(self, base: TensorElement, vectors: list):
+        self.base = base
+        self.vectors = vectors
 
     @property
     def dim(self) -> int:
@@ -85,17 +85,23 @@ def embed12(u: TensorElement, H: HopfAlgebra) -> TensorElement:
 
 
 def check_rmatrix(H: HopfAlgebra, R: TensorElement) -> RMatrixReport:
-    """Check every axiom on every basis element; failures carry witnesses."""
+    """Check the axioms of R on a verified H; failures carry witnesses.
+    Quasi-cocommutativity runs on `check_elements` (the h with R Delta(h) =
+    Delta^op(h) R form a subalgebra); a basis vector keeps its label."""
     if R.degree != 2 or R.ambient is not H.algebra:
         raise RMatrixError("R must be a degree-2 tensor element over H")
+    rep = verify_hopf(H)
+    if rep:
+        raise RMatrixError("R-matrix checks need a Hopf algebra: %s" % rep[:3])
     witnesses = []
     qc = True
-    for h in range(H.dim):
-        dh = H.comult[h]
-        dop = dh.permute_slots([1, 0])
-        if R.mul(dh) != dop.mul(R):
+    for h, name in check_elements(H.algebra):
+        if len(h) == 1 and 1 in h.values():
+            name = H.algebra.labels[next(iter(h))]
+        dh = H.comult_vec(h)
+        if R.mul(dh) != dh.permute_slots([1, 0]).mul(R):
             qc = False
-            witnesses.append("quasi-cocommutativity fails at %s" % H.algebra.labels[h])
+            witnesses.append("quasi-cocommutativity fails at %s" % name)
     r13 = embed13(R, H)
     r23 = embed23(R, H)
     r12 = embed12(R, H)
@@ -124,15 +130,16 @@ def check_rmatrix(H: HopfAlgebra, R: TensorElement) -> RMatrixReport:
 def tangent_space(H: HopfAlgebra, R: TensorElement, report: RMatrixReport = None) -> TangentBasis:
     """Exact kernel basis of the stacked linearized R-matrix conditions,
     built for all basis tensors e_a ox e_b at once on the slot kernel
-    (`_tangent_rows`) and eliminated in `kernel_basis`."""
-    from .slotkernel import SlotKernel, run_exact
+    (`_tangent_rows`, on the slot kernel kept in H's cache) and eliminated
+    in `kernel_basis`."""
+    from .slotkernel import run_exact, slot_kernel
     if report is None:
         report = check_rmatrix(H, R)
     if not report.verified:
         raise RMatrixError("tangent_space requires a verified R-matrix: %s"
                            % report.witnesses[:3])
     n = H.dim
-    rows = run_exact(lambda ops: _tangent_rows(ops, H, R), lambda big: SlotKernel(H, big))
+    rows = run_exact(lambda ops: _tangent_rows(ops, H, R), lambda big: slot_kernel(H, big))
     vectors = []
     zero1 = TensorElement(H.algebra, 1, {})
     for v in kernel_basis(rows, n * n):
@@ -149,21 +156,25 @@ def _tangent_rows(ops, H: HopfAlgebra, R: TensorElement) -> list:
     """Rows of the linearized conditions on the slot kernel `ops`: row (j, f)
     holds, at column t, the e_f coefficient of condition j at T = e_t.
     Quasi-cocommutativity runs over `check_elements`, since the h with
-    T Delta(h) = Delta^op(h) T form a subalgebra."""
-    x = ops.all_basis(2)
-    conds = []
-    for h, _ in check_elements(H.algebra):
-        dh = H.delta_power(h, 2)
-        conds.append(ops.combine([
-            (ops.mul(x, ops.encode([dh], 2), False), 1),
-            (ops.mul(x, ops.encode([dh.permute_slots([1, 0])], 2), True), -1)]))
+    T Delta(h) = Delta^op(h) T form a subalgebra.  Everything but the
+    products with R is compiled once per kernel, in H's cache."""
+    def build():
+        x, qc = ops.all_basis(2), []
+        for h, _ in check_elements(H.algebra):
+            dh = H.delta_power(h, 2)
+            qc.append(ops.combine([
+                (ops.mul(x, ops.encode([dh], 2), False), 1),
+                (ops.mul(x, ops.encode([dh.permute_slots([1, 0])], 2), True), -1)]))
+        return (qc, ops.coproduct(x, 0), ops.coproduct(x, 1),
+                *(ops.insert_unit(x, slot) for slot in (1, 0, 2)))
+
+    qc, cop0, cop1, t13, t23, t12 = _once(H._cache, ("tangent", ops.big), build)
     r13, r23, r12 = (ops.encode([e(R, H)], 3) for e in (embed13, embed23, embed12))
-    t13, t23, t12 = (ops.insert_unit(x, slot) for slot in (1, 0, 2))
-    conds.append(ops.combine([(ops.coproduct(x, 0), 1), (ops.mul(t13, r23, False), -1),
-                              (ops.mul(t23, r13, True), -1)]))
-    conds.append(ops.combine([(ops.coproduct(x, 1), 1), (ops.mul(t13, r12, False), -1),
-                              (ops.mul(t12, r13, True), -1)]))
-    return ops.rows(conds)
+    hex1 = ops.combine([(cop0, 1), (ops.mul(t13, r23, False), -1),
+                        (ops.mul(t23, r13, True), -1)])
+    hex2 = ops.combine([(cop1, 1), (ops.mul(t13, r12, False), -1),
+                        (ops.mul(t12, r13, True), -1)])
+    return ops.rows(qc + [hex1, hex2])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dycomplex import UnsupportedDegreeError
-from .exactlin import TensorElement, flatten_index, fr
+from .exactlin import TensorElement, _once, flatten_index, fr
 
 
 class Fallback(Exception):
@@ -69,10 +69,6 @@ class SlotKernel:
         self.dkey, self.dcoef = self._padded(nd, comult, self.dden)
         self.uden = _lcm(c.denominator for c in H.unit.values())
         self.unit = [(i, self._scaled(c, self.uden)) for i, c in H.unit.items()]
-        # the encoded operands of a complex's stages, filled through `_once`:
-        # ("conditions", n) -> the (L, R) condition batches of degree n,
-        # (side, n, i) -> the R-multiplier of a tensor coface
-        self.compiled = {}
 
     def _padded(self, size: int, columns, den: int):
         """(key, coef) arrays of shape (width, size): column p holds the
@@ -238,6 +234,12 @@ class SlotKernel:
             coef //= g
             den //= g
         return Batch(keys // amb, keys % amb, coef, den, x.deg)
+
+
+def slot_kernel(H, big: bool = False) -> SlotKernel:
+    """The slot kernel of H, int64 or (`big`) Python-int, built once and
+    kept in H's cache; every DY complex of H and `tangent_space` share it."""
+    return _once(H._cache, ("slot_kernel", big), lambda: SlotKernel(H, big))
 
 
 def run_exact(work, kernel, on_fallback=lambda: None):

@@ -139,7 +139,7 @@ class TestHomSpace:
     def test_hom_from_zero_module(self):
         H = build_bk(1)
         k = trivial_module(H)
-        Z = submodule_on_basis(H.algebra, [], [], k.act_basis, name="zero")
+        Z = submodule_on_basis(k, [], [], name="zero")
         assert Z.dim == 0
         assert hom_space(Z, k) == []
 
@@ -286,7 +286,7 @@ def test_induced_module_matches_dense_oracle(data, pair):
     span = left_span(B, start, [{i: FR1} for i in range(B.dim)])
     rref, markers = dense_rref([[v.get(i, 0) for i in range(B.dim)] for v in span])
     basis = [{k: c for k, c in enumerate(row) if c} for row in rref[:len(markers)]]
-    V = submodule_on_basis(B, basis, markers, regular_module(B).act_basis)
+    V = submodule_on_basis(regular_module(B), basis, markers)
     nv = V.dim
     # V's coordinates, read at the markers
     Bmat = densify_matrix(SparseMatrix.from_columns(B.dim, basis))
@@ -352,7 +352,7 @@ class TestModuleMapKernel:
     def test_submodule_on_unstable_subspace_raises(self):
         # span{1} in the regular B_1-module: x . 1 = x leaves it
         A = build_bk(1).algebra
-        sub = submodule_on_basis(A, [dict(A.unit)], [0], regular_module(A).act_basis)
+        sub = submodule_on_basis(regular_module(A), [dict(A.unit)], [0])
         with pytest.raises(AlgebraError, match="not stable"):
             [sub.action(i) for i in range(A.dim)]
 
@@ -365,7 +365,7 @@ class TestModuleMapKernel:
     def test_submodule_refuses_a_basis_not_in_marker_form(self, basis, markers):
         A = build_bk(1).algebra
         with pytest.raises(AlgebraError, match="marker form"):
-            submodule_on_basis(A, basis, markers, regular_module(A).act_basis)
+            submodule_on_basis(regular_module(A), basis, markers)
 
 
 def test_tensor_algebra_layout_matches_dense_kron():

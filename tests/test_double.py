@@ -1,13 +1,16 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hopfdy import double
 from hopfdy.algcore import Algebra, AlgebraMap, _act_matrix, check_generators_span, tensor_algebra
-from hopfdy.double import (coeff_restriction, coeff_tensor_product, drinfeld_double, ell_maps,
-                           ell_minus, ell_plus)
+from hopfdy.double import (DoubleAlgebra, _double_violations, coeff_restriction,
+                           coeff_tensor_product, drinfeld_double, ell_maps, ell_minus, ell_plus)
 from hopfdy.exactlin import FR1, SparseMatrix, TensorElement, unit_tensor, vec_eq
-from hopfdy.hopfcore import bk_dual_generators, bk_inclusion, build_bk, build_cyclic, verify_hopf
+from hopfdy.hopfcore import (HopfAlgebra, _hopf_violations, bk_dual_generators, bk_inclusion,
+                             build_bk, build_cyclic, verify_hopf)
 from hopfdy.hopffile import load_hopf
 from hopfdy.relext import adjunction_crosscheck_tensor
 from hopfdy.rmatrix import RMatrixError, bk_r0, bk_r_lambda, check_rmatrix
@@ -106,6 +109,107 @@ class TestDrinfeldDouble:
         x1 = D2.inclusion_base.apply_basis(1)
         A = D2.algebra
         assert A.mul_vec(x1, y1) != A.mul_vec(y1, x1)
+
+
+def _fresh_hopf(K, **replace):
+    """K on a fresh copy of its algebra (same tables and generators, empty
+    caches), with any of mult, comult, counit, antipode replaced."""
+    A = K.algebra
+    B = Algebra(A.dim, A.labels, replace.get("mult", A.mult), A.unit,
+                generators=A.generators, name=A.name)
+    comult = [TensorElement(B, 2, d.coeffs) for d in replace.get("comult", K.comult)]
+    return HopfAlgebra(B, comult, replace.get("counit", K.counit),
+                       replace.get("antipode", K.antipode), name=K.name)
+
+
+def _hintless_bk1(tmp_path):
+    from hopfdy.hopffile import hopf_to_json, load_hopf
+    data = hopf_to_json(build_bk(1))
+    del data["generators"], data["dual_generators"]
+    path = tmp_path / "bk1_plain.json"
+    path.write_text(json.dumps(data))
+    return load_hopf(str(path))
+
+
+class TestDoubleCertificate:
+    """`drinfeld_double` certifies D through its factors
+    (`_double_violations`); the generic `_hopf_violations`, run on a fresh
+    copy of D that certifies its own generators, is the oracle."""
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp: build_bk(1), lambda tmp: build_bk(2), lambda tmp: build_cyclic(3),
+        _hintless_bk1], ids=["bk_1", "bk_2", "cyclic_3", "bk_1_without_hints"])
+    def test_generic_loop_agrees(self, make, tmp_path):
+        D = drinfeld_double(make(tmp_path))
+        assert verify_hopf(D.hopf) == []
+        assert _hopf_violations(_fresh_hopf(D.hopf)) == []
+
+    def test_file_without_hints_uses_the_dual_basis(self, tmp_path):
+        D = drinfeld_double(_hintless_bk1(tmp_path))
+        n = D.base.dim
+        assert D.algebra.generators == ([D.inclusion_dual.apply_basis(a) for a in range(n)]
+                                        + [D.inclusion_base.apply_basis(j) for j in range(n)])
+
+    def test_non_generating_dual_hint_falls_back_to_the_dual_basis(self):
+        B = build_bk(1)
+        eps = B.counit_row()
+        H = HopfAlgebra(B.algebra, B.comult, B.counit, B.antipode, name="B_1 eps hint",
+                        dual_generator_hint=[eps])
+        D = drinfeld_double(H)
+        assert not check_generators_span(D.dual.algebra)
+        assert D.algebra.generators[:H.dim] == [D.inclusion_dual.apply_basis(a)
+                                                for a in range(H.dim)]
+        assert verify_hopf(D.hopf) == []
+
+    @staticmethod
+    def _mutant(D1, mutant):
+        """D(B_1) with one entry of its tables changed, as a DoubleAlgebra
+        over the same factors and embeddings; "none" changes nothing."""
+        n = D1.dim
+        Dh = D1.hopf
+        mult, comult, counit = dict(D1.algebra.mult), list(Dh.comult), list(Dh.counit)
+        antipode = Dh.antipode
+        if mutant == "straightening":
+            # e_(0, x1) e_(1, 0), a product h phi, with one coefficient changed
+            assert mult[(1, 4)] == {0: 1, 13: 1, 2: -1}
+            mult[(1, 4)] = {0: 1, 13: 2, 2: -1}
+        elif mutant == "factorization":
+            # e_(1, 0) e_(0, x1) = i((x1)*) j(x1), a product phi h, doubled
+            assert mult[(4, 1)] == {5: 1}
+            mult[(4, 1)] = {5: 2}
+        elif mutant == "coproduct":
+            (key, c), *_ = sorted(comult[5].coeffs.items())
+            comult[5] = TensorElement(D1.algebra, 2, {**comult[5].coeffs, key: c + 1})
+        elif mutant == "counit":
+            counit[0] += 1
+        elif mutant == "antipode":
+            antipode = SparseMatrix(n, n, {**antipode.entries, (0, 6): FR1})
+        K = _fresh_hopf(Dh, mult=mult, comult=comult, counit=counit, antipode=antipode)
+        base = AlgebraMap(D1.base.algebra, K.algebra, D1.inclusion_base.columns)
+        dual = AlgebraMap(D1.dual.algebra, K.algebra, D1.inclusion_dual.columns)
+        return DoubleAlgebra(K, D1.base, D1.dual, base, dual)
+
+    @pytest.mark.parametrize("mutant", ["none", "straightening", "factorization", "coproduct",
+                                        "counit", "antipode"])
+    def test_mutants_are_caught(self, D1, mutant):
+        """The unchanged copy ("none") passes, so each report comes from the
+        changed entry."""
+        assert (_double_violations(self._mutant(D1, mutant)) == []) == (mutant == "none")
+
+    @pytest.mark.parametrize("mutant, line", [
+        ("straightening", "Delta not multiplicative on (j(gen0), i((x1)*))"),
+        ("coproduct", "Delta not multiplicative on (j(gen0), i((x1g)*))"),
+        ("factorization", "i((x1)*) j(x1) != (x1)*.x1"),
+        ("counit", "eps not multiplicative on (gen1, (1)*.1)")],
+        ids=["straightening", "coproduct", "factorization", "counit"])
+    def test_each_part_catches_its_mutant(self, D1, mutant, line, monkeypatch):
+        """With associativity and the antipode axioms out of the certificate,
+        the straightening check, the factorization check and the counit
+        check each still report their mutant, so none of them can go
+        unnoticed behind the parts that overlap it."""
+        monkeypatch.setattr(double, "verify_algebra", lambda A: [])
+        monkeypatch.setattr(double, "antipode_violations", lambda H: [])
+        assert line in _double_violations(self._mutant(D1, mutant))
 
 
 class TestEllMaps:
@@ -287,7 +391,8 @@ def test_reloaded_algebra_releases_its_double(tmp_path):
 
 def test_loaded_algebra_verified_once(tmp_path, monkeypatch):
     """load_hopf, verify_hopf and drinfeld_double check the axioms of the
-    loaded H once; the double is checked on its own."""
+    loaded H once; the double's certificate checks (H*)^op once and the
+    double on its own generators."""
     from hopfdy import hopfcore
     from hopfdy.hopffile import save_hopf
 
@@ -299,12 +404,14 @@ def test_loaded_algebra_verified_once(tmp_path, monkeypatch):
         return verify_algebra(A)
 
     monkeypatch.setattr(hopfcore, "verify_algebra", counting)
+    monkeypatch.setattr(double, "verify_algebra", counting)
     path = str(tmp_path / "bk1.json")
     save_hopf(build_bk(1), path)
     H = load_hopf(path)
     assert verify_hopf(H) == []
     D = drinfeld_double(H)
-    assert checked == [path, D.algebra.name]
+    assert verify_hopf(D.hopf) == []
+    assert checked == [path, D.dual.algebra.name, D.algebra.name]
 
 
 def test_integral_hopf_data_stays_int(tmp_path):

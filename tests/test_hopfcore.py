@@ -62,6 +62,21 @@ class TestVerifyHopf:
             + ["antipode axiom (S ox id) fails at x1", "antipode axiom (id ox S) fails at x1",
                "coassociativity fails at x1", "counit axiom fails at x1"])
 
+    def test_corrupted_coproduct_off_the_generators(self):
+        """Delta(x1x2) doubled in one term, on B_2 with its generators:
+        coassociativity and the counit axiom run on the generators only
+        after Delta is multiplicative, so the fault is still named."""
+        H = build_bk(2)
+        A = H.algebra
+        B = Algebra(A.dim, A.labels, A.mult, A.unit, generators=A.generators)
+        comult = [TensorElement(B, 2, d.coeffs) for d in H.comult]
+        assert A.labels[3] == "x1x2" and comult[3].coeffs[(0, 3)] == 1
+        comult[3] = TensorElement(B, 2, {**comult[3].coeffs, (0, 3): 2})
+        report = verify_hopf(HopfAlgebra(B, comult, H.counit, H.antipode))
+        assert "Delta not multiplicative on (gen0, x2)" in report
+        assert "coassociativity fails at x1x2" in report
+        assert "counit axiom fails at x1x2" in report
+
     @pytest.mark.parametrize("gens", ["kept", "stripped"])
     def test_fault_injection_counit_entry(self, gens):
         H = build_bk(1)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from hopfdy.algcore import Algebra
 from hopfdy.exactlin import TensorElement, unit_tensor
-from hopfdy.hopfcore import build_bk, build_cyclic
+from hopfdy.hopfcore import HopfAlgebra, build_bk, build_cyclic
 from hopfdy.rmatrix import (RMatrixError, _tangent_rows, bk_standard_tangent_basis, bk_r0,
                             bk_r_lambda, check_rmatrix, tangent_space,
                             tangent_span_matches)
@@ -41,6 +42,17 @@ class TestCheckRMatrix:
         rep = check_rmatrix(H, unit_tensor(H.algebra, 2))
         assert not rep.verified
         assert any("x1" in w for w in rep.witnesses)
+
+    def test_witness_names_a_multi_term_generator(self):
+        """Quasi-cocommutativity runs on the generators x1 + g and g of B_1;
+        the one that is not a single basis vector is named gen<k>."""
+        B = build_bk(1)
+        A = B.algebra
+        A2 = Algebra(A.dim, A.labels, A.mult, A.unit, generators=[{1: 1, 2: 1}, {2: 1}])
+        H = HopfAlgebra(A2, [TensorElement(A2, 2, d.coeffs) for d in B.comult], B.counit,
+                        B.antipode)
+        rep = check_rmatrix(H, unit_tensor(A2, 2))
+        assert rep.witnesses == ["quasi-cocommutativity fails at gen0"]
 
     def test_inverse_is_two_sided(self):
         H = build_bk(2)
@@ -148,3 +160,22 @@ def test_tangent_space_matches_dense_oracle(case):
             _tangent_rows(SlotKernel(H), H, R)
     else:
         _tangent_rows(SlotKernel(H), H, R)  # the int64 kernel suffices
+
+
+def test_tangent_batches_without_r_compiled_once(monkeypatch):
+    """Two R-matrices on one H: each tangent space matches the dense
+    oracle, and the conditions that do not depend on R (coproducts, unit
+    insertions, quasi-cocommutativity) are built on H's slot kernel once."""
+    B = build_bk(2)
+    H = HopfAlgebra(B.algebra, B.comult, B.counit, B.antipode, name="B_2 copy")
+    calls = []
+    for name in ("coproduct", "insert_unit"):
+        op = getattr(SlotKernel, name)
+        monkeypatch.setattr(SlotKernel, name,
+                            lambda self, *a, _op=op, _name=name: calls.append(_name) or _op(self, *a))
+    ncols = H.dim ** 2
+    rng = random.Random(11)
+    for R in (bk_r0(2, H), bk_r_lambda(2, _random_lambda(2, rng), H)):
+        got = [densify_vec(T.flat(), ncols) for T in tangent_space(H, R).vectors]
+        assert got == dense_nullspace(tangent_conditions_dense(H, R), ncols)
+    assert sorted(calls) == ["coproduct"] * 2 + ["insert_unit"] * 3
