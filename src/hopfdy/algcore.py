@@ -70,14 +70,16 @@ class Algebra:
         return out
 
     def left_mult_matrix(self, i: int) -> SparseMatrix:
-        """L_i, the matrix of x -> e_i * x."""
-        return _once(self._cache, ("left_mult", i), lambda: SparseMatrix.from_columns(
-            self.dim, [self.mul_basis(i, j) for j in range(self.dim)]))
+        """L_i, the matrix of x -> e_i * x, columns shared with `mult`."""
+        return _once(self._cache, ("left_mult", i), lambda: SparseMatrix.of_columns(
+            self.dim, self.dim, {j: self.mult[i, j] for j in range(self.dim)
+                                 if (i, j) in self.mult}))
 
     def right_mult_matrix(self, i: int) -> SparseMatrix:
-        """R_i, the matrix of x -> x * e_i."""
-        return _once(self._cache, ("right_mult", i), lambda: SparseMatrix.from_columns(
-            self.dim, [self.mul_basis(j, i) for j in range(self.dim)]))
+        """R_i, the matrix of x -> x * e_i, columns shared with `mult`."""
+        return _once(self._cache, ("right_mult", i), lambda: SparseMatrix.of_columns(
+            self.dim, self.dim, {j: self.mult[j, i] for j in range(self.dim)
+                                 if (j, i) in self.mult}))
 
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.name, self.dim)
@@ -153,30 +155,29 @@ def verify_algebra(A: Algebra) -> list:
             report.append("unit law fails: e_%d*1 != e_%d (%s)" % (i, i, A.labels[i]))
     for aname, j, lhs, rhs in multiplicative_failures(
             A, lambda x: matrix_sum(A.left_mult_matrix, x, A.dim), SparseMatrix.matmul):
-        lc, rc = lhs.columns(), rhs.columns()
         report.extend("associativity fails on triple (%s, %s, %s)"
-                      % (aname, A.labels[j], A.labels[k]) for k in range(A.dim) if lc[k] != rc[k])
+                      % (aname, A.labels[j], A.labels[k]) for k in range(A.dim)
+                      if lhs.column(k) != rhs.column(k))
     return report
 
 
 class AlgebraMap:
-    """Algebra morphism source -> target, stored as image columns."""
+    """Algebra morphism source -> target: `matrix` has column i = f(e_i)."""
 
-    def __init__(self, source: Algebra, target: Algebra, columns, name=""):
+    def __init__(self, source: Algebra, target: Algebra, images, name=""):
         self.source = source
         self.target = target
-        self.columns = [fr_vec(col) for col in columns]
-        assert len(self.columns) == source.dim
+        if not isinstance(images, SparseMatrix):
+            images = SparseMatrix.from_columns(target.dim, images)
+        assert (images.rows, images.cols) == (target.dim, source.dim)
+        self.matrix = images
         self.name = name or "map(%s->%s)" % (source.name, target.name)
 
     def apply_basis(self, i: int) -> dict:
-        return self.columns[i]
+        return self.matrix.column(i)
 
     def apply(self, v: dict) -> dict:
-        out: dict = {}
-        for i, c in v.items():
-            vec_addmul(out, self.columns[i], c)
-        return out
+        return self.matrix.mul_vec(v)
 
     def verify(self) -> list:
         """Check that the unit is preserved and f(a e_j) = f(a) f(e_j)
@@ -252,10 +253,11 @@ def matrix_sum(matrix_of, a: dict, n: int) -> SparseMatrix:
     summing pass."""
     if len(a) == 1 and next(iter(a.values())) == 1:
         return matrix_of(next(iter(a)))
-    out = SparseMatrix(n, n)
+    out: dict = {}
     for i, c in a.items():
-        vec_addmul(out.entries, matrix_of(i).entries, c)
-    return out
+        for j, col in matrix_of(i).columns.items():
+            vec_addmul(out.setdefault(j, {}), col, c)
+    return SparseMatrix.of_columns(n, n, {j: col for j, col in out.items() if col})
 
 
 def module_from_character(A: Algebra, chi: dict, name="") -> ModuleRep:
@@ -313,14 +315,12 @@ def submodule_on_basis(M: ModuleRep, basis: list, markers: list, name="") -> Mod
         raise AlgebraError("submodule basis is not in marker form")
 
     def fn(i):
-        B = SparseMatrix(M.dim, len(basis))  # built per call: the module keeps only `basis`
-        B.entries = {(r, j): c for j, v in enumerate(basis) for r, c in v.items()}
+        B = SparseMatrix.of_columns(M.dim, len(basis), dict(enumerate(basis)))  # per call
         image = M.action(i).matmul(B)
-        X = SparseMatrix(len(basis), len(basis))
-        X.entries = {(pos[r], c): x for (r, c), x in image.entries.items() if r in pos}
+        X = SparseMatrix.of_columns(len(basis), len(basis), {
+            j: x for j, x in ((j, coords(col)) for j, col in image.columns.items()) if x})
         if B.matmul(X) != image:
             raise AlgebraError("subspace is not stable under e_%d" % i)
-        X._cols = None  # the module keeps X, not the column cache the check filled
         return X
 
     return ModuleRep(M.algebra, len(basis), action_fn=fn, name=name or "sub")
@@ -377,7 +377,7 @@ class ColumnMap:
 def evaluation(M: ModuleRep) -> ColumnMap:
     """E_M : A ox M -> M, e_a ox e_m -> rho_M(e_a) e_m (flat index a * dim M + m)."""
     nm = M.dim
-    return ColumnMap(nm, lambda flat: M.action(flat // nm).columns()[flat % nm])
+    return ColumnMap(nm, lambda flat: M.action(flat // nm).column(flat % nm))
 
 
 class InducedModule(ModuleRep):
@@ -407,7 +407,7 @@ class InducedModule(ModuleRep):
         nv = self.source.dim
         out: dict = {}
         for alpha, b_idx, c in self._table[flat // nv]:
-            col = self.source.action(b_idx).columns()[flat % nv]
+            col = self.source.action(b_idx).column(flat % nv)
             vec_addmul(out, {alpha * nv + w: cw for w, cw in col.items()}, c)
         return out
 
@@ -433,20 +433,17 @@ def induced_map(left: ColumnMap, P: InducedModule, f: SparseMatrix = None,
     1) and `left` a map on A ox V' (flat index a * dim V' + q).  L ox f is
     never formed: S's columns u ox e_v are taken by free basis element u,
     L u once per u, and each nonzero column v of f gives the pure tensor
-    (L u) ox f(e_v); the zero columns of f are skipped, and the entries go
-    straight into the P.dim-column result."""
+    (L u) ox f(e_v), whose image is column (u, v) of the result."""
     nv = P.source.dim
     f = SparseMatrix.identity(nv) if f is None else f
-    fcols: dict = {}   # the nonzero columns of f
-    for (q, v), c in f.entries.items():
-        fcols.setdefault(v, {})[q] = c
-    out = SparseMatrix(left.rows, P.dim)
+    out: dict = {}
     for alpha, u in enumerate(P.free_basis):
         x = u if L is None else L.mul_vec(u)
-        for v, y in fcols.items():
-            for r, c in left.apply(vec_kron(x, y, f.rows)).items():
-                out.entries[(r, alpha * nv + v)] = c
-    return out
+        for v, y in f.columns.items():
+            col = left.apply(vec_kron(x, y, f.rows))
+            if col:
+                out[alpha * nv + v] = col
+    return SparseMatrix.of_columns(left.rows, P.dim, out)
 
 
 def induced_module(imap: AlgebraMap, V: ModuleRep, free, name="") -> InducedModule:

@@ -366,21 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "for finite-dimensional Hopf algebras over QQ")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_r=False, with_degree=False):
+    def common(p, with_r=False, with_degree=False, with_resolution=False):
         p.add_argument("source", help="catalog key (bk:k, cyclic:n) or Hopf file")
-        p.add_argument("--sub", help="subalgebra catalog key or file")
         p.add_argument("--json-out", dest="json_out")
         p.add_argument("--max-seconds", dest="max_seconds", type=budget_seconds, default=0)
-        if with_r:
-            p.add_argument("--r0", action="store_true",
+        if with_r:   # one R-matrix source per command
+            r = p.add_mutually_exclusive_group()
+            r.add_argument("--r0", action="store_true",
                            help="use the triangular R0 of bk:k")
-            p.add_argument("--trivial-r", dest="trivial_r", action="store_true")
-            p.add_argument("--lambda", dest="lam",
+            r.add_argument("--trivial-r", dest="trivial_r", action="store_true")
+            r.add_argument("--lambda", dest="lam",
                            help="JSON file with a k x k rational matrix")
-            p.add_argument("--rmatrix", help="JSON sparse degree-2 tensor")
-        if with_degree:
+            r.add_argument("--rmatrix", help="JSON sparse degree-2 tensor")
+        if with_degree:   # dy, relext and crosscheck, the commands that read --sub
             p.add_argument("--degree", type=int, default=2)
-        p.add_argument("--resolution", choices=["bar", "cover"], default="cover")
+            p.add_argument("--sub", help="subalgebra catalog key or file")
+        if with_resolution:
+            p.add_argument("--resolution", choices=["bar", "cover"], default="cover")
 
     p = sub.add_parser("verify", help="check all Hopf axioms")
     common(p)
@@ -401,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dy)
 
     p = sub.add_parser("relext", help="relative Ext dimensions over (D(H), H)")
-    common(p, with_degree=True)
+    common(p, with_degree=True, with_resolution=True)
     p.add_argument("--coeff", choices=["trivial", "restriction"], default="trivial")
     p.set_defaults(fn=cmd_relext)
 
     p = sub.add_parser("crosscheck", help="independent two-sided verifications")
     p.add_argument("which", choices=["adjunction-tensor", "adjunction-res",
                                      "dimension-formula", "kunneth"])
-    common(p, with_r=True, with_degree=True)
+    common(p, with_r=True, with_degree=True, with_resolution=True)
     p.set_defaults(fn=cmd_crosscheck)
 
     p = sub.add_parser("catalog", help="list built-in algebras and flags")

@@ -61,7 +61,7 @@ class DoubleAlgebra:
     def dual_part_basis(self) -> list:
         """The elements phi^i ox 1_H of D(H), the images of the dual basis
         under the dual embedding; a free right-H-module basis."""
-        return list(self.inclusion_dual.columns)
+        return [self.inclusion_dual.apply_basis(i) for i in range(self.base.dim)]
 
     def __repr__(self):
         return "DoubleAlgebra(D(%s), dim=%d)" % (self.base.name, self.dim)
@@ -122,9 +122,9 @@ def _double_violations(D: DoubleAlgebra) -> list:
     H, A, Dh = D.base, D.dual, D.hopf
     DA, n = Dh.algebra, H.dim
     report = ["H: " + v for v in verify_hopf(H)] + ["(H*)^op: " + v for v in verify_hopf(A)]
-    for a, phi in enumerate(D.inclusion_dual.columns):
-        for b, h in enumerate(D.inclusion_base.columns):
-            if DA.mul_vec(phi, h) != {a * n + b: FR1}:
+    for a, phi in enumerate(D.dual_part_basis()):
+        for b in range(n):
+            if DA.mul_vec(phi, D.inclusion_base.apply_basis(b)) != {a * n + b: FR1}:
                 report.append("i(%s) j(%s) != %s"
                               % (A.algebra.labels[a], H.algebra.labels[b], DA.labels[a * n + b]))
     for emb in (D.inclusion_base, D.inclusion_dual):
@@ -141,7 +141,7 @@ def _double_violations(D: DoubleAlgebra) -> list:
     for h, hname in check_elements(H.algebra):
         jh = D.inclusion_base.apply(h)
         djh = Dh.comult_vec(jh)
-        for a, phi in enumerate(D.inclusion_dual.columns):
+        for a, phi in enumerate(D.dual_part_basis()):
             if Dh.comult_vec(DA.mul_vec(jh, phi)) != djh.mul(Dh.comult_vec(phi)):
                 report.append("Delta not multiplicative on (j(%s), i(%s))"
                               % (hname, A.algebra.labels[a]))
@@ -171,8 +171,8 @@ def _double_mult(H: HopfAlgebra, dual: HopfAlgebra) -> dict:
         for i in range(n):
             dual_left = SparseMatrix(n * n, n * n,
                                      kron_into({}, dual.algebra.left_mult_matrix(i), one))
-            for (r, col), c in dual_left.matmul(straighten).entries.items():
-                mult.setdefault((i * n + j, col), {})[r] = c
+            for col, vec in dual_left.matmul(straighten).columns.items():
+                mult[i * n + j, col] = vec
     return mult
 
 
@@ -203,9 +203,10 @@ def ell_maps(D: DoubleAlgebra, R: TensorElement):
     n, A = H.dim, H.algebra
 
     def as_map(ell, name):
-        return AlgebraMap(D.algebra, A, [
-            col for i in range(n)
-            for col in matrix_sum(A.left_mult_matrix, ell({i: FR1}), n).columns()], name=name)
+        return AlgebraMap(D.algebra, A, SparseMatrix.of_columns(n, D.dim, {
+            i * n + j: col for i in range(n)
+            for j, col in matrix_sum(A.left_mult_matrix, ell({i: FR1}), n).columns.items()}),
+            name=name)
 
     return (as_map(lambda a: ell_plus(R, a), "ell+(D->H)"),
             as_map(lambda b: ell_minus(rep.inverse, b), "ell-(D->H)"))

@@ -3,7 +3,7 @@
 Everything is computed over QQ in exact rationals, so results are exact:
 an integral value is an `int` and any other a `fractions.Fraction`, the
 form `fr` returns.  Vectors are dicts {index: scalar} with no stored zeros,
-matrices are dicts {(row, col): scalar}.
+and a `SparseMatrix` keeps only its nonzero columns, {col: vector}.
 
 Products are laid out a-major: e_a ox e_b of A ox B has flat index
 a * dim B + b, the order `flatten_index` uses for tensor powers.  The
@@ -98,111 +98,103 @@ def vec_eq(u: dict, v: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over QQ."""
+    """Immutable-by-convention sparse matrix over QQ, stored as its nonzero
+    columns (compressed sparse columns): `columns` maps each column j with
+    a nonzero entry to its vector {row: scalar}.  No zero and no empty
+    column is stored, so equal matrices have equal `columns`.  Column dicts
+    may be shared between matrices, and are never modified."""
 
-    def __init__(self, rows: int, cols: int, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries: dict = {}
-        self._cols = None  # lazy column cache
-        if entries:
-            for (r, c), v in entries.items():
-                v = fr(v)
-                if v:
-                    assert 0 <= r < rows and 0 <= c < cols, (r, c, rows, cols)
-                    self.entries[(r, c)] = v
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, cols: int, entries=None):   # {(row, col): scalar}
+        self.rows, self.cols, self.columns = rows, cols, {}
+        for (r, c), v in (entries or {}).items():
+            v = fr(v)
+            if v:
+                assert 0 <= r < rows and 0 <= c < cols, (r, c, rows, cols)
+                self.columns.setdefault(c, {})[r] = v
+
+    @classmethod
+    def of_columns(cls, rows: int, cols: int, columns: dict) -> "SparseMatrix":
+        """The matrix whose nonzero columns are `columns`, taken as they are."""
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.columns = rows, cols, columns
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): FR1 for i in range(n)})
+        return cls.of_columns(n, n, {i: {i: FR1} for i in range(n)})
 
     @classmethod
     def from_columns(cls, rows: int, columns: list) -> "SparseMatrix":
-        ent = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    ent[(i, j)] = fr(v)
-        return cls(rows, len(columns), ent)
+        """The matrix whose column j is the sparse vector columns[j]."""
+        return cls.of_columns(rows, len(columns), _nonempty(
+            (j, fr_vec(col)) for j, col in enumerate(columns)))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.columns
 
-    def columns(self) -> list:
-        if self._cols is None:
-            cols = [dict() for _ in range(self.cols)]
-            for (r, c), v in self.entries.items():
-                cols[c][r] = v
-            self._cols = cols
-        return self._cols
+    def column(self, j: int) -> dict:
+        """Column j, empty when it is zero."""
+        return self.columns.get(j, {})
+
+    def items(self):
+        """The nonzero entries as ((row, col), scalar) pairs."""
+        return (((r, c), v) for c, col in self.columns.items() for r, v in col.items())
 
     def row_dicts(self) -> list:
+        """One sparse vector {col: scalar} per row, row r at index r."""
         rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.items():
             rows[r][c] = v
         return rows
 
     def transpose(self) -> "SparseMatrix":
-        out = SparseMatrix(self.cols, self.rows)
-        out.entries = {(c, r): v for (r, c), v in self.entries.items()}
-        return out
+        out: dict = {}
+        for (r, c), v in self.items():
+            out.setdefault(r, {})[c] = v
+        return SparseMatrix.of_columns(self.cols, self.rows, out)
 
     def mul_vec(self, v: dict) -> dict:
         """Matrix times column vector (vector indexed by columns)."""
         out: dict = {}
-        cols = self.columns()
+        get = self.columns.get
         for j, c in v.items():
-            for r, m in cols[j].items():
-                s = out.get(r, FR0) + m * c
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+            col = get(j)
+            if col:
+                vec_addmul(out, col, c)
         return out
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         assert self.cols == other.rows, (self.cols, other.rows)
-        cols_self = self.columns()
-        out = SparseMatrix(self.rows, other.cols)
-        ent = out.entries
-        other_cols = other.columns()
-        for j, col in enumerate(other_cols):
-            acc: dict = {}
-            for k, v in col.items():
-                for r, m in cols_self[k].items():
-                    s = acc.get(r, FR0) + m * v
-                    if s:
-                        acc[r] = s
-                    else:
-                        acc.pop(r, None)
-            for r, v in acc.items():
-                ent[(r, j)] = v
-        return out
+        return SparseMatrix.of_columns(self.rows, other.cols, _nonempty(
+            (j, self.mul_vec(col)) for j, col in other.columns.items()))
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        out = SparseMatrix(self.rows, self.cols)
-        out.entries = ent = dict(self.entries)
-        for k, v in other.entries.items():
-            s = ent.get(k, FR0) + v
-            if s:
-                ent[k] = s
-            else:
-                ent.pop(k, None)
-        return out
+        out = dict(self.columns)
+        for j, col in other.columns.items():
+            out[j] = vec_addmul(dict(out[j]), col, FR1) if j in out else col
+        return SparseMatrix.of_columns(self.rows, self.cols, _nonempty(out.items()))
 
     def scale(self, c) -> "SparseMatrix":
         c = fr(c)
-        out = SparseMatrix(self.rows, self.cols)
-        out.entries = {k: c * v for k, v in self.entries.items()} if c else {}
-        return out
+        out = {j: {r: c * v for r, v in col.items()}
+               for j, col in self.columns.items()} if c else {}
+        return SparseMatrix.of_columns(self.rows, self.cols, out)
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.columns == other.columns)
 
     def __repr__(self):
-        return "SparseMatrix(%dx%d, %d entries)" % (self.rows, self.cols, len(self.entries))
+        return "SparseMatrix(%dx%d, %d entries)" % (
+            self.rows, self.cols, sum(map(len, self.columns.values())))
+
+
+def _nonempty(columns) -> dict:
+    """{j: col} of the (j, col) pairs whose column is not empty."""
+    return {j: col for j, col in columns if col}
 
 
 def vec_kron(u: dict, v: dict, n: int) -> dict:
@@ -212,15 +204,16 @@ def vec_kron(u: dict, v: dict, n: int) -> dict:
 
 def kron_into(ent: dict, A: SparseMatrix, B: SparseMatrix, row_off: int = 0,
               col_off: int = 0, scale=FR1) -> dict:
-    """Add scale * (A ox B) into the entry dict `ent`, shifted by the offsets.
+    """Add scale * (A ox B) into the entry dict {(row, col): scalar} `ent`,
+    shifted by the offsets.
 
     Row (r1, r2) of A ox B is r1 * B.rows + r2, column (c1, c2) is
     c1 * B.cols + c2; an identity factor gives A ox id or id ox B.
     """
     nr, nc = B.rows, B.cols
-    for (r1, c1), v1 in A.entries.items():
+    for (r1, c1), v1 in A.items():
         v1 = v1 * scale
-        for (r2, c2), v2 in B.entries.items():
+        for (r2, c2), v2 in B.items():
             key = (row_off + r1 * nr + r2, col_off + c1 * nc + c2)
             p = v1 * v2
             if key in ent:
@@ -580,10 +573,9 @@ class TensorElement:
 
     def apply_matrix_at(self, slot: int, matrix: SparseMatrix) -> "TensorElement":
         """Apply a linear map (columns = images of basis vectors) in one slot."""
-        cols = matrix.columns()
         out: dict = {}
         for k, v in self.coeffs.items():
-            for i, c in cols[k[slot]].items():
+            for i, c in matrix.column(k[slot]).items():
                 nk = k[:slot] + (i,) + k[slot + 1:]
                 s = out.get(nk, FR0) + v * c
                 if s:

@@ -171,12 +171,12 @@ def antipode_violations(H: HopfAlgebra) -> list:
     over Delta(e_i), on every basis element e_i."""
     A = H.algebra
     report = []
-    s_cols = H.antipode.columns()
+    S = H.antipode.column
     for i in range(A.dim):
         s_left, s_right = {}, {}
         for (x, y), c in H.comult[i].coeffs.items():
-            vec_addmul(s_left, A.mul_vec(s_cols[x], {y: FR1}), c)
-            vec_addmul(s_right, A.mul_vec({x: FR1}, s_cols[y]), c)
+            vec_addmul(s_left, A.mul_vec(S(x), {y: FR1}), c)
+            vec_addmul(s_right, A.mul_vec({x: FR1}, S(y)), c)
         eps1 = vec_addmul({}, A.unit, H.counit[i])
         if s_left != eps1:
             report.append("antipode axiom (S ox id) fails at %s" % A.labels[i])
@@ -344,13 +344,12 @@ def bk_inclusion(l: int, k: int) -> AlgebraMap:
 def is_hopf_map(imap: AlgebraMap, Hs: HopfAlgebra, Ht: HopfAlgebra) -> list:
     """Check an algebra map also preserves Delta, eps and S."""
     report = imap.verify()
-    incl = SparseMatrix.from_columns(Ht.dim, imap.columns)
-    incl_t = incl.transpose()
+    incl, incl_t = imap.matrix, imap.matrix.transpose()
     for i in range(Hs.dim):
         img = imap.apply_basis(i)
         # (i ox i) Delta(e_i) = I C I^T, C = Delta(e_i) taken as a matrix
         rhs = incl.matmul(SparseMatrix(Hs.dim, Hs.dim, Hs.comult[i].coeffs)).matmul(incl_t)
-        if Ht.comult_vec(img) != TensorElement(Ht.algebra, 2, rhs.entries):
+        if Ht.comult_vec(img) != TensorElement(Ht.algebra, 2, dict(rhs.items())):
             report.append("coproduct not preserved at %s" % Hs.algebra.labels[i])
         if Ht.counit_vec(img) != Hs.counit[i]:
             report.append("counit not preserved at %s" % Hs.algebra.labels[i])

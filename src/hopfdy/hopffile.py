@@ -72,7 +72,10 @@ def tensor_from_json(ambient, degree: int, data) -> TensorElement:
             raise HopfFileError("tensor entry %r is not [[%d indices], value]"
                                 % (entry, degree))
         _check_indices(entry[0], ambient.dim, "tensor", entry)
-        coeffs[tuple(entry[0])] = parse_rational(entry[1], "tensor entry %r" % (entry,))
+        key = tuple(entry[0])
+        if key in coeffs:
+            raise HopfFileError("tensor entry %r repeats an earlier index tuple" % (entry,))
+        coeffs[key] = parse_rational(entry[1], "tensor entry %r" % (entry,))
     return TensorElement(ambient, degree, coeffs)
 
 
@@ -81,7 +84,7 @@ def vector_to_json(v: dict) -> list:
 
 
 def matrix_to_json(M: SparseMatrix) -> list:
-    return [[r, c, rational_str(v)] for (r, c), v in sorted(M.entries.items())]
+    return [[r, c, rational_str(v)] for (r, c), v in sorted(M.items())]
 
 
 def hopf_to_json(H: HopfAlgebra) -> dict:
@@ -119,15 +122,21 @@ def _check_indices(idx, dim: int, field: str, entry):
 
 
 def _entries(entries, field: str, dim: int, arity: int):
-    """The entries of one sparse field: `arity` indices in 0..dim-1, a value."""
+    """The entries of one sparse field: `arity` indices in 0..dim-1, a value;
+    no index tuple twice."""
     if not isinstance(entries, list):
         raise HopfFileError("%s %r is not a list of entries" % (field, entries))
+    seen = set()
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != arity + 1:
             raise HopfFileError("%s entry %r is not [%d indices, value]"
                                 % (field, entry, arity))
         *idx, v = entry
         _check_indices(idx, dim, field, entry)
+        key = tuple(idx)
+        if key in seen:
+            raise HopfFileError("%s entry %r repeats an earlier index tuple" % (field, entry))
+        seen.add(key)
         yield (*idx, parse_rational(v, "%s entry %r" % (field, entry)))
 
 

@@ -113,9 +113,8 @@ def tensor_pair(p1: ResolventPair, p2: ResolventPair) -> ResolventPair:
 def _tensor_pair_build(p1: ResolventPair, p2: ResolventPair) -> ResolventPair:
     big = tensor_algebra(p1.big, p2.big)
     small = tensor_algebra(p1.small, p2.small)
-    i1, i2 = (SparseMatrix.from_columns(p.big.dim, p.inclusion.columns) for p in (p1, p2))
-    cols = SparseMatrix(big.dim, small.dim, kron_into({}, i1, i2)).columns()
-    incl = AlgebraMap(small, big, cols, name="incl(x)incl")
+    incl = AlgebraMap(small, big, SparseMatrix(big.dim, small.dim, kron_into(
+        {}, p1.inclusion.matrix, p2.inclusion.matrix)), name="incl(x)incl")
     free = [vec_kron(u, v, p2.big.dim) for u in p1.free_basis for v in p2.free_basis]
     return ResolventPair(big, small, incl, free,
                          name="(%s)(x)(%s)" % (p1.name, p2.name))
@@ -348,7 +347,7 @@ class ExtComputation:
             if not basis:
                 return 0
             gt, nw = self.res.image_generators(n), self.W.dim
-            vecs = [{k * nw + w: c for (k, w), c in gt.matmul(f.transpose()).entries.items()}
+            vecs = [{k * nw + w: c for (k, w), c in gt.matmul(f.transpose()).items()}
                     for f in basis]
             return len(basis) - rank_of_vectors(vecs, gt.rows * nw)
         return _once(self.res._ext, (self.W, n, "ker"), build)

@@ -209,7 +209,7 @@ def _delta_power(H, v, m):
 def double_mult_dense(H):
     """Structure constants of D(H) = (H*)^op ox H, phi^i h_j at i * n + j,
     as {(x, y): {z: Fraction}} without zeros, by loops over the tables
-    H.algebra.mult, H.comult and H.antipode.entries.  The straightening
+    H.algebra.mult, H.comult and H.antipode.  The straightening
 
         h phi = (h(3) |> phi <| S(h(1))) h(2),   (h |> f <| g)(x) = f(g x h),
 
@@ -229,7 +229,7 @@ def double_mult_dense(H):
         return out
 
     basis = [[Fraction(int(r == c)) for r in range(n)] for c in range(n)]
-    antipode = [[H.antipode.entries.get((p, a), Fraction(0)) for p in range(n)]
+    antipode = [[H.antipode.column(a).get(p, Fraction(0)) for p in range(n)]
                 for a in range(n)]
     straighten = [[{} for _ in range(n)] for _ in range(n)]  # [j][k] -> {(m, b): c}
     for j in range(n):
@@ -346,7 +346,7 @@ def tangent_conditions_dense(H, R):
 def densify_matrix(M):
     """SparseMatrix -> dense list of lists."""
     out = [[Fraction(0)] * M.cols for _ in range(M.rows)]
-    for (r, c), v in M.entries.items():
+    for (r, c), v in M.items():
         out[r][c] = v
     return out
 

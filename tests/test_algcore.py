@@ -74,7 +74,7 @@ class TestVerifyAlgebra:
     def test_corrupted_map_column_named(self, gens):
         # B_1 -> B_2 with x -> x2 g (index 6) in place of x -> x2
         f = bk_inclusion(1, 1)
-        cols = list(f.columns)
+        cols = [f.apply_basis(i) for i in range(f.source.dim)]
         cols[1] = {6: FR1}
         rep = AlgebraMap(b1_algebra(gens), f.target, cols).verify()
         want = (["(gen0, g)", "(gen1, x1)", "(gen1, x1g)"] if gens == "kept" else
@@ -168,7 +168,8 @@ def _dual_free(D):
 
 def _classes(ind, M):
     """Q M for the class map Q of an induced module."""
-    return SparseMatrix.from_columns(ind.dim, [ind.classes.apply(x) for x in M.columns()])
+    return SparseMatrix.from_columns(ind.dim, [ind.classes.apply(M.column(j))
+                                                 for j in range(M.cols)])
 
 
 class TestInducedModule:

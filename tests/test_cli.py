@@ -11,7 +11,12 @@ import pytest
 from hopfdy.cli import _expire, main
 from hopfdy.exactlin import BudgetExceededError
 from hopfdy.hopfcore import build_bk
-from hopfdy.hopffile import hopf_from_json, hopf_to_json, load_hopf, save_hopf
+from hopfdy.hopffile import hopf_from_json, hopf_to_json, load_hopf, save_hopf, tensor_to_json
+from hopfdy.rmatrix import bk_r0
+
+# B_1 as a Hopf file, and R_0 of B_1 as an --rmatrix file
+BK1 = hopf_to_json(build_bk(1))
+R0_BK1 = tensor_to_json(bk_r0(1, build_bk(1)))
 
 
 def run_cli(capsys, *argv):
@@ -51,15 +56,24 @@ class TestVerifyCommand:
         ("generators", [[0, 1.0]], None),
         ("dual_generators", [[4, "1"]], None),
         ("dual_generators", [[0, 1.0]], None),
+        # a repeated index tuple, a wrong value before the true one
+        ("mult", None, [[0, 0, 0, "5"]] + BK1["mult"]),
+        ("comult", None, [[0, 0, 0, "5"]] + BK1["comult"]),
+        ("antipode", None, [[0, 0, "5"]] + BK1["antipode"]),
+        ("unit", None, [[0, "5"], [0, "1"]]),
+        ("counit", None, [[0, "5"]] + BK1["counit"]),
+        ("generators", None, [[[1, "5"], [1, "1"]], [[2, "1"]]]),
     ], ids=["antipode-identity", "mult-i-neg", "mult-i-high", "mult-k-high",
             "comult-k-high", "unit-high", "counit-neg", "antipode-col-high",
             "counit-float", "dim-float", "dim-string", "dim-bool", "dim-zero", "labels-short",
             "labels-non-string", "labels-not-list", "generators-high", "generators-float",
-            "dual-generators-high", "dual-generators-float"])
+            "dual-generators-high", "dual-generators-float", "mult-repeated",
+            "comult-repeated", "antipode-repeated", "unit-repeated", "counit-repeated",
+            "generators-repeated"])
     def test_corrupted_file_exit_2_named_axiom(self, capsys, tmp_path, field, extra,
                                                value):
         path = tmp_path / "bad.json"
-        data = hopf_to_json(build_bk(1))
+        data = json.loads(json.dumps(BK1))
         if extra is None:
             data[field] = value
         else:
@@ -248,8 +262,10 @@ class TestTangentCommand:
         (["dy", "tensor", "bk:1", "--degree", "1", "--rmatrix"], [[[0, 9], "1"]], "index 9"),
         (["rmatrix", "check", "bk:1", "--rmatrix"], b"not JSON [", "r.json"),
         (["rmatrix", "family", "bk:1", "--lambda"], None, "r.json"),
+        (["rmatrix", "check", "bk:1", "--rmatrix"], [[[0, 0], "7"]] + R0_BK1,
+         "tensor entry [[0, 0], '1/2'] repeats"),
     ], ids=["index-high", "key-length", "value-not-rational", "lambda-1x2", "value-infinity",
-            "lambda-float", "dy-index-high", "not-json", "lambda-missing"])
+            "lambda-float", "dy-index-high", "not-json", "lambda-missing", "key-repeated"])
     def test_malformed_r_file_exit_3(self, capsys, tmp_path, argv, data, named):
         """data is written as JSON, as raw bytes, or (None) not at all."""
         path = tmp_path / "r.json"
@@ -409,6 +425,30 @@ class TestDeterminism:
         out = capsys.readouterr().out
         assert code == 0
         assert json.loads(path.read_text()) == json.loads(out)
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        "rmatrix tangent bk:1 --lambda {data}/lambda_37_41.json --r0",
+        "dy tensor bk:1 --r0 --trivial-r",
+        "crosscheck dimension-formula bk:1 --rmatrix {data}/r.json --lambda {data}/l.json",
+        "verify bk:1 --sub bk:2",
+        "double bk:1 --sub bk:1",
+        "rmatrix check bk:1 --r0 --sub bk:1",
+        "verify bk:1 --resolution bar",
+        "double bk:2 --resolution cover",
+        "dy id bk:1 --resolution bar",
+    ], ids=["lambda-and-r0", "r0-and-trivial", "rmatrix-and-lambda", "verify-sub",
+            "double-sub", "rmatrix-sub", "verify-resolution", "double-resolution",
+            "dy-resolution"])
+    def test_unread_or_competing_options_are_usage_errors(self, capsys, argv):
+        """Two R-matrix sources, or --sub and --resolution on a command that
+        does not read them, exit 2 before any work and print no report."""
+        data = Path(__file__).parent / "data"
+        with pytest.raises(SystemExit) as exc:
+            main(argv.format(data=data).split())
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestEntryPoint:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hopfdy
 from hopfdy import exactlin
-from hopfdy.algcore import _invert_columns
+from hopfdy.algcore import _invert_columns, matrix_sum
 from hopfdy.exactlin import (Echelon, ExactlinError, SparseMatrix, TensorElement, fr,
                              kernel_basis, kernel_basis_marked, kron_into, rank_of_rows,
                              rank_of_vectors, span_equal, unit_tensor, vec_addmul, vec_kron,
@@ -184,20 +184,42 @@ def test_rank_nullity_property(M):
 @given(small_matrices(), st.integers(-2, 2))
 @settings(max_examples=60, deadline=None)
 def test_matrix_arithmetic_matches_dense_and_stores_no_zeros(M, c):
-    """transpose, scale, add and matmul fill their results' entries
-    directly: each equals the dense computation and stores only nonzero
-    entries (c = 0 scales to zero, c = -1 cancels in M + cM), all of them
-    `int` on these integral inputs: no float, bool or integral Fraction."""
+    """transpose, scale, add, matmul, from_columns, matrix_sum and a
+    kron_into-built matrix each equal the dense computation and store only
+    nonzero entries, all of them `int` on these integral inputs (no float,
+    bool or integral Fraction), in nonempty columns: c = 0 scales to zero,
+    and c = -1 (M + cM, kron_into twice) or c = -2 (2 M M^T + c M M^T)
+    cancels.  So `==` agrees with dense equality on every pair of results,
+    and `row_dicts()` gives one dict per row."""
     d = densify_matrix(M)
     dt = [list(col) for col in zip(*d)]
+    MMt = M.matmul(M.transpose())
+    dmmt = [[sum(x * y for x, y in zip(r1, r2)) for r2 in d] for r1 in d]
+    padded = [{0: 0, **M.column(j)} for j in range(M.cols)]   # zeros given explicitly
     cases = [(M.transpose(), dt),
              (M.scale(c), [[c * v for v in row] for row in d]),
              (M.add(M.scale(c)), [[(1 + c) * v for v in row] for row in d]),
-             (M.matmul(M.transpose()),
-              [[sum(x * y for x, y in zip(r1, r2)) for r2 in d] for r1 in d])]
+             (MMt, dmmt),
+             (M.scale(c).matmul(M.transpose()), [[c * v for v in row] for row in dmmt]),
+             (SparseMatrix.from_columns(M.rows, padded), d),
+             (matrix_sum((MMt, MMt).__getitem__, {i: x for i, x in ((0, 2), (1, c)) if x},
+                         M.rows), [[(2 + c) * v for v in row] for row in dmmt]),
+             (SparseMatrix(M.rows ** 2, M.cols ** 2, kron_into(kron_into({}, M, M), M, M,
+                                                               scale=c)),
+              [[(1 + c) * v for v in row] for row in dense_kron(d, d)])]
     for got, want in cases:
         assert densify_matrix(got) == want
-        assert all(type(v) is int and v for v in got.entries.values())
+        assert all(type(v) is int and v for _, v in got.items())
+        assert all(got.columns.values()) and all(0 <= j < got.cols for j in got.columns)
+        assert got == SparseMatrix(got.rows, got.cols, {(r, j): v for r, row in enumerate(want)
+                                                        for j, v in enumerate(row)})
+        rows = got.row_dicts()
+        assert len(rows) == got.rows
+        assert rows == [{j: v for j, v in enumerate(row) if v} for row in want]
+    for g1, w1 in cases:
+        for g2, w2 in cases:
+            if (g1.rows, g1.cols) == (g2.rows, g2.cols):
+                assert (g1 == g2) == (w1 == w2)
 
 
 # exact scalars: ints, integral Fractions and Fractions with denominator > 1
@@ -250,7 +272,7 @@ def test_mixed_scalar_arithmetic_matches_dense_fractions(ops):
     dA = [[Fraction(x) for x in row] for row in densify_matrix(A)]
     dB = [[Fraction(x) for x in row] for row in densify_matrix(B)]
     du, dv = densify_vec(u, m), densify_vec(v, m)
-    assert all(_canonical(x) for M in (A, B) for x in M.entries.values())
+    assert all(_canonical(x) for M in (A, B) for _, x in M.items())
     mat_cases = [(A.matmul(B), [[sum(a * b for a, b in zip(row, col)) for col in zip(*dB)]
                                 for row in dA]),
                  (A.add(A.scale(c)), [[(1 + c) * a for a in row] for row in dA]),
@@ -258,7 +280,7 @@ def test_mixed_scalar_arithmetic_matches_dense_fractions(ops):
                   [[c * x for x in row] for row in dense_kron(dA, dB)])]
     for got, want in mat_cases:
         assert densify_matrix(got) == want
-        assert all(_exact(x) for x in got.entries.values())
+        assert all(_exact(x) for _, x in got.items())
     vec_cases = [(A.mul_vec(u), A.rows, [sum(a * x for a, x in zip(row, du)) for row in dA]),
                  (vec_addmul(dict(v), u, c), m, [y + c * x for x, y in zip(du, dv)]),
                  (vec_sub(u, v), m, [x - y for x, y in zip(du, dv)]),
@@ -272,7 +294,7 @@ def test_mixed_scalar_arithmetic_matches_dense_fractions(ops):
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_dense_oracle(M):
     rows = [[Fraction(0)] * M.cols for _ in range(M.rows)]
-    for (r, c), v in M.entries.items():
+    for (r, c), v in M.items():
         rows[r][c] = v
     assert rank_of_rows(M.row_dicts()) == dense_rank(rows)
 

@@ -36,13 +36,13 @@ class TestVerifyHopf:
 
     def test_fault_injection_names_antipode(self):
         H = build_bk(1)
-        ent = dict(H.antipode.entries)
+        ent = dict(H.antipode.items())
         # replace S(x) = gx by x
         ent.pop((3, 1), None)
         ent[(1, 1)] = FR1
         bad = SparseMatrix(H.dim, H.dim, ent)
         # S(g) = g + 1 breaks the two sides at different basis elements
-        lopsided = SparseMatrix(H.dim, H.dim, {**H.antipode.entries, (0, 2): FR1})
+        lopsided = SparseMatrix(H.dim, H.dim, {**dict(H.antipode.items()), (0, 2): FR1})
         for gens in ("kept", "stripped"):
             assert sorted(b1_violations(gens, antipode=bad)) == [
                 "antipode axiom (S ox id) fails at x1", "antipode axiom (id ox S) fails at x1"]
@@ -89,7 +89,7 @@ class TestVerifyHopf:
 
     def test_singular_antipode_has_no_inverse(self):
         H = build_bk(1)
-        ent = dict(H.antipode.entries)
+        ent = dict(H.antipode.items())
         ent.pop((3, 1))  # S(x) = 0 instead of gx
         bad = HopfAlgebra(H.algebra, H.comult, H.counit, SparseMatrix(H.dim, H.dim, ent))
         with pytest.raises(HopfError):

@@ -1,0 +1,95 @@
+"""Alternating parent/change runs of the CLI command table, from `git archive`
+copies.
+
+Usage, from the root of a checkout:
+
+    python3 tools/commands.py PARENT CHANGE [--pairs K]
+
+PARENT and CHANGE are git revisions, exported as `tools/alternate.py` does.
+Each command of TABLE runs K times per side as `python -m hopfdy.cli`, from
+the tree's `tests/` directory with `PYTHONPATH=../src`.  Pair i runs the
+whole table once per side, parent first in even pairs and change first in
+odd ones.  The script prints every run's wall time and exit code, then per
+command the median wall time of each side, their ratio, and whether stdout
+and the exit code were the same in all 2K runs.  It exits 1 if any command
+printed a different stdout or exit code.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+from alternate import WORKDIR, export
+
+# ROADMAP's baseline table (the README cross-validations, relext bar and
+# cover, double bk:2), then double bk:3 and kunneth at degree 3
+TABLE = [
+    "dy tensor bk:1 --r0 --degree 3",
+    "dy tensor bk:2 --r0 --degree 2",
+    "dy tensor bk:2 --lambda data/lambda_bk2.json --degree 2",
+    "crosscheck dimension-formula bk:2 --r0",
+    "crosscheck dimension-formula bk:2 --lambda data/lambda_bk2.json",
+    "crosscheck dimension-formula bk:1 --lambda data/lambda_37_41.json",
+    "relext bk:2 --sub bk:1 --coeff restriction --degree 3 --resolution bar",
+    "relext bk:2 --sub bk:1 --coeff restriction --degree 3 --resolution cover",
+    "crosscheck kunneth bk:1 --degree 2",
+    "crosscheck adjunction-tensor bk:1 --r0 --degree 2",
+    "double bk:2",
+    "double bk:3",
+    "crosscheck kunneth bk:1 --degree 3",
+]
+
+
+def run_once(tree: str, command: str) -> dict:
+    """One CLI run in `tree`/tests: wall time, exit code, stdout digest."""
+    env = dict(os.environ, PYTHONPATH="../src")
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "hopfdy.cli"] + command.split(),
+                         cwd=os.path.join(tree, "tests"), env=env, capture_output=True)
+    wall = time.perf_counter() - t0
+    return {"wall": wall, "code": out.returncode,
+            "stdout": hashlib.sha256(out.stdout).hexdigest()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(prog="tools/commands.py")
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--pairs", type=int, default=3)
+    args = ap.parse_args(argv)
+    os.makedirs(WORKDIR, exist_ok=True)
+    trees = {"parent": export(args.parent, WORKDIR), "change": export(args.change, WORKDIR)}
+    print("parent %s\nchange %s" % (trees["parent"], trees["change"]), flush=True)
+
+    runs = {(side, cmd): [] for side in trees for cmd in TABLE}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            for cmd in TABLE:
+                r = run_once(trees[side], cmd)
+                runs[side, cmd].append(r)
+                print("pair %d %-6s %7.3f s  exit %d  %s" % (i, side, r["wall"], r["code"], cmd),
+                      flush=True)
+
+    print("summary over %d pairs: median wall parent, change, ratio; same stdout and exit"
+          % args.pairs)
+    differ = 0
+    for cmd in TABLE:
+        p, c = (runs[side, cmd] for side in ("parent", "change"))
+        same = len({(r["code"], r["stdout"]) for r in p + c}) == 1
+        differ += not same
+        mp, mc = (statistics.median(r["wall"] for r in rs) for rs in (p, c))
+        print("%7.3f %7.3f  %.3f  %-9s %s" % (mp, mc, mc / mp, "same" if same else "DIFFERENT",
+                                               cmd))
+    print("commands with differing stdout or exit code: %d of %d" % (differ, len(TABLE)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
