@@ -167,7 +167,7 @@ class DYComplex:
             nd, s = self.H.dim, self.slots(n)
             # row (j, f), column t: the e_f coefficient of L_j e_t - e_t R_j
             rows = self._run("cochain_basis", lambda ops: ops.rows(
-                self._condition_diffs(ops, n, ops.all_basis(s))))
+                self._condition_diffs(ops, n, ops.all_basis(s)), nd ** s))
             vecs, markers = kernel_basis_marked(rows, nd ** s)
             basis = [TensorElement(self.H.algebra, s,
                                    {unflatten_index(f, nd, s): c for f, c in v.items()})
@@ -299,7 +299,7 @@ class DYComplex:
         """The rank of the images' integer numerators, one row per flat index."""
         def build():
             ops, x = self._image_batch(n)
-            return rank_of_rows(ops.rows([x]))
+            return rank_of_rows(ops.rows([x], self.cochain_dim(n)))
         return _once(self._ranks, n, build)
 
     def cohomology_dim(self, n: int) -> int:

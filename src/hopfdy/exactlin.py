@@ -21,12 +21,25 @@ of the package (matrix inverses, the rewrite table of induction,
 submodule coordinates, cochain and tangent spaces) is read from the
 canonical kernel basis of a list of rows.  RREF is unique, so every
 reported rank and kernel is deterministic regardless of the pivot order.
+
+`rank_of_rows` and `kernel_basis_marked` share one driver, `_echelon`,
+which eliminates only the rows that raise the rank.  It inserts rows
+sparsest first; once ncols consecutive rows have raised no rank, the
+remaining rows are checked against the kernel K of the rows inserted so
+far (`_certify`), and a row that K violates is inserted in its turn.
+When no row is violated, K is the kernel of the whole system M, exactly:
+the inserted rows are rows of M, so ker M lies in K; and every other
+integer row m satisfies m . x = 0 for each basis vector x of K scaled to
+integers, because |m . x| <= B = |m|_1 |x|_inf and m . x vanishes modulo
+2^64 and primes whose product exceeds 2B.  So the rank and the canonical
+kernel basis are those of M.  The check runs on numpy arrays, imported
+there; a system that never stalls is eliminated row by row as a whole.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 FR0 = 0
 FR1 = 1
@@ -350,25 +363,224 @@ class Echelon:
         self._rref_done = True
 
 
-def _check_columns(rows: list, ncols: int):
-    for row in rows:
-        for c in row:
-            if not 0 <= c < ncols:
-                raise ExactlinError("column %d out of range for %d columns" % (c, ncols))
+def _check_columns(rows, ncols: int):
+    if isinstance(rows, RowArrays):
+        ends = (int(rows.cols.min()), int(rows.cols.max())) if rows.cols.size else ()
+        bad = [c for c in ends if not 0 <= c < ncols]
+    else:
+        bad = [c for row in rows for c in row if not 0 <= c < ncols]
+    if bad:
+        raise ExactlinError("column %d out of range for %d columns" % (bad[0], ncols))
 
 
-def _sparse_first(rows: list) -> Echelon:
-    """An Echelon of `rows`, inserted sparsest first (ties in list order):
-    far less elimination fill-in, and the pivots and RREF are the same in
-    any order."""
-    ech = Echelon()
-    for row in sorted(rows, key=len):
-        ech.add_row(row)
+class RowArrays:
+    """Integer rows held as arrays (compressed sparse rows), in the order
+    they are to be inserted: row i is {cols[k]: vals[k]} for k in
+    starts[i]:starts[i + 1], with no stored zero and no empty row, and its
+    columns lie in range(ncols).  `vals` is an int64 array or an object
+    array of Python ints.  Iterating gives the rows as dicts of Python ints.
+    """
+
+    __slots__ = ("starts", "cols", "vals", "ncols")
+
+    def __init__(self, starts, cols, vals, ncols: int):
+        self.starts, self.cols, self.vals, self.ncols = starts, cols, vals, ncols
+
+    def __len__(self):
+        return len(self.starts) - 1
+
+    def __iter__(self):
+        return map(self.row, range(len(self)))
+
+    def row(self, i: int) -> dict:
+        a, b = self.starts[i], self.starts[i + 1]
+        return dict(zip(self.cols[a:b].tolist(), self.vals[a:b].tolist()))
+
+
+def _echelon(rows, ncols: int) -> Echelon:
+    """An Echelon whose row space is that of `rows` (dicts of exact
+    scalars, or `RowArrays`), for columns in range(ncols).
+
+    Dict rows are inserted sparsest first (ties in list order), `RowArrays`
+    in their order: far less fill-in, and the pivots and RREF are the same
+    in any order.  Insertion stops at full rank, or once ncols consecutive
+    rows raised no rank: then `_certify` eliminates only those remaining
+    rows that do not vanish on the kernel of the rows so far.
+    """
+    if not isinstance(rows, RowArrays):
+        rows = sorted(rows, key=len)
+    ech, idle = Echelon(), 0
+    for k, row in enumerate(rows):
+        if ech.add_row(row) is not None:
+            idle = 0
+            if ech.rank == ncols:
+                break
+        else:
+            idle += 1
+            if idle == ncols:
+                _certify(ech, _tail(rows, k + 1, ncols), ncols)
+                break
     return ech
 
 
-def rank_of_rows(rows: list) -> int:
-    return _sparse_first(rows).rank
+def _tail(rows, start: int, ncols: int) -> RowArrays:
+    """The rows of `rows` from position `start` on, as `RowArrays`; dict rows
+    are scaled to integers and empty ones dropped."""
+    import numpy as np
+    if isinstance(rows, RowArrays):
+        lo = rows.starts[start]
+        return RowArrays(rows.starts[start:] - lo, rows.cols[lo:], rows.vals[lo:], ncols)
+    ints = [row for row in map(_int_row, rows[start:]) if row]
+    vals = [v for row in ints for v in row.values()]
+    big = max(map(abs, vals), default=0) >= 1 << 62
+    return RowArrays(np.cumsum([0] + [len(row) for row in ints]),
+                     np.array([c for row in ints for c in row], np.int64),
+                     np.array(vals, object if big else np.int64), ncols)
+
+
+class _Certificate:
+    """Residuals of the rows of a `RowArrays` modulo 2^64 (uint64 arithmetic
+    wraps) or a prime below 2^31 (every product and partial sum stays below
+    2^63), in uint64 buffers allocated once: `flagged` for one combination
+    of kernel vectors, `violated` for a kernel basis checked exactly."""
+
+    def __init__(self, rows: RowArrays):
+        import numpy as np
+        self.rows, self.np, self.modulus, self.state = rows, np, None, 1
+        self.heads = rows.starts[:-1]
+        self.buf = np.empty(rows.cols.size, np.uint64)    # one term per nonzero
+        self.vmod = np.empty(rows.cols.size, np.uint64)   # vals modulo self.modulus
+        self.res = np.empty(len(rows), np.uint64)         # one residual per row
+        self.vec = np.empty(rows.ncols, np.uint64)        # a kernel vector, reduced
+        self.norm = int(abs(rows.vals).max()) * int(np.diff(rows.starts).max())  # >= |row|_1
+
+    def _nonzero(self, m: int):
+        """Rows whose residual against self.vec is nonzero modulo m."""
+        np, buf, res, vals = self.np, self.buf, self.res, self.rows.vals
+        if self.modulus != m:
+            if vals.dtype == object:
+                self.vmod[...] = vals % m
+            elif m == _WORD:
+                np.copyto(self.vmod, vals, casting="unsafe")
+            else:
+                np.remainder(vals, m, out=self.vmod, casting="unsafe")
+            self.modulus = m
+        np.take(self.vec, self.rows.cols, out=buf, mode="clip")
+        np.multiply(buf, self.vmod, out=buf)
+        if m != _WORD:
+            np.remainder(buf, m, out=buf)
+        np.add.reduceat(buf, self.heads, out=res)
+        if m != _WORD:
+            np.remainder(res, m, out=res)
+        return np.flatnonzero(res)
+
+    def flagged(self, ech: Echelon, free: list):
+        """Rows that a pseudo-random combination z of the kernel vectors of
+        the RREF `ech` does not annihilate modulo a prime p: each violates
+        the kernel.  z is read off the pivot rows: z_f = r_f at a free
+        column f, and z_p = -sum_f row_p[f] r_f / row_p[p] at a pivot p; the
+        r_f are the next states of the Park-Miller generator modulo p."""
+        p = _PRIME
+        z = [0] * len(self.vec)
+        for f in free:
+            self.state = z[f] = self.state * 48271 % p
+        for piv, row in ech.pivot_rows.items():
+            lead = row[piv] % p
+            if not lead:
+                return ()   # p divides a pivot: leave the rows to `violated`
+            s = sum(v * z[f] for f, v in row.items() if f != piv)
+            z[piv] = -s * pow(lead, -1, p) % p
+        self.vec[:] = z
+        return self._nonzero(p)
+
+    def violated(self, ech: Echelon, free: list):
+        """Rows m with m . x != 0 for a kernel vector x of the RREF `ech`,
+        found exactly: with x scaled to integers, |m . x| <= the bound B
+        below, so m . x = 0 when it vanishes modulo 2^64 and primes whose
+        product with 2^64 exceeds 2B."""
+        scaled = _scaled_kernel(ech, free)
+        bound = 2 * self.norm * max(abs(v) for x in scaled.values() for v in x.values())
+        modulus = 1
+        for m in _moduli():
+            for x in scaled.values():
+                self.vec.fill(0)
+                self.vec[list(x)] = [v % m for v in x.values()]
+                hit = self._nonzero(m)
+                if hit.size:
+                    return hit
+            modulus *= m
+            if modulus > bound:
+                return ()
+
+
+def _scaled_kernel(ech: Echelon, free: list) -> dict:
+    """{f: d_f x_f}: the kernel vector x_f of the RREF `ech` at free column f
+    (1 at f, -row_p[f] / row_p[p] at each pivot p) times the least integer
+    d_f > 0 that makes it integral."""
+    den = dict.fromkeys(free, 1)
+    for piv, row in ech.pivot_rows.items():
+        lead = row[piv]
+        for f, v in row.items():
+            if f != piv:
+                d = lead // gcd(lead, v)
+                den[f] = den[f] * d // gcd(den[f], d)
+    scaled = {f: {f: d} for f, d in den.items()}
+    for piv, row in ech.pivot_rows.items():
+        lead = row[piv]
+        for f, v in row.items():
+            if f != piv:
+                scaled[f][piv] = -v * den[f] // lead
+    return scaled
+
+
+_WORD = 1 << 64
+_PRIME = (1 << 31) - 1
+
+
+def _moduli():
+    """2^64, then the primes below 2^31, largest first: pairwise coprime.
+    The exact check seldom needs a prime, so trial division suffices."""
+    yield _WORD
+    for n in range(_PRIME, 2, -2):
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            yield n
+
+
+def _certify(ech: Echelon, tail: RowArrays, ncols: int):
+    """Insert into `ech` the rows of `tail` that do not vanish on its kernel
+    K, until all of them do; then K is the kernel of every row.
+
+    Each round reads K off the RREF.  The rows that `flagged` finds are
+    inserted, sparsest first and at most dim K of them; when it finds none,
+    `violated` checks every row against a basis of K exactly, and the loop
+    ends once no row is violated.  Each round inserts a row outside the row
+    space, so the rank grows and the loop ends.  Which rows are inserted
+    changes only the speed: the row space ends as that of all rows.
+    """
+    if not len(tail):
+        return
+    cert = _Certificate(tail)
+    while ech.rank < ncols:
+        ech.to_rref()
+        free = [c for c in range(ncols) if c not in ech.pivot_rows]
+        hit = cert.flagged(ech, free)
+        if not len(hit):
+            hit = cert.violated(ech, free)
+            if not len(hit):
+                return
+        for j in hit[:len(free)].tolist():
+            ech.add_row(tail.row(j))
+
+
+def rank_of_rows(rows) -> int:
+    """Exact rank of a list of rows (dicts of exact scalars) or of
+    `RowArrays`: `_echelon` eliminates the rows that raise the rank, and
+    certifies that every other row vanishes on the kernel of those."""
+    if isinstance(rows, RowArrays):
+        ncols = rows.ncols
+    else:
+        ncols = 1 + max((max(row) for row in rows if row), default=-1)
+    return _echelon(rows, ncols).rank
 
 
 def rank_of_vectors(vecs: list, ambient: int) -> int:
@@ -386,10 +598,12 @@ def rank_of_vectors(vecs: list, ambient: int) -> int:
     return rank_of_rows(list(byidx.values()))
 
 
-def kernel_basis_marked(rows: list, ncols: int):
+def kernel_basis_marked(rows, ncols: int):
     """Exact basis of the solutions x in QQ^ncols of row . x = 0 for every
-    row (a dict of exact scalars), as vectors {index: scalar}, plus the
-    free-column marker of each basis vector.
+    row (a dict of exact scalars, or a row of `RowArrays`), as vectors
+    {index: scalar}, plus the free-column marker of each basis vector.
+    `_echelon` eliminates the rows that raise the rank and certifies that
+    every other row vanishes on the kernel of those.
 
     Canonical: one vector per free column f, markers ascending, normalized
     with entry 1 at f and RREF-determined entries at the pivot columns.
@@ -397,7 +611,7 @@ def kernel_basis_marked(rows: list, ncols: int):
     v = sum_j v[free_cols[j]] * basis[j].
     """
     _check_columns(rows, ncols)
-    ech = _sparse_first(rows)
+    ech = _echelon(rows, ncols)
     ech.to_rref()
     free = [c for c in range(ncols) if c not in ech.pivot_rows]
     vecs = {f: {f: FR1} for f in free}
@@ -409,7 +623,7 @@ def kernel_basis_marked(rows: list, ncols: int):
     return [vecs[f] for f in free], free
 
 
-def kernel_basis(rows: list, ncols: int) -> list:
+def kernel_basis(rows, ncols: int) -> list:
     """kernel_basis_marked without the markers."""
     return kernel_basis_marked(rows, ncols)[0]
 

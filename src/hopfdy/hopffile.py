@@ -26,6 +26,7 @@ checks re-certify their span and use every basis element where it fails.
 from __future__ import annotations
 
 import json
+import re
 
 from .algcore import Algebra
 from .exactlin import BudgetExceededError, SparseMatrix, TensorElement, fr
@@ -49,15 +50,19 @@ def tensor_to_json(u: TensorElement) -> list:
 
 
 def parse_rational(value, where: str):
-    """A JSON integer or "p/q" string as an exact scalar (`fr`);
-    HopfFileError naming `where` when it is neither (a float, whose binary
-    value is not the decimal it was written as, included)."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        try:
-            return fr(value)
-        except (ValueError, ZeroDivisionError):
-            pass
+    """A JSON integer or a "p/q" string, as `rational_str` writes it
+    (-?digits, or -?digits/digits with a nonzero denominator), as an exact
+    scalar (`fr`); HopfFileError naming `where` for anything else (a
+    float, whose binary value is not the decimal it was written as, or a
+    string such as "0.5", "1e3", "1_000", "+3/4" or " 3/4 ")."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        return fr(value)
     raise HopfFileError("%s: %r is not a rational number" % (where, value))
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def tensor_from_json(ambient, degree: int, data) -> TensorElement:

@@ -130,8 +130,9 @@ def check_rmatrix(H: HopfAlgebra, R: TensorElement) -> RMatrixReport:
 def tangent_space(H: HopfAlgebra, R: TensorElement, report: RMatrixReport = None) -> TangentBasis:
     """Exact kernel basis of the stacked linearized R-matrix conditions,
     built for all basis tensors e_a ox e_b at once on the slot kernel
-    (`_tangent_rows`, on the slot kernel kept in H's cache) and eliminated
-    in `kernel_basis`."""
+    (`_tangent_rows`, on the slot kernel kept in H's cache) and handed to
+    `kernel_basis` as arrays: it eliminates the rows that raise the rank
+    and certifies the others against their kernel."""
     from .slotkernel import run_exact, slot_kernel
     if report is None:
         report = check_rmatrix(H, R)
@@ -152,9 +153,10 @@ def tangent_space(H: HopfAlgebra, R: TensorElement, report: RMatrixReport = None
     return TangentBasis(R, vectors)
 
 
-def _tangent_rows(ops, H: HopfAlgebra, R: TensorElement) -> list:
-    """Rows of the linearized conditions on the slot kernel `ops`: row (j, f)
-    holds, at column t, the e_f coefficient of condition j at T = e_t.
+def _tangent_rows(ops, H: HopfAlgebra, R: TensorElement):
+    """`RowArrays` of the linearized conditions on the slot kernel `ops`:
+    row (j, f) holds, at column t, the e_f coefficient of condition j at
+    T = e_t.
     Quasi-cocommutativity runs over `check_elements`, since the h with
     T Delta(h) = Delta^op(h) T form a subalgebra.  Everything but the
     products with R is compiled once per kernel, in H's cache."""
@@ -174,7 +176,7 @@ def _tangent_rows(ops, H: HopfAlgebra, R: TensorElement) -> list:
                         (ops.mul(t23, r13, True), -1)])
     hex2 = ops.combine([(cop1, 1), (ops.mul(t13, r12, False), -1),
                         (ops.mul(t12, r13, True), -1)])
-    return ops.rows(qc + [hex1, hex2])
+    return ops.rows(qc + [hex1, hex2], H.dim ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dycomplex import UnsupportedDegreeError
-from .exactlin import TensorElement, _once, flatten_index, fr
+from .exactlin import RowArrays, TensorElement, _once, flatten_index, fr
 
 
 class Fallback(Exception):
@@ -143,14 +143,24 @@ class SlotKernel:
         return [Batch(x.row[a:b], x.flat[a:b], x.coef[a:b], x.den, x.deg)
                 for a, b in zip(cuts, cuts[1:])]
 
-    def rows(self, conditions) -> list:
-        """Rows of a condition matrix, one per (j, f): at column t, the e_f
-        coefficient of the j-th condition batch on the t-th tensor."""
-        rows: dict = {}
-        for j, d in enumerate(conditions):
-            for t, f, c in zip(d.row.tolist(), d.flat.tolist(), d.coef.tolist()):
-                rows.setdefault((j, f), {})[t] = c
-        return list(rows.values())
+    def rows(self, conditions, ncols: int) -> RowArrays:
+        """The condition matrix, one row per (j, f) with at column t the e_f
+        coefficient of the j-th condition batch on the t-th tensor, as
+        `RowArrays` for columns in range(ncols).  Rows run sparsest first;
+        rows of one length keep the order of their first entry, in j, then
+        t, then f, and each row's entries ascend in t."""
+        none = np.zeros(0, np.int64)
+        j, f, t, c = (np.concatenate(a) for a in zip(
+            (none, none, none, none.astype(self.dtype)),
+            *((np.full(d.row.size, i), d.flat, d.row, d.coef) for i, d in enumerate(conditions))))
+        order = np.lexsort((t, f, j))  # by row (j, f), then t
+        j, f, t, c = j[order], f[order], t[order], c[order]
+        heads = np.flatnonzero(np.diff(j, prepend=-1) | np.diff(f, prepend=-1))
+        sizes = np.diff(heads, append=t.size)
+        by_size = np.lexsort((f[heads], t[heads], j[heads], sizes))
+        starts = np.concatenate(([0], np.cumsum(sizes[by_size])))
+        take = np.repeat(heads[by_size] - starts[:-1], sizes[by_size]) + np.arange(t.size)
+        return RowArrays(starts, t[take], c[take], ncols)
 
     # -- linear maps -------------------------------------------------------------
     def _digits(self, x: Batch) -> list:

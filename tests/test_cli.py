@@ -63,13 +63,20 @@ class TestVerifyCommand:
         ("unit", None, [[0, "5"], [0, "1"]]),
         ("counit", None, [[0, "5"]] + BK1["counit"]),
         ("generators", None, [[[1, "5"], [1, "1"]], [[2, "1"]]]),
+        # the right unit coefficient 1, but not as -?digits or -?digits/digits
+        ("unit", None, [[0, "1.0"]]),
+        ("unit", None, [[0, "1e0"]]),
+        ("unit", None, [[0, "0_1"]]),
+        ("unit", None, [[0, " 1/1 "]]),
+        ("unit", None, [[0, "+1/1"]]),
     ], ids=["antipode-identity", "mult-i-neg", "mult-i-high", "mult-k-high",
             "comult-k-high", "unit-high", "counit-neg", "antipode-col-high",
             "counit-float", "dim-float", "dim-string", "dim-bool", "dim-zero", "labels-short",
             "labels-non-string", "labels-not-list", "generators-high", "generators-float",
             "dual-generators-high", "dual-generators-float", "mult-repeated",
             "comult-repeated", "antipode-repeated", "unit-repeated", "counit-repeated",
-            "generators-repeated"])
+            "generators-repeated", "unit-decimal", "unit-exponent", "unit-underscore",
+            "unit-spaces", "unit-plus"])
     def test_corrupted_file_exit_2_named_axiom(self, capsys, tmp_path, field, extra,
                                                value):
         path = tmp_path / "bad.json"
@@ -264,8 +271,16 @@ class TestTangentCommand:
         (["rmatrix", "family", "bk:1", "--lambda"], None, "r.json"),
         (["rmatrix", "check", "bk:1", "--rmatrix"], [[[0, 0], "7"]] + R0_BK1,
          "tensor entry [[0, 0], '1/2'] repeats"),
+        (["crosscheck", "dimension-formula", "bk:1", "--lambda"], [["0.5"]], "'0.5'"),
+        (["crosscheck", "dimension-formula", "bk:1", "--lambda"], [["1e3"]], "'1e3'"),
+        (["crosscheck", "dimension-formula", "bk:1", "--lambda"], [["1_000"]], "'1_000'"),
+        (["crosscheck", "dimension-formula", "bk:1", "--lambda"], [[" 3/4 "]], "' 3/4 '"),
+        (["crosscheck", "dimension-formula", "bk:1", "--lambda"], [["+3/4"]], "'+3/4'"),
+        (["crosscheck", "dimension-formula", "bk:1", "--lambda"], [["3/0"]], "'3/0'"),
     ], ids=["index-high", "key-length", "value-not-rational", "lambda-1x2", "value-infinity",
-            "lambda-float", "dy-index-high", "not-json", "lambda-missing", "key-repeated"])
+            "lambda-float", "dy-index-high", "not-json", "lambda-missing", "key-repeated",
+            "lambda-decimal", "lambda-exponent", "lambda-underscore", "lambda-spaces",
+            "lambda-plus", "lambda-zero-denominator"])
     def test_malformed_r_file_exit_3(self, capsys, tmp_path, argv, data, named):
         """data is written as JSON, as raw bytes, or (None) not at all."""
         path = tmp_path / "r.json"

@@ -546,6 +546,26 @@ def test_decode_refuses_repeated_keys():
     assert K.decode(K.combine([(x, 1)]), 1)[0].coeffs == {(0,): 2, (2,): 2}
 
 
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "python-int"])
+def test_condition_rows_run_sparsest_first(big):
+    """One row per (batch j, flat index f), its entries ascending in the
+    tensor index t; rows of one length keep the order of their first entry
+    (j, then t, then f), as a stable sort of the rows by length would."""
+    import numpy as np
+    from hopfdy.slotkernel import Batch
+    K = _CX["bk:1"]._slot_kernel(big)
+
+    def batch(entries):   # (t, f, c), sorted by (t, f) as combine leaves them
+        t, f, c = zip(*entries)
+        return Batch(np.array(t), np.array(f), np.array(c, K.dtype), 1, 2)
+    rows = K.rows([batch([(0, 5, 1), (0, 7, 2), (1, 5, 3), (2, 1, 4)]),
+                   batch([(0, 5, 9), (1, 2, 1), (1, 5, 2)])], 3)
+    assert [list(r.items()) for r in rows] == [
+        [(0, 2)], [(2, 4)], [(1, 1)], [(0, 1), (1, 3)], [(0, 9), (1, 2)]]
+    assert rows.ncols == 3 and rows.vals.dtype == K.dtype
+    assert len(K.rows([], 1)) == 0
+
+
 def test_containment_falls_back_beyond_int64():
     H = build_bk(1)
     cx = tensor_complex(H, bk_r0(1, H))

@@ -372,6 +372,135 @@ def test_echelon_builds_no_fraction_on_integer_rows(monkeypatch):
     assert ech.pivot_rows == {0: {0: 25, 3: 27}, 1: {1: 25, 3: -51}, 2: {2: 25, 3: 17}}
 
 
+# -- certified elimination: rows past a stall are checked against the kernel
+
+def _row_arrays(rows, ncols):
+    """The nonempty integer dict rows as RowArrays, in list order."""
+    import numpy as np
+    rows = [r for r in rows if r]
+    vals = [v for r in rows for v in r.values()]
+    big = max(map(abs, vals), default=0) >= 1 << 62
+    return exactlin.RowArrays(np.cumsum([0] + [len(r) for r in rows]),
+                              np.array([c for r in rows for c in r], np.int64),
+                              np.array(vals, object if big else np.int64), ncols)
+
+
+def _dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def _assert_matches_dense(rows, ncols):
+    """rank_of_rows and kernel_basis_marked on the dict rows and on their
+    RowArrays (sparsest first) agree with the dense oracles."""
+    dense = _dense(rows, ncols)
+    want = dense_nullspace(dense, ncols)
+    for system in (rows, _row_arrays(sorted(rows, key=len), ncols)):
+        basis, markers = kernel_basis_marked(system, ncols)
+        assert [densify_vec(v, ncols) for v in basis] == want
+        assert len(markers) == len(want)
+    assert rank_of_rows(rows) == dense_rank(dense)
+    assert rank_of_rows(_row_arrays(sorted(rows, key=len), ncols)) == dense_rank(dense)
+
+
+def _selection_off(monkeypatch):
+    """Disable the modular selection of violated rows and record what the
+    exact check finds: each entry lists the rows it reported violated."""
+    found = []
+    real = exactlin._Certificate.violated
+
+    def violated(self, ech, free):
+        hit = real(self, ech, free)
+        found.append(list(hit))
+        return hit
+    monkeypatch.setattr(exactlin._Certificate, "flagged", lambda self, ech, free: ())
+    monkeypatch.setattr(exactlin._Certificate, "violated", violated)
+    return found
+
+
+# rank 2 from the first rows, then 4 = ncols rows that add no pivot (a stall),
+# then a tail of denser rows: one raises the rank to 3, the others then lie
+# in the span
+STALLING = ([{0: 1}, {1: 2}, {0: 3}, {1: 5}, {0: -2}, {1: 7}]
+            + [{0: 1, 1: 1}, {2: 1, 3: 2}, {2: 2, 3: 4}, {0: 1, 2: -3, 3: -6},
+               {0: 4, 1: 1, 2: 1, 3: 2}])
+
+
+def test_exact_check_finds_rows_the_selection_misses(monkeypatch):
+    """With the modular selection inserting nothing after the stall, the
+    exact check alone finds the violated rows, and the result is exact."""
+    found = _selection_off(monkeypatch)
+    _assert_matches_dense(STALLING, 4)
+    assert found[0] == [1, 2, 3, 4] and found[-1] == []   # rows found, then none left
+
+
+def test_system_that_never_stalls_builds_no_arrays(monkeypatch):
+    """Short systems and systems that reach full rank never reach the
+    certificate, and so never import numpy there."""
+    def refuse(*args):
+        raise AssertionError("certify step reached")
+    monkeypatch.setattr(exactlin, "_tail", refuse)
+    _assert_matches_dense([{0: 1}, {1: 2}, {0: 3}, {1: 5}, {2: 1, 3: 1}], 4)
+    full = [{c: 1} for c in range(3)] + [{0: k, 1: 1, 2: -k} for k in range(1, 9)]
+    assert rank_of_rows(full) == 3 and kernel_basis_marked(full, 3) == ([], [])
+
+
+@pytest.mark.parametrize("value", [1 << 64, (1 << 64) * ((1 << 31) - 1)],
+                         ids=["2^64", "2^64-times-first-prime"])
+def test_exact_check_uses_every_modulus_the_bound_asks(monkeypatch, value):
+    """A row whose residual vanishes modulo 2^64 (and modulo the first
+    prime) but not over QQ: only the moduli past them see it."""
+    found = _selection_off(monkeypatch)
+    rows = [{0: 1}, {0: 2}, {0: 3}, {1: value}]
+    assert rank_of_rows(rows) == 2
+    assert found[0] == [0]
+    _assert_matches_dense(rows, 2)
+
+
+def test_scaled_kernel_entries_beyond_int64(monkeypatch):
+    """A pivot row with entries near 2^70 gives scaled kernel vectors beyond
+    int64; the exact check reduces them, with and without selection."""
+    a, b = (1 << 70) + 1, 3 ** 45
+    head = [{0: a, 2: b}, {0: 2 * a, 2: 2 * b}, {0: 3 * a, 2: 3 * b}, {0: -a, 2: -b}]
+    ech = Echelon()
+    ech.add_row(head[0])
+    ech.to_rref()
+    scaled = exactlin._scaled_kernel(ech, [1, 2])
+    assert max(abs(v) for x in scaled.values() for v in x.values()) >= 1 << 63
+    for tail in ([{0: 5 * a, 2: 5 * b}], [{1: 1, 2: 1}, {0: 7 * a, 2: 7 * b}]):
+        _assert_matches_dense(head + tail, 3)
+    found = _selection_off(monkeypatch)
+    _assert_matches_dense(head + [{1: 1, 2: 1}, {0: 7 * a, 2: 7 * b}], 3)
+    assert any(found)
+
+
+@st.composite
+def tall_integer_rows(draw):
+    """(ncols, rows): many more rows than columns, most of them repeated,
+    scaled or summed copies of a few base rows, with some sparse rows, so
+    that insertion stalls and the certificate runs."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    pick = st.sampled_from(base)
+    scale = st.integers(-4, 4).filter(bool)
+    row = st.one_of(
+        pick,
+        st.tuples(scale, pick).map(lambda t: [t[0] * x for x in t[1]]),
+        st.tuples(pick, scale, pick).map(lambda t: [x + t[1] * y for x, y in zip(t[0], t[2])]),
+        st.tuples(st.integers(0, ncols - 1), scale).map(
+            lambda t: [t[1] if c == t[0] else 0 for c in range(ncols)]))
+    rows = draw(st.lists(row, min_size=2 * ncols, max_size=8 * ncols + 8))
+    return ncols, [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+@given(tall_integer_rows())
+@settings(max_examples=120, deadline=None)
+def test_tall_systems_match_dense_oracles(system):
+    ncols, rows = system
+    _assert_matches_dense(rows, ncols)
+
+
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
 @settings(max_examples=80, deadline=None)
