@@ -67,8 +67,10 @@ def load_algebra(source: str):
 
 
 def parse_bk_k(source: str):
+    """k of a catalog key bk:k; None for any other source, a Hopf file
+    named like one included."""
     fam, _, arg = source.partition(":")
-    if fam == "bk" and arg:
+    if fam == "bk" and arg.isdecimal() and not os.path.exists(source):
         return int(arg)
     return None
 
@@ -348,6 +350,16 @@ def budget_seconds(text: str) -> float:
     return seconds
 
 
+def json_out_path(path: str) -> str:
+    """--json-out: a file path whose directory exists and is writable, so
+    that the report is never computed for a path that cannot take it."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise argparse.ArgumentTypeError(
+            "%r is not a writable file path in an existing directory" % path)
+    return path
+
+
 def _expire(signum, frame):
     # raised inside an import, the error would leave a half-initialised
     # module, or come out of a C extension as an ImportError: retry in 10 ms
@@ -368,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_r=False, with_degree=False, with_resolution=False):
         p.add_argument("source", help="catalog key (bk:k, cyclic:n) or Hopf file")
-        p.add_argument("--json-out", dest="json_out")
+        p.add_argument("--json-out", dest="json_out", type=json_out_path)
         p.add_argument("--max-seconds", dest="max_seconds", type=budget_seconds, default=0)
         if with_r:   # one R-matrix source per command
             r = p.add_mutually_exclusive_group()

@@ -23,17 +23,18 @@ canonical kernel basis of a list of rows.  RREF is unique, so every
 reported rank and kernel is deterministic regardless of the pivot order.
 
 `rank_of_rows` and `kernel_basis_marked` share one driver, `_echelon`,
-which eliminates only the rows that raise the rank.  It inserts rows
-sparsest first; once ncols consecutive rows have raised no rank, the
-remaining rows are checked against the kernel K of the rows inserted so
-far (`_certify`), and a row that K violates is inserted in its turn.
-When no row is violated, K is the kernel of the whole system M, exactly:
-the inserted rows are rows of M, so ker M lies in K; and every other
-integer row m satisfies m . x = 0 for each basis vector x of K scaled to
-integers, because |m . x| <= B = |m|_1 |x|_inf and m . x vanishes modulo
-2^64 and primes whose product exceeds 2B.  So the rank and the canonical
-kernel basis are those of M.  The check runs on numpy arrays, imported
-there; a system that never stalls is eliminated row by row as a whole.
+which inserts rows sparsest first and stops at full rank.  A list of dict
+rows is eliminated whole.  The slot kernel's systems come as `RowArrays`,
+and of those only the rows that raise the rank are eliminated: once ncols
+consecutive rows have raised no rank, the remaining rows are checked
+against the kernel K of the rows inserted so far (`_certify`), and a row
+that K violates is inserted in its turn.  When no row is violated, K is
+the kernel of the whole system M, exactly: the inserted rows are rows of
+M, so ker M lies in K; and every other integer row m satisfies m . x = 0
+for each basis vector x of K scaled to integers, because
+|m . x| <= B = |m|_1 |x|_inf and m . x vanishes modulo 2^64 and primes
+whose product exceeds 2B.  So the rank and the canonical kernel basis are
+those of M.
 """
 
 from __future__ import annotations
@@ -396,6 +397,11 @@ class RowArrays:
         a, b = self.starts[i], self.starts[i + 1]
         return dict(zip(self.cols[a:b].tolist(), self.vals[a:b].tolist()))
 
+    def tail(self, start: int) -> "RowArrays":
+        """The rows from position `start` on."""
+        lo = self.starts[start]
+        return RowArrays(self.starts[start:] - lo, self.cols[lo:], self.vals[lo:], self.ncols)
+
 
 def _echelon(rows, ncols: int) -> Echelon:
     """An Echelon whose row space is that of `rows` (dicts of exact
@@ -403,11 +409,13 @@ def _echelon(rows, ncols: int) -> Echelon:
 
     Dict rows are inserted sparsest first (ties in list order), `RowArrays`
     in their order: far less fill-in, and the pivots and RREF are the same
-    in any order.  Insertion stops at full rank, or once ncols consecutive
-    rows raised no rank: then `_certify` eliminates only those remaining
-    rows that do not vanish on the kernel of the rows so far.
+    in any order.  Insertion stops at full rank.  Dict rows are otherwise
+    inserted whole; `RowArrays` stop once ncols consecutive rows raised no
+    rank, and then `_certify` eliminates only those remaining rows that do
+    not vanish on the kernel of the rows so far.
     """
-    if not isinstance(rows, RowArrays):
+    certified = isinstance(rows, RowArrays)
+    if not certified:
         rows = sorted(rows, key=len)
     ech, idle = Echelon(), 0
     for k, row in enumerate(rows):
@@ -415,27 +423,12 @@ def _echelon(rows, ncols: int) -> Echelon:
             idle = 0
             if ech.rank == ncols:
                 break
-        else:
+        elif certified:
             idle += 1
             if idle == ncols:
-                _certify(ech, _tail(rows, k + 1, ncols), ncols)
+                _certify(ech, rows.tail(k + 1), ncols)
                 break
     return ech
-
-
-def _tail(rows, start: int, ncols: int) -> RowArrays:
-    """The rows of `rows` from position `start` on, as `RowArrays`; dict rows
-    are scaled to integers and empty ones dropped."""
-    import numpy as np
-    if isinstance(rows, RowArrays):
-        lo = rows.starts[start]
-        return RowArrays(rows.starts[start:] - lo, rows.cols[lo:], rows.vals[lo:], ncols)
-    ints = [row for row in map(_int_row, rows[start:]) if row]
-    vals = [v for row in ints for v in row.values()]
-    big = max(map(abs, vals), default=0) >= 1 << 62
-    return RowArrays(np.cumsum([0] + [len(row) for row in ints]),
-                     np.array([c for row in ints for c in row], np.int64),
-                     np.array(vals, object if big else np.int64), ncols)
 
 
 class _Certificate:
@@ -574,8 +567,7 @@ def _certify(ech: Echelon, tail: RowArrays, ncols: int):
 
 def rank_of_rows(rows) -> int:
     """Exact rank of a list of rows (dicts of exact scalars) or of
-    `RowArrays`: `_echelon` eliminates the rows that raise the rank, and
-    certifies that every other row vanishes on the kernel of those."""
+    `RowArrays`, by `_echelon`."""
     if isinstance(rows, RowArrays):
         ncols = rows.ncols
     else:
@@ -583,27 +575,11 @@ def rank_of_rows(rows) -> int:
     return _echelon(rows, ncols).rank
 
 
-def rank_of_vectors(vecs: list, ambient: int) -> int:
-    """Rank of a list of sparse vectors; transposes the system when the
-    ambient is much larger than the vector count (rank(A) = rank(A^T))."""
-    vecs = [v for v in vecs if v]
-    if not vecs:
-        return 0
-    if ambient <= 4 * len(vecs):
-        return rank_of_rows(vecs)
-    byidx: dict = {}
-    for j, v in enumerate(vecs):
-        for f, c in v.items():
-            byidx.setdefault(f, {})[j] = c
-    return rank_of_rows(list(byidx.values()))
-
-
 def kernel_basis_marked(rows, ncols: int):
     """Exact basis of the solutions x in QQ^ncols of row . x = 0 for every
     row (a dict of exact scalars, or a row of `RowArrays`), as vectors
-    {index: scalar}, plus the free-column marker of each basis vector.
-    `_echelon` eliminates the rows that raise the rank and certifies that
-    every other row vanishes on the kernel of those.
+    {index: scalar}, plus the free-column marker of each basis vector,
+    read off the RREF that `_echelon` builds.
 
     Canonical: one vector per free column f, markers ascending, normalized
     with entry 1 at f and RREF-determined entries at the pivot columns.

@@ -48,7 +48,7 @@ from .algcore import (Algebra, AlgebraMap, ModuleRep, _act_matrix, check_element
                       module_from_character, restrict_module, submodule_on_basis,
                       tensor_algebra, tensor_module, verify_module)
 from .exactlin import (FR1, BudgetExceededError, SparseMatrix, _once, fr_vec,
-                       kernel_basis_marked, kron_into, rank_of_vectors, vec_kron)
+                       kernel_basis_marked, kron_into, rank_of_rows, vec_kron)
 
 
 class RelextError(Exception):
@@ -339,17 +339,18 @@ class ExtComputation:
         being A-linear it does so iff it vanishes on the A-module generators
         g_k of im d_{n+1} inside P_n (`Resolution.image_generators`), so
         P_{n+1} is never needed.  Each cochain is evaluated by walking its
-        nonzeros: the (k, w) entry of G^T f^T is f(g_k)_w.  Kept on the
-        resolution beside the basis.
+        nonzeros: the (k, w) entry of G^T f^T is f(g_k)_w, at column
+        k * dim W + w of the cochain's row.  Kept on the resolution beside
+        the basis.
         """
         def build():
             basis = self.cochain_basis(n)
             if not basis:
                 return 0
             gt, nw = self.res.image_generators(n), self.W.dim
-            vecs = [{k * nw + w: c for (k, w), c in gt.matmul(f.transpose()).items()}
+            rows = [{k * nw + w: c for (k, w), c in gt.matmul(f.transpose()).items()}
                     for f in basis]
-            return len(basis) - rank_of_vectors(vecs, gt.rows * nw)
+            return len(basis) - rank_of_rows(rows)
         return _once(self.res._ext, (self.W, n, "ker"), build)
 
     def rank_delta(self, n: int) -> int:

@@ -16,7 +16,7 @@ from hopfdy.double import (coeff_restriction, coeff_tensor_product,
 from hopfdy.dycomplex import (cocycle_from_tangent, decompose_h2_tensor,
                               identity_complex, restriction_complex,
                               tensor_complex)
-from hopfdy.exactlin import rank_of_vectors, unit_tensor
+from hopfdy.exactlin import rank_of_rows, unit_tensor
 from hopfdy.hopfcore import (bk_inclusion, build_bk, build_cyclic, dual_hopf,
                              tensor_hopf, verify_hopf)
 from hopfdy.relext import (adjunction_crosscheck_tensor, get_resolution,
@@ -195,14 +195,13 @@ def test_criterion_10_property_suite(B1, B2, tensor_cx_b1, res_cx_b2_b1):
             assert cx.normalize(2, nu) == nu
             assert cx.delta_raw(2, nu) == cx.normalize(3, cx.delta_raw(2, u))
         cob = [v.flat() for v in cx.differential_images(1)]
-        ambient = cx.H.dim ** cx.slots(2)
-        base = rank_of_vectors(cob, ambient)
+        base = rank_of_rows(cob)
         for z in cx.cochain_basis(2):
             if not cx.delta_raw(2, z).is_zero():
                 continue
             diff = cx.normalize(2, z).sub(z)
             if not diff.is_zero():
-                assert rank_of_vectors(cob + [diff.flat()], ambient) == base
+                assert rank_of_rows(cob + [diff.flat()]) == base
     # cosimplicial identities s_j d_i = id for i = j, j+1 on basis cochains
     for cx, top in complexes:
         for n in (1, 2):

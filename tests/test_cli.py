@@ -293,6 +293,18 @@ class TestTangentCommand:
         assert code == 3 and out == ""
         assert named in err
 
+    @pytest.mark.parametrize("name", ["bk:x", "bk:1"])
+    def test_file_named_like_a_catalog_key_is_no_bk_source(self, capsys, tmp_path,
+                                                            monkeypatch, name):
+        """A Hopf file is never read as a bk:k key, even when its name is one:
+        --r0 refuses it with exit 3."""
+        monkeypatch.chdir(tmp_path)
+        save_hopf(build_bk(1), name)
+        code = main(["rmatrix", "check", name, "--r0"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert "requires a bk:k source" in err
+
 
 class TestRelextCommand:
     def test_trivial_coefficients(self, capsys):
@@ -440,6 +452,15 @@ class TestDeterminism:
         out = capsys.readouterr().out
         assert code == 0
         assert json.loads(path.read_text()) == json.loads(out)
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_json_out_that_cannot_be_written_is_a_usage_error(self, capsys, tmp_path,
+                                                               where):
+        path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "bk:1", "--json-out", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestUsage:

@@ -11,8 +11,7 @@ from hopfdy import exactlin
 from hopfdy.algcore import _invert_columns, matrix_sum
 from hopfdy.exactlin import (Echelon, ExactlinError, SparseMatrix, TensorElement, fr,
                              kernel_basis, kernel_basis_marked, kron_into, rank_of_rows,
-                             rank_of_vectors, span_equal, unit_tensor, vec_addmul, vec_kron,
-                             vec_sub)
+                             span_equal, unit_tensor, vec_addmul, vec_kron, vec_sub)
 from hopfdy.hopfcore import build_bk
 
 from oracles import (dense_column, dense_kron, dense_nullspace, dense_rank, dense_rref,
@@ -47,10 +46,10 @@ class TestRank:
         M = sm([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
         assert rank_of_rows(M.row_dicts()) == 3
 
-    def test_transposed_rank_path(self):
+    def test_few_rows_over_many_columns(self):
         vecs = [{0: Fraction(1), 100: Fraction(2)}, {0: Fraction(2), 100: Fraction(4)},
                 {5: Fraction(1)}]
-        assert rank_of_vectors(vecs, 101) == 2
+        assert rank_of_rows(vecs) == 2
 
 
 class TestKernel:
@@ -433,15 +432,32 @@ def test_exact_check_finds_rows_the_selection_misses(monkeypatch):
     assert found[0] == [1, 2, 3, 4] and found[-1] == []   # rows found, then none left
 
 
-def test_system_that_never_stalls_builds_no_arrays(monkeypatch):
-    """Short systems and systems that reach full rank never reach the
-    certificate, and so never import numpy there."""
+def _refuse_certify(monkeypatch):
     def refuse(*args):
         raise AssertionError("certify step reached")
-    monkeypatch.setattr(exactlin, "_tail", refuse)
+    monkeypatch.setattr(exactlin, "_certify", refuse)
+
+
+def test_system_that_never_stalls_builds_no_arrays(monkeypatch):
+    """Short systems and systems that reach full rank never reach the
+    certificate, as dict rows or as RowArrays."""
+    _refuse_certify(monkeypatch)
     _assert_matches_dense([{0: 1}, {1: 2}, {0: 3}, {1: 5}, {2: 1, 3: 1}], 4)
     full = [{c: 1} for c in range(3)] + [{0: k, 1: 1, 2: -k} for k in range(1, 9)]
-    assert rank_of_rows(full) == 3 and kernel_basis_marked(full, 3) == ([], [])
+    for system in (full, _row_arrays(full, 3)):
+        assert rank_of_rows(system) == 3 and kernel_basis_marked(system, 3) == ([], [])
+
+
+def test_dict_rows_are_eliminated_whole(monkeypatch):
+    """Dict rows that stall, as STALLING does, never reach the certificate
+    (only the slot kernel's RowArrays are certified), and still give the
+    dense oracles' kernel and rank."""
+    _refuse_certify(monkeypatch)
+    dense = _dense(STALLING, 4)
+    basis, markers = kernel_basis_marked(STALLING, 4)
+    assert [densify_vec(v, 4) for v in basis] == dense_nullspace(dense, 4)
+    assert len(markers) == 4 - dense_rank(dense)
+    assert rank_of_rows(STALLING) == dense_rank(dense)
 
 
 @pytest.mark.parametrize("value", [1 << 64, (1 << 64) * ((1 << 31) - 1)],
@@ -451,7 +467,7 @@ def test_exact_check_uses_every_modulus_the_bound_asks(monkeypatch, value):
     prime) but not over QQ: only the moduli past them see it."""
     found = _selection_off(monkeypatch)
     rows = [{0: 1}, {0: 2}, {0: 3}, {1: value}]
-    assert rank_of_rows(rows) == 2
+    assert rank_of_rows(_row_arrays(rows, 2)) == 2
     assert found[0] == [0]
     _assert_matches_dense(rows, 2)
 

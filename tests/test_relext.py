@@ -328,7 +328,7 @@ def test_cohomology_is_not_recomputed(tmp_path, monkeypatch):
     spy(dycomplex, "kernel_basis_marked")
     spy(algcore, "hom_space")
     spy(relext, "hom_space")
-    spy(relext, "rank_of_vectors")
+    spy(relext, "rank_of_rows")
     assert dims() == first and calls == []
 
 
@@ -441,6 +441,32 @@ def test_kernel_dim_top_matches_dense_cocycle_count(k, top, coeff, kind):
         dense_gens = [list(col) for col in zip(*densify_matrix(gens))]
         cochains = [densify_matrix(f) for f in ext.cochain_basis(n)]
         assert ext.kernel_dim_top(n) == cocycle_count_dense(cochains, dense_gens)
+
+
+def test_relative_ext_over_the_square_pair_leaves_numpy_unimported():
+    """Ext over (D(B_1) ox D(B_1), B_1 ox B_1) with the R0-twisted
+    coefficient, criterion 9's instance, by both resolutions: its ranks are
+    of dict rows, eliminated whole, so numpy never loads."""
+    code = ("import sys\n"
+            "from hopfdy.algcore import module_from_character\n"
+            "from hopfdy.double import coeff_tensor_product, drinfeld_double\n"
+            "from hopfdy.exactlin import vec_kron\n"
+            "from hopfdy.hopfcore import build_bk\n"
+            "from hopfdy.relext import pair_from_double, relative_ext_dims, tensor_pair\n"
+            "from hopfdy.rmatrix import bk_r0\n"
+            "H = build_bk(1)\n"
+            "D = drinfeld_double(H)\n"
+            "p = pair_from_double(D)\n"
+            "psq = tensor_pair(p, p)\n"
+            "W = coeff_tensor_product(D, bk_r0(1, H), psq.big).module\n"
+            "eps = D.hopf.counit_row()\n"
+            "k = module_from_character(psq.big, vec_kron(eps, eps, D.dim), name='k')\n"
+            "for kind in ('bar', 'cover'):\n"
+            "    assert relative_ext_dims(psq, k, W, 2, kind=kind)[2] == 3, kind\n"
+            "assert 'numpy' not in sys.modules\n")
+    import subprocess
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 class TestCrosschecks:

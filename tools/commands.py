@@ -34,8 +34,9 @@ import time
 from alternate import WORKDIR, export
 
 # ROADMAP's baseline table (the README cross-validations, relext bar and
-# cover, double bk:2), then double bk:3, kunneth at degree 3 and the rational
-# tangent space on bk:2
+# cover, double bk:2), then double bk:3, kunneth at degree 3, the rational
+# tangent space on bk:2, and the two query kinds of perfbench's session
+# workload that the rows above miss, whose Ext side runs kernel_dim_top
 TABLE = [
     "dy tensor bk:1 --r0 --degree 3",
     "dy tensor bk:2 --r0 --degree 2",
@@ -51,6 +52,8 @@ TABLE = [
     "double bk:3",
     "crosscheck kunneth bk:1 --degree 3",
     "rmatrix tangent bk:2 --lambda data/lambda_bk2.json",
+    "crosscheck adjunction-res bk:2 --sub bk:1 --degree 2",
+    "relext bk:2 --degree 3",
 ]
 
 
