@@ -21,16 +21,17 @@ Tensor-kind slot layout is interleaved: (X1, Y1, X2, Y2, ...).  Coface maps:
       d_{n+1}(u)= [Delta^{(n-1)}(R1) into the Y-slots ox R2 in X_{n+1}] (u ox 1 ox 1)
 
 The degree-1 and degree-2 tensor cofaces reproduce the explicit twisted
-differentials verbatim (tests pin this), and d o d = 0 holds exactly at
-every computed degree.  Codegeneracies apply the counit to slot i+1
-(identity / restriction) or to block i+1 (tensor); the cosimplicial
-identities hold, so the degree <= 3 normalization projectors
-N^n = pi_0 ... pi_{n-1} with pi_i = id - d_i s_i are quasi-isomorphism
-idempotents.
+differentials verbatim (tests pin this).  dim H^n = dim C^n - rank delta^n
+- rank delta^{n-1} rests on two facts, both checked, not assumed: the
+images of delta^{n-1} lie in C^n, and delta^n maps them to zero.
+Codegeneracies apply the counit to slot i+1 (identity / restriction) or to
+block i+1 (tensor); the cosimplicial identities hold, so the degree <= 3
+normalization projectors N^n = pi_0 ... pi_{n-1} with pi_i = id - d_i s_i
+are quasi-isomorphism idempotents.
 
 Arithmetic.  Every stage -- the condition rows behind `cochain_basis`,
 the images of `differential_images` (all basis cochains of a degree in one
-batch), the containment check of `in_cochain_space`, and the single-cochain
+batch) and their checks, `in_cochain_space`, and the single-cochain
 `coface` and `delta_raw` -- is written once against a small set of batch
 operations (insert the unit, coproduct at a slot, permute slots, slotwise
 product with a multiplier, signed sum), which `slotkernel.SlotKernel` runs
@@ -55,7 +56,7 @@ class UnsupportedDegreeError(HopfError):
 
 
 class DYConsistencyError(HopfError):
-    """A computed differential escaped the cochain space; results invalid."""
+    """An image of delta^{n-1} left C^n, or delta^n delta^{n-1} != 0; results invalid."""
 
 
 def _interleave_perm(n: int) -> list:
@@ -149,14 +150,11 @@ class DYComplex:
             yield ops.combine([(ops.mul(x, L, True), 1), (ops.mul(x, R, False), -1)])
 
     def _contained(self, ops, n: int, x) -> bool:
-        return all(ops.is_zero(d) for piece in ops.pieces(x)
-                   for d in self._condition_diffs(ops, n, piece))
+        return all(ops.is_zero(d) for d in self._condition_diffs(ops, n, x))
 
     def in_cochain_space(self, n: int, u: TensorElement) -> bool:
-        if u.degree != self.slots(n):
-            return False
-        return self._run("containment",
-                         lambda ops: self._contained(ops, n, ops.encode([u], u.degree)))
+        return u.degree == self.slots(n) and self._run(
+            "containment", lambda ops: self._contained(ops, n, ops.encode([u], u.degree)))
 
     def cochain_basis(self, n: int) -> list:
         """Exact basis of C^n, canonical (kernel RREF over lex tuple order)."""
@@ -254,26 +252,31 @@ class DYComplex:
 
     def _image_batch(self, n: int):
         """(kernel, batch): delta^n of every basis cochain as one batch of the
-        kernel that computed it; containment is asserted."""
-        def work(ops):
-            x = self._delta(ops, n, ops.encode(self.cochain_basis(n), self.slots(n)))
-            if not self._contained(ops, n + 1, x):
+        kernel that computed it; for n >= 1, first the two facts H^n rests on:
+        the batch of delta^{n-1} lies in C^n, and delta^n maps it to zero."""
+        def check(ops):
+            y = ops.adopt(self._image_batch(n - 1)[1])
+            if not self._contained(ops, n, y):
                 raise DYConsistencyError(
-                    "differential image escapes the degree-%d cochain space" % (n + 1))
-            return ops, x
-        return _once(self._images, n, lambda: self._run("differential_images", work))
+                    "differential image escapes the degree-%d cochain space" % n)
+            if not ops.is_zero(self._delta(ops, n, y)):
+                raise DYConsistencyError("delta^%d o delta^%d is not zero" % (n, n - 1))
+
+        def build():
+            if n > 0:
+                self._run("image_check", check)
+            return self._run("differential_images", lambda ops: (ops, self._delta(
+                ops, n, ops.encode(self.cochain_basis(n), self.slots(n)))))
+        return _once(self._images, n, build)
 
     def differential_images(self, n: int) -> list:
-        """delta^n of every basis cochain, raw, decoded on each call from the
-        cached batch; containment is asserted."""
+        """delta^n of every basis cochain, raw, decoded from the cached batch."""
         ops, x = self._image_batch(n)
         return ops.decode(x, self.cochain_dim(n))
 
     def differential(self, n: int) -> SparseMatrix:
         """delta^n in cochain coordinates C^n -> C^{n+1}."""
-        images = self.differential_images(n)
-        self.cochain_basis(n + 1)
-        cols = [self.coords(n + 1, v) for v in images]
+        cols = [self.coords(n + 1, v) for v in self.differential_images(n)]
         return SparseMatrix.from_columns(self.cochain_dim(n + 1), cols)
 
     def codegeneracy_raw(self, n: int, i: int, u: TensorElement) -> TensorElement:
@@ -286,12 +289,7 @@ class DYComplex:
         return v.contract_at(2 * i, H.counit)
 
     def codegeneracy(self, n: int, i: int) -> SparseMatrix:
-        basis = self.cochain_basis(n)
-        self.cochain_basis(n - 1)
-        cols = []
-        for u in basis:
-            v = self.codegeneracy_raw(n, i, u)
-            cols.append(self.coords(n - 1, v))
+        cols = [self.coords(n - 1, self.codegeneracy_raw(n, i, u)) for u in self.cochain_basis(n)]
         return SparseMatrix.from_columns(self.cochain_dim(n - 1), cols)
 
     # -- cohomology ----------------------------------------------------------

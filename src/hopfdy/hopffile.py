@@ -30,9 +30,10 @@ import re
 
 from .algcore import Algebra
 from .exactlin import BudgetExceededError, SparseMatrix, TensorElement, fr
-from .hopfcore import HopfAlgebra, verify_hopf
+from .hopfcore import CATALOG_MAX, HopfAlgebra, verify_hopf
 
 FORMAT_VERSION = 1
+MAX_DIM = CATALOG_MAX["cyclic"]  # the catalog's largest dimension, as bk:9's
 
 
 class HopfFileError(Exception):
@@ -161,9 +162,10 @@ def hopf_from_json(data: dict, name="file") -> HopfAlgebra:
             raise HopfFileError("unsupported format_version %r"
                                 % data.get("format_version"))
         dim = data["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise HopfFileError("dim %r is not an integer >= 1" % (dim,))
-        labels = data.get("basis_labels", ["e%d" % i for i in range(dim)])
+        if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+            raise HopfFileError("dim %r is not an integer in 1..%d" % (dim, MAX_DIM))
+        labels = data["basis_labels"] if "basis_labels" in data else [
+            "e%d" % i for i in range(dim)]
         if (not isinstance(labels, list) or len(labels) != dim
                 or not all(isinstance(x, str) for x in labels)):
             raise HopfFileError("basis_labels %r is not a list of %d strings"

@@ -31,7 +31,6 @@ class Fallback(Exception):
 
 
 LIMIT = 1 << 62  # every int64 the kernel forms, sums included, stays below this
-PIECE = 1 << 11  # nonzeros per containment piece; bounds its peak memory
 
 # Nonzeros of a list of tensors of degree `deg`: tensor row[k] has coefficient
 # coef[k] / den at the flat (mixed-radix) index flat[k]; den is one Python int.
@@ -131,17 +130,10 @@ class SlotKernel:
     def is_zero(self, x: Batch) -> bool:
         return not x.coef.size  # x comes from combine, which drops zero sums
 
-    def pieces(self, x: Batch) -> list:
-        """x cut at tensor boundaries into pieces of about PIECE nonzeros,
-        which bounds the memory of products over a piece; x is sorted by
-        row, as encode and combine leave it."""
-        cuts = [0]
-        for end in (np.flatnonzero(np.diff(x.row)) + 1).tolist():
-            if end - cuts[-1] >= PIECE:
-                cuts.append(end)
-        cuts.append(x.row.size)
-        return [Batch(x.row[a:b], x.flat[a:b], x.coef[a:b], x.den, x.deg)
-                for a, b in zip(cuts, cuts[1:])]
+    def adopt(self, x: Batch) -> Batch:
+        """x, computed on either kernel, with this kernel's coefficients."""
+        self._bound(_maxabs(x.coef))
+        return x._replace(coef=x.coef.astype(self.dtype, copy=False))
 
     def rows(self, conditions, ncols: int) -> RowArrays:
         """The condition matrix, one row per (j, f) with at column t the e_f
@@ -225,25 +217,25 @@ class SlotKernel:
     def combine(self, parts) -> Batch:
         """sum of sign * x over the (x, sign) parts, duplicates summed and
         zeros dropped, with numerators and denominator divided by their gcd."""
-        den = _lcm(x.den for x, _ in parts)
-        scaled = []
-        for x, sign in parts:
-            f = sign * (den // x.den)
-            self._bound(_maxabs(x.coef) * abs(f))
-            scaled.append((x.row, x.flat, x.coef * f))
-        x = self._join(scaled, den, parts[0][0].deg)
-        amb = self.nd ** x.deg
-        self._bound(_maxabs(x.coef) * x.coef.size)
-        _check((int(x.row.max()) + 1 if x.row.size else 0) * amb)
-        keys, inverse = np.unique(x.row * amb + x.flat, return_inverse=True)
+        den, deg = _lcm(x.den for x, _ in parts), parts[0][0].deg
+        amb = self.nd ** deg
+        for x, _ in parts:
+            self._bound(_maxabs(x.coef) * (den // x.den))
+            _check((int(x.row.max()) + 1 if x.row.size else 0) * amb)
+        # keys and coefficients are joined one array each, which keeps the
+        # peak below that of joining rows, indices and coefficients first
+        terms = np.concatenate([x.coef * (sign * (den // x.den)) for x, sign in parts])
+        self._bound(_maxabs(terms) * terms.size)
+        keys, inverse = np.unique(np.concatenate([x.row * amb + x.flat for x, _ in parts]),
+                                  return_inverse=True)
         coef = np.zeros(keys.size, self.dtype)
-        np.add.at(coef, inverse, x.coef)
+        np.add.at(coef, inverse, terms)
         keys, coef = keys[coef != 0], coef[coef != 0]
         g = math.gcd(int(np.gcd.reduce(coef)) if coef.size else 0, den)
         if g > 1:
             coef //= g
             den //= g
-        return Batch(keys // amb, keys % amb, coef, den, x.deg)
+        return Batch(keys // amb, keys % amb, coef, den, deg)
 
 
 def slot_kernel(H, big: bool = False) -> SlotKernel:

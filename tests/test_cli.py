@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -116,6 +117,26 @@ class TestVerifyCommand:
             code, rep = run_cli(capsys, "verify", str(path))
             assert code == 2
             assert named in rep["results"]["violations"][0]
+
+    @pytest.mark.parametrize("labels", [True, False], ids=["labels", "no-labels"])
+    @pytest.mark.parametrize("dim", [2 ** 70, 5000], ids=["2**70", "5000"])
+    def test_dim_over_bound_exit_2(self, tmp_path, dim, labels):
+        # refused before anything is built per dimension; the subprocess runs
+        # under a memory limit, since such a dim used to exhaust memory
+        data = json.loads((Path(__file__).parent / "data" / "bk_1_basis_f3.json").read_text())
+        data["dim"] = dim
+        if not labels:
+            del data["basis_labels"]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        t0 = time.monotonic()
+        out = subprocess.run([sys.executable, "-m", "hopfdy.cli", "verify", str(path)],
+                             capture_output=True, text=True, timeout=60,
+                             preexec_fn=lambda: resource.setrlimit(
+                                 resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        assert time.monotonic() - t0 < 1
+        assert out.returncode == 2, out.stderr
+        assert "dim %d is not an integer in 1..1024" % dim in out.stdout
 
     def test_deadline_while_parsing_is_not_a_malformed_file(self, monkeypatch):
         import hopfdy.hopffile as hopffile
@@ -378,9 +399,11 @@ class TestMaxSeconds:
     a subprocess, so that an expiry cannot leave half-built state in the
     catalog algebras that the other tests share."""
 
+    # each budgeted part outlasts its budget at least 4x on a 2-core VM
+    # (1.15-1.8 s, 0.8-1.5 s and 0.6 s), so a faster machine still expires
     @pytest.mark.parametrize("argv,budget", [
-        ("dy tensor bk:2 --lambda {data}/lambda_bk2.json --degree 2", 1),
-        ("crosscheck kunneth bk:1 --degree 2", 0.1),
+        ("dy tensor bk:2 --lambda {data}/lambda_bk2.json --degree 2", 0.2),
+        ("crosscheck kunneth bk:1 --degree 3", 0.1),
         ("dy tensor bk:2 --r0 --degree 2", 0.001),
     ], ids=["dy-lambda-bk2", "kunneth-bk1", "dy-r0-bk2"])
     def test_max_seconds_exit_5(self, argv, budget):

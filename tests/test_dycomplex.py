@@ -582,6 +582,42 @@ def test_coface_falls_back_beyond_int64():
     assert cx.fallbacks == ["coface"]
 
 
+def test_image_check_falls_back_beyond_int64():
+    # delta is linear in R, so 2^28 R gives the same ranks; the delta^1
+    # images carry 2^28, and delta^2 of them 2^56, past the int64 bound
+    H = build_bk(1)
+    cx = tensor_complex(H, bk_r0(1, H).scale(2 ** 28))
+    assert cx.cohomology_dim(2) == 3
+    assert cx.fallbacks == ["image_check"]
+
+
+def test_r21_middle_multiplier_stops_at_dd_zero():
+    # built from R21 in place of R, the middle multiplier keeps every image
+    # in the cochain spaces on bk:1 at lambda = 37/41; delta o delta != 0
+    H = build_bk(1)
+    R = bk_r_lambda(1, [[Fraction(37, 41)]], H)
+    cx, swapped = tensor_complex(H, R), tensor_complex(H, R.permute_slots([1, 0]))
+    multiplier = cx._multiplier
+    cx._multiplier = lambda ops, side, n, i=0: (
+        swapped._multiplier if side == "middle" else multiplier)(ops, side, n, i)
+    with pytest.raises(DYConsistencyError, match=r"delta\^2 o delta\^1 is not zero"):
+        cx.cohomology_dim(2)
+
+
+def test_middle_coface_without_slot_swap_stops_at_containment():
+    from hopfdy.slotkernel import SlotKernel
+
+    class NoSwap(SlotKernel):
+        def permute(self, x, perm):
+            return x
+    H = build_bk(1)
+    cx = tensor_complex(H, bk_r0(1, H))
+    kernels = {big: NoSwap(H, big) for big in (False, True)}
+    cx._slot_kernel = lambda big=False: kernels[big]
+    with pytest.raises(DYConsistencyError, match="escapes the degree-2 cochain space"):
+        cx.cohomology_dim(2)
+
+
 def test_coords_rejects_non_cochains(txB1):
     z = txB1.cochain_basis(2)[1]
     assert txB1.coords(2, z) == {1: FR1}

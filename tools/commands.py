@@ -12,8 +12,9 @@ command on both sides back to back, and the side that runs first alternates
 from command to command and from pair to pair, so a change of the machine's
 speed between two runs lands on either side alike.  The script prints every
 run's wall time, exit code and peak RSS (`ru_maxrss` from `os.wait4`), then
-per command the median wall time and peak RSS of each side, the wall-time
-ratio, and whether stdout and the exit code were the same in all 2K runs.
+per command the median wall time and peak RSS of each side, the ratio of
+the medians with the least and greatest of the K per-pair ratios next to
+it, and whether stdout and the exit code were the same in all 2K runs.
 On Linux a child's `ru_maxrss` includes the high-water RSS of the process
 that forked it, so each run also prints this script's own peak: a child
 figure equal to it is a floor, not the child's peak.  It exits 1 if any
@@ -95,8 +96,9 @@ def main(argv=None) -> int:
                 print("pair %d %-6s %7.3f s  exit %d  %6.1f MB (runner %.1f MB)  %s"
                       % (i, side, r["wall"], r["code"], r["rss"], r["runner"], cmd), flush=True)
 
-    print("summary over %d pairs: median wall parent, change, ratio; median peak RSS "
-          "parent, change (MB); same stdout and exit" % args.pairs)
+    print("summary over %d pairs: median wall parent, change, ratio (min-max of the "
+          "per-pair ratios); median peak RSS parent, change (MB); same stdout and exit"
+          % args.pairs)
     differ = 0
     for cmd in TABLE:
         p, c = (runs[side, cmd] for side in ("parent", "change"))
@@ -104,8 +106,10 @@ def main(argv=None) -> int:
         differ += not same
         mp, mc = (statistics.median(r["wall"] for r in rs) for rs in (p, c))
         rp, rc = (statistics.median(r["rss"] for r in rs) for rs in (p, c))
-        print("%7.3f %7.3f  %.3f  %6.1f %6.1f  %-9s %s"
-              % (mp, mc, mc / mp, rp, rc, "same" if same else "DIFFERENT", cmd))
+        ratios = [b["wall"] / a["wall"] for a, b in zip(p, c)]
+        print("%7.3f %7.3f  %.3f (%.3f-%.3f)  %6.1f %6.1f  %-9s %s"
+              % (mp, mc, mc / mp, min(ratios), max(ratios), rp, rc,
+                 "same" if same else "DIFFERENT", cmd))
     print("commands with differing stdout or exit code: %d of %d" % (differ, len(TABLE)))
     return 1 if differ else 0
 
